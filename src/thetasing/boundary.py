@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from importlib import resources
-from math import factorial
+from math import factorial, lcm
 from typing import Iterable, NamedTuple, Sequence
 
 from .bits import kernel_f2, min_weight, rref_f2, span_f2
@@ -579,6 +579,7 @@ def pushforward_level2(
 # --- concrete instantiation and identity checking ----------------------------
 
 MonomialKey = tuple[tuple[int, int], ...]  # sorted ((packed label, exponent), ...)
+Coeff = int | Fraction
 
 
 @lru_cache(maxsize=8)
@@ -629,10 +630,8 @@ def _compositions(total: int, parts: int) -> Iterable[tuple[int, ...]]:
 
 
 @lru_cache(maxsize=None)
-def _type_of_key(g: int, key: MonomialKey) -> ConfigType:
-    packed = [p for p, _ in key]
-    exps = tuple(e for _, e in key)
-    rels = kernel_f2(packed, 2 * g)
+def _type_of_key(exps: tuple[int, ...], rels: tuple[int, ...]) -> ConfigType:
+    """Type of a concrete monomial from its exponents and label relations."""
     return make_type(exps, rels)
 
 
@@ -645,11 +644,11 @@ def _registry(g: int, degree: int) -> dict[ConfigType, list[MonomialKey]]:
     for k, sets in _orth_sets(g).items():
         if k > degree:
             continue
+        kernels = [kernel_f2(labels, 2 * g) for labels in sets]
         for assignment in _compositions(degree, k):
-            for labels in sets:
+            for labels, rels in zip(sets, kernels):
                 key = tuple(zip(labels, assignment))
-                t = _type_of_key(g, key)
-                index.setdefault(t, []).append(key)
+                index.setdefault(_type_of_key(assignment, rels), []).append(key)
     return index
 
 
@@ -663,41 +662,83 @@ def instantiate(p: BoundaryPoly, g: int) -> dict[MonomialKey, Fraction]:
     return out
 
 
-def convolve(
-    d1: dict[MonomialKey, Fraction], d2: dict[MonomialKey, Fraction], g: int
-) -> dict[MonomialKey, Fraction]:
-    """Product of concrete monomial dictionaries, dropping disjoint supports.
+def convolve(d1: dict[MonomialKey, Coeff], d2: dict[MonomialKey, Coeff], g: int
+             ) -> dict[MonomialKey, Coeff]:
+    """Product of concrete monomial dictionaries with int or Fraction values.
 
-    Independent of the symbolic product(); used to cross-check it.
+    A pair of monomials whose supports are not pairwise orthogonal
+    multiplies to zero and is dropped.  Keys are grouped by support, and
+    supports by span (_span_classes), so the orthogonality test runs once
+    per pair of spans and key pairs are enumerated only inside compatible
+    ones.  Exponents are packed into one int per key, so merging two
+    monomials is one addition.  Independent of the symbolic product(); used
+    to cross-check it.
     """
-    if len(d1) < len(d2):
-        d1, d2 = d2, d1
+    width = (_max_degree(d1) + _max_degree(d2)).bit_length()
     masks = _orth_closure_masks(g)
-    premask = {k1: _key_mask(k1, masks) for k1 in d1}
-    out: dict[MonomialKey, Fraction] = {}
-    for k2, c2 in d2.items():
-        labs2 = [p for p, _ in k2]
-        for k1, c1 in d1.items():
-            m = premask[k1]
-            if any(not m >> p & 1 for p in labs2):
+    classes2 = _span_classes(d2, masks, width)
+    out: dict[int, dict[int, Coeff]] = {}  # support bits -> packed exponents -> value
+    for m1, _, groups1 in _span_classes(d1, masks, width):
+        for _, t2, groups2 in classes2:
+            if m1 & t2 != t2:
                 continue
-            key = _merge_keys(k1, k2)
-            out[key] = out.get(key, Fraction(0)) + c1 * c2
-    return {k: v for k, v in out.items() if v}
+            for s1, terms1 in groups1:
+                for s2, terms2 in groups2:
+                    acc = out.setdefault(s1 | s2, {})
+                    for e1, c1 in terms1:
+                        for e2, c2 in terms2:
+                            e = e1 + e2
+                            acc[e] = acc.get(e, 0) + c1 * c2
+    field = (1 << width) - 1
+    result: dict[MonomialKey, Coeff] = {}
+    for bits, acc in out.items():
+        labels = _bit_positions(bits)
+        shifts = [width * p for p in labels]
+        for e, c in acc.items():
+            if c:
+                result[tuple(zip(labels, [e >> s & field for s in shifts]))] = c
+    return result
 
 
-def _key_mask(key: MonomialKey, masks: list[int]) -> int:
-    m = -1
-    for p, _ in key:
-        m &= masks[p]
-    return m
+def _max_degree(d: dict[MonomialKey, Coeff]) -> int:
+    return max((sum(e for _, e in key) for key in d), default=0)
 
 
-def _merge_keys(k1: MonomialKey, k2: MonomialKey) -> MonomialKey:
-    merged = dict(k1)
-    for p, e in k2:
-        merged[p] = merged.get(p, 0) + e
-    return tuple(sorted(merged.items()))
+def _span_classes(d: dict[MonomialKey, Coeff], masks: list[int], width: int
+                  ) -> list[tuple[int, int, list[tuple[int, list[tuple[int, Coeff]]]]]]:
+    """Keys grouped by support, and supports by the span of their labels.
+
+    Returns [(m, t, [(s, terms), ...]), ...], one entry per span.  s is the
+    label bits of a support and terms its keys as (packed exponents, value):
+    label p's exponent sits in bits width*p and up, wide enough that a sum
+    of two never carries.  m is the AND of the labels' orthogonal closures:
+    the span's orthogonal complement without 0, which names the span.  t is
+    the bits of any one support of the span.  A support u is orthogonal to
+    every label of s exactly when m & u == u; as m plus the zero vector is a
+    subspace, that holds for all supports of a span or for none, so testing
+    t decides the whole entry.
+    """
+    groups: dict[int, tuple[int, list[tuple[int, Coeff]]]] = {}
+    for key, c in d.items():
+        mask, bits, packed = -1, 0, 0
+        for p, e in key:
+            mask &= masks[p]
+            bits |= 1 << p
+            packed += e << width * p
+        groups.setdefault(bits, (mask, []))[1].append((packed, c))
+    classes: dict[int, tuple[int, list]] = {}
+    for bits, (mask, terms) in groups.items():
+        classes.setdefault(mask, (bits, []))[1].append((bits, terms))
+    return [(mask, bits, members) for mask, (bits, members) in classes.items()]
+
+
+def _bit_positions(bits: int) -> list[int]:
+    out: list[int] = []
+    while bits:
+        low = bits & -bits
+        out.append(low.bit_length() - 1)
+        bits ^= low
+    return out
 
 
 class VerifyResult(NamedTuple):
@@ -869,40 +910,48 @@ def expand_expr(expr: Expr, g: int) -> BoundaryPoly:
     return total
 
 
+# A concrete value (den, nums) is the dictionary {key: nums[key] / den}: one
+# positive denominator over integer numerators, so convolution stays in ints.
+ConcreteValue = tuple[int, dict[MonomialKey, int]]
+
 # memo for concrete factor-chain products, keyed per genus
-_CONCRETE_MEMO: dict[tuple[int, tuple[Factor, ...]], dict[MonomialKey, Fraction]] = {}
+_CONCRETE_MEMO: dict[tuple[int, tuple[Factor, ...]], ConcreteValue] = {}
 
 
-def concrete_expr(expr: Expr, g: int) -> dict[MonomialKey, Fraction]:
+def concrete_expr(expr: Expr, g: int) -> ConcreteValue:
     """Concrete value of a ledger expression by dictionary convolution.
 
     Products are evaluated monomial-by-monomial, independently of the
-    symbolic product(), so ledger checks genuinely anchor the latter.
+    symbolic product(), so ledger checks genuinely anchor the latter.  The
+    terms are combined over one common denominator.
     """
-    out: dict[MonomialKey, Fraction] = {}
-    for coeff, factors in expr:
-        chain = tuple(sorted(factors))
-        val = _concrete_chain(chain, g)
-        for key, c in val.items():
-            new = out.get(key, Fraction(0)) + coeff * c
-            if new:
-                out[key] = new
-            else:
-                out.pop(key, None)
-    return out
+    values = [(coeff, _concrete_chain(tuple(sorted(factors)), g)) for coeff, factors in expr]
+    den = lcm(*(coeff.denominator * d for coeff, (d, _) in values))
+    out: dict[MonomialKey, int] = {}
+    for coeff, (d, nums) in values:
+        scale = coeff.numerator * (den // (coeff.denominator * d))
+        for key, c in nums.items():
+            out[key] = out.get(key, 0) + scale * c
+    return den, {key: c for key, c in out.items() if c}
 
 
-def _concrete_chain(chain: tuple[Factor, ...], g: int) -> dict[MonomialKey, Fraction]:
+def _concrete_chain(chain: tuple[Factor, ...], g: int) -> ConcreteValue:
     if not chain:
-        return {(): Fraction(1)}
+        return 1, {(): 1}
     memo_key = (g, chain)
     cached = _CONCRETE_MEMO.get(memo_key)
     if cached is not None:
         return cached
     if len(chain) == 1:
-        val = instantiate(_expand_factor(chain[0], g), g)
+        poly = _expand_factor(chain[0], g)
+        den = lcm(*(c.denominator for c in poly.coeffs.values()))
+        nums = {key: c.numerator * (den // c.denominator)
+                for key, c in instantiate(poly, g).items()}
+        val = den, nums
     else:
-        val = convolve(_concrete_chain(chain[:-1], g), _concrete_chain(chain[-1:], g), g)
+        den1, nums1 = _concrete_chain(chain[:-1], g)
+        den2, nums2 = _concrete_chain(chain[-1:], g)
+        val = den1 * den2, convolve(nums1, nums2, g)
     _CONCRETE_MEMO[memo_key] = val
     return val
 
@@ -916,16 +965,15 @@ class IdentityReport(NamedTuple):
 
 def check_identity(identity: Identity, g: int) -> IdentityReport:
     """Verify one ledger identity concretely and symbolically at genus g."""
-    left = concrete_expr(identity.lhs, g)
-    right = concrete_expr(identity.rhs, g)
+    den_l, left = concrete_expr(identity.lhs, g)
+    den_r, right = concrete_expr(identity.rhs, g)
+    # left[key] / den_l == right[key] / den_r, compared by cross-multiplication
+    differ = [key for key in left.keys() | right.keys()
+              if left.get(key, 0) * den_r != right.get(key, 0) * den_l]
+    concrete_ok = not differ
     counter = None
-    concrete_ok = True
-    for key in sorted(set(left) | set(right)):
-        a = left.get(key, Fraction(0))
-        b = right.get(key, Fraction(0))
-        if a != b:
-            concrete_ok = False
-            counter = (key, a, b)
-            break
+    if differ:
+        key = min(differ)
+        counter = (key, Fraction(left.get(key, 0), den_l), Fraction(right.get(key, 0), den_r))
     symbolic_ok = expand_expr(identity.lhs, g) == expand_expr(identity.rhs, g)
     return IdentityReport(identity.name, concrete_ok, symbolic_ok, counter)

@@ -2,7 +2,7 @@
 
 Every command prints deterministic, byte-stable output (sorted keys, exact
 fractions) and exits 0 on success, 2 when a verification command finds a
-mismatch.  The `records` format emits one self-describing line per term:
+mismatch or `--samples` is below 1.  The `records` format emits one self-describing line per term:
 
     lambda=<e1,...,eg> word=<tag*tag or 1> num=<int> den=<int> prov=<tag>
 
@@ -209,6 +209,9 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--open", action="store_true",
                         help="use the open-variant ring for ring-info")
     args = parser.parse_args(argv)
+    if args.samples < 1:
+        print(f"thetasing: --samples must be at least 1, got {args.samples}", file=sys.stderr)
+        return 2
     overrides = _parse_data_overrides(args.data)
     if "normalizations" in overrides:
         tautring.set_normalizations_path(overrides["normalizations"])

@@ -26,8 +26,13 @@ from thetasing import (
 from thetasing.boundary import (
     EMPTY,
     BoundaryPoly,
+    Identity,
+    _registry,
+    convolve,
+    instantiate,
     make_type,
     normalize_word,
+    parse_identity,
     word_sort_key,
 )
 from thetasing.characteristics import _form_packed, orthogonal_tuples
@@ -218,14 +223,99 @@ def test_product_commutes():
 
 
 def test_product_matches_concrete_convolution():
-    from thetasing.boundary import convolve, instantiate
-
     g = 2
     p = expand_named("sigma1", g)
     q = expand_named("sigma2", g)
     symbolic = instantiate(product(p, q, g), g)
     concrete = convolve(instantiate(p, g), instantiate(q, g), g)
     assert symbolic == concrete
+
+
+# --- concrete verifier -------------------------------------------------------------
+
+def naive_convolve(d1, d2, g):
+    """All-pairs reference: multiply every pair of keys whose labels are
+    pairwise orthogonal, summing exponents of shared labels."""
+    out = {}
+    for k1, c1 in d1.items():
+        for k2, c2 in d2.items():
+            if any(_form_packed(p, q, g) for p, _ in k1 for q, _ in k2):
+                continue
+            merged = dict(k1)
+            for p, e in k2:
+                merged[p] = merged.get(p, 0) + e
+            key = tuple(sorted(merged.items()))
+            out[key] = out.get(key, Fraction(0)) + c1 * c2
+    return {k: v for k, v in out.items() if v}
+
+
+ORTHOGONAL_SETS = {
+    g: [tuple(sorted(n.packed for n in tup)) for tup in orthogonal_tuples(g, 3)]
+    for g in (2, 3)
+}
+
+
+@st.composite
+def concrete_dicts(draw, g):
+    """Small concrete monomial dictionaries with Fraction values, integral or not."""
+    out = {}
+    for _ in range(draw(st.integers(0, 8))):
+        labels = draw(st.sampled_from(ORTHOGONAL_SETS[g]))
+        exps = draw(st.lists(st.integers(1, 3), min_size=len(labels), max_size=len(labels)))
+        value = draw(st.fractions(min_value=-3, max_value=3, max_denominator=4))
+        out[tuple(zip(labels, exps))] = value
+    return out
+
+
+@settings(max_examples=200)
+@given(st.data())
+def test_convolve_matches_all_pairs_reference(data):
+    g = data.draw(st.sampled_from((2, 3)))
+    d1 = data.draw(concrete_dicts(g))
+    d2 = data.draw(concrete_dicts(g))
+    assert convolve(d1, d2, g) == naive_convolve(d1, d2, g)
+
+
+def test_registry_types_match_canonical_config():
+    for g, max_degree in ((2, 5), (3, 3)):
+        for d in range(max_degree + 1):
+            for t, keys in _registry(g, d).items():
+                for key in keys:
+                    labels = [BoundaryLabel.from_packed(g, p) for p, _ in key]
+                    assert canonical_config(labels, [e for _, e in key]) == t, key
+
+
+def test_registry_sizes_genus3():
+    sizes = [sum(len(keys) for keys in _registry(3, d).values()) for d in range(6)]
+    assert sizes == [1, 63, 1008, 6048, 19908, 50148]
+
+
+def test_check_identity_first_difference_genus3():
+    g = 3
+    report = check_identity(parse_identity("wrong: sigma1^2 = 2*sigma2"), g)
+    assert not report.concrete_ok and not report.symbolic_ok
+    s1 = instantiate(expand_named("sigma1", g), g)
+    left = naive_convolve(s1, s1, g)
+    right = {k: 2 * c for k, c in instantiate(expand_named("sigma2", g), g).items()}
+    first = min(k for k in left.keys() | right.keys() if left.get(k, 0) != right.get(k, 0))
+    key, a, b = report.counterexample
+    assert (key, a, b) == (first, left.get(first, F(0)), right.get(first, F(0)))
+    assert type(a) is Fraction and type(b) is Fraction
+    assert report.counterexample == (((1, 2),), F(1), F(0))
+
+
+def test_check_identity_fractional_coefficients_genus3():
+    # the ledger grammar has integer coefficients only; build the sides
+    # directly so that both denominators differ from 1
+    g = 3
+    s1, s2 = ("name", "sigma1"), ("name", "sigma2")
+    lhs = ((F(1, 2), (s1, s1)),)
+    rhs = ((F(1, 2), (("cfg", (2,), ()),)), (F(1), (s2,)))
+    assert check_identity(Identity("halves", lhs, rhs), g).concrete_ok
+    wrong = ((F(1, 3), (("cfg", (2,), ()),)), (F(1), (s2,)))
+    report = check_identity(Identity("thirds", lhs, wrong), g)
+    assert not report.concrete_ok
+    assert report.counterexample == (((1, 2),), F(1, 2), F(1, 3))
 
 
 # --- structural expansion of powers ----------------------------------------------

@@ -153,6 +153,15 @@ def test_verify_counts_sampled(capsys):
     assert out == "ok genus=4 mode=sampled(200) tuples=201 mismatches=0\n"
 
 
+@pytest.mark.parametrize("samples", ["0", "-5"])
+def test_verify_counts_rejects_nonpositive_samples(capsys, samples):
+    code = cli.main(["--command", "verify-counts", "--genus", "4", "--samples", samples])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == f"thetasing: --samples must be at least 1, got {samples}\n"
+
+
 def test_byte_stability(capsys):
     args = ("--command", "compactified-class", "--genus", "3", "--format", "records")
     _, first = run(capsys, *args)
