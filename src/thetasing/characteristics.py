@@ -141,6 +141,11 @@ def _form_packed(x: int, y: int, g: int) -> int:
     return (((x >> g) & y & mask).bit_count() + ((y >> g) & x & mask).bit_count()) & 1
 
 
+def _swap_halves(v: int, g: int) -> int:
+    """J(v): exchange the alpha and beta halves, so <x, v> = parity(x & J(v))."""
+    return ((v & ((1 << g) - 1)) << g) | (v >> g)
+
+
 def symplectic_form(n1: BoundaryLabel, n2: BoundaryLabel) -> int:
     if n1.genus != n2.genus:
         raise ValueError("genus mismatch")
@@ -156,9 +161,15 @@ def enumerate_odd(g: int) -> list[Characteristic]:
     ]
 
 
+@lru_cache(maxsize=8)
+def _labels(g: int) -> tuple[BoundaryLabel | None, ...]:
+    """Every label at genus g, indexed by packed value (slot 0 is None)."""
+    return (None,) + tuple(BoundaryLabel.from_packed(g, p) for p in range(1, 1 << (2 * g)))
+
+
 def enumerate_labels(g: int) -> list[BoundaryLabel]:
     """All nonzero labels, lexicographic in (alpha, beta)."""
-    return [BoundaryLabel.from_packed(g, p) for p in range(1, 1 << (2 * g))]
+    return list(_labels(g)[1:])
 
 
 def z_set(m: Characteristic) -> frozenset[BoundaryLabel]:
@@ -216,9 +227,15 @@ def count_from_pattern(g: int, k: int, rels: Sequence[int]) -> int:
     certified even-relation patterns count 2^(2g-1-rank).  Anything else is
     refused rather than guessed.
     """
+    return _count_for_kernel(g, k, rref_f2(rels))
+
+
+@lru_cache(maxsize=None)
+def _count_for_kernel(g: int, k: int, kernel: tuple[int, ...]) -> int:
+    """count_from_pattern on an RREF relation basis.  A refusal raises on
+    every call: lru_cache stores results, never exceptions."""
     if k == 0:
         return (1 << (g - 1)) * ((1 << g) - 1)
-    kernel = rref_f2(rels)
     if any(v.bit_count() & 1 for v in span_f2(kernel) if v):
         return 0
     if kernel and (k, _pattern_key(k, kernel)) not in CERTIFIED_PATTERNS:
@@ -237,16 +254,20 @@ def count_vanishing(g: int, labels: Sequence[BoundaryLabel]) -> int:
     Requires the labels to be distinct and pairwise orthogonal.  Served from
     the certified pattern table; see count_from_pattern.
     """
-    packed = [n.packed for n in labels]
-    if any(n.genus != g for n in labels):
-        raise ValueError("label genus mismatch")
+    packed = []
+    for n in labels:
+        if n.genus != g:
+            raise ValueError("label genus mismatch")
+        packed.append(n.packed)
     if len(set(packed)) != len(packed):
         raise ValueError("labels must be distinct")
-    for a, b in itertools.combinations(packed, 2):
-        if _form_packed(a, b, g):
-            raise NonOrthogonalError("labels must be pairwise orthogonal")
-    kernel = kernel_f2(packed, 2 * g)
-    return count_from_pattern(g, len(packed), kernel)
+    for i, a in enumerate(packed):
+        ja = _swap_halves(a, g)
+        for b in packed[i + 1:]:
+            if (ja & b).bit_count() & 1:
+                raise NonOrthogonalError("labels must be pairwise orthogonal")
+    # kernel_f2 returns the RREF basis that count_from_pattern would compute
+    return _count_for_kernel(g, len(packed), kernel_f2(packed, 2 * g))
 
 
 # --- brute-force oracle ------------------------------------------------------
@@ -322,8 +343,9 @@ def orthogonal_tuples(g: int, max_size: int) -> Iterator[tuple[BoundaryLabel, ..
                 above = ~((1 << (n + 1)) - 1)
                 yield from extend(picked, candidates & orth[n] & above)
 
+    labels = _labels(g)
     for combo in extend([], (1 << n_labels) - 2):
-        yield tuple(BoundaryLabel.from_packed(g, p) for p in combo)
+        yield tuple([labels[p] for p in combo])
 
 
 def random_orthogonal_tuple(
@@ -335,12 +357,21 @@ def random_orthogonal_tuple(
     orthogonal set spans an isotropic subspace, hence sits inside some
     maximal one, and transvections act transitively on those.
     """
-    basis = [1 << i for i in range(g)]  # the delta-side coordinate vectors
+    mask = (1 << g) - 1
     size = 1 << (2 * g)
+    basis = [1 << i for i in range(g)]  # the delta-side coordinate vectors
     for _ in range(12):
         v = rng.randrange(1, size)
-        basis = [x ^ v if _form_packed(x, v, g) else x for x in basis]
-    nonzero = [x for x in span_f2(basis) if x]
+        jv = ((v & mask) << g) | (v >> g)  # _swap_halves(v, g), inlined in the hot loop
+        basis = [x ^ v if (x & jv).bit_count() & 1 else x for x in basis]
+    # transvections are invertible, so the basis stays independent and
+    # doubling lists each vector of its span exactly once
+    span = [0]
+    for b in basis:
+        span += [x ^ b for x in span]
+    span.sort()
+    nonzero = span[1:]
     k = rng.randint(1, min(max_size, len(nonzero)))
     picked = sorted(rng.sample(nonzero, k))
-    return tuple(BoundaryLabel.from_packed(g, p) for p in picked)
+    labels = _labels(g)
+    return tuple([labels[p] for p in picked])

@@ -2,7 +2,8 @@
 
 Every command prints deterministic, byte-stable output (sorted keys, exact
 fractions) and exits 0 on success, 2 when a verification command finds a
-mismatch or `--samples` is below 1.  The `records` format emits one self-describing line per term:
+mismatch, `--samples` is below 1, or `--genus` is missing or outside the
+command's range in `GENERA`.  The `records` format emits one self-describing line per term:
 
     lambda=<e1,...,eg> word=<tag*tag or 1> num=<int> den=<int> prov=<tag>
 
@@ -30,6 +31,23 @@ COMMANDS = (
     "verify-counts",
     "ring-info",
 )
+
+# Supported --genus values per command, checked right after argument parsing.
+GENERA = {
+    "open-class": range(1, 6),
+    "compactified-class": range(1, 6),
+    "taut-projection": range(1, 6),
+    "product-taut": range(3, 6),
+    "ij-taut": range(5, 6),
+    "verify-identities": range(1, 4),
+    "verify-counts": range(1, 6),
+    "ring-info": range(1, 6),
+}
+# Without --genus, ij-taut computes genus 5, verify-identities checks genus 3
+# and verify-counts checks every genus in its range.
+NEEDS_GENUS = {
+    "open-class", "compactified-class", "taut-projection", "product-taut", "ring-info",
+}
 
 
 def _parse_data_overrides(items: list[str]) -> dict[str, str]:
@@ -117,8 +135,6 @@ def _emit_mixed(g: int, fmt: str, out) -> int:
 def _cmd_verify_identities(args, overrides, out) -> int:
     identities = boundary.load_identities(overrides.get("identities"))
     g = args.genus if args.genus is not None else 3
-    if not 1 <= g <= 3:
-        raise SystemExit("identities can be checked concretely only for genus 1..3")
     failures = 0
     for ident in identities:
         report = boundary.check_identity(ident, g)
@@ -138,7 +154,7 @@ def _cmd_verify_identities(args, overrides, out) -> int:
 
 def _cmd_verify_counts(args, out) -> int:
     failures = 0
-    genera = [args.genus] if args.genus is not None else [1, 2, 3, 4, 5]
+    genera = [args.genus] if args.genus is not None else list(GENERA["verify-counts"])
     rng = random.Random(args.seed)
     for g in genera:
         checked = 0
@@ -175,8 +191,6 @@ def _cmd_verify_counts(args, out) -> int:
 
 def _cmd_ring_info(args, out) -> int:
     g = args.genus
-    if g is None:
-        raise SystemExit("ring-info needs --genus")
     R = tautring.ring(g, open_variant=args.open)
     dims = ",".join(str(R.dimension(d)) for d in range(R.top + 1))
     out.write(f"genus={g} open={args.open} top={R.top} dims={dims} "
@@ -212,18 +226,18 @@ def main(argv: list[str] | None = None) -> int:
     if args.samples < 1:
         print(f"thetasing: --samples must be at least 1, got {args.samples}", file=sys.stderr)
         return 2
+    supported = GENERA[args.command]
+    if args.genus is None and args.command in NEEDS_GENUS:
+        parser.exit(2, f"thetasing: {args.command} needs --genus\n")
+    if args.genus is not None and args.genus not in supported:
+        parser.exit(2, f"thetasing: {args.command} supports --genus "
+                       f"{supported[0]}..{supported[-1]}, got {args.genus}\n")
     overrides = _parse_data_overrides(args.data)
     if "normalizations" in overrides:
         tautring.set_normalizations_path(overrides["normalizations"])
     if "boundary-relations" in overrides:
         pipeline.set_boundary_relations_path(overrides["boundary-relations"])
     out = sys.stdout
-
-    needs_genus = {
-        "open-class", "compactified-class", "taut-projection", "product-taut",
-    }
-    if args.command in needs_genus and args.genus is None:
-        raise SystemExit(f"{args.command} needs --genus")
 
     if args.command == "open-class":
         _emit_taut(args.genus, pipeline.class_open(args.genus), "open-class",

@@ -1,5 +1,6 @@
 """Tests for theta characteristics, distinguished label sets, and parity counts."""
 
+import hashlib
 import itertools
 from random import Random
 
@@ -19,11 +20,22 @@ from thetasing import (
     z_set,
 )
 from thetasing.characteristics import (
+    _form_packed,
+    _labels,
+    _swap_halves,
     brute_force_count_naive,
     count_from_pattern,
     orthogonal_tuples,
     random_orthogonal_tuple,
 )
+
+# criterion 3's seed, and the sha256 of the first 2000 (packed tuple, count)
+# rows it gives per genus, recorded before the sampler was optimised
+STREAM_SEED = 20260819
+STREAM_SHA256 = {
+    4: "b508fef66a55bcb412dc83f4691393eaf5118443808e9f48c99f13fcff8869e4",
+    5: "3173c30eb1c5bc921f13afd00126a8d3b1755b333e2af7714469fa78aadf9f9b",
+}
 
 
 def label(g, packed):
@@ -44,6 +56,27 @@ def test_odd_characteristic_counts():
 def test_enumerate_labels_count():
     for g in range(1, 4):
         assert len(enumerate_labels(g)) == (1 << (2 * g)) - 1
+
+
+def test_enumerate_labels_is_a_fresh_list_of_shared_labels():
+    for g in range(1, 4):
+        expected = [BoundaryLabel.from_packed(g, p) for p in range(1, 1 << (2 * g))]
+        first = enumerate_labels(g)
+        assert first == expected
+        first.clear()
+        assert enumerate_labels(g) == expected
+        table = _labels(g)
+        assert table[0] is None
+        assert all(table[p].packed == p for p in range(1, 1 << (2 * g)))
+
+
+def test_swap_halves_pairing_exhaustive():
+    # <x, v> is the parity of x & J(v), J swapping the alpha and beta halves
+    for g in range(1, 4):
+        for v in range(1 << (2 * g)):
+            jv = _swap_halves(v, g)
+            for x in range(1 << (2 * g)):
+                assert (x & jv).bit_count() & 1 == _form_packed(x, v, g)
 
 
 @given(labels_strategy(3), labels_strategy(3))
@@ -152,8 +185,10 @@ def test_uncertified_pattern_is_refused():
     labels = [label(g, p) for p in packs]
     for a, b in itertools.combinations(labels, 2):
         assert symplectic_form(a, b) == 0
-    with pytest.raises(UncertifiedPatternError):
-        count_vanishing(g, labels)
+    # twice: the memo of the counting rule must not turn a refusal into a count
+    for _ in range(2):
+        with pytest.raises(UncertifiedPatternError):
+            count_vanishing(g, labels)
     # the oracle still knows the true count; refusal is conservative, not wrong
     assert brute_force_count(g, labels) >= 0
 
@@ -161,6 +196,15 @@ def test_uncertified_pattern_is_refused():
 def test_count_from_pattern_unrealizable_rank():
     # rank exceeding g cannot come from pairwise-orthogonal labels
     assert count_from_pattern(5, 6, []) == 0
+
+
+def test_count_from_pattern_takes_any_basis():
+    # lists, tuples and non-reduced bases of one relation space agree
+    assert count_from_pattern(3, 4, [0b1111]) == 1 << 2
+    assert count_from_pattern(3, 4, (0b1111, 0b1111)) == 1 << 2
+    assert count_from_pattern(3, 4, [0b0111]) == 0  # odd-weight relation
+    with pytest.raises(UncertifiedPatternError):
+        count_from_pattern(4, 6, [0b001111, 0b111100])
 
 
 def test_count_matches_brute_force_exhaustive_genus2():
@@ -185,6 +229,17 @@ def test_random_tuples_match_oracle_genus4(seed):
     g = 4
     tup = random_orthogonal_tuple(Random(seed), g)
     assert count_vanishing(g, tup) == brute_force_count(g, tup)
+
+
+def test_sample_stream_is_pinned():
+    # what criterion 3 certifies must not change with the sampler's internals
+    for g, digest in STREAM_SHA256.items():
+        rng = Random(STREAM_SEED)
+        rows = []
+        for _ in range(2000):
+            tup = random_orthogonal_tuple(rng, g)
+            rows.append([[n.packed for n in tup], count_vanishing(g, tup)])
+        assert hashlib.sha256(repr(rows).encode()).hexdigest() == digest
 
 
 def test_random_tuple_shape():

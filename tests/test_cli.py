@@ -1,6 +1,8 @@
 """Tests for the command line front end: output formats, round-trips, exit codes."""
 
 import os
+import subprocess
+import sys
 import tempfile
 from fractions import Fraction
 
@@ -9,6 +11,8 @@ import pytest
 from thetasing import cli
 from thetasing.pipeline import set_boundary_relations_path
 from thetasing.tautring import set_normalizations_path
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 
 def run(capsys, *argv):
@@ -162,6 +166,37 @@ def test_verify_counts_rejects_nonpositive_samples(capsys, samples):
     assert captured.err == f"thetasing: --samples must be at least 1, got {samples}\n"
 
 
+@pytest.mark.parametrize("command, genus, supported", [
+    ("verify-counts", "0", "1..5"),
+    ("verify-counts", "6", "1..5"),
+    ("compactified-class", "6", "1..5"),
+    ("product-taut", "2", "3..5"),
+    ("open-class", "0", "1..5"),
+    ("ring-info", "6", "1..5"),
+    ("ring-info", "7", "1..5"),
+])
+def test_unsupported_genus_fails_fast(capsys, command, genus, supported):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["--command", command, "--genus", genus])
+    captured = capsys.readouterr()
+    assert exc.value.code == 2
+    assert captured.out == ""
+    assert captured.err == f"thetasing: {command} supports --genus {supported}, got {genus}\n"
+
+
+def test_unsupported_genus_exit_status():
+    # ring-info --genus 7 used to run without bound; the process exits at once
+    proc = subprocess.run(
+        [sys.executable, "-m", "thetasing", "--command", "ring-info", "--genus", "7"],
+        capture_output=True, text=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(
+            p for p in (SRC, os.environ.get("PYTHONPATH")) if p)},
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr == "thetasing: ring-info supports --genus 1..5, got 7\n"
+
+
 def test_byte_stability(capsys):
     args = ("--command", "compactified-class", "--genus", "3", "--format", "records")
     _, first = run(capsys, *args)
@@ -180,9 +215,10 @@ def test_ring_info(capsys):
 
 
 def test_ring_info_needs_genus(capsys):
-    with pytest.raises(SystemExit):
+    with pytest.raises(SystemExit) as exc:
         cli.main(["--command", "ring-info"])
-    capsys.readouterr()
+    assert exc.value.code == 2
+    assert capsys.readouterr().err == "thetasing: ring-info needs --genus\n"
 
 
 def test_bad_data_override(capsys):
