@@ -10,7 +10,6 @@ from typing import Iterable, Sequence
 __all__ = [
     "parity",
     "rref_f2",
-    "rank_f2",
     "span_f2",
     "kernel_f2",
     "min_weight",
@@ -42,10 +41,6 @@ def rref_f2(rows: Iterable[int]) -> tuple[int, ...]:
             basis.append(row)
     basis.sort(key=lambda r: r & -r)
     return tuple(basis)
-
-
-def rank_f2(rows: Iterable[int]) -> int:
-    return len(rref_f2(rows))
 
 
 def span_f2(basis: Sequence[int]) -> list[int]:

@@ -14,15 +14,24 @@ from __future__ import annotations
 
 import itertools
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from importlib import resources
 from math import factorial, lcm
 from typing import Iterable, NamedTuple, Sequence
 
 from .bits import kernel_f2, min_weight, rref_f2, span_f2
-from .characteristics import BoundaryLabel, count_from_pattern, _form_packed
+from .characteristics import (
+    EMPTY,
+    BoundaryLabel,
+    ConfigType,
+    _form_packed,
+    _orth_masks,
+    _orthogonal_sets,
+    count_from_pattern,
+    make_type,
+)
+from .datafile import parse_lines
+from .exactla import add_into
 
 __all__ = [
     "ConfigType",
@@ -62,92 +71,6 @@ def n_odd(g: int) -> int:
 
 
 # --- configuration types -----------------------------------------------------
-
-@dataclass(frozen=True, slots=True, order=True)
-class ConfigType:
-    """Canonical (exponents, relation space) shape of a boundary monomial.
-
-    exps is non-increasing; rels is the RREF basis of the relation space,
-    written over slot bits and minimized over permutations of equal-exponent
-    slots.  Construct through make_type() / canonical_config(), not directly.
-    """
-
-    exps: tuple[int, ...]
-    rels: tuple[int, ...]
-
-    @property
-    def degree(self) -> int:
-        return sum(self.exps)
-
-    @property
-    def nslots(self) -> int:
-        return len(self.exps)
-
-    @property
-    def rank(self) -> int:
-        """Dimension of the span of the labels."""
-        return len(self.exps) - len(self.rels)
-
-    def literal(self) -> str:
-        """cfg(...) literal in the ledger grammar (1-based slot indices)."""
-        if not self.exps:
-            return "cfg()"
-        body = ",".join(str(e) for e in self.exps)
-        if not self.rels:
-            return f"cfg({body})"
-        groups = []
-        for row in self.rels:
-            groups.append(" ".join(str(i + 1) for i in range(self.nslots) if row >> i & 1))
-        return f"cfg({body}; {' | '.join(groups)})"
-
-
-def _permute_bits(row: int, perm: Sequence[int]) -> int:
-    out = 0
-    for i, target in enumerate(perm):
-        if row >> i & 1:
-            out |= 1 << target
-    return out
-
-
-def make_type(exps: Sequence[int], rels: Iterable[int]) -> ConfigType:
-    """Canonicalize (exponents, relation rows) into a ConfigType."""
-    exps = tuple(exps)
-    if any(e <= 0 for e in exps):
-        raise ValueError("exponents must be positive")
-    k = len(exps)
-    if k == 0:
-        return EMPTY
-    order = sorted(range(k), key=lambda i: (-exps[i], i))
-    sorted_exps = tuple(exps[i] for i in order)
-    # move old slot order[j] to new slot j
-    inv = [0] * k
-    for new, old in enumerate(order):
-        inv[old] = new
-    base = [_permute_bits(r, inv) for r in rels if r]
-    if not base:
-        return ConfigType(sorted_exps, ())
-    # minimize over permutations within equal-exponent runs
-    runs: list[range] = []
-    start = 0
-    for i in range(1, k + 1):
-        if i == k or sorted_exps[i] != sorted_exps[start]:
-            runs.append(range(start, i))
-            start = i
-    best: tuple[int, ...] | None = None
-    for parts in itertools.product(*(itertools.permutations(r) for r in runs)):
-        perm = [0] * k
-        for run, part in zip(runs, parts):
-            for src, dst in zip(run, part):
-                perm[src] = dst
-        cand = rref_f2(_permute_bits(r, perm) for r in base)
-        if best is None or cand < best:
-            best = cand
-    assert best is not None
-    return ConfigType(sorted_exps, best)
-
-
-EMPTY = ConfigType((), ())
-
 
 def canonical_config(
     support: Sequence[BoundaryLabel], exponents: Sequence[int]
@@ -253,10 +176,7 @@ class BoundaryPoly:
     def __add__(self, other: "BoundaryPoly") -> "BoundaryPoly":
         if other.degree != self.degree:
             raise ValueError("degree mismatch")
-        out = dict(self.coeffs)
-        for t, c in other.coeffs.items():
-            out[t] = out.get(t, Fraction(0)) + c
-        return BoundaryPoly(self.degree, out)
+        return BoundaryPoly(self.degree, add_into(dict(self.coeffs), other.coeffs))
 
     def __sub__(self, other: "BoundaryPoly") -> "BoundaryPoly":
         return self + (-1) * other
@@ -583,40 +503,11 @@ Coeff = int | Fraction
 
 
 @lru_cache(maxsize=8)
-def _orth_closure_masks(g: int) -> list[int]:
-    """Per-label bitsets of orthogonal labels, self included."""
-    size = 1 << (2 * g)
-    masks = [0] * size
-    for a in range(1, size):
-        m = 0
-        for b in range(1, size):
-            if _form_packed(a, b, g) == 0:
-                m |= 1 << b
-        masks[a] = m
-    return masks
-
-
-@lru_cache(maxsize=8)
 def _orth_sets(g: int) -> dict[int, list[tuple[int, ...]]]:
     """All pairwise-orthogonal label sets of sizes 1..DEGREE_MAX, packed."""
-    masks = _orth_closure_masks(g)
-    size = 1 << (2 * g)
     out: dict[int, list[tuple[int, ...]]] = {k: [] for k in range(1, DEGREE_MAX + 1)}
-
-    def extend(chosen: list[int], candidates: int) -> None:
-        b = candidates
-        while b:
-            low = b & -b
-            n = low.bit_length() - 1
-            b ^= low
-            chosen.append(n)
-            out[len(chosen)].append(tuple(chosen))
-            if len(chosen) < DEGREE_MAX:
-                above = ~((1 << (n + 1)) - 1)
-                extend(chosen, candidates & masks[n] & above & ~low)
-            chosen.pop()
-
-    extend([], (1 << size) - 2)
+    for labels in _orthogonal_sets(g, DEGREE_MAX):
+        out[len(labels)].append(labels)
     return out
 
 
@@ -675,7 +566,7 @@ def convolve(d1: dict[MonomialKey, Coeff], d2: dict[MonomialKey, Coeff], g: int
     to cross-check it.
     """
     width = (_max_degree(d1) + _max_degree(d2)).bit_length()
-    masks = _orth_closure_masks(g)
+    masks = _orth_masks(g)
     classes2 = _span_classes(d2, masks, width)
     out: dict[int, dict[int, Coeff]] = {}  # support bits -> packed exponents -> value
     for m1, _, groups1 in _span_classes(d1, masks, width):
@@ -788,79 +679,87 @@ def _parse_factor(tok: str) -> Factor:
             exp_part, rel_part = body.split(";", 1)
         else:
             exp_part, rel_part = body, ""
-        exps = tuple(int(x) for x in exp_part.replace(" ", "").split(",") if x)
+        exps = _literal_exponents(exp_part, tok)
         rows = []
         for group in rel_part.split("|"):
             idx = [int(x) for x in group.split()]
+            if any(not 1 <= i <= len(exps) for i in idx):
+                raise ValueError(f"slot index out of range in {tok!r}")
             if idx:
                 rows.append(sum(1 << (i - 1) for i in idx))
         return ("cfg", exps, tuple(rows))
     if tok.startswith("any("):
-        exps = tuple(int(x) for x in tok[4:-1].replace(" ", "").split(",") if x)
-        return ("any", exps)
+        return ("any", _literal_exponents(tok[4:-1], tok))
     return ("name", tok)
 
 
+def _literal_exponents(text: str, tok: str) -> tuple[int, ...]:
+    exps = tuple(int(x) for x in text.replace(" ", "").split(",") if x)
+    if any(e <= 0 for e in exps):
+        raise ValueError(f"exponents must be positive in {tok!r}")
+    return exps
+
+
 def _parse_expr(text: str) -> Expr:
+    """Terms of one side of a ledger line or a boundary relation.
+
+    Grammar: an optional sign, then terms joined by + or -; a term is
+    factors joined by *; a factor is an integer, a class name (lam<i>
+    included) or a cfg(...)/any(...) literal, each optionally raised to
+    ^<integer>.  Integer factors multiply the term's coefficient.
+    """
+    text = text.strip()
     tokens = _TOKEN.findall(text)
-    if "".join(tokens).replace(" ", "") != text.replace(" ", ""):
-        raise ValueError(f"unparsed characters in {text!r}")
+    if not tokens or "".join(tokens).replace(" ", "") != text.replace(" ", ""):
+        raise ValueError(f"cannot parse {text!r}")
     terms: list[Term] = []
-    sign = Fraction(1)
-    pos = 0
-    n = len(tokens)
+    pos, n = 0, len(tokens)
     while pos < n:
-        tok = tokens[pos]
-        if tok == "+":
-            sign = Fraction(1)
+        sign = tokens[pos]
+        if sign in ("+", "-"):
             pos += 1
-            continue
-        if tok == "-":
-            sign = Fraction(-1)
-            pos += 1
-            continue
-        coeff = sign
+        coeff = Fraction(-1 if sign == "-" else 1)
         factors: list[Factor] = []
-        while pos < n and tokens[pos] not in "+-":
-            tok = tokens[pos]
-            if tok == "*":
-                pos += 1
-                continue
-            if tok.isdigit():
-                coeff *= int(tok)
-                pos += 1
-                continue
-            factor = _parse_factor(tok)
-            pos += 1
-            power = 1
-            if pos + 1 < n and tokens[pos] == "^" and tokens[pos + 1].isdigit():
-                power = int(tokens[pos + 1])
+        while True:
+            if pos == n or tokens[pos] in ("+", "-", "*", "^"):
+                raise ValueError(f"missing factor in {text!r}")
+            tok, power = tokens[pos], 1
+            if pos + 1 < n and tokens[pos + 1] == "^":
+                if pos + 2 == n or not tokens[pos + 2].isdigit():
+                    raise ValueError(f"^ needs an integer power in {text!r}")
+                power = int(tokens[pos + 2])
                 pos += 2
-            factors.extend([factor] * power)
+            pos += 1
+            if tok.isdigit():
+                coeff *= int(tok) ** power
+            else:
+                factors.extend([_parse_factor(tok)] * power)
+            if pos == n or tokens[pos] != "*":
+                break
+            pos += 1
+        if pos < n and tokens[pos] not in ("+", "-"):
+            raise ValueError(f"expected + or - before {tokens[pos]!r} in {text!r}")
         terms.append((coeff, tuple(factors)))
-        sign = Fraction(1)
     return tuple(terms)
 
 
 def parse_identity(line: str) -> Identity:
-    name, rest = line.split(":", 1)
-    lhs_text, rhs_text = rest.split("=", 1)
-    return Identity(name.strip(), _parse_expr(lhs_text.strip()), _parse_expr(rhs_text.strip()))
+    name, colon, rest = line.partition(":")
+    lhs_text, equals, rhs_text = rest.partition("=")
+    if not (colon and equals and name.strip()):
+        raise ValueError("expected '<name>: <lhs> = <rhs>'")
+    sides = _parse_expr(lhs_text), _parse_expr(rhs_text)
+    for side in sides:
+        for _, factors in side:
+            for f in factors:
+                if f[0] == "name" and f[1] not in NAMED_CLASSES:
+                    raise ValueError(f"unknown class {f[1]!r} in {line!r}")
+    return Identity(name.strip(), *sides)
 
 
 def load_identities(path: str | None = None) -> list[Identity]:
     """Parse the identity ledger (bundled file by default)."""
-    if path is None:
-        text = resources.files("thetasing.data").joinpath("identities.txt").read_text()
-    else:
-        with open(path, encoding="utf-8") as fh:
-            text = fh.read()
-    out = []
-    for line in text.splitlines():
-        line = line.strip()
-        if line and not line.startswith("#"):
-            out.append(parse_identity(line))
-    return out
+    return parse_lines("identities.txt", path, parse_identity)
 
 
 def _expand_factor(f: Factor, g: int) -> BoundaryPoly:
@@ -878,7 +777,7 @@ def _expand_factor(f: Factor, g: int) -> BoundaryPoly:
         for rows in _relation_spaces(len(exps)):
             t = make_type(exps, rows)
             if t.rank <= g:
-                coeffs[t] = coeffs.get(t, Fraction(0)) + 1
+                add_into(coeffs, {t: Fraction(1)})
         return BoundaryPoly(sum(exps), coeffs)
     raise ValueError(f"bad factor {f!r}")
 
@@ -929,10 +828,8 @@ def concrete_expr(expr: Expr, g: int) -> ConcreteValue:
     den = lcm(*(coeff.denominator * d for coeff, (d, _) in values))
     out: dict[MonomialKey, int] = {}
     for coeff, (d, nums) in values:
-        scale = coeff.numerator * (den // (coeff.denominator * d))
-        for key, c in nums.items():
-            out[key] = out.get(key, 0) + scale * c
-    return den, {key: c for key, c in out.items() if c}
+        add_into(out, nums, coeff.numerator * (den // (coeff.denominator * d)))
+    return den, out
 
 
 def _concrete_chain(chain: tuple[Factor, ...], g: int) -> ConcreteValue:

@@ -1,4 +1,4 @@
-"""Two-torsion theta characteristics over F_2 and parity counting.
+"""Two-torsion theta characteristics over F_2, relation patterns and parity counting.
 
 Conventions
 -----------
@@ -24,7 +24,7 @@ import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 from random import Random
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .bits import kernel_f2, parity as bit_parity, rref_f2, span_f2
 
@@ -44,6 +44,9 @@ __all__ = [
     "orthogonal_tuples",
     "random_orthogonal_tuple",
     "CERTIFIED_PATTERNS",
+    "ConfigType",
+    "EMPTY",
+    "make_type",
 ]
 
 BRUTE_FORCE_GENUS_MAX = 5
@@ -186,37 +189,99 @@ def z_set(m: Characteristic) -> frozenset[BoundaryLabel]:
 
 # --- relation patterns and certified counts ---------------------------------
 
-def _pattern_key(k: int, rels: Sequence[int]) -> tuple[int, ...]:
-    """Canonical form of a relation space under all k! slot permutations."""
-    if not rels:
-        return ()
-    if k > 8:
-        raise UncertifiedPatternError(f"relation pattern on {k} slots is out of certified range")
+@dataclass(frozen=True, slots=True, order=True)
+class ConfigType:
+    """Canonical (exponents, relation space) shape of a boundary monomial.
+
+    exps is non-increasing; rels is the RREF basis of the relation space,
+    written over slot bits and minimized over permutations of equal-exponent
+    slots.  Construct through make_type() / canonical_config(), not directly.
+    """
+
+    exps: tuple[int, ...]
+    rels: tuple[int, ...]
+
+    @property
+    def degree(self) -> int:
+        return sum(self.exps)
+
+    @property
+    def nslots(self) -> int:
+        return len(self.exps)
+
+    @property
+    def rank(self) -> int:
+        """Dimension of the span of the labels."""
+        return len(self.exps) - len(self.rels)
+
+    def literal(self) -> str:
+        """cfg(...) literal in the ledger grammar (1-based slot indices)."""
+        if not self.exps:
+            return "cfg()"
+        body = ",".join(str(e) for e in self.exps)
+        if not self.rels:
+            return f"cfg({body})"
+        groups = []
+        for row in self.rels:
+            groups.append(" ".join(str(i + 1) for i in range(self.nslots) if row >> i & 1))
+        return f"cfg({body}; {' | '.join(groups)})"
+
+
+def _permute_bits(row: int, perm: Sequence[int]) -> int:
+    out = 0
+    for i, target in enumerate(perm):
+        if row >> i & 1:
+            out |= 1 << target
+    return out
+
+
+def make_type(exps: Sequence[int], rels: Iterable[int]) -> ConfigType:
+    """Canonicalize (exponents, relation rows) into a ConfigType."""
+    exps = tuple(exps)
+    if any(e <= 0 for e in exps):
+        raise ValueError("exponents must be positive")
+    k = len(exps)
+    if k == 0:
+        return EMPTY
+    order = sorted(range(k), key=lambda i: (-exps[i], i))
+    sorted_exps = tuple(exps[i] for i in order)
+    # move old slot order[j] to new slot j
+    inv = [0] * k
+    for new, old in enumerate(order):
+        inv[old] = new
+    base = [_permute_bits(r, inv) for r in rels if r]
+    if not base:
+        return ConfigType(sorted_exps, ())
+    # minimize over permutations within equal-exponent runs
+    runs: list[range] = []
+    start = 0
+    for i in range(1, k + 1):
+        if i == k or sorted_exps[i] != sorted_exps[start]:
+            runs.append(range(start, i))
+            start = i
     best: tuple[int, ...] | None = None
-    for perm in itertools.permutations(range(k)):
-        permuted = []
-        for row in rels:
-            new = 0
-            for i in range(k):
-                if row >> i & 1:
-                    new |= 1 << perm[i]
-            permuted.append(new)
-        cand = rref_f2(permuted)
+    for parts in itertools.product(*(itertools.permutations(r) for r in runs)):
+        perm = [0] * k
+        for run, part in zip(runs, parts):
+            for src, dst in zip(run, part):
+                perm[src] = dst
+        cand = rref_f2(_permute_bits(r, perm) for r in base)
         if best is None or cand < best:
             best = cand
     assert best is not None
-    return best
+    return ConfigType(sorted_exps, best)
 
 
-def _certified() -> frozenset[tuple[int, tuple[int, ...]]]:
-    entries = [
-        (4, [0b1111]),          # four labels summing to zero
-        (5, [0b11110]),         # weight-4 relation plus a free slot
-    ]
-    return frozenset((k, _pattern_key(k, rows)) for k, rows in entries)
+EMPTY = ConfigType((), ())
 
-
-CERTIFIED_PATTERNS = _certified()
+# Relation patterns of k labels with a certified count, as types of k
+# exponent-1 slots: four labels summing to zero, and a weight-4 relation
+# plus a free slot.
+CERTIFIED_PATTERNS = frozenset({
+    make_type((1,) * 4, [0b1111]),
+    make_type((1,) * 5, [0b11110]),
+})
+_CERTIFIED_SLOTS_MAX = max(t.nslots for t in CERTIFIED_PATTERNS)
 
 
 def count_from_pattern(g: int, k: int, rels: Sequence[int]) -> int:
@@ -238,7 +303,10 @@ def _count_for_kernel(g: int, k: int, kernel: tuple[int, ...]) -> int:
         return (1 << (g - 1)) * ((1 << g) - 1)
     if any(v.bit_count() & 1 for v in span_f2(kernel) if v):
         return 0
-    if kernel and (k, _pattern_key(k, kernel)) not in CERTIFIED_PATTERNS:
+    # refuse beyond the certified slot count before canonicalizing, which
+    # tries every slot permutation
+    if kernel and (k > _CERTIFIED_SLOTS_MAX
+                   or make_type((1,) * k, kernel) not in CERTIFIED_PATTERNS):
         raise UncertifiedPatternError(
             f"no certified counting rule for pattern k={k}, relations={kernel}"
         )
@@ -316,35 +384,50 @@ def brute_force_count_naive(g: int, labels: Sequence[BoundaryLabel]) -> int:
 
 # --- tuple generation --------------------------------------------------------
 
-def orthogonal_tuples(g: int, max_size: int) -> Iterator[tuple[BoundaryLabel, ...]]:
-    """All tuples of distinct pairwise-orthogonal labels, sizes 1..max_size.
+@lru_cache(maxsize=8)
+def _orth_masks(g: int) -> list[int]:
+    """Per-label bitsets of the orthogonal labels, self included (slot 0 empty)."""
+    size = 1 << (2 * g)
+    masks = [0] * size
+    for a in range(1, size):
+        m = 0
+        for b in range(1, size):
+            if _form_packed(a, b, g) == 0:
+                m |= 1 << b
+        masks[a] = m
+    return masks
 
-    Tuples are emitted sorted by packed value, each underlying set once.
+
+def _orthogonal_sets(g: int, max_size: int) -> Iterator[tuple[int, ...]]:
+    """Packed labels of every pairwise-orthogonal set of sizes 1..max_size.
+
+    Depth first: each set ascending, emitted once, right before its
+    extensions by larger labels.
     """
-    n_labels = 1 << (2 * g)
-    orth = [0] * n_labels
-    for a in range(1, n_labels):
-        mask = 0
-        for b in range(1, n_labels):
-            if b != a and _form_packed(a, b, g) == 0:
-                mask |= 1 << b
-        orth[a] = mask
+    masks = _orth_masks(g)
 
-    def extend(chosen: list[int], candidates: int) -> Iterator[tuple[int, ...]]:
+    def extend(chosen: tuple[int, ...], candidates: int) -> Iterator[tuple[int, ...]]:
         b = candidates
         while b:
             low = b & -b
             n = low.bit_length() - 1
             b ^= low
-            picked = chosen + [n]
-            yield tuple(picked)
+            picked = chosen + (n,)
+            yield picked
             if len(picked) < max_size:
                 # restrict to labels above n to emit each set once
-                above = ~((1 << (n + 1)) - 1)
-                yield from extend(picked, candidates & orth[n] & above)
+                yield from extend(picked, candidates & masks[n] & ~((low << 1) - 1))
 
+    return extend((), (1 << (1 << (2 * g))) - 2)
+
+
+def orthogonal_tuples(g: int, max_size: int) -> Iterator[tuple[BoundaryLabel, ...]]:
+    """All tuples of distinct pairwise-orthogonal labels, sizes 1..max_size.
+
+    Tuples are emitted sorted by packed value, each underlying set once.
+    """
     labels = _labels(g)
-    for combo in extend([], (1 << n_labels) - 2):
+    for combo in _orthogonal_sets(g, max_size):
         yield tuple([labels[p] for p in combo])
 
 

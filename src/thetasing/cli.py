@@ -2,8 +2,10 @@
 
 Every command prints deterministic, byte-stable output (sorted keys, exact
 fractions) and exits 0 on success, 2 when a verification command finds a
-mismatch, `--samples` is below 1, or `--genus` is missing or outside the
-command's range in `GENERA`.  The `records` format emits one self-describing line per term:
+mismatch, `--samples` is below 1, `--genus` is missing or outside the
+command's range in `GENERA`, or a `--data` item or its file is bad.  Every
+`--data` file is read before any output.  The `records` format emits one
+self-describing line per term:
 
     lambda=<e1,...,eg> word=<tag*tag or 1> num=<int> den=<int> prov=<tag>
 
@@ -50,14 +52,26 @@ NEEDS_GENUS = {
 }
 
 
-def _parse_data_overrides(items: list[str]) -> dict[str, str]:
-    out: dict[str, str] = {}
+# --data kinds and the loader that reads each one
+DATA_LOADERS = {
+    "identities": boundary.load_identities,
+    "normalizations": tautring.load_normalizations,
+    "boundary-relations": pipeline.load_boundary_relations,
+}
+
+
+def _load_data(parser: argparse.ArgumentParser, items: list[str]) -> dict[str, tuple[str, object]]:
+    """Each --data KIND=PATH as kind -> (path, loaded table); exits 2 on a bad one."""
+    out: dict[str, tuple[str, object]] = {}
     for item in items:
         kind, sep, path = item.partition("=")
-        if not sep or kind not in ("identities", "normalizations", "boundary-relations"):
-            raise SystemExit(f"bad --data {item!r}; expected kind=path with kind in "
-                             "identities|normalizations|boundary-relations")
-        out[kind] = path
+        if not sep or kind not in DATA_LOADERS:
+            parser.exit(2, f"thetasing: bad --data {item!r}; expected KIND=PATH with KIND in "
+                           f"{'|'.join(DATA_LOADERS)}\n")
+        try:
+            out[kind] = path, DATA_LOADERS[kind](path)
+        except (OSError, ValueError) as exc:
+            parser.exit(2, f"thetasing: bad --data {kind} file {path}: {exc}\n")
     return out
 
 
@@ -132,8 +146,8 @@ def _emit_mixed(g: int, fmt: str, out) -> int:
     return 2 if conflicts else 0
 
 
-def _cmd_verify_identities(args, overrides, out) -> int:
-    identities = boundary.load_identities(overrides.get("identities"))
+def _cmd_verify_identities(args, data, out) -> int:
+    identities = data["identities"][1] if "identities" in data else boundary.load_identities()
     g = args.genus if args.genus is not None else 3
     failures = 0
     for ident in identities:
@@ -192,11 +206,16 @@ def _cmd_verify_counts(args, out) -> int:
 def _cmd_ring_info(args, out) -> int:
     g = args.genus
     R = tautring.ring(g, open_variant=args.open)
+    if not args.open:
+        try:
+            norm, source = tautring.normalization_entry(g)
+        except KeyError as exc:
+            print(f"thetasing: {exc.args[0]}", file=sys.stderr)
+            return 2
     dims = ",".join(str(R.dimension(d)) for d in range(R.top + 1))
     out.write(f"genus={g} open={args.open} top={R.top} dims={dims} "
               f"total={R.total_dimension()}\n")
     if not args.open:
-        norm, source = tautring.load_normalizations()[g]
         out.write(
             f"top_basis={pipeline._format_lam(R.top_mono)} "
             f"normalization={norm.numerator}/{norm.denominator}\n"
@@ -232,11 +251,11 @@ def main(argv: list[str] | None = None) -> int:
     if args.genus is not None and args.genus not in supported:
         parser.exit(2, f"thetasing: {args.command} supports --genus "
                        f"{supported[0]}..{supported[-1]}, got {args.genus}\n")
-    overrides = _parse_data_overrides(args.data)
-    if "normalizations" in overrides:
-        tautring.set_normalizations_path(overrides["normalizations"])
-    if "boundary-relations" in overrides:
-        pipeline.set_boundary_relations_path(overrides["boundary-relations"])
+    data = _load_data(parser, args.data)
+    if "normalizations" in data:
+        tautring.set_normalizations_path(data["normalizations"][0])
+    if "boundary-relations" in data:
+        pipeline.set_boundary_relations_path(data["boundary-relations"][0])
     out = sys.stdout
 
     if args.command == "open-class":
@@ -257,7 +276,7 @@ def main(argv: list[str] | None = None) -> int:
         _emit_taut(5, pipeline.ij_taut(), "ij-taut", args.format, out)
         return 0
     if args.command == "verify-identities":
-        return _cmd_verify_identities(args, overrides, out)
+        return _cmd_verify_identities(args, data, out)
     if args.command == "verify-counts":
         return _cmd_verify_counts(args, out)
     if args.command == "ring-info":

@@ -9,9 +9,11 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd
-from typing import Sequence
+from typing import Mapping, Sequence, TypeVar
 
-__all__ = ["rref", "rank", "solve"]
+__all__ = ["rref", "rank", "solve", "add_into"]
+
+K = TypeVar("K")
 
 Matrix = list[list[Fraction]]
 
@@ -104,3 +106,17 @@ def solve(matrix: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction]) -> list
         if red[i][ncols] != 0:
             return None
     return x
+
+
+def add_into(acc: dict[K, Fraction], terms: Mapping[K, Fraction], scale=1) -> dict[K, Fraction]:
+    """acc += scale * terms on sparse linear combinations, in place.
+
+    Keys whose coefficient cancels to zero are dropped; returns acc.
+    """
+    for key, c in terms.items():
+        val = acc.get(key, 0) + scale * c
+        if val:
+            acc[key] = val
+        else:
+            acc.pop(key, None)
+    return acc

@@ -19,24 +19,28 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
-from importlib import resources
+from functools import lru_cache, reduce
 from math import comb, factorial
 from typing import Sequence
 
 from .boundary import (
     DEFAULT_TARGETS,
+    NAMED_CLASSES,
+    _parse_expr,
     expand_zm_power,
     n_odd,
     normalize_word,
     pushforward_level2,
     word_sort_key,
 )
+from .datafile import parse_lines
+from .exactla import add_into
 
 Word = tuple[str, ...]
 from .tautring import (
     LambdaMonomial,
     TautElement,
+    TautRing,
     lam,
     mono_mul,
     normalization,
@@ -53,7 +57,6 @@ __all__ = [
     "strata",
     "class_compactified",
     "class_open",
-    "chern_top_twisted",
     "lam_factor",
     "taut_projection",
     "closed_form_projection",
@@ -102,14 +105,7 @@ class MixedClass:
     def __add__(self, other: "MixedClass") -> "MixedClass":
         if self.genus != other.genus:
             raise ValueError("cannot add classes on different spaces")
-        out = dict(self.terms)
-        for k, v in other.terms.items():
-            val = out.get(k, Fraction(0)) + v
-            if val:
-                out[k] = val
-            else:
-                out.pop(k, None)
-        return MixedClass(self.genus, out)
+        return MixedClass(self.genus, add_into(dict(self.terms), other.terms))
 
     def scaled(self, c: Fraction) -> "MixedClass":
         return MixedClass(self.genus, {k: c * v for k, v in self.terms.items()})
@@ -160,24 +156,14 @@ def _format_word(word: Word) -> str:
 
 # --- the twisted Chern class and its binomial regrouping ---------------------
 
-def chern_top_twisted(g: int) -> list[TautElement]:
-    """Coefficients of x^i, i = 0..g, in the top Chern class of E(x)."""
-    R = ring(g)
-    out = []
-    for i in range(g + 1):
-        k = g - i
-        mono = unit_mono(g) if k == 0 else lam(g, k)
-        out.append(R.reduce({mono: Fraction(1)}))
-    return out
-
-
-def lam_factor(g: int, j: int) -> TautElement:
+def lam_factor(g: int, j: int, R: TautRing | None = None) -> TautElement:
     """Lambda_j: what multiplies the j-th power of the boundary twist.
 
     Substituting x = lam_1/2 + t into sum lam_{g-i} x^i and collecting t^j
-    gives sum_{i>=j} C(i,j) (lam_1/2)^{i-j} lam_{g-i}, reduced in the ring.
+    gives sum_{i>=j} C(i,j) (lam_1/2)^{i-j} lam_{g-i}, reduced in R (the
+    compactified ring of genus g by default).  Lambda_0 is the top Chern
+    class of the Hodge bundle twisted by lam_1/2.
     """
-    R = ring(g)
     raw: TautElement = {}
     for i in range(j, g + 1):
         e1 = i - j
@@ -185,9 +171,8 @@ def lam_factor(g: int, j: int) -> TautElement:
         mono[0] += e1
         if g - i >= 1:
             mono[g - i - 1] += 1
-        key = tuple(mono)
-        raw[key] = raw.get(key, Fraction(0)) + Fraction(comb(i, j), 2 ** e1)
-    return R.reduce(raw)
+        add_into(raw, {tuple(mono): Fraction(comb(i, j), 2 ** e1)})
+    return (R or ring(g)).reduce(raw)
 
 
 # --- strata ------------------------------------------------------------------
@@ -241,42 +226,18 @@ def class_compactified(g: int) -> MixedClass:
 
 def class_open(g: int) -> TautElement:
     """The locus class on A_g itself, where boundary words vanish."""
-    R = ring(g, open_variant=True)
-    raw: TautElement = {}
-    for i in range(g + 1):
-        mono = list(unit_mono(g))
-        mono[0] += i
-        if g - i >= 1:
-            mono[g - i - 1] += 1
-        key = tuple(mono)
-        raw[key] = raw.get(key, Fraction(0)) + Fraction(1, 2 ** i)
-    return R.reduce({m: n_odd(g) * c for m, c in raw.items()})
+    return add_into({}, lam_factor(g, 0, ring(g, open_variant=True)), n_odd(g))
 
 
 # --- tautological projection, two routes --------------------------------------
 
 def closed_form_projection(g: int) -> TautElement:
     """Projection of the compactified class, assembled in closed form."""
-    R = ring(g)
-    raw: TautElement = {}
-    for i in range(g + 1):
-        mono = list(unit_mono(g))
-        mono[0] += i
-        if g - i >= 1:
-            mono[g - i - 1] += 1
-        key = tuple(mono)
-        raw[key] = raw.get(key, Fraction(0)) + Fraction(n_odd(g), 2 ** i)
-    out = R.reduce(raw)
     lam_g_coeff = Fraction((-1) ** (g - 1) * factorial(g - 1)) / (
         8 * zeta_negative_odd(g)
     )
-    for m, c in R.reduce({lam(g, g): lam_g_coeff}).items():
-        val = out.get(m, Fraction(0)) + c
-        if val:
-            out[m] = val
-        else:
-            out.pop(m, None)
-    return out
+    out = add_into({}, lam_factor(g, 0), n_odd(g))
+    return add_into(out, ring(g).reduce({lam(g, g): lam_g_coeff}))
 
 
 def taut_projection(g: int) -> TautElement:
@@ -284,12 +245,7 @@ def taut_projection(g: int) -> TautElement:
     total: TautElement = {}
     for s in strata(g):
         for (mono, word), c in s.terms.items():
-            for m, v in taut_project_boundary(mono, word, g).items():
-                val = total.get(m, Fraction(0)) + c * v
-                if val:
-                    total[m] = val
-                else:
-                    total.pop(m, None)
+            add_into(total, taut_project_boundary(mono, word, g), c)
     closed = closed_form_projection(g)
     if total != closed:
         raise RouteMismatchError(
@@ -390,26 +346,12 @@ def theta_null_product_taut(g: int) -> TautElement:
     R = ring(g)
     h = _THETA_NULL_LAMBDA1[g - 1]
     out = R.mul({lam(g, 1): h}, product_locus_taut(g))
-    corner = corner_class_taut(g)
-    for m, c in corner.items():
-        val = out.get(m, Fraction(0)) - Fraction(h, 12) * c
-        if val:
-            out[m] = val
-        else:
-            out.pop(m, None)
-    return out
+    return add_into(out, corner_class_taut(g), -Fraction(h, 12))
 
 
 def ij_taut() -> TautElement:
     """Projection of the genus-5 locus with its theta-null part removed."""
-    out = dict(taut_projection(5))
-    for m, c in theta_null_product_taut(5).items():
-        val = out.get(m, Fraction(0)) - c
-        if val:
-            out[m] = val
-        else:
-            out.pop(m, None)
-    return out
+    return add_into(dict(taut_projection(5)), theta_null_product_taut(5), -1)
 
 
 # --- space-specific boundary relations ----------------------------------------
@@ -421,87 +363,49 @@ class RewriteRule:
     rhs: tuple[tuple[Fraction, LambdaMonomial, Word], ...]
 
 
-_RULE_TOKEN = re.compile(r"lam\d+|[A-Za-z_][A-Za-z0-9_]*|\d+|[+\-*^]")
+_LAM = re.compile(r"lam(\d+)")
 
 
-def _parse_side(text: str, g: int) -> list[tuple[Fraction, LambdaMonomial, Word]]:
-    tokens = _RULE_TOKEN.findall(text)
-    if "".join(tokens) != text.replace(" ", ""):
-        raise ValueError(f"cannot tokenize rule side: {text!r}")
-    terms: list[tuple[Fraction, LambdaMonomial, Word]] = []
-    sign = Fraction(1)
-    coeff = None
-    mono = list(unit_mono(g))
-    word: list[str] = []
-    started = False
-
-    def flush():
-        nonlocal sign, coeff, mono, word, started
-        if not started:
-            return
-        c = sign * (coeff if coeff is not None else 1)
-        terms.append((c, tuple(mono), normalize_word(tuple(word))))
-        sign = Fraction(1)
-        coeff = None
+def _rule_terms(text: str, g: int) -> list[tuple[Fraction, LambdaMonomial, Word]]:
+    """One side of a relation as (coefficient, lambda monomial, word) terms."""
+    terms = []
+    for coeff, factors in _parse_expr(text):
         mono = list(unit_mono(g))
         word = []
-        started = False
-
-    pos = 0
-    while pos < len(tokens):
-        tok = tokens[pos]
-        if tok in "+-":
-            flush()
-            sign = Fraction(1 if tok == "+" else -1)
-            pos += 1
-            continue
-        if tok == "*":
-            pos += 1
-            continue
-        power = 1
-        if pos + 2 < len(tokens) and tokens[pos + 1] == "^":
-            power = int(tokens[pos + 2])
-        elif pos + 2 == len(tokens) and tokens[pos + 1: pos + 2] == ["^"]:
-            raise ValueError(f"dangling power in {text!r}")
-        consumed = 3 if power != 1 or (pos + 1 < len(tokens) and tokens[pos + 1] == "^") else 1
-        if tok.isdigit():
-            coeff = (coeff if coeff is not None else Fraction(1)) * int(tok) ** power
-        elif tok.startswith("lam") and tok[3:].isdigit():
-            idx = int(tok[3:])
-            if not 1 <= idx <= g:
-                raise ValueError(f"lam{idx} out of range at genus {g}")
-            mono[idx - 1] += power
-        else:
-            word.extend([tok] * power)
-        started = True
-        pos += consumed
-    flush()
+        for factor in factors:
+            name = factor[1] if factor[0] == "name" else ""
+            lam_index = _LAM.fullmatch(name)
+            if lam_index:
+                idx = int(lam_index.group(1))
+                if not 1 <= idx <= g:
+                    raise ValueError(f"lam{idx} out of range at genus {g}")
+                mono[idx - 1] += 1
+            elif name in NAMED_CLASSES:
+                word.append(name)
+            else:
+                raise ValueError(f"relations take lam<i> and named classes, not {factor!r}")
+        terms.append((coeff, tuple(mono), normalize_word(word)))
     return terms
+
+
+def _parse_rule(line: str) -> RewriteRule:
+    head, _, body = line.partition(":")
+    m = re.fullmatch(r"genus=(\d+)", head.strip())
+    if not m or "=" not in body:
+        raise ValueError("expected 'genus=<g>: <word> = <terms>'")
+    g = int(m.group(1))
+    lhs_text, _, rhs_text = body.partition("=")
+    lhs_terms = _rule_terms(lhs_text, g)
+    if len(lhs_terms) != 1 or lhs_terms[0][0] != 1 or any(lhs_terms[0][1]):
+        raise ValueError("rule left side must be a bare word")
+    return RewriteRule(g, lhs_terms[0][2], tuple(_rule_terms(rhs_text, g)))
 
 
 @lru_cache(maxsize=None)
 def load_boundary_relations(path: str | None = None) -> dict[int, tuple[RewriteRule, ...]]:
-    if path is None:
-        text = resources.files("thetasing.data").joinpath("boundary_relations.txt").read_text()
-    else:
-        with open(path, encoding="utf-8") as fh:
-            text = fh.read()
     out: dict[int, list[RewriteRule]] = {}
-    for line in text.splitlines():
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        head, _, body = line.partition(":")
-        m = re.fullmatch(r"genus=(\d+)", head.strip())
-        if not m or "=" not in body:
-            raise ValueError(f"bad relation line: {line!r}")
-        g = int(m.group(1))
-        lhs_text, _, rhs_text = body.partition("=")
-        lhs_terms = _parse_side(lhs_text, g)
-        if len(lhs_terms) != 1 or lhs_terms[0][0] != 1 or any(lhs_terms[0][1]):
-            raise ValueError(f"rule left side must be a bare word: {line!r}")
-        rule = RewriteRule(g, lhs_terms[0][2], tuple(_parse_side(rhs_text, g)))
-        out.setdefault(g, []).append(rule)
+    for rule in parse_lines("boundary_relations.txt", path, _parse_rule):
+        out.setdefault(rule.genus, []).append(rule)
     return {g: tuple(rules) for g, rules in out.items()}
 
 
@@ -530,14 +434,10 @@ def substitute_boundary_relations(
                     continue
                 del terms[(mono, word)]
                 for rc, dmono, wto in rule.rhs:
-                    raw = mono_mul(mono, dmono)
-                    for bmono, bc in R.reduce({raw: Fraction(1)}).items():
-                        key = (bmono, normalize_word(remainder + wto))
-                        val = terms.get(key, Fraction(0)) + c * rc * bc
-                        if val:
-                            terms[key] = val
-                        else:
-                            terms.pop(key, None)
+                    reduced = R.reduce({mono_mul(mono, dmono): Fraction(1)})
+                    word_to = normalize_word(remainder + wto)
+                    add_into(terms, {(bmono, word_to): bc for bmono, bc in reduced.items()},
+                             c * rc)
                 progress = True
                 break
             if progress:
@@ -643,15 +543,7 @@ PUBLISHED_STRATA_GENUS3: tuple[dict[LamWord, Fraction], ...] = (
 )
 
 
-def _sum_tables(tables) -> dict[LamWord, Fraction]:
-    out: dict[LamWord, Fraction] = {}
-    for t in tables:
-        for k, v in t.items():
-            out[k] = out.get(k, Fraction(0)) + v
-    return {k: v for k, v in out.items() if v}
-
-
-PUBLISHED_COMPACTIFIED[3] = _sum_tables(PUBLISHED_STRATA_GENUS3)
+PUBLISHED_COMPACTIFIED[3] = reduce(add_into, PUBLISHED_STRATA_GENUS3, {})
 
 PUBLISHED_TAUT: dict[tuple[str, int], TautElement] = {
     ("open-class", 2): {},

@@ -19,11 +19,11 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from functools import lru_cache
-from importlib import resources
 from math import factorial
 from typing import Iterable, Sequence
 
-from .exactla import rref
+from .datafile import parse_lines
+from .exactla import add_into, rref
 from .zeta import zeta_negative_odd
 
 __all__ = [
@@ -38,6 +38,7 @@ __all__ = [
     "load_normalizations",
     "set_normalizations_path",
     "normalization",
+    "normalization_entry",
     "dg_factor",
     "taut_project_boundary",
 ]
@@ -98,9 +99,8 @@ def _chern_relation(g: int, k: int) -> TautElement:
             mono[i - 1] += 1
         if j:
             mono[j - 1] += 1
-        key = tuple(mono)
-        out[key] = out.get(key, Fraction(0)) + (-1) ** i
-    return {m: c for m, c in out.items() if c}
+        add_into(out, {tuple(mono): Fraction((-1) ** i)})
+    return out
 
 
 class TautRing:
@@ -160,14 +160,8 @@ class TautRing:
         """Normal form over the canonical basis; degrees above top vanish."""
         out: TautElement = {}
         for mono, coeff in elem.items():
-            if coeff == 0 or mono_degree(mono) > self.top:
-                continue
-            for b, c in self.table[mono].items():
-                val = out.get(b, Fraction(0)) + coeff * c
-                if val:
-                    out[b] = val
-                else:
-                    out.pop(b, None)
+            if coeff and mono_degree(mono) <= self.top:
+                add_into(out, self.table[mono], coeff)
         return out
 
     def mul(self, a: TautElement, b: TautElement) -> TautElement:
@@ -225,27 +219,17 @@ def intersection_number(g: int, elem: TautElement) -> Fraction:
 _NORM_LINE = re.compile(r"genus=(\d+)\s+value=(-?\d+)/(\d+)\s+source=(.*)")
 
 
+def _parse_normalization(line: str) -> tuple[int, tuple[Fraction, str]]:
+    m = _NORM_LINE.fullmatch(line)
+    if not m or int(m.group(3)) == 0:
+        raise ValueError("expected 'genus=<g> value=<p>/<q> source=<text>' with q > 0")
+    return int(m.group(1)), (Fraction(int(m.group(2)), int(m.group(3))), m.group(4).strip())
+
+
 @lru_cache(maxsize=None)
 def load_normalizations(path: str | None = None) -> dict[int, tuple[Fraction, str]]:
     """Top-degree normalizations <lambda_1^{g(g+1)/2}> with provenance strings."""
-    if path is None:
-        text = resources.files("thetasing.data").joinpath("normalizations.txt").read_text()
-    else:
-        with open(path, encoding="utf-8") as fh:
-            text = fh.read()
-    out: dict[int, tuple[Fraction, str]] = {}
-    for line in text.splitlines():
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        m = _NORM_LINE.fullmatch(line)
-        if not m:
-            raise ValueError(f"bad normalization line: {line!r}")
-        out[int(m.group(1))] = (
-            Fraction(int(m.group(2)), int(m.group(3))),
-            m.group(4).strip(),
-        )
-    return out
+    return dict(parse_lines("normalizations.txt", path, _parse_normalization))
 
 
 _NORM_PATH: str | None = None
@@ -257,11 +241,16 @@ def set_normalizations_path(path: str | None) -> None:
     _NORM_PATH = path
 
 
-def normalization(g: int) -> Fraction:
+def normalization_entry(g: int) -> tuple[Fraction, str]:
+    """(value, source) of the genus-g normalization in the table in use."""
     table = load_normalizations(_NORM_PATH)
     if g not in table:
         raise KeyError(f"no normalization on file for genus {g}")
-    return table[g][0]
+    return table[g]
+
+
+def normalization(g: int) -> Fraction:
+    return normalization_entry(g)[0]
 
 
 # --- projection of boundary words -------------------------------------------

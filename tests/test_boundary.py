@@ -1,5 +1,6 @@
 """Tests for configuration types, named classes, products, and the identity ledger."""
 
+import hashlib
 import itertools
 from fractions import Fraction
 
@@ -27,6 +28,7 @@ from thetasing.boundary import (
     EMPTY,
     BoundaryPoly,
     Identity,
+    _orth_sets,
     _registry,
     convolve,
     instantiate,
@@ -36,6 +38,7 @@ from thetasing.boundary import (
     word_sort_key,
 )
 from thetasing.characteristics import _form_packed, orthogonal_tuples
+from thetasing.pipeline import load_boundary_relations
 
 
 def cfg(*exps, rels=()):
@@ -285,6 +288,16 @@ def test_registry_types_match_canonical_config():
                     assert canonical_config(labels, [e for _, e in key]) == t, key
 
 
+def test_orth_sets_follow_orthogonal_tuples():
+    # one search serves both: the size-k sets are the size-k tuples, in order
+    for g in (1, 2, 3):
+        tuples = [tuple(n.packed for n in tup) for tup in orthogonal_tuples(g, 5)]
+        sets = _orth_sets(g)
+        for k in range(1, 6):
+            assert sets[k] == [t for t in tuples if len(t) == k]
+    assert sum(len(v) for v in _orth_sets(3).values()) == 12663
+
+
 def test_registry_sizes_genus3():
     sizes = [sum(len(keys) for keys in _registry(3, d).values()) for d in range(6)]
     assert sizes == [1, 63, 1008, 6048, 19908, 50148]
@@ -430,6 +443,69 @@ def test_ledger_holds_concretely_genus2():
         report = check_identity(identity, 2)
         assert report.concrete_ok, (identity.name, report.counterexample)
         assert report.symbolic_ok
+
+
+# --- ledger and relation grammar ----------------------------------------------------
+
+# sha256 of repr(load_identities()) and repr(load_boundary_relations()) for the
+# bundled files, recorded before the two grammars were merged into one
+BUNDLED_IDENTITIES_SHA256 = "6b6a718e4d2c744e06ddc35918841ceb1f89af757f04649decc974ab8040ddbf"
+BUNDLED_RELATIONS_SHA256 = "1784b0e2fc3eca7baa598c342b35ad7ecc1632ac048aafb572fddb38f856181d"
+
+
+def test_bundled_data_parses_to_pinned_values():
+    identities = repr(load_identities()).encode()
+    relations = repr(load_boundary_relations()).encode()
+    assert hashlib.sha256(identities).hexdigest() == BUNDLED_IDENTITIES_SHA256
+    assert hashlib.sha256(relations).hexdigest() == BUNDLED_RELATIONS_SHA256
+
+
+def test_parse_identity_terms():
+    ident = parse_identity("t: -2^3*sigma1^2*beta3 + cfg(2,1,1; 1 2 3) = 0 - any(2,2)")
+    assert ident == Identity("t", (
+        (F(-8), (("name", "sigma1"), ("name", "sigma1"), ("name", "beta3"))),
+        (F(1), (("cfg", (2, 1, 1), (0b111,)),)),
+    ), ((F(0), ()), (F(-1), (("any", (2, 2)),))))
+
+
+@pytest.mark.parametrize("side", [
+    "sigma1 +", "sigma1 -", "sigma1^", "sigma1 ^ +", "", "+", "sigma1 * * sigma2",
+    "2 sigma1",
+])
+@pytest.mark.parametrize("route", ["parse_identity", "load_boundary_relations"])
+def test_malformed_side_is_refused(tmp_path, route, side):
+    if route == "parse_identity":
+        with pytest.raises(ValueError) as exc:
+            parse_identity(f"bad: {side} = sigma1")
+    else:
+        path = tmp_path / "relations.txt"
+        path.write_text(f"genus=2: sigma2 = 6*lam1*sigma1\ngenus=2: sigma1^2 = {side}\n")
+        with pytest.raises(ValueError) as exc:
+            load_boundary_relations(str(path))
+        assert "line 2 " in str(exc.value)
+    assert repr(side) in str(exc.value)
+
+
+@pytest.mark.parametrize("line, reason", [
+    ("bad: sigma9 = sigma1", "unknown class 'sigma9'"),
+    ("bad: lam1*sigma1 = sigma2", "unknown class 'lam1'"),
+    ("bad: cfg(0,1) = sigma2", "exponents must be positive in 'cfg(0,1)'"),
+    ("bad: any(2,0) = sigma2", "exponents must be positive in 'any(2,0)'"),
+    ("bad: cfg(1,1; 1 2 3) = sigma2", "slot index out of range in 'cfg(1,1; 1 2 3)'"),
+    ("bad: cfg(1,1; 0 1) = sigma2", "slot index out of range in 'cfg(1,1; 0 1)'"),
+    ("bad sigma1 = sigma1", "expected '<name>: <lhs> = <rhs>'"),
+])
+def test_bad_identity_line_is_refused(line, reason):
+    with pytest.raises(ValueError) as exc:
+        parse_identity(line)
+    assert reason in str(exc.value)
+
+
+def test_relation_with_unknown_class_is_refused(tmp_path):
+    path = tmp_path / "relations.txt"
+    path.write_text("genus=2: sigma2 = 6*lam1*sigma9\n")
+    with pytest.raises(ValueError, match="sigma9"):
+        load_boundary_relations(str(path))
 
 
 # --- word utilities -----------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 import hashlib
 import itertools
+import time
 from random import Random
 
 import pytest
@@ -20,11 +21,13 @@ from thetasing import (
     z_set,
 )
 from thetasing.characteristics import (
+    CERTIFIED_PATTERNS,
     _form_packed,
     _labels,
     _swap_halves,
     brute_force_count_naive,
     count_from_pattern,
+    make_type,
     orthogonal_tuples,
     random_orthogonal_tuple,
 )
@@ -191,6 +194,25 @@ def test_uncertified_pattern_is_refused():
             count_vanishing(g, labels)
     # the oracle still knows the true count; refusal is conservative, not wrong
     assert brute_force_count(g, labels) >= 0
+
+
+def test_certified_patterns_are_types():
+    assert CERTIFIED_PATTERNS == {
+        make_type((1,) * 4, [0b1111]),
+        make_type((1,) * 5, [0b01111]),  # any slot may be the free one
+    }
+
+
+@pytest.mark.parametrize("k", [6, 7, 8, 9])
+def test_wide_kernel_refused_fast(k):
+    # an even relation on more slots than any certified pattern is refused
+    # without trying the k! slot permutations, on every call
+    rels = [0b1111, 0b1111 << (k - 4)]
+    start = time.perf_counter()
+    for _ in range(2):
+        with pytest.raises(UncertifiedPatternError):
+            count_from_pattern(8, k, rels)
+    assert time.perf_counter() - start < 0.5
 
 
 def test_count_from_pattern_unrealizable_rank():

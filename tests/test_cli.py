@@ -222,9 +222,76 @@ def test_ring_info_needs_genus(capsys):
 
 
 def test_bad_data_override(capsys):
-    with pytest.raises(SystemExit):
+    with pytest.raises(SystemExit) as exc:
         cli.main(["--command", "ring-info", "--genus", "2", "--data", "bogus=x"])
-    capsys.readouterr()
+    captured = capsys.readouterr()
+    assert exc.value.code == 2
+    assert captured.out == ""
+    assert captured.err == (
+        "thetasing: bad --data 'bogus=x'; expected KIND=PATH with KIND in "
+        "identities|normalizations|boundary-relations\n"
+    )
+
+
+def _write(tmp_path, text):
+    path = tmp_path / "data.txt"
+    path.write_text(text)
+    return str(path)
+
+
+@pytest.mark.parametrize("kind, argv, text, reason", [
+    # missing files
+    ("boundary-relations", ["--command", "compactified-class", "--genus", "2"], None,
+     "No such file or directory"),
+    ("identities", ["--command", "verify-identities", "--genus", "2"], None,
+     "No such file or directory"),
+    ("normalizations", ["--command", "ring-info", "--genus", "2"], None,
+     "No such file or directory"),
+    # malformed lines, read even by commands that would not use the file
+    ("identities", ["--command", "verify-identities", "--genus", "2"],
+     "# ledger\nbad line here\n", "line 2 'bad line here'"),
+    ("identities", ["--command", "open-class", "--genus", "3"],
+     "ok: sigma1 = sigma1\nx: sigma1 + = sigma1\n", "line 2 'x: sigma1 + = sigma1'"),
+    ("normalizations", ["--command", "ring-info", "--genus", "2"],
+     "genus=2 value=1/0 source=t\n", "line 1 'genus=2 value=1/0 source=t'"),
+    ("boundary-relations", ["--command", "compactified-class", "--genus", "2"],
+     "genus=2: sigma2 = 6*lam3*sigma1\n", "lam3 out of range at genus 2"),
+])
+def test_bad_data_file_fails_before_output(capsys, tmp_path, kind, argv, text, reason):
+    path = str(tmp_path / "missing.txt") if text is None else _write(tmp_path, text)
+    try:
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv + ["--data", f"{kind}={path}"])
+    finally:
+        set_normalizations_path(None)
+        set_boundary_relations_path(None)
+    captured = capsys.readouterr()
+    assert exc.value.code == 2
+    assert captured.out == ""
+    assert captured.err.startswith(f"thetasing: bad --data {kind} file {path}: ")
+    assert reason in captured.err
+    assert captured.err.count("\n") == 1 and captured.err.endswith("\n")
+
+
+def test_ring_info_prints_normalization_override(capsys, tmp_path):
+    path = _write(tmp_path, "genus=2 value=1/5760 source=test fixture\n")
+    try:
+        code, out = run(capsys, "--command", "ring-info", "--genus", "2",
+                        "--data", f"normalizations={path}")
+        assert code == 0
+        assert "normalization=1/5760\n" in out
+        assert out.endswith("# normalization source: test fixture\n")
+        # a genus the override does not cover is refused before any output
+        code = cli.main(["--command", "ring-info", "--genus", "3",
+                         "--data", f"normalizations={path}"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == "thetasing: no normalization on file for genus 3\n"
+    finally:
+        set_normalizations_path(None)
+    code, out = run(capsys, "--command", "ring-info", "--genus", "2")
+    assert "normalization=1/2880\n" in out
 
 
 def test_normalization_override_changes_provenance(capsys):

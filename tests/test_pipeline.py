@@ -22,7 +22,6 @@ from thetasing.pipeline import (
     PUBLISHED_STRATA_GENUS3,
     PUBLISHED_TAUT,
     _raw_compactified,
-    chern_top_twisted,
     closed_form_projection,
     corner_class_taut,
     lam_factor,
@@ -39,14 +38,6 @@ def F(a, b=1):
 
 
 # --- the twisted Chern class and its regrouping ---------------------------------
-
-def test_chern_top_twisted_shape():
-    for g in (2, 3, 4):
-        coeffs = chern_top_twisted(g)
-        assert len(coeffs) == g + 1
-        assert coeffs[g] == {unit_mono(g): F(1)}
-        assert coeffs[0] == ring(g).reduce({lam(g, g): F(1)})
-
 
 def test_lam_factor_values():
     assert lam_factor(3, 0) == {(0, 0, 1): F(1), (3, 0, 0): F(5, 8)}
