@@ -758,8 +758,11 @@ def parse_identity(line: str) -> Identity:
 
 
 def load_identities(path: str | None = None) -> list[Identity]:
-    """Parse the identity ledger (bundled file by default)."""
-    return parse_lines("identities.txt", path, parse_identity)
+    """Parse the identity ledger (bundled file by default); refuses an empty one."""
+    identities = parse_lines("identities.txt", path, parse_identity)
+    if not identities:
+        raise ValueError("no identity in the file; an empty ledger checks nothing")
+    return identities
 
 
 def _expand_factor(f: Factor, g: int) -> BoundaryPoly:

@@ -3,9 +3,10 @@
 Every command prints deterministic, byte-stable output (sorted keys, exact
 fractions) and exits 0 on success, 2 when a verification command finds a
 mismatch, `--samples` is below 1, `--genus` is missing or outside the
-command's range in `GENERA`, or a `--data` item or its file is bad.  Every
-`--data` file is read before any output.  The `records` format emits one
-self-describing line per term:
+command's range in `GENERA`, a `--data` item or its file is bad, or the
+normalization table lacks a genus the command needs.  Every `--data` file is
+read before any output, and its loaded table is passed to the computation of
+that run only.  The `records` format emits one self-describing line per term:
 
     lambda=<e1,...,eg> word=<tag*tag or 1> num=<int> den=<int> prov=<tag>
 
@@ -60,16 +61,16 @@ DATA_LOADERS = {
 }
 
 
-def _load_data(parser: argparse.ArgumentParser, items: list[str]) -> dict[str, tuple[str, object]]:
-    """Each --data KIND=PATH as kind -> (path, loaded table); exits 2 on a bad one."""
-    out: dict[str, tuple[str, object]] = {}
+def _load_data(parser: argparse.ArgumentParser, items: list[str]) -> dict[str, object]:
+    """Each --data KIND=PATH as kind -> loaded table; exits 2 on a bad one."""
+    out: dict[str, object] = {}
     for item in items:
         kind, sep, path = item.partition("=")
         if not sep or kind not in DATA_LOADERS:
             parser.exit(2, f"thetasing: bad --data {item!r}; expected KIND=PATH with KIND in "
                            f"{'|'.join(DATA_LOADERS)}\n")
         try:
-            out[kind] = path, DATA_LOADERS[kind](path)
+            out[kind] = DATA_LOADERS[kind](path)
         except (OSError, ValueError) as exc:
             parser.exit(2, f"thetasing: bad --data {kind} file {path}: {exc}\n")
     return out
@@ -106,7 +107,7 @@ def _emit_taut(g: int, elem, pin_key: str, fmt: str, out) -> None:
         out.write("0" + (f"  [{prov}]\n" if fmt == "text" else f" prov={prov}\n"))
 
 
-def _emit_mixed(g: int, fmt: str, out) -> int:
+def _emit_mixed(g: int, relations, fmt: str, out) -> int:
     if g in pipeline.PUBLISHED_COMPACTIFIED:
         rows = pipeline.compare_with_published(g)
     else:
@@ -136,7 +137,7 @@ def _emit_mixed(g: int, fmt: str, out) -> int:
                 line += f"  (published: {row.published})"
             out.write(line + "\n")
     if g == 2:
-        reduced = pipeline.class_compactified(2)
+        reduced = pipeline.class_compactified(2, relations)
         out.write(
             "# after the genus-2 word relations the class is "
             + ("0\n" if reduced.is_zero() else "NOT zero\n")
@@ -146,8 +147,9 @@ def _emit_mixed(g: int, fmt: str, out) -> int:
     return 2 if conflicts else 0
 
 
-def _cmd_verify_identities(args, data, out) -> int:
-    identities = data["identities"][1] if "identities" in data else boundary.load_identities()
+def _cmd_verify_identities(args, identities, out) -> int:
+    if identities is None:
+        identities = boundary.load_identities()
     g = args.genus if args.genus is not None else 3
     failures = 0
     for ident in identities:
@@ -203,15 +205,13 @@ def _cmd_verify_counts(args, out) -> int:
     return 2 if failures else 0
 
 
-def _cmd_ring_info(args, out) -> int:
+def _cmd_ring_info(args, norms, out) -> int:
     g = args.genus
     R = tautring.ring(g, open_variant=args.open)
     if not args.open:
-        try:
-            norm, source = tautring.normalization_entry(g)
-        except KeyError as exc:
-            print(f"thetasing: {exc.args[0]}", file=sys.stderr)
-            return 2
+        table = tautring.load_normalizations() if norms is None else norms
+        norm = tautring.normalization(g, table)
+        source = table[g][1]
     dims = ",".join(str(R.dimension(d)) for d in range(R.top + 1))
     out.write(f"genus={g} open={args.open} top={R.top} dims={dims} "
               f"total={R.total_dimension()}\n")
@@ -252,35 +252,39 @@ def main(argv: list[str] | None = None) -> int:
         parser.exit(2, f"thetasing: {args.command} supports --genus "
                        f"{supported[0]}..{supported[-1]}, got {args.genus}\n")
     data = _load_data(parser, args.data)
-    if "normalizations" in data:
-        tautring.set_normalizations_path(data["normalizations"][0])
-    if "boundary-relations" in data:
-        pipeline.set_boundary_relations_path(data["boundary-relations"][0])
-    out = sys.stdout
+    try:
+        return _run(args, data, sys.stdout)
+    except tautring.MissingNormalizationError as exc:
+        # raised before the command writes anything
+        print(f"thetasing: {exc.args[0]}", file=sys.stderr)
+        return 2
 
+
+def _run(args, data: dict[str, object], out) -> int:
+    norms = data.get("normalizations")
     if args.command == "open-class":
         _emit_taut(args.genus, pipeline.class_open(args.genus), "open-class",
                    args.format, out)
         return 0
     if args.command == "compactified-class":
-        return _emit_mixed(args.genus, args.format, out)
+        return _emit_mixed(args.genus, data.get("boundary-relations"), args.format, out)
     if args.command == "taut-projection":
         _emit_taut(args.genus, pipeline.taut_projection(args.genus),
                    "taut-projection", args.format, out)
         return 0
     if args.command == "product-taut":
-        _emit_taut(args.genus, pipeline.product_locus_taut(args.genus),
+        _emit_taut(args.genus, pipeline.product_locus_taut(args.genus, norms),
                    "product-taut", args.format, out)
         return 0
     if args.command == "ij-taut":
-        _emit_taut(5, pipeline.ij_taut(), "ij-taut", args.format, out)
+        _emit_taut(5, pipeline.ij_taut(norms), "ij-taut", args.format, out)
         return 0
     if args.command == "verify-identities":
-        return _cmd_verify_identities(args, data, out)
+        return _cmd_verify_identities(args, data.get("identities"), out)
     if args.command == "verify-counts":
         return _cmd_verify_counts(args, out)
     if args.command == "ring-info":
-        return _cmd_ring_info(args, out)
+        return _cmd_ring_info(args, norms, out)
     raise AssertionError(f"unhandled command {args.command}")
 
 

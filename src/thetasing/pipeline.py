@@ -39,6 +39,7 @@ from .exactla import add_into
 Word = tuple[str, ...]
 from .tautring import (
     LambdaMonomial,
+    NormTable,
     TautElement,
     TautRing,
     lam,
@@ -73,15 +74,6 @@ __all__ = [
 ]
 
 LamWord = tuple[LambdaMonomial, Word]
-
-
-_RELATIONS_PATH: str | None = None
-
-
-def set_boundary_relations_path(path: str | None) -> None:
-    """Point the word-relation table at a different file (None: bundled)."""
-    global _RELATIONS_PATH
-    _RELATIONS_PATH = path
 
 
 class RouteMismatchError(RuntimeError):
@@ -121,11 +113,7 @@ class MixedClass:
         return not self.terms
 
     def sorted_items(self) -> list[tuple[LamWord, Fraction]]:
-        def key(item):
-            (mono, word), _ = item
-            return (len(word) and 1, _word_degree(word), word_sort_key(word), mono)
-
-        return sorted(self.terms.items(), key=key)
+        return sorted(self.terms.items(), key=lambda item: _term_key(item[0]))
 
     def __repr__(self) -> str:
         parts = [
@@ -139,6 +127,12 @@ def _word_degree(word: Word) -> int:
     from .boundary import _word_tag_degree
 
     return sum(_word_tag_degree(t) for t in word)
+
+
+def _term_key(key: LamWord):
+    """Display order: pure lambda terms first, then words by degree."""
+    mono, word = key
+    return (len(word) and 1, _word_degree(word), word_sort_key(word), mono)
 
 
 def _format_lam(mono: LambdaMonomial) -> str:
@@ -209,18 +203,19 @@ def _raw_compactified(g: int) -> MixedClass:
     return total
 
 
-def class_compactified(g: int) -> MixedClass:
+def class_compactified(g: int, relations: RelationTable | None = None) -> MixedClass:
     """The locus class on the perfect cone compactification.
 
     For genus 2 the generic boundary algebra does not see that the class
     must die (a smooth genus-2 theta divisor is never singular at a
-    two-torsion point); the space-specific word relations are substituted
-    so the output is literally zero there.
+    two-torsion point); the space-specific word relations of `relations`
+    (None: the bundled table) are substituted so the output is literally
+    zero there.
     """
     total = _raw_compactified(g)
     if g == 2:
-        rules = load_boundary_relations(_RELATIONS_PATH).get(2, ())
-        total = substitute_boundary_relations(total, rules)
+        table = load_boundary_relations() if relations is None else relations
+        total = substitute_boundary_relations(total, table.get(2, ()))
     return total
 
 
@@ -273,24 +268,23 @@ def _restrict_to_product(mono: LambdaMonomial, g: int) -> dict[tuple[int, Lambda
             new: dict[tuple[int, LambdaMonomial], Fraction] = {}
             for (a, m2), c in terms.items():
                 if k <= h:
-                    key = (a, mono_mul(m2, lam(h, k)))
-                    new[key] = new.get(key, Fraction(0)) + c
+                    add_into(new, {(a, mono_mul(m2, lam(h, k))): c})
                 if a == 0 and k - 1 <= h:
                     m2b = m2 if k == 1 else mono_mul(m2, lam(h, k - 1))
-                    key = (1, m2b)
-                    new[key] = new.get(key, Fraction(0)) + c
+                    add_into(new, {(1, m2b): c})
             terms = new
     return terms
 
 
-def product_locus_taut(g: int) -> TautElement:
+def product_locus_taut(g: int, norms: NormTable | None = None) -> TautElement:
     """Tautological representative of [A_1 x A_{g-1}-bar], degree g-1.
 
     Determined by pairing against every basis monomial of complementary
     degree: the pairing on the product splits as <lambda_1> on the elliptic
     side times a top intersection number one genus down.  The system is
     square by duality; solving it is the definition, consistency is the
-    check.
+    check.  The intersection numbers use the normalizations `norms`
+    (None: the bundled table).
     """
     if not 3 <= g <= 5:
         raise ValueError("product locus supported for genus 3..5")
@@ -299,17 +293,17 @@ def product_locus_taut(g: int) -> TautElement:
     d = g - 1
     unknowns = R.basis[d]
     conditions = R.basis[R.top - d]
-    elliptic = normalization(1)
+    elliptic = normalization(1, norms)
     matrix: list[list[Fraction]] = []
     rhs: list[Fraction] = []
     for c in conditions:
         matrix.append(
-            [R.intersection_number({mono_mul(b, c): Fraction(1)}) for b in unknowns]
+            [R.intersection_number({mono_mul(b, c): Fraction(1)}, norms) for b in unknowns]
         )
         value = Fraction(0)
         for (a, m2), coeff in _restrict_to_product(c, g).items():
             if a == 1:
-                value += coeff * elliptic * Rh.intersection_number({m2: Fraction(1)})
+                value += coeff * elliptic * Rh.intersection_number({m2: Fraction(1)}, norms)
         rhs.append(value)
     from .exactla import solve
 
@@ -334,7 +328,7 @@ def corner_class_taut(g: int) -> TautElement:
     return R.reduce({lam(g, g): coeff})
 
 
-def theta_null_product_taut(g: int) -> TautElement:
+def theta_null_product_taut(g: int, norms: NormTable | None = None) -> TautElement:
     """Projection of the theta-null part of the product locus.
 
     The theta-null divisor one genus down multiplies the product class;
@@ -345,13 +339,13 @@ def theta_null_product_taut(g: int) -> TautElement:
         raise ValueError("theta-null product term supported for genus 4 and 5")
     R = ring(g)
     h = _THETA_NULL_LAMBDA1[g - 1]
-    out = R.mul({lam(g, 1): h}, product_locus_taut(g))
+    out = R.mul({lam(g, 1): h}, product_locus_taut(g, norms))
     return add_into(out, corner_class_taut(g), -Fraction(h, 12))
 
 
-def ij_taut() -> TautElement:
+def ij_taut(norms: NormTable | None = None) -> TautElement:
     """Projection of the genus-5 locus with its theta-null part removed."""
-    return add_into(dict(taut_projection(5)), theta_null_product_taut(5), -1)
+    return add_into(dict(taut_projection(5)), theta_null_product_taut(5, norms), -1)
 
 
 # --- space-specific boundary relations ----------------------------------------
@@ -401,8 +395,12 @@ def _parse_rule(line: str) -> RewriteRule:
     return RewriteRule(g, lhs_terms[0][2], tuple(_rule_terms(rhs_text, g)))
 
 
+# genus -> its word relations, as read by load_boundary_relations
+RelationTable = dict[int, tuple[RewriteRule, ...]]
+
+
 @lru_cache(maxsize=None)
-def load_boundary_relations(path: str | None = None) -> dict[int, tuple[RewriteRule, ...]]:
+def load_boundary_relations(path: str | None = None) -> RelationTable:
     out: dict[int, list[RewriteRule]] = {}
     for rule in parse_lines("boundary_relations.txt", path, _parse_rule):
         out.setdefault(rule.genus, []).append(rule)
@@ -600,13 +598,7 @@ def compare_with_published(g: int) -> list[ComparisonRow]:
         raise KeyError(f"no published table for genus {g}")
     engine = _raw_compactified(g).terms
     published = PUBLISHED_COMPACTIFIED[g]
-    keys = set(engine) | set(published)
-
-    def key(k):
-        mono, word = k
-        return (len(word) and 1, _word_degree(word), word_sort_key(word), mono)
-
     return [
         ComparisonRow(k[0], k[1], engine.get(k), published.get(k))
-        for k in sorted(keys, key=key)
+        for k in sorted(set(engine) | set(published), key=_term_key)
     ]

@@ -36,15 +36,16 @@ __all__ = [
     "mono_mul",
     "intersection_number",
     "load_normalizations",
-    "set_normalizations_path",
+    "MissingNormalizationError",
     "normalization",
-    "normalization_entry",
     "dg_factor",
     "taut_project_boundary",
 ]
 
 LambdaMonomial = tuple[int, ...]
 TautElement = dict[LambdaMonomial, Fraction]
+# genus -> (value, source), as read by load_normalizations
+NormTable = dict[int, tuple[Fraction, str]]
 
 
 def mono_degree(mono: LambdaMonomial) -> int:
@@ -167,9 +168,7 @@ class TautRing:
     def mul(self, a: TautElement, b: TautElement) -> TautElement:
         raw: TautElement = {}
         for m1, c1 in a.items():
-            for m2, c2 in b.items():
-                key = mono_mul(m1, m2)
-                raw[key] = raw.get(key, Fraction(0)) + c1 * c2
+            add_into(raw, {mono_mul(m1, m2): c2 for m2, c2 in b.items()}, c1)
         return self.reduce(raw)
 
     def dimension(self, d: int) -> int:
@@ -180,8 +179,11 @@ class TautRing:
 
     # -- intersection pairing -------------------------------------------------
 
-    def intersection_number(self, elem: TautElement) -> Fraction:
-        """Degree against the fundamental class; needs the compactified ring."""
+    def intersection_number(self, elem: TautElement, norms: NormTable | None = None) -> Fraction:
+        """Degree against the fundamental class; needs the compactified ring.
+
+        `norms` is a table from `load_normalizations` (None: the bundled one).
+        """
         if self.open_variant:
             raise ValueError("intersection numbers need the compactified ring")
         reduced = self.reduce(elem)
@@ -190,7 +192,7 @@ class TautRing:
         if set(reduced) != {self.top_mono}:
             degs = {mono_degree(m) for m in reduced}
             raise ValueError(f"not a top-degree class (degrees {degs})")
-        return reduced[self.top_mono] * normalization(self.g) / self.top_unit
+        return reduced[self.top_mono] * normalization(self.g, norms) / self.top_unit
 
     def pairing_matrix(
         self, d: int
@@ -227,30 +229,21 @@ def _parse_normalization(line: str) -> tuple[int, tuple[Fraction, str]]:
 
 
 @lru_cache(maxsize=None)
-def load_normalizations(path: str | None = None) -> dict[int, tuple[Fraction, str]]:
+def load_normalizations(path: str | None = None) -> NormTable:
     """Top-degree normalizations <lambda_1^{g(g+1)/2}> with provenance strings."""
     return dict(parse_lines("normalizations.txt", path, _parse_normalization))
 
 
-_NORM_PATH: str | None = None
+class MissingNormalizationError(KeyError):
+    """The normalization table in use has no entry for the genus asked for."""
 
 
-def set_normalizations_path(path: str | None) -> None:
-    """Point the normalization table at a different file (None: bundled)."""
-    global _NORM_PATH
-    _NORM_PATH = path
-
-
-def normalization_entry(g: int) -> tuple[Fraction, str]:
-    """(value, source) of the genus-g normalization in the table in use."""
-    table = load_normalizations(_NORM_PATH)
+def normalization(g: int, norms: NormTable | None = None) -> Fraction:
+    """<lambda_1^top> at genus g from `norms` (None: the bundled table)."""
+    table = load_normalizations() if norms is None else norms
     if g not in table:
-        raise KeyError(f"no normalization on file for genus {g}")
-    return table[g]
-
-
-def normalization(g: int) -> Fraction:
-    return normalization_entry(g)[0]
+        raise MissingNormalizationError(f"no normalization on file for genus {g}")
+    return table[g][0]
 
 
 # --- projection of boundary words -------------------------------------------

@@ -9,8 +9,6 @@ from fractions import Fraction
 import pytest
 
 from thetasing import cli
-from thetasing.pipeline import set_boundary_relations_path
-from thetasing.tautring import set_normalizations_path
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
@@ -256,15 +254,14 @@ def _write(tmp_path, text):
      "genus=2 value=1/0 source=t\n", "line 1 'genus=2 value=1/0 source=t'"),
     ("boundary-relations", ["--command", "compactified-class", "--genus", "2"],
      "genus=2: sigma2 = 6*lam3*sigma1\n", "lam3 out of range at genus 2"),
+    # a ledger with no identity would check nothing and pass
+    ("identities", ["--command", "verify-identities", "--genus", "2"],
+     "# only comments\n\n", "no identity in the file"),
 ])
 def test_bad_data_file_fails_before_output(capsys, tmp_path, kind, argv, text, reason):
     path = str(tmp_path / "missing.txt") if text is None else _write(tmp_path, text)
-    try:
-        with pytest.raises(SystemExit) as exc:
-            cli.main(argv + ["--data", f"{kind}={path}"])
-    finally:
-        set_normalizations_path(None)
-        set_boundary_relations_path(None)
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv + ["--data", f"{kind}={path}"])
     captured = capsys.readouterr()
     assert exc.value.code == 2
     assert captured.out == ""
@@ -275,21 +272,18 @@ def test_bad_data_file_fails_before_output(capsys, tmp_path, kind, argv, text, r
 
 def test_ring_info_prints_normalization_override(capsys, tmp_path):
     path = _write(tmp_path, "genus=2 value=1/5760 source=test fixture\n")
-    try:
-        code, out = run(capsys, "--command", "ring-info", "--genus", "2",
-                        "--data", f"normalizations={path}")
-        assert code == 0
-        assert "normalization=1/5760\n" in out
-        assert out.endswith("# normalization source: test fixture\n")
-        # a genus the override does not cover is refused before any output
-        code = cli.main(["--command", "ring-info", "--genus", "3",
-                         "--data", f"normalizations={path}"])
-        captured = capsys.readouterr()
-        assert code == 2
-        assert captured.out == ""
-        assert captured.err == "thetasing: no normalization on file for genus 3\n"
-    finally:
-        set_normalizations_path(None)
+    code, out = run(capsys, "--command", "ring-info", "--genus", "2",
+                    "--data", f"normalizations={path}")
+    assert code == 0
+    assert "normalization=1/5760\n" in out
+    assert out.endswith("# normalization source: test fixture\n")
+    # a genus the override does not cover is refused before any output
+    code = cli.main(["--command", "ring-info", "--genus", "3",
+                     "--data", f"normalizations={path}"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == "thetasing: no normalization on file for genus 3\n"
     code, out = run(capsys, "--command", "ring-info", "--genus", "2")
     assert "normalization=1/2880\n" in out
 
@@ -312,6 +306,42 @@ def test_normalization_override_changes_provenance(capsys):
         assert recs[0]["value"] == Fraction(40)
         assert recs[0]["prov"] == "derived"
     finally:
-        set_normalizations_path(None)
-        set_boundary_relations_path(None)
         os.unlink(path)
+
+
+@pytest.mark.parametrize("argv, text, genus", [
+    (["--command", "product-taut", "--genus", "4"], "genus=2 value=1/2880 source=t\n", 1),
+    (["--command", "ij-taut"],
+     "genus=1 value=1/24 source=t\ngenus=5 value=13/16329600 source=t\n", 4),
+])
+def test_missing_normalization_fails_with_one_line(capsys, tmp_path, argv, text, genus):
+    path = _write(tmp_path, text)
+    code = cli.main(argv + ["--data", f"normalizations={path}"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == f"thetasing: no normalization on file for genus {genus}\n"
+
+
+def test_overrides_last_one_run(capsys, tmp_path):
+    # an override applies to its own run only; the next run in the same
+    # process reads the bundled tables again
+    norms = _write(tmp_path, "genus=2 value=1/5760 source=test fixture\n")
+    code, out = run(capsys, "--command", "ring-info", "--genus", "2",
+                    "--data", f"normalizations={norms}")
+    assert code == 0
+    assert "normalization=1/5760\n" in out
+    code, out = run(capsys, "--command", "ring-info", "--genus", "2")
+    assert code == 0
+    assert "normalization=1/2880\n" in out
+    assert "test fixture" not in out
+
+    relations = tmp_path / "relations.txt"
+    relations.write_text("# no rules\n")
+    code, out = run(capsys, "--command", "compactified-class", "--genus", "2",
+                    "--data", f"boundary-relations={relations}")
+    assert code == 2
+    assert out.endswith("# after the genus-2 word relations the class is NOT zero\n")
+    code, out = run(capsys, "--command", "compactified-class", "--genus", "2")
+    assert code == 0
+    assert out.endswith("# after the genus-2 word relations the class is 0\n")

@@ -11,11 +11,11 @@ from thetasing.exactla import rank
 from thetasing.tautring import (
     dg_factor,
     lam,
+    MissingNormalizationError,
     load_normalizations,
     mono_degree,
     mono_mul,
     monomials,
-    set_normalizations_path,
     taut_project_boundary,
 )
 
@@ -160,12 +160,12 @@ def test_normalization_path_override():
     try:
         with os.fdopen(fd, "w") as fh:
             fh.write("genus=1 value=7/8 source=test fixture\n")
-        set_normalizations_path(path)
-        assert normalization(1) == F(7, 8)
-        with pytest.raises(KeyError):
-            normalization(2)
+        norms = load_normalizations(path)
+        assert normalization(1, norms) == F(7, 8)
+        with pytest.raises(MissingNormalizationError):
+            normalization(2, norms)
+        assert issubclass(MissingNormalizationError, KeyError)
     finally:
-        set_normalizations_path(None)
         os.unlink(path)
     assert normalization(1) == F(1, 24)
 
