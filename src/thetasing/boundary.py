@@ -411,7 +411,7 @@ class InfeasibleBasisError(ValueError):
 
     def __init__(self, residual: BoundaryPoly):
         self.residual = residual
-        super().__init__(f"not in target span; residual {residual!r}")
+        super().__init__(f"not in target span\n  residual: {residual!r}")
 
 
 def change_basis(

@@ -19,7 +19,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache, reduce
+from functools import reduce
 from math import comb, factorial
 from typing import Sequence
 
@@ -80,7 +80,7 @@ class RouteMismatchError(RuntimeError):
     """Two supposedly equal computations disagreed; carries both values."""
 
     def __init__(self, message: str, first, second):
-        super().__init__(f"{message}: {first!r} != {second!r}")
+        super().__init__(f"{message}\n  first: {first!r}\n  second: {second!r}")
         self.first = first
         self.second = second
 
@@ -315,12 +315,6 @@ def product_locus_taut(g: int, norms: NormTable | None = None) -> TautElement:
     return {b: v for b, v in zip(unknowns, x) if v}
 
 
-# lambda_1 coefficient of the theta-null divisor one genus down; its
-# boundary words die under the tautological projection, so this is all
-# that survives of it.
-_THETA_NULL_LAMBDA1 = {3: Fraction(18), 4: Fraction(68)}
-
-
 def corner_class_taut(g: int) -> TautElement:
     """Projection of [A_0 x A_{g-1}-bar], the deepest product stratum."""
     R = ring(g)
@@ -338,9 +332,13 @@ def theta_null_product_taut(g: int, norms: NormTable | None = None) -> TautEleme
     if g not in (4, 5):
         raise ValueError("theta-null product term supported for genus 4 and 5")
     R = ring(g)
-    h = _THETA_NULL_LAMBDA1[g - 1]
-    out = R.mul({lam(g, 1): h}, product_locus_taut(g, norms))
-    return add_into(out, corner_class_taut(g), -Fraction(h, 12))
+    # lambda_1 coefficient of Mumford's theta-null class at genus h = g - 1,
+    # [theta_null] = 2^{h-2}(2^h+1) lambda_1 - 2^{2h-5} delta; its boundary
+    # part dies under the tautological projection
+    h = g - 1
+    theta = Fraction(2 ** (h - 2) * (2 ** h + 1))
+    out = R.mul({lam(g, 1): theta}, product_locus_taut(g, norms))
+    return add_into(out, corner_class_taut(g), -theta / 12)
 
 
 def ij_taut(norms: NormTable | None = None) -> TautElement:
@@ -399,7 +397,6 @@ def _parse_rule(line: str) -> RewriteRule:
 RelationTable = dict[int, tuple[RewriteRule, ...]]
 
 
-@lru_cache(maxsize=None)
 def load_boundary_relations(path: str | None = None) -> RelationTable:
     out: dict[int, list[RewriteRule]] = {}
     for rule in parse_lines("boundary_relations.txt", path, _parse_rule):

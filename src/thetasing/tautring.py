@@ -1,15 +1,15 @@
 """Tautological rings of A_g and its perfect cone compactification.
 
-The ring is Q[lambda_1..lambda_g] modulo the relations forced by the
-triviality of c(E) c(E)^dual: the even graded pieces
+The compactified ring is H*(LG(g, 2g)): Q[lambda_1..lambda_g] modulo the
+even pieces of c(E) c(E)^dual = 1, solved for their middle term as the rewrite
 
-    sum_{i=0}^{2k} (-1)^i lambda_i lambda_{2k-i} = 0,   k = 1..g,
+    lambda_k^2 = 2 sum_{i<k} (-1)^{k+i+1} lambda_i lambda_{2k-i},   k = 1..g,
 
-with lambda_0 = 1 and lambda_i = 0 for i > g (odd pieces vanish identically).
-The open variant additionally kills lambda_g.  Reduction is plain linear
-algebra degree by degree; the canonical basis in each degree is the
-complement of the leading monomials, so lambda_1-powers survive whenever
-possible.
+with lambda_0 = 1 and lambda_j = 0 for j > g.  Each step moves weight to
+higher indices, so it terminates in the squarefree monomials lambda_S, a basis
+of dimension 2^g (van der Geer, 1999).  The open variant also kills lambda_g,
+dropping every lambda_S with g in S.  The canonical basis of each degree is
+picked greedily from the last monomial back, so lambda_1-powers survive.
 
 Monomials are exponent tuples (e_1, ..., e_g) for lambda_1^{e_1} etc.;
 elements are dicts monomial -> Fraction.
@@ -88,19 +88,27 @@ def monomials(g: int, degree: int) -> tuple[LambdaMonomial, ...]:
     return tuple(sorted(gen(degree, 0)))
 
 
-def _chern_relation(g: int, k: int) -> TautElement:
-    """Degree-2k graded piece of c(E) c(E)^dual - 1."""
-    out: TautElement = {}
-    for i in range(2 * k + 1):
-        j = 2 * k - i
-        if i > g or j > g:
+@lru_cache(maxsize=None)
+def _squarefree(mono: LambdaMonomial, open_variant: bool) -> dict[LambdaMonomial, int]:
+    """Integer image of a monomial in the squarefree basis lambda_S.
+
+    Rewrites the first squared lambda_k and recurses; the result is shared
+    through the cache, so callers must not mutate it.
+    """
+    g = len(mono)
+    k = next((k for k, e in enumerate(mono, 1) if e > 1), None)
+    if k is None:
+        return {} if open_variant and mono[-1] else {mono: 1}
+    out: dict[LambdaMonomial, int] = {}
+    for i in range(k):
+        if 2 * k - i > g:
             continue
-        mono = [0] * g
+        term = list(mono)
+        term[k - 1] -= 2
         if i:
-            mono[i - 1] += 1
-        if j:
-            mono[j - 1] += 1
-        add_into(out, {tuple(mono): Fraction((-1) ** i)})
+            term[i - 1] += 1
+        term[2 * k - i - 1] += 1
+        add_into(out, _squarefree(tuple(term), open_variant), 2 * (-1) ** (k + i + 1))
     return out
 
 
@@ -126,34 +134,17 @@ class TautRing:
                 raise RuntimeError("lambda_1^top vanishes; cannot normalize")
 
     def _build_degree(self, d: int) -> None:
-        monos = monomials(self.g, d)
-        col = {m: i for i, m in enumerate(monos)}
-        rows: list[list[Fraction]] = []
-        for k in range(1, self.g + 1):
-            if d - 2 * k < 0:
-                continue
-            rel = _chern_relation(self.g, k)
-            for mu in monomials(self.g, d - 2 * k):
-                row = [Fraction(0)] * len(monos)
-                for m, c in rel.items():
-                    row[col[mono_mul(m, mu)]] += c
-                rows.append(row)
-        if self.open_variant and d - self.g >= 0:
-            lam_g = lam(self.g, self.g)
-            for mu in monomials(self.g, d - self.g):
-                row = [Fraction(0)] * len(monos)
-                row[col[mono_mul(lam_g, mu)]] = Fraction(1)
-                rows.append(row)
-        red, pivots = rref(rows)
-        pivot_set = set(pivots)
-        free = [i for i in range(len(monos)) if i not in pivot_set]
-        self.basis[d] = [monos[i] for i in free]
-        for m in self.basis[d]:
-            self.table[m] = {m: Fraction(1)}
-        for r, c in enumerate(pivots):
-            self.table[monos[c]] = {
-                monos[j]: -red[r][j] for j in free if red[r][j]
-            }
+        # columns run from the last monomial back, so the pivots are the
+        # greedy basis and each reduced column solves its monomial in it
+        monos = monomials(self.g, d)[::-1]
+        images = [_squarefree(m, self.open_variant) for m in monos]
+        keys = sorted({s for image in images for s in image})
+        red, pivots = rref([[image.get(s, 0) for image in images] for s in keys])
+        solved = sorted(zip((monos[c] for c in pivots), red))
+        self.basis[d] = [b for b, _ in solved]
+        entries = {m: {b: row[j] for b, row in solved if row[j]} for j, m in enumerate(monos)}
+        for m in self.basis[d] + sorted(set(monos).difference(self.basis[d])):
+            self.table[m] = entries[m]
 
     # -- arithmetic -----------------------------------------------------------
 
@@ -228,7 +219,6 @@ def _parse_normalization(line: str) -> tuple[int, tuple[Fraction, str]]:
     return int(m.group(1)), (Fraction(int(m.group(2)), int(m.group(3))), m.group(4).strip())
 
 
-@lru_cache(maxsize=None)
 def load_normalizations(path: str | None = None) -> NormTable:
     """Top-degree normalizations <lambda_1^{g(g+1)/2}> with provenance strings."""
     return dict(parse_lines("normalizations.txt", path, _parse_normalization))

@@ -5,10 +5,11 @@ import subprocess
 import sys
 import tempfile
 from fractions import Fraction
+from importlib import resources
 
 import pytest
 
-from thetasing import cli
+from thetasing import cli, exactla, pipeline
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
@@ -345,3 +346,58 @@ def test_overrides_last_one_run(capsys, tmp_path):
     code, out = run(capsys, "--command", "compactified-class", "--genus", "2")
     assert code == 0
     assert out.endswith("# after the genus-2 word relations the class is 0\n")
+
+
+def test_rewritten_override_is_read_again(capsys, tmp_path):
+    # one process, one override path, its file rewritten between two runs
+    norms = tmp_path / "norms.txt"
+    norms.write_text("genus=2 value=1/5760 source=first\n")
+    argv = ["--command", "ring-info", "--genus", "2", "--data", f"normalizations={norms}"]
+    code, out = run(capsys, *argv)
+    assert code == 0
+    assert "normalization=1/5760\n" in out and out.endswith("source: first\n")
+    norms.write_text("genus=2 value=1/7 source=second\n")
+    code, out = run(capsys, *argv)
+    assert code == 0
+    assert "normalization=1/7\n" in out and out.endswith("source: second\n")
+
+    relations = tmp_path / "relations.txt"
+    relations.write_text("# no rules\n")
+    argv = ["--command", "compactified-class", "--genus", "2",
+            "--data", f"boundary-relations={relations}"]
+    code, out = run(capsys, *argv)
+    assert code == 2
+    assert out.endswith("the class is NOT zero\n")
+    relations.write_text(
+        resources.files("thetasing.data").joinpath("boundary_relations.txt").read_text())
+    code, out = run(capsys, *argv)
+    assert code == 0
+    assert out.endswith("the class is 0\n")
+
+
+@pytest.mark.parametrize("module, name, replacement, argv, expected", [
+    # taut_projection: the term-by-term route no longer meets the closed form
+    (pipeline, "closed_form_projection", lambda g: {},
+     ["--command", "taut-projection", "--genus", "3"],
+     ["thetasing: genus-3 projection differs between routes", "  first: {(", "  second: {}"]),
+    # product_locus_taut: the pairing system has no solution
+    (exactla, "solve", lambda matrix, rhs: None,
+     ["--command", "product-taut", "--genus", "4"],
+     ["thetasing: genus-4 product locus pairing system is inconsistent",
+      "  first: [[Fraction(", "  second: [Fraction("]),
+    # change_basis: no target word to express the boundary powers in
+    (pipeline, "DEFAULT_TARGETS", {j: () for j in range(1, 6)},
+     ["--command", "compactified-class", "--genus", "3"],
+     ["thetasing: not in target span", "  residual: BoundaryPoly(1, "]),
+], ids=["taut-projection", "product-locus", "change-basis"])
+def test_route_errors_exit_with_residual(capsys, monkeypatch, module, name, replacement,
+                                         argv, expected):
+    monkeypatch.setattr(module, name, replacement)
+    code = cli.main(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == len(expected) and captured.err.endswith("\n")
+    for line, start in zip(lines, expected):
+        assert line.startswith(start)

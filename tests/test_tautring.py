@@ -1,5 +1,6 @@
 """Tests for the lambda-class ring presentations and intersection pairing."""
 
+import hashlib
 import os
 import tempfile
 from fractions import Fraction
@@ -8,7 +9,9 @@ import pytest
 
 from thetasing import TautRing, intersection_number, normalization, ring
 from thetasing.exactla import rank
+from thetasing.zeta import zeta_negative_odd
 from thetasing.tautring import (
+    _squarefree,
     dg_factor,
     lam,
     MissingNormalizationError,
@@ -79,6 +82,38 @@ def test_open_ring_kills_lambda_g():
     for g in (2, 3, 4):
         Ro = ring(g, True)
         assert Ro.reduce({lam(g, g): F(1)}) == {}
+
+
+# sha256 of _ring_records for each (genus, open_variant), computed from the
+# dense relation-row RREF construction these tables were first built with
+RING_TABLE_DIGESTS = {
+    (1, False): "106536d6ac35961e9a16908dbbe2d5e6df3fe7b4b5a4a0f87c00682e4b431aa2",
+    (1, True): "86785dd0db5d855081932f976fed0d7acd58363bf2bfe32f5d963d9bc358f40d",
+    (2, False): "dd4d8ff4ba7c3dc6e43874a1eafd813daa5df63fa949bf5a58df2701b73c7594",
+    (2, True): "0fc647b6ead751f0145033812eed46a3d5d8f0269e5342851e6bcec35d95d34c",
+    (3, False): "43c5d70b77b6923d4e3dc6bb5254882eab43b1cde81e4177aa5294eab4da5fb6",
+    (3, True): "5b71678898cdd3e77b36dbc4992206736d2ba8546c5e721dbb702361c0041708",
+    (4, False): "063fa2700dfe18e90b38e9acaf077a9d3893a1a78145388a18ce7e7a14960e94",
+    (4, True): "82a54bf9e2bcbdc6ce53ad8db04f2a994bdb14703669df1d2ce73af44c9d2f7f",
+    (5, False): "5ad6edf5bf4c459d573194a1c5573a8851042e6addd009dc61aae45d48deda98",
+    (5, True): "d9633a4c787a180dc707d357bc4d85203c30cef6ae7e9011f639ed98c2deb392",
+}
+
+
+def _ring_records(R):
+    lines = [f"basis {d}: {b}" for d, b in R.basis.items()]
+    lines += [f"table {m}: {sorted(e.items())}" for m, e in R.table.items()]
+    if not R.open_variant:
+        lines.append(f"top {R.top_mono} {R.top_unit}")
+    return "\n".join(sorted(lines))
+
+
+@pytest.mark.parametrize("g, open_variant", sorted(RING_TABLE_DIGESTS))
+def test_ring_tables_are_pinned(g, open_variant):
+    # every basis, every reduction table entry and the top unit, exactly
+    records = _ring_records(ring(g, open_variant))
+    digest = hashlib.sha256(records.encode()).hexdigest()
+    assert digest == RING_TABLE_DIGESTS[g, open_variant]
 
 
 # --- reductions -----------------------------------------------------------------
@@ -153,6 +188,21 @@ def test_normalization_table():
         assert normalization(g) == value
     table = load_normalizations()
     assert "external" in table[2][1]
+
+
+def test_normalizations_follow_from_the_ring():
+    # Hirzebruch-Mumford proportionality: <lambda_1...lambda_g> is
+    # (-1)^{g(g+1)/2} prod_k zeta(1-2k)/2, and lambda_1^{g(g+1)/2} is
+    # deg LG(g, 2g) times lambda_1...lambda_g in the squarefree basis
+    degrees = {}
+    for g in range(1, 6):
+        top = g * (g + 1) // 2
+        degrees[g] = _squarefree(lam(g, 1, top), False)[(1,) * g]
+        expected = (-1) ** top * degrees[g] * F(1)
+        for k in range(1, g + 1):
+            expected *= zeta_negative_odd(k) / 2
+        assert load_normalizations()[g][0] == expected
+    assert degrees == {1: 1, 2: 2, 3: 16, 4: 768, 5: 292864}
 
 
 def test_normalization_path_override():
