@@ -329,11 +329,23 @@ def count_vanishing(g: int, labels: Sequence[BoundaryLabel]) -> int:
         packed.append(n.packed)
     if len(set(packed)) != len(packed):
         raise ValueError("labels must be distinct")
+    echelon: list[int] = []  # distinct leading bits, descending
+    dependent = False
     for i, a in enumerate(packed):
         ja = _swap_halves(a, g)
         for b in packed[i + 1:]:
             if (ja & b).bit_count() & 1:
                 raise NonOrthogonalError("labels must be pairwise orthogonal")
+        for e in echelon:
+            if a ^ e < a:  # a has the leading bit of e
+                a ^= e
+        if a:
+            echelon.append(a)
+            echelon.sort(reverse=True)
+        else:
+            dependent = True
+    if not dependent:  # no relation: skip the kernel
+        return _count_for_kernel(g, len(packed), ())
     # kernel_f2 returns the RREF basis that count_from_pattern would compute
     return _count_for_kernel(g, len(packed), kernel_f2(packed, 2 * g))
 
@@ -342,19 +354,25 @@ def count_vanishing(g: int, labels: Sequence[BoundaryLabel]) -> int:
 
 @lru_cache(maxsize=8)
 def _vanish_tables(g: int) -> tuple[list[int], int]:
-    """Per-label bitsets of {m : parity(m + n) even}, plus the odd-m bitset."""
+    """Per-label bitsets of {m : parity(m + n) even}, plus the odd-m bitset.
+
+    The set of label n is the even set translated by n.  Translating by one
+    bit 2^j swaps adjacent blocks of 2^j bits, so each set comes from the set
+    of n without its lowest bit by one block swap.
+    """
     size = 1 << (2 * g)
+    full = (1 << size) - 1
     odd_mask = 0
     for m in range(size):
         if _sigma_packed(m, g):
             odd_mask |= 1 << m
-    masks = [0] * size
-    for n in range(size):
-        acc = 0
-        for m in range(size):
-            if _sigma_packed(m ^ n, g) == 0:
-                acc |= 1 << m
-        masks[n] = acc
+    # low[j]: the bits m with bit j of m clear
+    low = [full // ((1 << (2 << j)) - 1) * ((1 << (1 << j)) - 1) for j in range(2 * g)]
+    masks = [full ^ odd_mask] + [0] * (size - 1)
+    for n in range(1, size):
+        j = (n & -n).bit_length() - 1
+        prev, width = masks[n & (n - 1)], 1 << j
+        masks[n] = ((prev & low[j]) << width) | ((prev >> width) & low[j])
     return masks, odd_mask
 
 
@@ -431,6 +449,23 @@ def orthogonal_tuples(g: int, max_size: int) -> Iterator[tuple[BoundaryLabel, ..
         yield tuple([labels[p] for p in combo])
 
 
+# The sampler holds its g basis vectors in one int, vector i in bits
+# LANE*i .. LANE*i + LANE - 1, so that a transvection acts on all of them in a
+# few big-int operations.  Four parity folds reach 16 bits, enough for 2g <= 16.
+_LANE = 16
+_LANE_GENUS_MAX = _LANE // 2
+
+
+@lru_cache(maxsize=8)
+def _lane_table(g: int) -> tuple[int, int, list[int], list[int]]:
+    """The sampler's start basis, the lane units, and v and J(v) copied into
+    every lane; entry r of either list is for the vector v = r + 1."""
+    ones = sum(1 << (_LANE * i) for i in range(g))
+    start = sum(1 << ((_LANE + 1) * i) for i in range(g))  # vector i is 1 << i
+    vs = range(1, 1 << (2 * g))
+    return start, ones, [v * ones for v in vs], [_swap_halves(v, g) * ones for v in vs]
+
+
 def random_orthogonal_tuple(
     rng: Random, g: int, max_size: int = 5
 ) -> tuple[BoundaryLabel, ...]:
@@ -439,22 +474,46 @@ def random_orthogonal_tuple(
     Not a uniform distribution over tuples, but reaches every tuple: any
     orthogonal set spans an isotropic subspace, hence sits inside some
     maximal one, and transvections act transitively on those.
+
+    Draws exactly what rng.randrange(1, 4^g) and rng.randint(1, w) draw on
+    a random.Random, through the same getrandbits rejection loops.
     """
-    mask = (1 << g) - 1
-    size = 1 << (2 * g)
-    basis = [1 << i for i in range(g)]  # the delta-side coordinate vectors
+    if not 1 <= g <= _LANE_GENUS_MAX:
+        raise ValueError(f"random_orthogonal_tuple supports genus 1..{_LANE_GENUS_MAX}")
+    if max_size < 1:
+        raise ValueError("max_size must be at least 1")
+    basis, ones, vs, jvs = _lane_table(g)
+    getrandbits = rng.getrandbits
+    bits = 2 * g
+    top = (1 << bits) - 1
+    lane = (1 << _LANE) - 1
     for _ in range(12):
-        v = rng.randrange(1, size)
-        jv = ((v & mask) << g) | (v >> g)  # _swap_halves(v, g), inlined in the hot loop
-        basis = [x ^ v if (x & jv).bit_count() & 1 else x for x in basis]
+        # v = randrange(1, 4^g) = r + 1, drawn as randrange draws it
+        r = getrandbits(bits)
+        while r >= top:
+            r = getrandbits(bits)
+        # x -> x + <x, v> v on every lane: fold the parity of x & J(v) into
+        # each lane's bit 0, then spread it over the lane to select v
+        y = basis & jvs[r]
+        y ^= y >> 8
+        y ^= y >> 4
+        y ^= y >> 2
+        y ^= y >> 1
+        basis ^= ((y & ones) * lane) & vs[r]
     # transvections are invertible, so the basis stays independent and
     # doubling lists each vector of its span exactly once
     span = [0]
-    for b in basis:
+    for i in range(g):
+        b = (basis >> (_LANE * i)) & lane
         span += [x ^ b for x in span]
     span.sort()
     nonzero = span[1:]
-    k = rng.randint(1, min(max_size, len(nonzero)))
-    picked = sorted(rng.sample(nonzero, k))
+    # k = randint(1, w), drawn as randrange draws it
+    w = min(max_size, len(nonzero))
+    bits = w.bit_length()
+    r = getrandbits(bits)
+    while r >= w:
+        r = getrandbits(bits)
+    picked = sorted(rng.sample(nonzero, r + 1))
     labels = _labels(g)
     return tuple([labels[p] for p in picked])

@@ -6,7 +6,10 @@ mismatch, `--samples` is below 1, `--genus` is missing or outside the
 command's range in `GENERA`, a `--data` item or its file is bad, or the
 normalization table lacks a genus the command needs.  Every `--data` file is
 read before any output, and its loaded table is passed to the computation of
-that run only.  The `records` format emits one self-describing line per term:
+that run only.  After a run, each genus 1..5 where a `--data normalizations`
+value differs from the derived one gets a `#` line on stderr; stdout still
+uses the given value.  The `records` format emits one self-describing line
+per term:
 
     lambda=<e1,...,eg> word=<tag*tag or 1> num=<int> den=<int> prov=<tag>
 
@@ -109,13 +112,13 @@ def _emit_taut(g: int, elem, pin_key: str, fmt: str, out) -> None:
 
 
 def _emit_mixed(g: int, relations, fmt: str, out) -> int:
+    raw = pipeline._raw_compactified(g)
     if g in pipeline.PUBLISHED_COMPACTIFIED:
-        rows = pipeline.compare_with_published(g)
+        rows = pipeline.compare_with_published(g, raw)
     else:
-        mc = pipeline._raw_compactified(g)
         rows = [
             pipeline.ComparisonRow(k[0], k[1], v, None)
-            for k, v in mc.sorted_items()
+            for k, v in raw.sorted_items()
         ]
     conflicts = 0
     for row in rows:
@@ -138,7 +141,7 @@ def _emit_mixed(g: int, relations, fmt: str, out) -> int:
                 line += f"  (published: {row.published})"
             out.write(line + "\n")
     if g == 2:
-        reduced = pipeline.class_compactified(2, relations)
+        reduced = pipeline._apply_word_relations(raw, relations)
         out.write(
             "# after the genus-2 word relations the class is "
             + ("0\n" if reduced.is_zero() else "NOT zero\n")
@@ -244,13 +247,25 @@ def main(argv: list[str] | None = None) -> int:
                        f"{supported[0]}..{supported[-1]}, got {args.genus}\n")
     data = _load_data(parser, args.data)
     try:
-        return _run(args, data, sys.stdout)
+        code = _run(args, data, sys.stdout)
     except (tautring.MissingNormalizationError, pipeline.RouteMismatchError,
             boundary.InfeasibleBasisError) as exc:
         # raised before the command writes anything; the message is one
         # line, followed by the residual or the differing values if any
         print(f"thetasing: {exc.args[0]}", file=sys.stderr)
         return 2
+    _note_normalization_overrides(data.get("normalizations"))
+    return code
+
+
+def _note_normalization_overrides(norms) -> None:
+    """One stderr line per genus of the ring's range where a --data
+    normalization differs from the Hirzebruch-Mumford derivation."""
+    for g in sorted(set(norms or ()).intersection(GENERA["ring-info"])):
+        derived = tautring.derived_normalization(g)
+        if norms[g][0] != derived:
+            print(f"# normalization override differs from the derivation at genus {g}: "
+                  f"{norms[g][0]} != {derived}", file=sys.stderr)
 
 
 def _run(args, data: dict[str, object], out) -> int:

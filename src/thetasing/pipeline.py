@@ -212,11 +212,15 @@ def class_compactified(g: int, relations: RelationTable | None = None) -> MixedC
     (None: the bundled table) are substituted so the output is literally
     zero there.
     """
-    total = _raw_compactified(g)
-    if g == 2:
-        table = load_boundary_relations() if relations is None else relations
-        total = substitute_boundary_relations(total, table.get(2, ()))
-    return total
+    return _apply_word_relations(_raw_compactified(g), relations)
+
+
+def _apply_word_relations(total: MixedClass, relations: RelationTable | None) -> MixedClass:
+    """The raw stratum sum with its space's word relations substituted."""
+    if total.genus != 2:
+        return total
+    table = load_boundary_relations() if relations is None else relations
+    return substitute_boundary_relations(total, table.get(2, ()))
 
 
 def class_open(g: int) -> TautElement:
@@ -585,15 +589,16 @@ class ComparisonRow:
         return "conflict"
 
 
-def compare_with_published(g: int) -> list[ComparisonRow]:
+def compare_with_published(g: int, raw: MixedClass | None = None) -> list[ComparisonRow]:
     """Engine output against the printed table, term by term.
 
     The engine side is the raw stratum sum (before any space-specific
-    substitution), since that is the form the printed tables use.
+    substitution), since that is the form the printed tables use; `raw` is
+    that sum if the caller has already assembled it.
     """
     if g not in PUBLISHED_COMPACTIFIED:
         raise KeyError(f"no published table for genus {g}")
-    engine = _raw_compactified(g).terms
+    engine = (_raw_compactified(g) if raw is None else raw).terms
     published = PUBLISHED_COMPACTIFIED[g]
     return [
         ComparisonRow(k[0], k[1], engine.get(k), published.get(k))

@@ -38,6 +38,7 @@ __all__ = [
     "load_normalizations",
     "MissingNormalizationError",
     "normalization",
+    "derived_normalization",
     "dg_factor",
     "taut_project_boundary",
 ]
@@ -234,6 +235,22 @@ def normalization(g: int, norms: NormTable | None = None) -> Fraction:
     if g not in table:
         raise MissingNormalizationError(f"no normalization on file for genus {g}")
     return table[g][0]
+
+
+def derived_normalization(g: int) -> Fraction:
+    """<lambda_1^top> by Hirzebruch-Mumford proportionality.
+
+    <lambda_1...lambda_g> = (-1)^{g(g+1)/2} prod_{k=1}^{g} zeta(1-2k)/2, and
+    lambda_1^{g(g+1)/2} is deg LG(g, 2g) times lambda_1...lambda_g in the
+    squarefree basis (van der Geer, 1999).
+    """
+    if g < 1:
+        raise ValueError("need g >= 1")
+    top = g * (g + 1) // 2
+    value = Fraction((-1) ** top * _squarefree(lam(g, 1, top), False)[(1,) * g])
+    for k in range(1, g + 1):
+        value *= zeta_negative_odd(k) / 2
+    return value
 
 
 # --- projection of boundary words -------------------------------------------

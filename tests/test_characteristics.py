@@ -20,11 +20,14 @@ from thetasing import (
     symplectic_form,
     z_set,
 )
+from thetasing.bits import kernel_f2
 from thetasing.characteristics import (
     CERTIFIED_PATTERNS,
     _form_packed,
     _labels,
+    _sigma_packed,
     _swap_halves,
+    _vanish_tables,
     brute_force_count_naive,
     count_from_pattern,
     make_type,
@@ -262,6 +265,97 @@ def test_sample_stream_is_pinned():
             tup = random_orthogonal_tuple(rng, g)
             rows.append([[n.packed for n in tup], count_vanishing(g, tup)])
         assert hashlib.sha256(repr(rows).encode()).hexdigest() == digest
+
+
+def _reference_random_orthogonal_tuple(rng, g, max_size=5):
+    # the sampler as it was before its draws were inlined and its basis
+    # lane-packed, kept verbatim as the reference for the rewrite
+    mask = (1 << g) - 1
+    size = 1 << (2 * g)
+    basis = [1 << i for i in range(g)]  # the delta-side coordinate vectors
+    for _ in range(12):
+        v = rng.randrange(1, size)
+        jv = ((v & mask) << g) | (v >> g)  # _swap_halves(v, g), inlined in the hot loop
+        basis = [x ^ v if (x & jv).bit_count() & 1 else x for x in basis]
+    # transvections are invertible, so the basis stays independent and
+    # doubling lists each vector of its span exactly once
+    span = [0]
+    for b in basis:
+        span += [x ^ b for x in span]
+    span.sort()
+    nonzero = span[1:]
+    k = rng.randint(1, min(max_size, len(nonzero)))
+    picked = sorted(rng.sample(nonzero, k))
+    labels = _labels(g)
+    return tuple([labels[p] for p in picked])
+
+
+@pytest.mark.parametrize("g", [1, 2, 3, 4, 5])
+def test_sampler_matches_randrange_reference(g):
+    # same tuples and the same generator state afterwards, so every later
+    # draw from a shared generator is the same too
+    for max_size in (1, 2, 3, 5, 7):
+        for seed in range(3):
+            rng, ref = Random(seed), Random(seed)
+            for _ in range(200):
+                assert random_orthogonal_tuple(rng, g, max_size) == \
+                    _reference_random_orthogonal_tuple(ref, g, max_size)
+            assert rng.getstate() == ref.getstate()
+
+
+class _NoDraws(Random):
+    # a draw would loop forever on a zero-width range; fail instead
+    def getrandbits(self, k):
+        raise AssertionError("the sampler drew before refusing")
+
+
+@pytest.mark.parametrize("g, max_size, message", [
+    (4, 0, "max_size must be at least 1"),
+    (4, -3, "max_size must be at least 1"),
+    (0, 5, "supports genus 1..8"),
+    (9, 5, "supports genus 1..8"),
+])
+def test_sampler_refuses_bad_arguments_without_drawing(g, max_size, message):
+    rng = _NoDraws(1)
+    state = rng.getstate()
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match=message):
+        random_orthogonal_tuple(rng, g, max_size)
+    assert time.perf_counter() - start < 0.5
+    assert rng.getstate() == state
+
+
+def _count_by_kernel(g, tup):
+    packed = [n.packed for n in tup]
+    return count_from_pattern(g, len(packed), kernel_f2(packed, 2 * g))
+
+
+def test_count_vanishing_matches_kernel_route():
+    # count_vanishing skips kernel_f2 on independent labels; both branches
+    # must agree with the pattern count of the full kernel
+    branches = {True: 0, False: 0}
+    cases = [(3, tup) for tup in orthogonal_tuples(3, 5)]
+    for g in (4, 5):
+        rng = Random(STREAM_SEED + g)
+        cases += [(g, random_orthogonal_tuple(rng, g)) for _ in range(3000)]
+    for g, tup in cases:
+        assert count_vanishing(g, tup) == _count_by_kernel(g, tup)
+        branches[bool(kernel_f2([n.packed for n in tup], 2 * g))] += 1
+    assert branches[True] and branches[False]
+
+
+@pytest.mark.parametrize("g", [1, 2, 3, 4, 5])
+def test_vanish_tables_match_definition(g):
+    size = 1 << (2 * g)
+    masks, odd_mask = _vanish_tables(g)
+    assert odd_mask == sum(1 << m for m in range(size) if _sigma_packed(m, g))
+    assert len(masks) == size
+    for n in range(size):
+        acc = 0
+        for m in range(size):
+            if _sigma_packed(m ^ n, g) == 0:
+                acc |= 1 << m
+        assert masks[n] == acc
 
 
 def test_random_tuple_shape():

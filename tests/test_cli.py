@@ -62,6 +62,22 @@ def test_compactified_genus2_reports_vanishing(capsys):
     assert out.splitlines()[-1] == "# after the genus-2 word relations the class is 0"
 
 
+def test_compactified_genus2_assembles_the_class_once(capsys, monkeypatch):
+    # the published comparison and the word-relation check share one raw sum
+    calls = []
+    strata = pipeline.strata
+
+    def counted(g):
+        calls.append(g)
+        return strata(g)
+
+    monkeypatch.setattr(pipeline, "strata", counted)
+    code, out = run(capsys, "--command", "compactified-class", "--genus", "2")
+    assert code == 0
+    assert out.endswith("# after the genus-2 word relations the class is 0\n")
+    assert calls == [2]
+
+
 def test_open_class_zero_is_pinned(capsys):
     code, out = run(
         capsys, "--command", "open-class", "--genus", "2", "--format", "records"
@@ -287,6 +303,39 @@ def test_ring_info_prints_normalization_override(capsys, tmp_path):
     assert captured.err == "thetasing: no normalization on file for genus 3\n"
     code, out = run(capsys, "--command", "ring-info", "--genus", "2")
     assert "normalization=1/2880\n" in out
+
+
+def test_normalization_override_is_noted_on_stderr(capsys, tmp_path):
+    bundled = cli.main(["--command", "ring-info", "--genus", "2"])
+    reference = capsys.readouterr()
+    assert bundled == 0 and reference.err == ""
+    # entries equal to the derivation pass silently
+    path = _write(tmp_path, "genus=1 value=1/24 source=t\n"
+                            "genus=2 value=1/2880 source=test fixture\n")
+    code = cli.main(["--command", "ring-info", "--genus", "2",
+                     "--data", f"normalizations={path}"])
+    captured = capsys.readouterr()
+    assert code == 0 and captured.err == ""
+    assert captured.out == reference.out.replace(
+        "# normalization source: external: Hirzebruch-Mumford proportionality for genus 2",
+        "# normalization source: test fixture")
+    # one line per differing genus; stdout keeps the given values
+    path = _write(tmp_path, "genus=1 value=1/12 source=t\n"
+                            "genus=2 value=1/5760 source=test fixture\n"
+                            "genus=3 value=1/181440 source=t\n")
+    code = cli.main(["--command", "ring-info", "--genus", "2",
+                     "--data", f"normalizations={path}"])
+    captured = capsys.readouterr()
+    assert code == 0
+    assert captured.out == (
+        "genus=2 open=False top=3 dims=1,1,1,1 total=4\n"
+        "top_basis=lam1^3 normalization=1/5760\n"
+        "# normalization source: test fixture\n"
+    )
+    assert captured.err == (
+        "# normalization override differs from the derivation at genus 1: 1/12 != 1/24\n"
+        "# normalization override differs from the derivation at genus 2: 1/5760 != 1/2880\n"
+    )
 
 
 def test_normalization_override_changes_provenance(capsys):

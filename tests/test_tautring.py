@@ -12,6 +12,7 @@ from thetasing.exactla import rank
 from thetasing.zeta import zeta_negative_odd
 from thetasing.tautring import (
     _squarefree,
+    derived_normalization,
     dg_factor,
     lam,
     MissingNormalizationError,
@@ -191,18 +192,17 @@ def test_normalization_table():
 
 
 def test_normalizations_follow_from_the_ring():
-    # Hirzebruch-Mumford proportionality: <lambda_1...lambda_g> is
-    # (-1)^{g(g+1)/2} prod_k zeta(1-2k)/2, and lambda_1^{g(g+1)/2} is
-    # deg LG(g, 2g) times lambda_1...lambda_g in the squarefree basis
+    # Hirzebruch-Mumford proportionality, with deg LG(g, 2g) taken from the
+    # squarefree rewriting of lambda_1^{g(g+1)/2}
     degrees = {}
     for g in range(1, 6):
         top = g * (g + 1) // 2
         degrees[g] = _squarefree(lam(g, 1, top), False)[(1,) * g]
-        expected = (-1) ** top * degrees[g] * F(1)
-        for k in range(1, g + 1):
-            expected *= zeta_negative_odd(k) / 2
-        assert load_normalizations()[g][0] == expected
+        assert load_normalizations()[g][0] == derived_normalization(g)
     assert degrees == {1: 1, 2: 2, 3: 16, 4: 768, 5: 292864}
+    assert derived_normalization(2) == degrees[2] * -zeta_negative_odd(1) * zeta_negative_odd(2) / 4
+    with pytest.raises(ValueError):
+        derived_normalization(0)
 
 
 def test_normalization_path_override():
