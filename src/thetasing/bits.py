@@ -51,11 +51,10 @@ def span_f2(basis: Sequence[int]) -> list[int]:
     return sorted(set(out))
 
 
-def kernel_f2(vectors: Sequence[int], width: int) -> tuple[int, ...]:
+def kernel_f2(vectors: Sequence[int]) -> tuple[int, ...]:
     """RREF basis of {c in F_2^k : sum of c_i * vectors[i] = 0}.
 
-    k = len(vectors); coordinates of c sit in bits 0..k-1.  ``width`` is the
-    ambient bit width of the given vectors.
+    k = len(vectors); coordinates of c sit in bits 0..k-1.
     """
     k = len(vectors)
     if k == 0:

@@ -29,9 +29,10 @@ from .characteristics import (
     _orthogonal_sets,
     count_from_pattern,
     make_type,
+    n_odd,
 )
 from .datafile import parse_lines
-from .exactla import add_into
+from .exactla import add_into, pivot_solution
 
 __all__ = [
     "ConfigType",
@@ -65,11 +66,6 @@ class DegreeOverflowError(ValueError):
     """Boundary degree beyond the certified range."""
 
 
-def n_odd(g: int) -> int:
-    """Number of odd characteristics at genus g."""
-    return (1 << (g - 1)) * ((1 << g) - 1)
-
-
 # --- configuration types -----------------------------------------------------
 
 def canonical_config(
@@ -97,7 +93,7 @@ def canonical_config(
     for a, b in itertools.combinations(packed, 2):
         if _form_packed(a, b, g):
             return None
-    rels: tuple[int, ...] = kernel_f2(tuple(packed), 2 * g)
+    rels: tuple[int, ...] = kernel_f2(tuple(packed))
     return make_type(tuple(exponents), rels)
 
 
@@ -423,25 +419,14 @@ def change_basis(
     in the span; never approximates.  Free coefficients in a degenerate
     target set resolve to zero, keeping the output deterministic.
     """
-    from .exactla import solve
-
     expansions = [expand_word(normalize_word(w), g) for w in targets]
     support = sorted(set(p.coeffs) | {t for e in expansions for t in e.coeffs})
     matrix = [[e.coeffs.get(t, Fraction(0)) for e in expansions] for t in support]
     rhs = [p.coeffs.get(t, Fraction(0)) for t in support]
-    x = solve(matrix, rhs)
-    if x is None:
-        # recover the best-effort combination to expose the residual
-        from .exactla import rref
-
-        aug = [row + [b] for row, b in zip(matrix, rhs)]
-        red, pivots = rref(aug)
-        xhat = [Fraction(0)] * len(targets)
-        for i, c in enumerate(pivots):
-            if c < len(targets):
-                xhat[c] = red[i][len(targets)]
+    x, consistent = pivot_solution(matrix, rhs)
+    if not consistent:
         residual = p
-        for coef, e in zip(xhat, expansions):
+        for coef, e in zip(x, expansions):
             residual = residual - coef * e
         raise InfeasibleBasisError(residual)
     return {normalize_word(w): c for w, c in zip(targets, x)}
@@ -481,9 +466,7 @@ DEFAULT_TARGETS: dict[int, tuple[tuple[str, ...], ...]] = {
 }
 
 
-def pushforward_level2(
-    p: BoundaryPoly, g: int, targets: Sequence[tuple[str, ...]] | None = None
-) -> dict[tuple[str, ...], Fraction]:
+def pushforward_level2(p: BoundaryPoly, g: int) -> dict[tuple[str, ...], Fraction]:
     """Pushforward to level 2 in named-class words: divide degree d by 2^d.
 
     The named symbols downstairs absorb a factor 2^d by convention, so the
@@ -491,9 +474,8 @@ def pushforward_level2(
     """
     if p.degree == 0:
         return {(): p.coeffs.get(EMPTY, Fraction(0))}
-    targets = DEFAULT_TARGETS[p.degree] if targets is None else tuple(targets)
     scale = Fraction(1, 2**p.degree)
-    return {w: scale * c for w, c in change_basis(p, targets, g).items()}
+    return {w: scale * c for w, c in change_basis(p, DEFAULT_TARGETS[p.degree], g).items()}
 
 
 # --- concrete instantiation and identity checking ----------------------------
@@ -535,7 +517,7 @@ def _registry(g: int, degree: int) -> dict[ConfigType, list[MonomialKey]]:
     for k, sets in _orth_sets(g).items():
         if k > degree:
             continue
-        kernels = [kernel_f2(labels, 2 * g) for labels in sets]
+        kernels = [kernel_f2(labels) for labels in sets]
         for assignment in _compositions(degree, k):
             for labels, rels in zip(sets, kernels):
                 key = tuple(zip(labels, assignment))

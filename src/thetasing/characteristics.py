@@ -21,7 +21,7 @@ of even characteristics.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from random import Random
 from typing import Iterable, Iterator, Sequence
@@ -34,6 +34,7 @@ __all__ = [
     "NonOrthogonalError",
     "UncertifiedPatternError",
     "parity",
+    "n_odd",
     "symplectic_form",
     "enumerate_odd",
     "enumerate_labels",
@@ -90,12 +91,6 @@ class Characteristic:
     def is_odd(self) -> bool:
         return self.parity == 1
 
-    def shift(self, label: "BoundaryLabel") -> "Characteristic":
-        """Translate by a boundary label (XOR of the underlying vectors)."""
-        if label.genus != self.genus:
-            raise ValueError("genus mismatch")
-        return Characteristic(self.genus, self.eps ^ label.alpha, self.delt ^ label.beta)
-
 
 @dataclass(frozen=True, slots=True, order=True)
 class BoundaryLabel:
@@ -104,6 +99,8 @@ class BoundaryLabel:
     genus: int
     alpha: int
     beta: int
+    # (alpha << genus) | beta, stored: the counting loops read it per label
+    packed: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         top = 1 << self.genus
@@ -111,15 +108,12 @@ class BoundaryLabel:
             raise ValueError("label halves must fit in g bits")
         if self.alpha == 0 and self.beta == 0:
             raise ValueError("boundary labels are nonzero")
+        object.__setattr__(self, "packed", (self.alpha << self.genus) | self.beta)
 
     @classmethod
     def from_packed(cls, genus: int, packed: int) -> "BoundaryLabel":
         mask = (1 << genus) - 1
         return cls(genus, packed >> genus, packed & mask)
-
-    @property
-    def packed(self) -> int:
-        return (self.alpha << self.genus) | self.beta
 
     @property
     def parity(self) -> int:
@@ -133,6 +127,11 @@ class BoundaryLabel:
 
 def parity(m: Characteristic) -> int:
     return m.parity
+
+
+def n_odd(g: int) -> int:
+    """Number of odd characteristics at genus g."""
+    return (1 << (g - 1)) * ((1 << g) - 1)
 
 
 def _sigma_packed(x: int, g: int) -> int:
@@ -300,7 +299,7 @@ def _count_for_kernel(g: int, k: int, kernel: tuple[int, ...]) -> int:
     """count_from_pattern on an RREF relation basis.  A refusal raises on
     every call: lru_cache stores results, never exceptions."""
     if k == 0:
-        return (1 << (g - 1)) * ((1 << g) - 1)
+        return n_odd(g)
     if any(v.bit_count() & 1 for v in span_f2(kernel) if v):
         return 0
     # refuse beyond the certified slot count before canonicalizing, which
@@ -347,7 +346,7 @@ def count_vanishing(g: int, labels: Sequence[BoundaryLabel]) -> int:
     if not dependent:  # no relation: skip the kernel
         return _count_for_kernel(g, len(packed), ())
     # kernel_f2 returns the RREF basis that count_from_pattern would compute
-    return _count_for_kernel(g, len(packed), kernel_f2(packed, 2 * g))
+    return _count_for_kernel(g, len(packed), kernel_f2(packed))
 
 
 # --- brute-force oracle ------------------------------------------------------

@@ -2,14 +2,14 @@
 
 Every command prints deterministic, byte-stable output (sorted keys, exact
 fractions) and exits 0 on success, 2 when a verification command finds a
-mismatch, `--samples` is below 1, `--genus` is missing or outside the
-command's range in `GENERA`, a `--data` item or its file is bad, or the
-normalization table lacks a genus the command needs.  Every `--data` file is
-read before any output, and its loaded table is passed to the computation of
-that run only.  After a run, each genus 1..5 where a `--data normalizations`
-value differs from the derived one gets a `#` line on stderr; stdout still
-uses the given value.  The `records` format emits one self-describing line
-per term:
+mismatch, a published coefficient is not reproduced, `--samples` is below 1,
+`--genus` is missing or outside the command's range in `GENERA`, a `--data`
+item or its file is bad, or the normalization table lacks a genus the
+command needs.  Every `--data` file is read before any output, and its loaded
+table is passed to the computation of that run only.  After a run, each
+genus 1..5 where a `--data normalizations` value differs from the derived
+one gets a `#` line on stderr; stdout still uses the given value.  The
+`records` format emits one self-describing line per term:
 
     lambda=<e1,...,eg> word=<tag*tag or 1> num=<int> den=<int> prov=<tag>
 
@@ -28,18 +28,8 @@ from . import boundary, characteristics, pipeline, tautring
 DEFAULT_SEED = 20260819
 DEFAULT_SAMPLES = 100000
 
-COMMANDS = (
-    "open-class",
-    "compactified-class",
-    "taut-projection",
-    "product-taut",
-    "ij-taut",
-    "verify-identities",
-    "verify-counts",
-    "ring-info",
-)
-
-# Supported --genus values per command, checked right after argument parsing.
+# The commands, each with the --genus values it supports (checked right after
+# argument parsing).
 GENERA = {
     "open-class": range(1, 6),
     "compactified-class": range(1, 6),
@@ -97,18 +87,46 @@ def parse_record_line(line: str) -> dict:
     }
 
 
-def _emit_taut(g: int, elem, pin_key: str, fmt: str, out) -> None:
-    pins = pipeline.PUBLISHED_TAUT.get((pin_key, g))
-    for mono in sorted(elem):
-        value = elem[mono]
-        prov = "paper" if pins is not None and pins.get(mono) == value else "derived"
+def _emit_rows(g: int, rows, fmt: str, out, show_word: bool) -> int:
+    """Write ComparisonRows tagged with their status; returns the number of
+    rows whose engine value differs from a published one (a missing engine
+    term counts as 0).  Text lines name the word only if show_word."""
+    mismatches = 0
+    for row in rows:
+        value = row.engine if row.engine is not None else Fraction(0)
+        status = row.status
+        if status in ("conflict", "paper-only"):
+            mismatches += 1
         if fmt == "records":
-            out.write(_record(g, mono, (), value, prov) + "\n")
+            out.write(_record(g, row.lam_mono, row.word, value, status) + "\n")
+            if status in ("conflict", "paper-only"):
+                out.write(
+                    f"# published value: {row.published.numerator}/{row.published.denominator}\n"
+                )
         else:
-            out.write(f"{value} * {pipeline._format_lam(mono)}  [{prov}]\n")
-    if not elem:
+            term = pipeline._format_lam(row.lam_mono)
+            if show_word:
+                term += f"*{pipeline._format_word(row.word)}"
+            line = f"{value} * {term}  [{status}]"
+            if status in ("conflict", "paper-only"):
+                line += f"  (published: {row.published})"
+            out.write(line + "\n")
+    return mismatches
+
+
+def _emit_taut(g: int, elem, pin_key: str | None, fmt: str, out) -> int:
+    """A tautological class against the published pins under pin_key (None
+    compares none); returns 2 if a pin is not reproduced, else 0."""
+    pins = None if pin_key is None else pipeline.PUBLISHED_TAUT.get((pin_key, g))
+    if not elem and not pins:
         prov = "paper" if pins == {} else "derived"
         out.write("0" + (f"  [{prov}]\n" if fmt == "text" else f" prov={prov}\n"))
+        return 0
+    rows = [
+        pipeline.ComparisonRow(mono, (), elem.get(mono), None if pins is None else pins.get(mono))
+        for mono in sorted(set(elem) | set(pins or ()))
+    ]
+    return 2 if _emit_rows(g, rows, fmt, out, False) else 0
 
 
 def _emit_mixed(g: int, relations, fmt: str, out) -> int:
@@ -120,26 +138,7 @@ def _emit_mixed(g: int, relations, fmt: str, out) -> int:
             pipeline.ComparisonRow(k[0], k[1], v, None)
             for k, v in raw.sorted_items()
         ]
-    conflicts = 0
-    for row in rows:
-        value = row.engine if row.engine is not None else Fraction(0)
-        status = row.status
-        if status == "conflict":
-            conflicts += 1
-        if fmt == "records":
-            out.write(_record(g, row.lam_mono, row.word, value, status) + "\n")
-            if status in ("conflict", "paper-only"):
-                out.write(
-                    f"# published value: {row.published.numerator}/{row.published.denominator}\n"
-                )
-        else:
-            line = (
-                f"{value} * {pipeline._format_lam(row.lam_mono)}"
-                f"*{pipeline._format_word(row.word)}  [{status}]"
-            )
-            if status in ("conflict", "paper-only"):
-                line += f"  (published: {row.published})"
-            out.write(line + "\n")
+    mismatches = _emit_rows(g, rows, fmt, out, True)
     if g == 2:
         reduced = pipeline._apply_word_relations(raw, relations)
         out.write(
@@ -148,7 +147,7 @@ def _emit_mixed(g: int, relations, fmt: str, out) -> int:
         )
         if not reduced.is_zero():
             return 2
-    return 2 if conflicts else 0
+    return 2 if mismatches else 0
 
 
 def _cmd_verify_identities(args, identities, out) -> int:
@@ -224,7 +223,7 @@ def main(argv: list[str] | None = None) -> int:
         description="Exact boundary and tautological computations for the "
         "singular-theta two-torsion locus, genus up to five.",
     )
-    parser.add_argument("--command", required=True, choices=COMMANDS)
+    parser.add_argument("--command", required=True, choices=tuple(GENERA))
     parser.add_argument("--genus", type=int, default=None)
     parser.add_argument("--format", choices=("text", "records"), default="text")
     parser.add_argument("--data", action="append", default=[],
@@ -270,23 +269,23 @@ def _note_normalization_overrides(norms) -> None:
 
 def _run(args, data: dict[str, object], out) -> int:
     norms = data.get("normalizations")
+    # the pins hold for the bundled normalizations; an output computed from
+    # another table is compared with none of them
+    pinned = norms is None
     if args.command == "open-class":
-        _emit_taut(args.genus, pipeline.class_open(args.genus), "open-class",
-                   args.format, out)
-        return 0
+        return _emit_taut(args.genus, pipeline.class_open(args.genus), "open-class",
+                          args.format, out)
     if args.command == "compactified-class":
         return _emit_mixed(args.genus, data.get("boundary-relations"), args.format, out)
     if args.command == "taut-projection":
-        _emit_taut(args.genus, pipeline.taut_projection(args.genus),
-                   "taut-projection", args.format, out)
-        return 0
+        return _emit_taut(args.genus, pipeline.taut_projection(args.genus),
+                          "taut-projection", args.format, out)
     if args.command == "product-taut":
-        _emit_taut(args.genus, pipeline.product_locus_taut(args.genus, norms),
-                   "product-taut", args.format, out)
-        return 0
+        return _emit_taut(args.genus, pipeline.product_locus_taut(args.genus, norms),
+                          "product-taut" if pinned else None, args.format, out)
     if args.command == "ij-taut":
-        _emit_taut(5, pipeline.ij_taut(norms), "ij-taut", args.format, out)
-        return 0
+        return _emit_taut(5, pipeline.ij_taut(norms),
+                          "ij-taut" if pinned else None, args.format, out)
     if args.command == "verify-identities":
         return _cmd_verify_identities(args, data.get("identities"), out)
     if args.command == "verify-counts":

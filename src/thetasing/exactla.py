@@ -1,25 +1,32 @@
 """Exact linear algebra over Fraction.
 
-Matrices are lists of row lists.  Sizes here stay below ~100 x 100, so a
-plain Gauss-Jordan is plenty; all-integer input takes a fraction-free path
-(cross-multiplied elimination, gcd-reduced rows, pivots normalized at the
-end), which is what the ring presentations feed in.
+Matrices are lists of row lists.  Sizes here stay below ~100 x 100, so one
+elimination is plenty: `rref` scales each row to integers by the lcm of its
+denominators and runs a fraction-free Gauss-Jordan (cross-multiplied
+elimination, gcd-reduced rows, pivots normalized at the end).  Scaling a row
+leaves the row space, hence the reduced form, unchanged.
 """
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from typing import Mapping, Sequence, TypeVar
 
-__all__ = ["rref", "rank", "solve", "add_into"]
+__all__ = ["rref", "rank", "pivot_solution", "solve", "add_into"]
 
 K = TypeVar("K")
 
 Matrix = list[list[Fraction]]
 
 
-def _rref_int(matrix: Sequence[Sequence[int]]) -> tuple[Matrix, list[int]]:
-    rows = [[int(x) for x in r] for r in matrix]
+def rref(matrix: Sequence[Sequence[Fraction]]) -> tuple[Matrix, list[int]]:
+    """Reduced row echelon form; returns (rref_rows, pivot_columns)."""
+    rows = []
+    for row in matrix:
+        m = lcm(*(x.denominator for x in row))
+        rows.append([x.numerator * (m // x.denominator) for x in row])
+    if not rows:
+        return [], []
     ncols = len(rows[0])
     pivots: list[int] = []
     r = 0
@@ -34,78 +41,48 @@ def _rref_int(matrix: Sequence[Sequence[int]]) -> tuple[Matrix, list[int]]:
             if i != r and rows[i][c]:
                 f = rows[i][c]
                 new = [a * p - f * b for a, b in zip(rows[i], prow)]
-                g = 0
-                for v in new:
-                    if v:
-                        g = gcd(g, v)
+                g = gcd(*new)
                 rows[i] = [v // g for v in new] if g > 1 else new
         pivots.append(c)
         r += 1
         if r == len(rows):
             break
-    out: Matrix = []
-    for i, row in enumerate(rows):
-        if i < len(pivots):
-            p = row[pivots[i]]
-            out.append([Fraction(v, p) for v in row])
-        else:
-            out.append([Fraction(v) for v in row])
-    return out, pivots
-
-
-def rref(matrix: Sequence[Sequence[Fraction]]) -> tuple[Matrix, list[int]]:
-    """Reduced row echelon form; returns (rref_rows, pivot_columns)."""
-    rows = [list(r) for r in matrix]
-    if not rows:
-        return [], []
-    if all(x.denominator == 1 for r in rows for x in r):
-        return _rref_int(rows)
-    ncols = len(rows[0])
-    pivots: list[int] = []
-    r = 0
-    for c in range(ncols):
-        pivot = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
-        if pivot is None:
-            continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        inv = Fraction(1) / rows[r][c]
-        rows[r] = [x * inv for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(rows):
-            break
-    return rows, pivots
+    # normalize each pivot to 1; the rows below the rank are zero
+    scales = [row[c] for row, c in zip(rows, pivots)] + [1] * (len(rows) - len(pivots))
+    return [[Fraction(v, p) for v in row] for row, p in zip(rows, scales)], pivots
 
 
 def rank(matrix: Sequence[Sequence[Fraction]]) -> int:
     return len(rref(matrix)[1])
 
 
-def solve(matrix: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction]) -> list[Fraction] | None:
-    """One exact solution of A x = rhs, or None if the system is inconsistent.
+def pivot_solution(
+    matrix: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction]
+) -> tuple[list[Fraction], bool]:
+    """The pivot solution of A x = rhs from one reduction of [A | rhs], and
+    whether the system is consistent.
 
-    Underdetermined systems get free variables set to zero, which keeps the
-    output deterministic.
+    Free variables are set to zero, which keeps the output deterministic; an
+    inconsistent system still gets the pivot values of its unknowns.
     """
     rows = [list(r) + [b] for r, b in zip(matrix, rhs)]
     if not rows:
-        return []
+        return [], True
     ncols = len(matrix[0])
     red, pivots = rref(rows)
     x = [Fraction(0)] * ncols
-    for i, c in enumerate(pivots):
-        if c == ncols:  # pivot in the augmented column: inconsistent
-            return None
-        x[c] = red[i][ncols]
-    # rows below the pivots must have zero rhs
-    for i in range(len(pivots), len(red)):
-        if red[i][ncols] != 0:
-            return None
-    return x
+    for row, c in zip(red, pivots):
+        if c < ncols:
+            x[c] = row[ncols]
+    # a pivot in the augmented column is the equation 0 = 1
+    return x, not pivots or pivots[-1] < ncols
+
+
+def solve(matrix: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction]) -> list[Fraction] | None:
+    """One exact solution of A x = rhs (the pivot solution), or None if the
+    system is inconsistent."""
+    x, consistent = pivot_solution(matrix, rhs)
+    return x if consistent else None
 
 
 def add_into(acc: dict[K, Fraction], terms: Mapping[K, Fraction], scale=1) -> dict[K, Fraction]:

@@ -24,7 +24,6 @@ from math import comb, factorial
 from typing import Sequence
 
 from .boundary import (
-    DEFAULT_TARGETS,
     NAMED_CLASSES,
     _parse_expr,
     expand_zm_power,
@@ -123,16 +122,11 @@ class MixedClass:
         return f"MixedClass(g={self.genus}: " + (" + ".join(parts) or "0") + ")"
 
 
-def _word_degree(word: Word) -> int:
-    from .boundary import _word_tag_degree
-
-    return sum(_word_tag_degree(t) for t in word)
-
-
 def _term_key(key: LamWord):
-    """Display order: pure lambda terms first, then words by degree."""
+    """Display order: pure lambda terms first, then words by degree (the
+    first component of word_sort_key)."""
     mono, word = key
-    return (len(word) and 1, _word_degree(word), word_sort_key(word), mono)
+    return (len(word) and 1, word_sort_key(word), mono)
 
 
 def _format_lam(mono: LambdaMonomial) -> str:
@@ -179,7 +173,7 @@ def stratum(g: int, j: int) -> MixedClass:
     if j == 0:
         words: dict[Word, Fraction] = {(): Fraction(n_odd(g))}
     else:
-        words = pushforward_level2(expand_zm_power(g, j), g, DEFAULT_TARGETS[j])
+        words = pushforward_level2(expand_zm_power(g, j), g)
     scalar = Fraction((-1) ** j, 4 ** j)
     terms: dict[LamWord, Fraction] = {}
     for word, wc in words.items():

@@ -25,6 +25,7 @@ from thetasing import (
     verify_identity,
 )
 from thetasing.boundary import (
+    DEFAULT_TARGETS,
     EMPTY,
     BoundaryPoly,
     Identity,
@@ -396,6 +397,28 @@ def test_change_basis_infeasible():
     with pytest.raises(InfeasibleBasisError) as exc:
         change_basis(p, [("sigma2",)], 3)
     assert cfg(2) in exc.value.residual.coeffs
+
+
+def test_change_basis_reduces_once(monkeypatch):
+    # the solution and, on failure, the residual come from one reduction of
+    # the augmented system
+    from thetasing import exactla
+
+    calls = []
+    reduce_rows = exactla.rref
+
+    def counted(matrix):
+        calls.append(len(matrix))
+        return reduce_rows(matrix)
+
+    monkeypatch.setattr(exactla, "rref", counted)
+    out = change_basis(expand_zm_power(3, 2), DEFAULT_TARGETS[2], 3)
+    assert out == {("sigma1", "sigma1"): F(16), ("sigma2",): F(-16)}
+    assert len(calls) == 1
+    calls.clear()
+    with pytest.raises(InfeasibleBasisError):
+        change_basis(BoundaryPoly(2, {cfg(2): F(1)}), [("sigma2",)], 3)
+    assert len(calls) == 1
 
 
 def test_expand_word_empty():

@@ -327,7 +327,7 @@ def test_sampler_refuses_bad_arguments_without_drawing(g, max_size, message):
 
 def _count_by_kernel(g, tup):
     packed = [n.packed for n in tup]
-    return count_from_pattern(g, len(packed), kernel_f2(packed, 2 * g))
+    return count_from_pattern(g, len(packed), kernel_f2(packed))
 
 
 def test_count_vanishing_matches_kernel_route():
@@ -340,7 +340,7 @@ def test_count_vanishing_matches_kernel_route():
         cases += [(g, random_orthogonal_tuple(rng, g)) for _ in range(3000)]
     for g, tup in cases:
         assert count_vanishing(g, tup) == _count_by_kernel(g, tup)
-        branches[bool(kernel_f2([n.packed for n in tup], 2 * g))] += 1
+        branches[bool(kernel_f2([n.packed for n in tup]))] += 1
     assert branches[True] and branches[False]
 
 

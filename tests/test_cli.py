@@ -9,7 +9,7 @@ from importlib import resources
 
 import pytest
 
-from thetasing import cli, exactla, pipeline
+from thetasing import boundary, cli, exactla, pipeline
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
@@ -359,6 +359,38 @@ def test_normalization_override_changes_provenance(capsys):
         os.unlink(path)
 
 
+@pytest.mark.parametrize("mono, fmt, line, published", [
+    ((5, 0, 0, 0, 0), "text", "140 * lam1^5  [conflict]  (published: 141)", None),
+    ((5, 0, 0, 0, 0), "records", "lambda=5,0,0,0,0 word=1 num=140 den=1 prov=conflict",
+     "# published value: 141/1"),
+    ((0, 1, 0, 0, 1), "text", "0 * lam2*lam5  [paper-only]  (published: 141)", None),
+], ids=["text", "records", "paper-only"])
+def test_unreproduced_taut_pin_fails(capsys, monkeypatch, mono, fmt, line, published):
+    # a pinned coefficient the engine does not reproduce is reported with the
+    # published value and fails the command, as in compactified-class
+    pins = dict(pipeline.PUBLISHED_TAUT[("ij-taut", 5)])
+    paper_rows = 3 - (mono in pins)
+    pins[mono] = Fraction(141)
+    monkeypatch.setitem(pipeline.PUBLISHED_TAUT, ("ij-taut", 5), pins)
+    code, out = run(capsys, "--command", "ij-taut", "--format", fmt)
+    assert code == 2
+    lines = out.splitlines()
+    assert line in lines
+    if published is not None:
+        assert lines[lines.index(line) + 1] == published
+    assert sum("published" in l for l in lines) == 1
+    assert sum(l.endswith(("prov=paper", "[paper]")) for l in lines) == paper_rows
+
+
+def test_unreproduced_compactified_pin_fails(capsys, monkeypatch):
+    pins = dict(pipeline.PUBLISHED_COMPACTIFIED[4])
+    pins[((0, 1, 0, 1), ("sigma4",))] = Fraction(7)
+    monkeypatch.setitem(pipeline.PUBLISHED_COMPACTIFIED, 4, pins)
+    code, out = run(capsys, "--command", "compactified-class", "--genus", "4")
+    assert code == 2
+    assert "0 * lam2*lam4*sigma4  [paper-only]  (published: 7)" in out.splitlines()
+
+
 @pytest.mark.parametrize("argv, text, genus", [
     (["--command", "product-taut", "--genus", "4"], "genus=2 value=1/2880 source=t\n", 1),
     (["--command", "ij-taut"],
@@ -435,7 +467,7 @@ def test_rewritten_override_is_read_again(capsys, tmp_path):
      ["thetasing: genus-4 product locus pairing system is inconsistent",
       "  first: [[Fraction(", "  second: [Fraction("]),
     # change_basis: no target word to express the boundary powers in
-    (pipeline, "DEFAULT_TARGETS", {j: () for j in range(1, 6)},
+    (boundary, "DEFAULT_TARGETS", {j: () for j in range(1, 6)},
      ["--command", "compactified-class", "--genus", "3"],
      ["thetasing: not in target span", "  residual: BoundaryPoly(1, "]),
 ], ids=["taut-projection", "product-locus", "change-basis"])

@@ -1,0 +1,72 @@
+"""The names the benchmark harness reaches in thetasing still resolve.
+
+`perfbench/tracer.py` and `perfbench/workloads.py` are read and run as
+plain modules here, never edited.  A renamed or deleted function would
+otherwise surface only in `perfbench/selftest.py`, which takes minutes.
+"""
+
+import ast
+import importlib
+import runpy
+from pathlib import Path
+
+import pytest
+
+from thetasing import boundary, tautring
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+MODULES = ("boundary", "characteristics", "pipeline", "tautring")
+
+
+def _load(name: str) -> dict:
+    # run_path compiles the source without writing bytecode next to it
+    return runpy.run_path(str(PERFBENCH / f"{name}.py"), run_name=f"perfbench_{name}")
+
+
+def _module(name: str):
+    return importlib.import_module(f"thetasing.{name}")
+
+
+def test_tracer_spans_and_cache_metrics_resolve():
+    tracer = _load("tracer")
+    for span in tracer["SPANS"]:
+        module, _, attr = span.partition(".")
+        if attr.startswith("TautRing."):
+            assert callable(vars(tautring.TautRing).get(attr.split(".", 1)[1])), span
+        else:
+            assert callable(getattr(_module(module), attr, None)), span
+    for metric, (cached, kind) in tracer["CACHE_METRICS"].items():
+        assert callable(getattr(cached, "cache_info", None)), metric
+        assert kind in ("hit_ratio", "misses"), metric
+
+
+def test_workload_calls_memo_and_loaders_resolve():
+    workloads = _load("workloads")
+    for name, module, attr, args, kwargs in workloads["Classes"].CALLS:
+        assert callable(getattr(module, attr, None)), name
+    assert callable(getattr(boundary._CONCRETE_MEMO, "clear", None))
+    setup = ast.parse(workloads["_SETUP_CODE"])
+    loaders = [node.func for node in ast.walk(setup)
+               if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)]
+    assert sorted(f"{f.value.id}.{f.attr}" for f in loaders) == [
+        "boundary.load_identities",
+        "pipeline.load_boundary_relations",
+        "tautring.load_normalizations",
+    ]
+    for f in loaders:
+        assert callable(getattr(_module(f.value.id), f.attr, None))
+
+
+@pytest.mark.parametrize("name", ["tracer", "workloads"])
+def test_every_module_attribute_in_the_source_resolves(name):
+    # each `<module>.<name>` written in the file, for the thetasing modules
+    # it imports under their own names
+    tree = ast.parse((PERFBENCH / f"{name}.py").read_text(encoding="utf-8"))
+    seen = set()
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id in MODULES):
+            seen.add((node.value.id, node.attr))
+    assert seen
+    for module, attr in sorted(seen):
+        assert hasattr(_module(module), attr), f"{module}.{attr}"

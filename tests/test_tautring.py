@@ -40,8 +40,8 @@ EXPECTED_DIMS = {
 # --- presentation -------------------------------------------------------------
 
 def test_rref_integer_path_matches_generic():
-    # integer matrices take a fraction-free route; spot-check it against the
-    # Fraction route by scaling one entry to force the generic code
+    # rref scales each row to integers before its one elimination; scaling
+    # every entry by 1/7 leaves the row space, hence the reduced form, alone
     from thetasing.exactla import rref
 
     mat = [[F(2), F(4), F(1)], [F(1), F(-3), F(0)], [F(3), F(1), F(1)]]
