@@ -15,7 +15,7 @@ from __future__ import annotations
 import itertools
 import re
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
 from math import factorial, lcm
 from typing import Iterable, NamedTuple, Sequence
 
@@ -129,17 +129,21 @@ def _partitions(d: int, cap: int | None = None) -> Iterable[tuple[int, ...]]:
 
 
 @lru_cache(maxsize=None)
+def _types_of(exps: tuple[int, ...]) -> frozenset[ConfigType]:
+    """Every configuration type with the given exponents, each once.
+
+    Distinct raw relation spaces can be relabelings of one canonical type,
+    so the set collapses them.
+    """
+    return frozenset(make_type(exps, rows) for rows in _relation_spaces(len(exps)))
+
+
+@lru_cache(maxsize=None)
 def all_types(degree: int) -> tuple[ConfigType, ...]:
     """Every configuration type of the given degree, canonically sorted."""
-    if degree == 0:
-        return (EMPTY,)
     if degree > DEGREE_MAX:
         raise DegreeOverflowError(f"degree {degree} exceeds {DEGREE_MAX}")
-    types = set()
-    for exps in _partitions(degree):
-        for rows in _relation_spaces(len(exps)):
-            types.add(make_type(exps, rows))
-    return tuple(sorted(types))
+    return tuple(sorted(set().union(*map(_types_of, _partitions(degree)))))
 
 
 # --- boundary polynomials ----------------------------------------------------
@@ -191,81 +195,60 @@ class BoundaryPoly:
         return f"BoundaryPoly({self.degree}, {bits})"
 
 
-def _zero(degree: int) -> BoundaryPoly:
-    return BoundaryPoly(degree)
-
-
 # --- named classes -----------------------------------------------------------
 
-def _ones(k: int) -> tuple[int, ...]:
-    return (1,) * k
-
-# Single-orbit named classes: name -> (exponents, relation generator rows).
-_SINGLE: dict[str, tuple[tuple[int, ...], tuple[int, ...]]] = {
-    "Y": ((1, 1, 1, 1), (0b1111,)),
-    "A1": (_ones(5), ()),
-    "A2": (_ones(5), (0b11111,)),
-    "A3": (_ones(5), (0b01111,)),
-    "A4": (_ones(5), (0b00111,)),
-    "A5": (_ones(5), (0b00111, 0b11100)),
-    "B1": ((2, 1, 1, 1), ()),
-    "B2": ((2, 1, 1, 1), (0b1111,)),
-    "B3": ((2, 1, 1, 1), (0b0111,)),
-    "B4": ((2, 1, 1, 1), (0b1110,)),
-    "C1": ((2, 2, 1), ()),
-    "C2": ((2, 2, 1), (0b111,)),
-    "D1": ((3, 1, 1), ()),
-    "D2": ((3, 1, 1), (0b111,)),
-    "E": ((3, 2), ()),
-    "F": ((4, 1), ()),
-    "G": ((5,), ()),
-}
-
-_GROUPS = {
-    "A": ("A1", "A2", "A3", "A4", "A5"),
-    "B": ("B1", "B2", "B3", "B4"),
-    "C": ("C1", "C2"),
-    "D": ("D1", "D2"),
+# Named classes written in the ledger grammar (data/identities.txt), so that
+# _expand_factor is the one expansion of a literal.  sigma<k> is any(1,...,1)
+# and beta<k> is cfg(1,...,1), both built from the name (_named_expr).  A
+# group stays the sum of its members: written as any(...), the ledger line
+# `sigma5 = A` would hold by definition and check nothing.
+_NAMED: dict[str, str] = {
+    "Y": "cfg(1,1,1,1; 1 2 3 4)",
+    "A1": "cfg(1,1,1,1,1)",
+    "A2": "cfg(1,1,1,1,1; 1 2 3 4 5)",
+    "A3": "cfg(1,1,1,1,1; 1 2 3 4)",
+    "A4": "cfg(1,1,1,1,1; 1 2 3)",
+    "A5": "cfg(1,1,1,1,1; 1 2 3 | 3 4 5)",
+    "B1": "cfg(2,1,1,1)",
+    "B2": "cfg(2,1,1,1; 1 2 3 4)",
+    "B3": "cfg(2,1,1,1; 1 2 3)",
+    "B4": "cfg(2,1,1,1; 2 3 4)",
+    "C1": "cfg(2,2,1)",
+    "C2": "cfg(2,2,1; 1 2 3)",
+    "D1": "cfg(3,1,1)",
+    "D2": "cfg(3,1,1; 1 2 3)",
+    "E": "cfg(3,2)",
+    "F": "cfg(4,1)",
+    "G": "cfg(5)",
+    "A": "A1 + A2 + A3 + A4 + A5",
+    "B": "B1 + B2 + B3 + B4",
+    "C": "C1 + C2",
+    "D": "D1 + D2",
 }
 
 NAMED_CLASSES: tuple[str, ...] = tuple(
     [f"sigma{k}" for k in range(1, 6)]
     + [f"beta{k}" for k in range(1, 6)]
-    + list(_SINGLE)
-    + list(_GROUPS)
+    + list(_NAMED)
 )
 
 
-def _named_patterns(name: str) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
-    if name.startswith("sigma"):
-        k = int(name[5:])
-        return [(_ones(k), rows) for rows in _relation_spaces(k)]
-    if name.startswith("beta"):
-        k = int(name[4:])
-        return [(_ones(k), ())]
-    if name in _SINGLE:
-        return [_SINGLE[name]]
-    if name in _GROUPS:
-        return [p for member in _GROUPS[name] for p in _named_patterns(member)]
-    raise KeyError(f"unknown named class {name!r}")
+@lru_cache(maxsize=None)
+def _named_expr(name: str) -> Expr:
+    """A named class as a parsed ledger expression."""
+    m = re.fullmatch(r"(sigma|beta)(\d+)", name)
+    if m:
+        kind = "any" if m.group(1) == "sigma" else "cfg"
+        return _parse_expr(f"{kind}({','.join('1' * int(m.group(2)))})")
+    if name not in _NAMED:
+        raise KeyError(f"unknown named class {name!r}")
+    return _parse_expr(_NAMED[name])
 
 
 @lru_cache(maxsize=None)
 def expand_named(name: str, g: int) -> BoundaryPoly:
     """A named class as a sum of configuration types realizable at genus g."""
-    types: set[ConfigType] = set()
-    degree = None
-    for exps, rows in _named_patterns(name):
-        t = make_type(exps, rows)
-        degree = t.degree if degree is None else degree
-        if t.degree != degree:
-            raise ValueError(f"mixed degrees in named class {name}")
-        # distinct raw relation spaces can be relabelings of one canonical
-        # type; the class contains each type once, so collapse them
-        if t.rank <= g:
-            types.add(t)
-    assert degree is not None
-    return BoundaryPoly(degree, {t: Fraction(1) for t in types})
+    return expand_expr(_named_expr(name), g)
 
 
 # tag order used for sorting multiplicative words in reports
@@ -287,7 +270,7 @@ def word_sort_key(word: tuple[str, ...]) -> tuple:
 
 @lru_cache(maxsize=None)
 def _word_tag_degree(tag: str) -> int:
-    return expand_named(tag, DEGREE_MAX).degree
+    return expr_degree(_named_expr(tag))
 
 
 def normalize_word(word: Iterable[str]) -> tuple[str, ...]:
@@ -392,12 +375,7 @@ def product(p: BoundaryPoly, q: BoundaryPoly, g: int) -> BoundaryPoly:
 @lru_cache(maxsize=None)
 def expand_word(word: tuple[str, ...], g: int) -> BoundaryPoly:
     """Product of named classes as a BoundaryPoly."""
-    if not word:
-        return BoundaryPoly(0, {EMPTY: Fraction(1)})
-    poly = expand_named(word[0], g)
-    for tag in word[1:]:
-        poly = product(poly, expand_named(tag, g), g)
-    return poly
+    return expand_expr(((Fraction(1), tuple(("name", tag) for tag in word)),), g)
 
 
 # --- change of basis and pushforward -----------------------------------------
@@ -636,8 +614,8 @@ def verify_identity(lhs: BoundaryPoly, rhs: BoundaryPoly, g: int) -> VerifyResul
 # --- identity ledger ---------------------------------------------------------
 
 # A factor of a ledger expression: a named class, a cfg(...) single-orbit
-# literal, or any(...) = the sum over all relation patterns with given
-# exponents.
+# literal, or any(...) = the sum of every type with the given exponents,
+# each once.
 Factor = tuple  # ("name", str) | ("cfg", exps, rels) | ("any", exps)
 Term = tuple[Fraction, tuple[Factor, ...]]
 Expr = tuple[Term, ...]
@@ -736,6 +714,8 @@ def parse_identity(line: str) -> Identity:
             for f in factors:
                 if f[0] == "name" and f[1] not in NAMED_CLASSES:
                     raise ValueError(f"unknown class {f[1]!r} in {line!r}")
+        if expr_degree(side) > DEGREE_MAX:
+            raise DegreeOverflowError(f"degree {expr_degree(side)} exceeds {DEGREE_MAX}")
     return Identity(name.strip(), *sides)
 
 
@@ -748,23 +728,17 @@ def load_identities(path: str | None = None) -> list[Identity]:
 
 
 def _expand_factor(f: Factor, g: int) -> BoundaryPoly:
-    kind = f[0]
-    if kind == "name":
+    """A factor as each of its types realizable at genus g, with coefficient 1.
+
+    any(exps) is every type with those exponents; cfg(exps; rels) is its one
+    type, or none when the relations cannot hold among distinct labels.
+    """
+    if f[0] == "name":
         return expand_named(f[1], g)
-    if kind == "cfg":
-        t = make_type(f[1], f[2])
-        if t.rank > g:
-            return _zero(t.degree)
-        return BoundaryPoly(t.degree, {t: Fraction(1)})
-    if kind == "any":
-        exps = f[1]
-        coeffs: dict[ConfigType, Fraction] = {}
-        for rows in _relation_spaces(len(exps)):
-            t = make_type(exps, rows)
-            if t.rank <= g:
-                add_into(coeffs, {t: Fraction(1)})
-        return BoundaryPoly(sum(exps), coeffs)
-    raise ValueError(f"bad factor {f!r}")
+    types = _types_of(f[1])
+    if f[0] == "cfg":
+        types &= {make_type(f[1], f[2])}
+    return BoundaryPoly(sum(f[1]), {t: Fraction(1) for t in types if t.rank <= g})
 
 
 def expr_degree(expr: Expr) -> int:
@@ -784,13 +758,10 @@ def _factor_degree(f: Factor) -> int:
 
 def expand_expr(expr: Expr, g: int) -> BoundaryPoly:
     """Symbolic value of a ledger expression (uses the symbolic product)."""
-    degree = expr_degree(expr)
-    total = _zero(degree)
+    total = BoundaryPoly(expr_degree(expr))
     for coeff, factors in expr:
-        poly = BoundaryPoly(0, {EMPTY: Fraction(1)})
-        for f in factors:
-            poly = product(poly, _expand_factor(f, g), g)
-        total = total + coeff * poly
+        polys = [_expand_factor(f, g) for f in factors] or [BoundaryPoly(0, {EMPTY: Fraction(1)})]
+        total = total + coeff * reduce(lambda p, q: product(p, q, g), polys)
     return total
 
 

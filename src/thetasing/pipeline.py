@@ -33,7 +33,7 @@ from .boundary import (
     word_sort_key,
 )
 from .datafile import parse_lines
-from .exactla import add_into
+from .exactla import add_into, solve
 
 Word = tuple[str, ...]
 from .tautring import (
@@ -288,23 +288,15 @@ def product_locus_taut(g: int, norms: NormTable | None = None) -> TautElement:
         raise ValueError("product locus supported for genus 3..5")
     R = ring(g)
     Rh = ring(g - 1)
-    d = g - 1
-    unknowns = R.basis[d]
-    conditions = R.basis[R.top - d]
     elliptic = normalization(1, norms)
-    matrix: list[list[Fraction]] = []
+    conditions, unknowns, matrix = R.pairing_matrix(R.top - (g - 1), norms)
     rhs: list[Fraction] = []
     for c in conditions:
-        matrix.append(
-            [R.intersection_number({mono_mul(b, c): Fraction(1)}, norms) for b in unknowns]
-        )
         value = Fraction(0)
         for (a, m2), coeff in _restrict_to_product(c, g).items():
             if a == 1:
                 value += coeff * elliptic * Rh.intersection_number({m2: Fraction(1)}, norms)
         rhs.append(value)
-    from .exactla import solve
-
     x = solve(matrix, rhs)
     if x is None:
         raise RouteMismatchError(
@@ -388,7 +380,14 @@ def _parse_rule(line: str) -> RewriteRule:
     lhs_terms = _rule_terms(lhs_text, g)
     if len(lhs_terms) != 1 or lhs_terms[0][0] != 1 or any(lhs_terms[0][1]):
         raise ValueError("rule left side must be a bare word")
-    return RewriteRule(g, lhs_terms[0][2], tuple(_rule_terms(rhs_text, g)))
+    word, rhs = lhs_terms[0][2], tuple(_rule_terms(rhs_text, g))
+    # substitution stops only because every rule lowers the boundary degree
+    degree = word_sort_key(word)[0]
+    for _, _, w in rhs:
+        if word_sort_key(w)[0] >= degree:
+            raise ValueError(
+                f"right side word {'*'.join(w) or '1'} is not of degree below {degree}")
+    return RewriteRule(g, word, rhs)
 
 
 # genus -> its word relations, as read by load_boundary_relations

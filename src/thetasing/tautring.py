@@ -187,12 +187,12 @@ class TautRing:
         return reduced[self.top_mono] * normalization(self.g, norms) / self.top_unit
 
     def pairing_matrix(
-        self, d: int
+        self, d: int, norms: NormTable | None = None
     ) -> tuple[list[LambdaMonomial], list[LambdaMonomial], list[list[Fraction]]]:
         rows = self.basis[d]
         cols = self.basis[self.top - d]
         matrix = [
-            [self.intersection_number({mono_mul(r, c): Fraction(1)}) for c in cols]
+            [self.intersection_number({mono_mul(r, c): Fraction(1)}, norms) for c in cols]
             for r in rows
         ]
         return rows, cols, matrix

@@ -27,11 +27,14 @@ from thetasing import (
 from thetasing.boundary import (
     DEFAULT_TARGETS,
     EMPTY,
+    NAMED_CLASSES,
     BoundaryPoly,
     Identity,
     _orth_sets,
+    _parse_expr,
     _registry,
     convolve,
+    expand_expr,
     instantiate,
     make_type,
     normalize_word,
@@ -199,6 +202,36 @@ def test_named_class_unknown():
         expand_named("Q", 3)
     with pytest.raises(DegreeOverflowError):
         expand_named("sigma7", 3)
+
+
+# sha256 of every named class at genus 1..5 and of the type inventory, recorded
+# before the named classes were written as ledger literals
+NAMED_CLASSES_SHA256 = "6519146a9819e51b61ff8bf8910ec7d48ac8c54d884a6bcd3b1c4f255ce9dd8c"
+ALL_TYPES_SHA256 = "018c987c0fe88067ccffdbc92bfe8c9d62d118b7040188ce2c3d2f6df40acafa"
+
+
+def test_named_classes_are_pinned():
+    text = "".join(f"{n} {g} {expand_named(n, g)!r}\n" for n in NAMED_CLASSES for g in range(1, 6))
+    assert hashlib.sha256(text.encode()).hexdigest() == NAMED_CLASSES_SHA256
+
+
+def test_type_inventory_is_pinned():
+    text = repr([all_types(d) for d in range(6)])
+    assert hashlib.sha256(text.encode()).hexdigest() == ALL_TYPES_SHA256
+
+
+@pytest.mark.parametrize("g", range(1, 6))
+@pytest.mark.parametrize("name, exps", [(f"sigma{k}", "1" + ",1" * (k - 1)) for k in range(1, 6)]
+                         + [("A", "1,1,1,1,1"), ("B", "2,1,1,1"), ("C", "2,2,1"), ("D", "3,1,1")])
+def test_any_literal_counts_each_type_once(name, exps, g):
+    # any(1,1,1,1) used to count a type once per raw relation space reaching it
+    assert expand_expr(_parse_expr(f"any({exps})"), g) == expand_named(name, g)
+
+
+def test_cfg_literal_of_impossible_relation_is_zero():
+    # two distinct labels never sum to zero, so the class is empty
+    assert expand_expr(_parse_expr("cfg(1,1; 1 2)"), 3).is_zero()
+    assert expand_expr(_parse_expr("cfg(1,1,1,1; 1 2 3 | 2 3 4)"), 5).is_zero()
 
 
 # --- products --------------------------------------------------------------------
@@ -484,11 +517,14 @@ def test_bundled_data_parses_to_pinned_values():
 
 
 def test_parse_identity_terms():
-    ident = parse_identity("t: -2^3*sigma1^2*beta3 + cfg(2,1,1; 1 2 3) = 0 - any(2,2)")
+    ident = parse_identity("t: -2^3*sigma1^2*beta3 + cfg(2,2,1; 1 2 3) = 0*G - any(2,2,1)")
     assert ident == Identity("t", (
         (F(-8), (("name", "sigma1"), ("name", "sigma1"), ("name", "beta3"))),
-        (F(1), (("cfg", (2, 1, 1), (0b111,)),)),
-    ), ((F(0), ()), (F(-1), (("any", (2, 2)),))))
+        (F(1), (("cfg", (2, 2, 1), (0b111,)),)),
+    ), ((F(0), (("name", "G"),)), (F(-1), (("any", (2, 2, 1)),))))
+    # a term with no class factor is a bare integer of degree 0
+    assert parse_identity("z: 0 = 2 - 2") == Identity(
+        "z", ((F(0), ()),), ((F(2), ()), (F(-2), ())))
 
 
 @pytest.mark.parametrize("side", [
@@ -517,6 +553,8 @@ def test_malformed_side_is_refused(tmp_path, route, side):
     ("bad: cfg(1,1; 1 2 3) = sigma2", "slot index out of range in 'cfg(1,1; 1 2 3)'"),
     ("bad: cfg(1,1; 0 1) = sigma2", "slot index out of range in 'cfg(1,1; 0 1)'"),
     ("bad sigma1 = sigma1", "expected '<name>: <lhs> = <rhs>'"),
+    ("bad: sigma1 + sigma2 = sigma1 + sigma2", "expression is not homogeneous"),
+    ("big: sigma3*sigma3 = sigma3^2", "degree 6 exceeds 5"),
 ])
 def test_bad_identity_line_is_refused(line, reason):
     with pytest.raises(ValueError) as exc:
@@ -528,6 +566,17 @@ def test_relation_with_unknown_class_is_refused(tmp_path):
     path = tmp_path / "relations.txt"
     path.write_text("genus=2: sigma2 = 6*lam1*sigma9\n")
     with pytest.raises(ValueError, match="sigma9"):
+        load_boundary_relations(str(path))
+
+
+@pytest.mark.parametrize("rule", [
+    "sigma2 = sigma2", "sigma1^2 = sigma2 - lam1*sigma1", "sigma2 = 6*lam1*sigma1^2",
+])
+def test_relation_that_keeps_the_degree_is_refused(tmp_path, rule):
+    # substitution by such a rule never stops
+    path = tmp_path / "relations.txt"
+    path.write_text(f"genus=2: {rule}\n")
+    with pytest.raises(ValueError, match="is not of degree below 2"):
         load_boundary_relations(str(path))
 
 

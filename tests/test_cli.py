@@ -9,7 +9,7 @@ from importlib import resources
 
 import pytest
 
-from thetasing import boundary, cli, exactla, pipeline
+from thetasing import boundary, cli, pipeline
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
@@ -151,6 +151,17 @@ def test_verify_identities_failure_exit_code(capsys):
     assert out.splitlines()[0].startswith("FAIL bogus-double")
 
 
+def test_verify_identities_any_literals(capsys, tmp_path):
+    # any(...) used to count one type several times, failing these true lines
+    path = _write(tmp_path, "s4: sigma4 = any(1,1,1,1)\nb: B = any(2,1,1,1)\n"
+                            "s5: sigma5 = any(1,1,1,1,1)\n")
+    code, out = run(capsys, "--command", "verify-identities", "--genus", "3",
+                    "--data", f"identities={path}")
+    assert code == 0
+    assert [line.split()[:2] for line in out.splitlines()[:3]] == [
+        ["ok", "s4"], ["ok", "b"], ["ok", "s5"]]
+
+
 def test_verify_identities_genus_restriction(capsys):
     with pytest.raises(SystemExit):
         cli.main(["--command", "verify-identities", "--genus", "4"])
@@ -210,6 +221,22 @@ def test_unsupported_genus_exit_status():
     assert proc.returncode == 2
     assert proc.stdout == ""
     assert proc.stderr == "thetasing: ring-info supports --genus 1..5, got 7\n"
+
+
+def test_relation_that_keeps_the_degree_exits_at_once(tmp_path):
+    # substitution by sigma2 = sigma2 used to loop forever
+    path = _write(tmp_path, "genus=2: sigma2 = sigma2\n")
+    proc = subprocess.run(
+        [sys.executable, "-m", "thetasing", "--command", "compactified-class", "--genus", "2",
+         "--data", f"boundary-relations={path}"],
+        capture_output=True, text=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(
+            p for p in (SRC, os.environ.get("PYTHONPATH")) if p)},
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.count("\n") == 1
+    assert proc.stderr.endswith("right side word sigma2 is not of degree below 2\n")
 
 
 def test_byte_stability(capsys):
@@ -462,7 +489,7 @@ def test_rewritten_override_is_read_again(capsys, tmp_path):
      ["--command", "taut-projection", "--genus", "3"],
      ["thetasing: genus-3 projection differs between routes", "  first: {(", "  second: {}"]),
     # product_locus_taut: the pairing system has no solution
-    (exactla, "solve", lambda matrix, rhs: None,
+    (pipeline, "solve", lambda matrix, rhs: None,
      ["--command", "product-taut", "--genus", "4"],
      ["thetasing: genus-4 product locus pairing system is inconsistent",
       "  first: [[Fraction(", "  second: [Fraction("]),

@@ -220,6 +220,13 @@ def test_normalization_path_override():
     assert normalization(1) == F(1, 24)
 
 
+def test_pairing_matrix_uses_given_normalizations():
+    R = ring(3)
+    norms = {3: (3 * normalization(3), "test: three times the bundled value")}
+    rows, cols, matrix = R.pairing_matrix(2)
+    assert R.pairing_matrix(2, norms) == (rows, cols, [[3 * x for x in row] for row in matrix])
+
+
 def test_top_intersection_numbers():
     for g in range(1, 6):
         R = ring(g)
