@@ -236,7 +236,7 @@ NAMED_CLASSES: tuple[str, ...] = tuple(
 @lru_cache(maxsize=None)
 def _named_expr(name: str) -> Expr:
     """A named class as a parsed ledger expression."""
-    m = re.fullmatch(r"(sigma|beta)(\d+)", name)
+    m = re.fullmatch(r"(sigma|beta)([1-9]\d*)", name)
     if m:
         kind = "any" if m.group(1) == "sigma" else "cfg"
         return _parse_expr(f"{kind}({','.join('1' * int(m.group(2)))})")
@@ -599,16 +599,12 @@ class VerifyResult(NamedTuple):
 
 def verify_identity(lhs: BoundaryPoly, rhs: BoundaryPoly, g: int) -> VerifyResult:
     """Compare two boundary polynomials on every concrete monomial at genus g."""
-    if lhs.degree != rhs.degree:
-        raise ValueError("degree mismatch")
-    left = instantiate(lhs, g)
-    right = instantiate(rhs, g)
-    for key in sorted(set(left) | set(right)):
-        a = left.get(key, Fraction(0))
-        b = right.get(key, Fraction(0))
-        if a != b:
-            return VerifyResult(False, (key, a, b))
-    return VerifyResult(True, None)
+    diff = instantiate(lhs - rhs, g)
+    if not diff:
+        return VerifyResult(True, None)
+    key = min(diff)
+    a, b = (instantiate(p, g).get(key, Fraction(0)) for p in (lhs, rhs))
+    return VerifyResult(False, (key, a, b))
 
 
 # --- identity ledger ---------------------------------------------------------
@@ -632,19 +628,16 @@ _TOKEN = re.compile(r"cfg\([^)]*\)|any\([^)]*\)|[A-Za-z_][A-Za-z0-9_]*|\d+|[+\-*
 
 def _parse_factor(tok: str) -> Factor:
     if tok.startswith("cfg("):
-        body = tok[4:-1]
-        if not body.strip():
-            return ("cfg", (), ())
-        if ";" in body:
-            exp_part, rel_part = body.split(";", 1)
-        else:
-            exp_part, rel_part = body, ""
+        exp_part, _, rel_part = tok[4:-1].partition(";")
         exps = _literal_exponents(exp_part, tok)
         rows = []
         for group in rel_part.split("|"):
             idx = [int(x) for x in group.split()]
             if any(not 1 <= i <= len(exps) for i in idx):
                 raise ValueError(f"slot index out of range in {tok!r}")
+            # over F_2 a slot named twice cancels, but the bit sum below would carry
+            if len(set(idx)) != len(idx):
+                raise ValueError(f"repeated slot index in {tok!r}")
             if idx:
                 rows.append(sum(1 << (i - 1) for i in idx))
         return ("cfg", exps, tuple(rows))
@@ -654,7 +647,10 @@ def _parse_factor(tok: str) -> Factor:
 
 
 def _literal_exponents(text: str, tok: str) -> tuple[int, ...]:
-    exps = tuple(int(x) for x in text.replace(" ", "").split(",") if x)
+    fields = [x.strip() for x in text.split(",")] if text.strip() else []  # the unit class
+    if "" in fields:
+        raise ValueError(f"empty exponent field in {tok!r}")
+    exps = tuple(map(int, fields))
     if any(e <= 0 for e in exps):
         raise ValueError(f"exponents must be positive in {tok!r}")
     return exps
@@ -714,8 +710,10 @@ def parse_identity(line: str) -> Identity:
             for f in factors:
                 if f[0] == "name" and f[1] not in NAMED_CLASSES:
                     raise ValueError(f"unknown class {f[1]!r} in {line!r}")
-        if expr_degree(side) > DEGREE_MAX:
-            raise DegreeOverflowError(f"degree {expr_degree(side)} exceeds {DEGREE_MAX}")
+    # both sides share one degree; a side of zero terms fits any
+    degree = expr_degree(sides[0] + sides[1])
+    if degree > DEGREE_MAX:
+        raise DegreeOverflowError(f"degree {degree} exceeds {DEGREE_MAX}")
     return Identity(name.strip(), *sides)
 
 
@@ -742,12 +740,11 @@ def _expand_factor(f: Factor, g: int) -> BoundaryPoly:
 
 
 def expr_degree(expr: Expr) -> int:
-    degs = set()
-    for _, factors in expr:
-        degs.add(sum(_factor_degree(f) for f in factors))
-    if len(degs) != 1:
+    """Degree of the terms with a nonzero coefficient; 0 when there are none."""
+    degs = {sum(map(_factor_degree, factors)) for coeff, factors in expr if coeff}
+    if len(degs) > 1:
         raise ValueError(f"expression is not homogeneous: degrees {degs}")
-    return degs.pop()
+    return degs.pop() if degs else 0
 
 
 def _factor_degree(f: Factor) -> int:
@@ -760,17 +757,19 @@ def expand_expr(expr: Expr, g: int) -> BoundaryPoly:
     """Symbolic value of a ledger expression (uses the symbolic product)."""
     total = BoundaryPoly(expr_degree(expr))
     for coeff, factors in expr:
+        if not coeff:
+            continue
         polys = [_expand_factor(f, g) for f in factors] or [BoundaryPoly(0, {EMPTY: Fraction(1)})]
         total = total + coeff * reduce(lambda p, q: product(p, q, g), polys)
     return total
 
 
-# A concrete value (den, nums) is the dictionary {key: nums[key] / den}: one
-# positive denominator over integer numerators, so convolution stays in ints.
+# A concrete value (den, nums) is {key: nums[key] / den}, nums integers; as
+# every factor expands with coefficient 1, only term coefficients bring a den.
 ConcreteValue = tuple[int, dict[MonomialKey, int]]
 
-# memo for concrete factor-chain products, keyed per genus
-_CONCRETE_MEMO: dict[tuple[int, tuple[Factor, ...]], ConcreteValue] = {}
+# memo for concrete factor-chain products (integer dictionaries), keyed per genus
+_CONCRETE_MEMO: dict[tuple[int, tuple[Factor, ...]], dict[MonomialKey, int]] = {}
 
 
 def concrete_expr(expr: Expr, g: int) -> ConcreteValue:
@@ -778,33 +777,28 @@ def concrete_expr(expr: Expr, g: int) -> ConcreteValue:
 
     Products are evaluated monomial-by-monomial, independently of the
     symbolic product(), so ledger checks genuinely anchor the latter.  The
-    terms are combined over one common denominator.
+    terms are combined over the lcm of their coefficients' denominators.
     """
-    values = [(coeff, _concrete_chain(tuple(sorted(factors)), g)) for coeff, factors in expr]
-    den = lcm(*(coeff.denominator * d for coeff, (d, _) in values))
+    den = lcm(*(coeff.denominator for coeff, _ in expr))
     out: dict[MonomialKey, int] = {}
-    for coeff, (d, nums) in values:
-        add_into(out, nums, coeff.numerator * (den // (coeff.denominator * d)))
+    for coeff, factors in expr:
+        if coeff:
+            chain = _concrete_chain(tuple(sorted(factors)), g)
+            add_into(out, chain, coeff.numerator * (den // coeff.denominator))
     return den, out
 
 
-def _concrete_chain(chain: tuple[Factor, ...], g: int) -> ConcreteValue:
+def _concrete_chain(chain: tuple[Factor, ...], g: int) -> dict[MonomialKey, int]:
     if not chain:
-        return 1, {(): 1}
+        return {(): 1}
     memo_key = (g, chain)
     cached = _CONCRETE_MEMO.get(memo_key)
     if cached is not None:
         return cached
     if len(chain) == 1:
-        poly = _expand_factor(chain[0], g)
-        den = lcm(*(c.denominator for c in poly.coeffs.values()))
-        nums = {key: c.numerator * (den // c.denominator)
-                for key, c in instantiate(poly, g).items()}
-        val = den, nums
+        val = dict.fromkeys(instantiate(_expand_factor(chain[0], g), g), 1)
     else:
-        den1, nums1 = _concrete_chain(chain[:-1], g)
-        den2, nums2 = _concrete_chain(chain[-1:], g)
-        val = den1 * den2, convolve(nums1, nums2, g)
+        val = convolve(_concrete_chain(chain[:-1], g), _concrete_chain(chain[-1:], g), g)
     _CONCRETE_MEMO[memo_key] = val
     return val
 
@@ -814,19 +808,19 @@ class IdentityReport(NamedTuple):
     concrete_ok: bool
     symbolic_ok: bool
     counterexample: tuple | None
+    residual: BoundaryPoly
 
 
 def check_identity(identity: Identity, g: int) -> IdentityReport:
-    """Verify one ledger identity concretely and symbolically at genus g."""
-    den_l, left = concrete_expr(identity.lhs, g)
-    den_r, right = concrete_expr(identity.rhs, g)
-    # left[key] / den_l == right[key] / den_r, compared by cross-multiplication
-    differ = [key for key in left.keys() | right.keys()
-              if left.get(key, 0) * den_r != right.get(key, 0) * den_l]
-    concrete_ok = not differ
+    """Verify one ledger identity at genus g: lhs - rhs is zero, concretely
+    and symbolically.  A counterexample is its least nonzero monomial."""
+    diff = identity.lhs + tuple((-c, factors) for c, factors in identity.rhs)
+    _, nums = concrete_expr(diff, g)
     counter = None
-    if differ:
-        key = min(differ)
+    if nums:
+        key = min(nums)
+        den_l, left = concrete_expr(identity.lhs, g)
+        den_r, right = concrete_expr(identity.rhs, g)
         counter = (key, Fraction(left.get(key, 0), den_l), Fraction(right.get(key, 0), den_r))
-    symbolic_ok = expand_expr(identity.lhs, g) == expand_expr(identity.rhs, g)
-    return IdentityReport(identity.name, concrete_ok, symbolic_ok, counter)
+    residual = expand_expr(diff, g)
+    return IdentityReport(identity.name, not nums, residual.is_zero(), counter, residual)

@@ -167,6 +167,8 @@ def _cmd_verify_identities(args, identities, out) -> int:
         )
         if report.counterexample is not None:
             out.write(f"#   first difference: {report.counterexample}\n")
+        if not report.symbolic_ok:
+            out.write(f"#   symbolic residual: {report.residual!r}\n")
     out.write(f"# checked {len(identities)} identities at genus {g}\n")
     return 2 if failures else 0
 

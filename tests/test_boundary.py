@@ -198,10 +198,19 @@ def test_named_class_realizability_filter():
 
 
 def test_named_class_unknown():
-    with pytest.raises(KeyError):
-        expand_named("Q", 3)
+    # sigma0 would be the unit class and sigma01 a second spelling of sigma1
+    for name in ("Q", "sigma0", "beta0", "sigma01", "beta05"):
+        with pytest.raises(KeyError):
+            expand_named(name, 3)
     with pytest.raises(DegreeOverflowError):
         expand_named("sigma7", 3)
+
+
+def test_named_classes_expand_with_coefficient_one():
+    # the concrete factor chains carry no denominator because of this
+    for name in NAMED_CLASSES:
+        for g in range(1, 6):
+            assert set(expand_named(name, g).coeffs.values()) <= {F(1)}, (name, g)
 
 
 # sha256 of every named class at genus 1..5 and of the type inventory, recorded
@@ -363,6 +372,38 @@ def test_check_identity_fractional_coefficients_genus3():
     report = check_identity(Identity("thirds", lhs, wrong), g)
     assert not report.concrete_ok
     assert report.counterexample == (((1, 2),), F(1, 2), F(1, 3))
+
+
+def test_check_identity_of_a_zero_difference():
+    # a side of zero terms fits any degree; the symbolic side used to compare
+    # BoundaryPoly(1, 0) with BoundaryPoly(0, 0) and fail
+    report = check_identity(parse_identity("x: sigma1 - sigma1 = 0"), 3)
+    assert report.concrete_ok and report.symbolic_ok and report.counterexample is None
+    assert report.residual == BoundaryPoly(1)
+
+
+def test_check_identity_expands_the_difference_once(monkeypatch):
+    import thetasing.boundary as boundary
+
+    calls = {"concrete_expr": 0, "expand_expr": 0}
+    for name in calls:
+        def counted(*args, _inner=getattr(boundary, name), _name=name):
+            calls[_name] += 1
+            return _inner(*args)
+        monkeypatch.setattr(boundary, name, counted)
+    # literals only, so no named class expands through expand_expr
+    report = check_identity(parse_identity("sq: any(1)^2 = cfg(2) + 2*any(1,1)"), 3)
+    assert report.concrete_ok and report.symbolic_ok
+    assert calls == {"concrete_expr": 1, "expand_expr": 1}
+
+
+def test_check_identity_residual_is_the_symbolic_difference():
+    g = 3
+    ident = parse_identity("wrong: sigma1*sigma2 = 3*sigma3 + beta3")
+    report = check_identity(ident, g)
+    assert not report.concrete_ok and not report.symbolic_ok
+    assert report.residual == expand_expr(ident.lhs, g) - expand_expr(ident.rhs, g)
+    assert not report.residual.is_zero()
 
 
 # --- structural expansion of powers ----------------------------------------------
@@ -555,11 +596,25 @@ def test_malformed_side_is_refused(tmp_path, route, side):
     ("bad sigma1 = sigma1", "expected '<name>: <lhs> = <rhs>'"),
     ("bad: sigma1 + sigma2 = sigma1 + sigma2", "expression is not homogeneous"),
     ("big: sigma3*sigma3 = sigma3^2", "degree 6 exceeds 5"),
+    ("y: sigma1 = sigma2", "expression is not homogeneous: degrees {1, 2}"),
+    # a slot named twice used to carry into the next slot's bit
+    ("t: cfg(1,1,1; 1 1 2) = sigma3", "repeated slot index in 'cfg(1,1,1; 1 1 2)'"),
+    ("t: cfg(1,1,1,1; 1 1 2 3 4) = beta4",
+     "repeated slot index in 'cfg(1,1,1,1; 1 1 2 3 4)'"),
+    # an empty field used to be skipped
+    ("t: any(1,,1) = sigma2", "empty exponent field in 'any(1,,1)'"),
+    ("t: cfg(,2) = cfg(2)", "empty exponent field in 'cfg(,2)'"),
 ])
 def test_bad_identity_line_is_refused(line, reason):
     with pytest.raises(ValueError) as exc:
         parse_identity(line)
     assert reason in str(exc.value)
+
+
+def test_empty_literal_is_the_unit_class():
+    unit = (F(1), (("cfg", (), ()),)), (F(-1), (("any", ()),))
+    assert parse_identity("u: cfg() - any() = 0") == Identity("u", unit, ((F(0), ()),))
+    assert expand_expr(_parse_expr("cfg()"), 3) == expand_word((), 3)
 
 
 def test_relation_with_unknown_class_is_refused(tmp_path):

@@ -162,6 +162,26 @@ def test_verify_identities_any_literals(capsys, tmp_path):
         ["ok", "s4"], ["ok", "b"], ["ok", "s5"]]
 
 
+def test_verify_identities_zero_difference_holds(capsys, tmp_path):
+    path = _write(tmp_path, "x: sigma1 - sigma1 = 0\n")
+    code, out = run(capsys, "--command", "verify-identities", "--genus", "2",
+                    "--data", f"identities={path}")
+    assert code == 0
+    assert out.splitlines()[0] == "ok x concrete=True symbolic=True"
+
+
+def test_verify_identities_prints_symbolic_residual(capsys, tmp_path):
+    path = _write(tmp_path, "w: sigma1^2 = 2*sigma2\n")
+    code, out = run(capsys, "--command", "verify-identities", "--genus", "3",
+                    "--data", f"identities={path}")
+    assert code == 2
+    assert out.splitlines()[:3] == [
+        "FAIL w concrete=False symbolic=False",
+        "#   first difference: (((1, 2),), Fraction(1, 1), Fraction(0, 1))",
+        "#   symbolic residual: BoundaryPoly(2, 1*cfg(2))",
+    ]
+
+
 def test_verify_identities_genus_restriction(capsys):
     with pytest.raises(SystemExit):
         cli.main(["--command", "verify-identities", "--genus", "4"])
@@ -301,6 +321,17 @@ def _write(tmp_path, text):
     # a ledger with no identity would check nothing and pass
     ("identities", ["--command", "verify-identities", "--genus", "2"],
      "# only comments\n\n", "no identity in the file"),
+    # sides of different degree, a slot named twice, an empty exponent field
+    ("identities", ["--command", "verify-identities", "--genus", "3"],
+     "y: sigma1 = sigma2\n", "line 1 'y: sigma1 = sigma2'"),
+    ("identities", ["--command", "verify-identities", "--genus", "3"],
+     "t: cfg(1,1,1,1; 1 1 2 3 4) = beta4\n", "repeated slot index"),
+    ("identities", ["--command", "verify-identities", "--genus", "3"],
+     "t: cfg(1,1,1; 1 1 2) = sigma3\n", "repeated slot index"),
+    ("identities", ["--command", "verify-identities", "--genus", "3"],
+     "t: any(1,,1) = sigma2\n", "empty exponent field"),
+    ("identities", ["--command", "verify-identities", "--genus", "3"],
+     "t: cfg(,2) = cfg(2)\n", "empty exponent field"),
 ])
 def test_bad_data_file_fails_before_output(capsys, tmp_path, kind, argv, text, reason):
     path = str(tmp_path / "missing.txt") if text is None else _write(tmp_path, text)
