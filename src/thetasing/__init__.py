@@ -23,13 +23,11 @@ from .boundary import (
     n_odd,
     product,
     pushforward_level2,
-    verify_identity,
 )
 from .characteristics import (
     BoundaryLabel,
     Characteristic,
     NonOrthogonalError,
-    UncertifiedPatternError,
     brute_force_count,
     count_vanishing,
     enumerate_labels,

@@ -7,8 +7,8 @@ labels.  A ConfigType is the canonical form of that data; the class of all
 monomials of one type, each counted once, is the basic symbol everything
 else expands into.
 
-Degrees are capped at 5: the relation-pattern inventory, the certified
-counting rules, and the ledger identities are only established up to there.
+Degrees are capped at 5: the relation-pattern inventory and the ledger
+identities are only established up to there.
 """
 from __future__ import annotations
 
@@ -48,8 +48,6 @@ __all__ = [
     "product",
     "pushforward_level2",
     "change_basis",
-    "verify_identity",
-    "VerifyResult",
     "Identity",
     "load_identities",
     "check_identity",
@@ -63,7 +61,7 @@ DEGREE_MAX = 5
 
 
 class DegreeOverflowError(ValueError):
-    """Boundary degree beyond the certified range."""
+    """Boundary degree beyond DEGREE_MAX."""
 
 
 # --- configuration types -----------------------------------------------------
@@ -290,17 +288,13 @@ def expand_zm_power(g: int, j: int) -> BoundaryPoly:
     """Sum over odd m of (sum of delta_n over the distinguished set)^j.
 
     Each configuration type appears with coefficient multinomial(j; exps)
-    times the certified count of odd m compatible with one (any) monomial of
+    times the lemma's count of odd m compatible with one (any) monomial of
     that type; the count is tuple-independent.
     """
     if not 0 <= j <= DEGREE_MAX:
         raise DegreeOverflowError(f"power {j} outside 0..{DEGREE_MAX}")
-    if j == 0:
-        return BoundaryPoly(0, {EMPTY: Fraction(n_odd(g))})
     coeffs: dict[ConfigType, Fraction] = {}
     for t in all_types(j):
-        if t.rank > g:
-            continue
         cnt = count_from_pattern(g, t.nslots, t.rels)
         if cnt:
             coeffs[t] = Fraction(_multinomial(j, t.exps) * cnt)
@@ -592,21 +586,6 @@ def _bit_positions(bits: int) -> list[int]:
     return out
 
 
-class VerifyResult(NamedTuple):
-    ok: bool
-    counterexample: tuple[MonomialKey, Fraction, Fraction] | None
-
-
-def verify_identity(lhs: BoundaryPoly, rhs: BoundaryPoly, g: int) -> VerifyResult:
-    """Compare two boundary polynomials on every concrete monomial at genus g."""
-    diff = instantiate(lhs - rhs, g)
-    if not diff:
-        return VerifyResult(True, None)
-    key = min(diff)
-    a, b = (instantiate(p, g).get(key, Fraction(0)) for p in (lhs, rhs))
-    return VerifyResult(False, (key, a, b))
-
-
 # --- identity ledger ---------------------------------------------------------
 
 # A factor of a ledger expression: a named class, a cfg(...) single-orbit
@@ -631,15 +610,17 @@ def _parse_factor(tok: str) -> Factor:
         exp_part, _, rel_part = tok[4:-1].partition(";")
         exps = _literal_exponents(exp_part, tok)
         rows = []
-        for group in rel_part.split("|"):
+        # "cfg(e;)" has no relation; otherwise every group names a slot
+        for group in rel_part.split("|") if rel_part.strip() else ():
             idx = [int(x) for x in group.split()]
+            if not idx:
+                raise ValueError(f"empty relation group in {tok!r}")
             if any(not 1 <= i <= len(exps) for i in idx):
                 raise ValueError(f"slot index out of range in {tok!r}")
             # over F_2 a slot named twice cancels, but the bit sum below would carry
             if len(set(idx)) != len(idx):
                 raise ValueError(f"repeated slot index in {tok!r}")
-            if idx:
-                rows.append(sum(1 << (i - 1) for i in idx))
+            rows.append(sum(1 << (i - 1) for i in idx))
         return ("cfg", exps, tuple(rows))
     if tok.startswith("any("):
         return ("any", _literal_exponents(tok[4:-1], tok))

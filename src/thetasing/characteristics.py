@@ -26,13 +26,12 @@ from functools import lru_cache
 from random import Random
 from typing import Iterable, Iterator, Sequence
 
-from .bits import kernel_f2, parity as bit_parity, rref_f2, span_f2
+from .bits import parity as bit_parity, rref_f2
 
 __all__ = [
     "Characteristic",
     "BoundaryLabel",
     "NonOrthogonalError",
-    "UncertifiedPatternError",
     "parity",
     "n_odd",
     "symplectic_form",
@@ -44,7 +43,6 @@ __all__ = [
     "brute_force_count",
     "orthogonal_tuples",
     "random_orthogonal_tuple",
-    "CERTIFIED_PATTERNS",
     "ConfigType",
     "EMPTY",
     "make_type",
@@ -55,10 +53,6 @@ BRUTE_FORCE_GENUS_MAX = 5
 
 class NonOrthogonalError(ValueError):
     """A label tuple contains a pair with nonzero symplectic pairing."""
-
-
-class UncertifiedPatternError(ValueError):
-    """The relation pattern of a label tuple has no certified count."""
 
 
 @dataclass(frozen=True, slots=True, order=True)
@@ -186,7 +180,7 @@ def z_set(m: Characteristic) -> frozenset[BoundaryLabel]:
     )
 
 
-# --- relation patterns and certified counts ---------------------------------
+# --- relation patterns and the parity count ----------------------------------
 
 @dataclass(frozen=True, slots=True, order=True)
 class ConfigType:
@@ -273,53 +267,48 @@ def make_type(exps: Sequence[int], rels: Iterable[int]) -> ConfigType:
 
 EMPTY = ConfigType((), ())
 
-# Relation patterns of k labels with a certified count, as types of k
-# exponent-1 slots: four labels summing to zero, and a weight-4 relation
-# plus a free slot.
-CERTIFIED_PATTERNS = frozenset({
-    make_type((1,) * 4, [0b1111]),
-    make_type((1,) * 5, [0b11110]),
-})
-_CERTIFIED_SLOTS_MAX = max(t.nslots for t in CERTIFIED_PATTERNS)
-
 
 def count_from_pattern(g: int, k: int, rels: Sequence[int]) -> int:
     """Number of odd m with every slot label in its distinguished set.
 
-    ``rels`` is an F_2-basis of the relation space of the k labels.  The
-    count is zero when some relation has odd weight; independent tuples and
-    certified even-relation patterns count 2^(2g-1-rank).  Anything else is
-    refused rather than guessed.
+    ``rels`` is any F_2-basis of the relation space of the k labels; the
+    count is the one proved in count_vanishing.  It is zero when a relation
+    has odd weight (the weight parity is linear, so testing the basis rows
+    suffices) and when the rank exceeds g, which no pairwise-orthogonal
+    labels reach.
     """
-    return _count_for_kernel(g, k, rref_f2(rels))
-
-
-@lru_cache(maxsize=None)
-def _count_for_kernel(g: int, k: int, kernel: tuple[int, ...]) -> int:
-    """count_from_pattern on an RREF relation basis.  A refusal raises on
-    every call: lru_cache stores results, never exceptions."""
     if k == 0:
         return n_odd(g)
-    if any(v.bit_count() & 1 for v in span_f2(kernel) if v):
+    if any(r.bit_count() & 1 for r in rels):
         return 0
-    # refuse beyond the certified slot count before canonicalizing, which
-    # tries every slot permutation
-    if kernel and (k > _CERTIFIED_SLOTS_MAX
-                   or make_type((1,) * k, kernel) not in CERTIFIED_PATTERNS):
-        raise UncertifiedPatternError(
-            f"no certified counting rule for pattern k={k}, relations={kernel}"
-        )
-    rank = k - len(kernel)
+    rank = k - len(rref_f2(rels))
     if rank > g:
-        return 0  # not realizable by pairwise-orthogonal labels at this genus
+        return 0
     return 1 << (2 * g - 1 - rank)
 
 
 def count_vanishing(g: int, labels: Sequence[BoundaryLabel]) -> int:
     """Count odd m whose distinguished set contains every given label.
 
-    Requires the labels to be distinct and pairwise orthogonal.  Served from
-    the certified pattern table; see count_from_pattern.
+    Requires the labels to be distinct and pairwise orthogonal.  The count
+    is 0 when some relation among the labels has odd weight, and otherwise
+    2^(2g-1-r), r the rank of their span W (n_odd(g) for no labels).
+
+    Proof.  Write q(x) = alpha . beta, so q(m + n) = q(m) + q(n) + <m, n>.
+    For odd m, q(m) = 1, hence n lies in Z_m exactly when <m, n> = 1 + q(n).
+    On a relation sum_S n_i = 0 the left sides sum to <m, 0> = 0, and
+    orthogonality gives sum_S q(n_i) = q(sum_S n_i) = 0, so the right sides
+    sum to |S|: the conditions are consistent exactly when every relation
+    has even weight.  Then, the form being nondegenerate, their solutions
+    form a coset of W^perp with 2^(2g-r) elements.  W is isotropic, so n_1
+    lies in W^perp, and q(m + n_1) = q(m) + q(n_1) + 1 + q(n_1) = q(m) + 1:
+    translating by n_1 pairs the odd solutions with the even ones, and half
+    are odd.
+
+    Each label enters the echelon as a << 1 | 1, so a row's low bit is the
+    parity of the number of labels it sums.  A label that reduces to the
+    bare 1 closes an odd relation; the ones that reduce to 0 close even
+    relations and together span the relation space.
     """
     packed = []
     for n in labels:
@@ -329,24 +318,24 @@ def count_vanishing(g: int, labels: Sequence[BoundaryLabel]) -> int:
     if len(set(packed)) != len(packed):
         raise ValueError("labels must be distinct")
     echelon: list[int] = []  # distinct leading bits, descending
-    dependent = False
+    odd_relation = False
     for i, a in enumerate(packed):
         ja = _swap_halves(a, g)
         for b in packed[i + 1:]:
             if (ja & b).bit_count() & 1:
                 raise NonOrthogonalError("labels must be pairwise orthogonal")
+        a = a << 1 | 1
         for e in echelon:
             if a ^ e < a:  # a has the leading bit of e
                 a ^= e
-        if a:
+        if a == 1:
+            odd_relation = True
+        elif a:
             echelon.append(a)
             echelon.sort(reverse=True)
-        else:
-            dependent = True
-    if not dependent:  # no relation: skip the kernel
-        return _count_for_kernel(g, len(packed), ())
-    # kernel_f2 returns the RREF basis that count_from_pattern would compute
-    return _count_for_kernel(g, len(packed), kernel_f2(packed))
+    if not packed:
+        return n_odd(g)
+    return 0 if odd_relation else 1 << (2 * g - 1 - len(echelon))
 
 
 # --- brute-force oracle ------------------------------------------------------

@@ -22,7 +22,6 @@ from thetasing import (
     n_odd,
     product,
     pushforward_level2,
-    verify_identity,
 )
 from thetasing.boundary import (
     DEFAULT_TARGETS,
@@ -502,20 +501,16 @@ def test_expand_word_empty():
 # --- identity verification ---------------------------------------------------------
 
 def test_verify_identity_catches_mismatch():
-    g = 2
-    lhs = expand_named("sigma2", g)
-    rhs = 2 * expand_named("sigma2", g)
-    result = verify_identity(lhs, rhs, g)
-    assert not result.ok
-    key, a, b = result.counterexample
+    report = check_identity(parse_identity("x: sigma2 = 2*sigma2"), 2)
+    assert not report.concrete_ok and not report.symbolic_ok
+    key, a, b = report.counterexample
     assert a == 1 and b == 2 and len(key) == 2
 
 
 def test_verify_identity_accepts_equal():
-    g = 2
-    lhs = product(expand_named("sigma1", g), expand_named("sigma1", g), g)
-    rhs = BoundaryPoly(2, {cfg(2): F(1), cfg(1, 1): F(2)})
-    assert verify_identity(lhs, rhs, g).ok
+    report = check_identity(parse_identity("x: sigma1^2 = cfg(2) + 2*cfg(1,1)"), 2)
+    assert report.concrete_ok and report.symbolic_ok
+    assert report.counterexample is None
 
 
 def test_ledger_parses_and_holds_symbolically():
@@ -563,6 +558,9 @@ def test_parse_identity_terms():
         (F(-8), (("name", "sigma1"), ("name", "sigma1"), ("name", "beta3"))),
         (F(1), (("cfg", (2, 2, 1), (0b111,)),)),
     ), ((F(0), (("name", "G"),)), (F(-1), (("any", (2, 2, 1)),))))
+    # cfg(e;) has no relation
+    assert parse_identity("n: cfg(1,1,1;) = cfg(1,1,1)") == Identity(
+        "n", ((F(1), (("cfg", (1, 1, 1), ()),)),), ((F(1), (("cfg", (1, 1, 1), ()),)),))
     # a term with no class factor is a bare integer of degree 0
     assert parse_identity("z: 0 = 2 - 2") == Identity(
         "z", ((F(0), ()),), ((F(2), ()), (F(-2), ())))
@@ -604,6 +602,13 @@ def test_malformed_side_is_refused(tmp_path, route, side):
     # an empty field used to be skipped
     ("t: any(1,,1) = sigma2", "empty exponent field in 'any(1,,1)'"),
     ("t: cfg(,2) = cfg(2)", "empty exponent field in 'cfg(,2)'"),
+    # and so was an empty relation group; only cfg(e;) means no relation
+    ("b: cfg(1,1,1; | 1 2 3) = cfg(1,1,1; 1 2 3)",
+     "empty relation group in 'cfg(1,1,1; | 1 2 3)'"),
+    ("b: cfg(1,1,1; 1 2 3 |) = cfg(1,1,1; 1 2 3)",
+     "empty relation group in 'cfg(1,1,1; 1 2 3 |)'"),
+    ("b: cfg(1,1,1; 1 2 | | 2 3) = sigma3", "empty relation group in 'cfg(1,1,1; 1 2 | | 2 3)'"),
+    ("b: cfg(1,1,1; |) = sigma3", "empty relation group in 'cfg(1,1,1; |)'"),
 ])
 def test_bad_identity_line_is_refused(line, reason):
     with pytest.raises(ValueError) as exc:

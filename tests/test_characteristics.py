@@ -12,7 +12,6 @@ from thetasing import (
     BoundaryLabel,
     Characteristic,
     NonOrthogonalError,
-    UncertifiedPatternError,
     brute_force_count,
     count_vanishing,
     enumerate_labels,
@@ -20,9 +19,8 @@ from thetasing import (
     symplectic_form,
     z_set,
 )
-from thetasing.bits import kernel_f2
+from thetasing.bits import kernel_f2, rref_f2
 from thetasing.characteristics import (
-    CERTIFIED_PATTERNS,
     _form_packed,
     _labels,
     _sigma_packed,
@@ -161,7 +159,7 @@ def test_count_examples_genus2():
 
 
 def test_count_weight_four_relation():
-    # four labels with sum zero: certified, count 2^(2g-1-3)
+    # four labels with sum zero: an even relation, count 2^(2g-1-3)
     g = 3
     quad = [label(g, p) for p in (0b000001, 0b000010, 0b000100, 0b000111)]
     assert count_vanishing(g, quad) == 1 << (2 * g - 4)
@@ -183,38 +181,43 @@ def test_count_rejects_bad_input():
         count_vanishing(3, [label(2, 0b0001)])
 
 
+# six labels in a Lagrangian with two independent weight-4 relations, the
+# relation space spanned by 0b001111 and 0b111100
+SIX_LABELS_GENUS4 = (1, 2, 4, 1 ^ 2 ^ 4, 8, 1 ^ 2 ^ 8)
+
+
 def test_uncertified_pattern_is_refused():
-    # six labels in a Lagrangian with two independent weight-4 relations:
-    # realizable, even relation space, but not in the certified table.
+    # an even relation space on more than 5 labels is counted, not refused
     g = 4
-    packs = [1, 2, 4, 1 ^ 2 ^ 4, 8, 1 ^ 2 ^ 8]
-    labels = [label(g, p) for p in packs]
+    labels = [label(g, p) for p in SIX_LABELS_GENUS4]
     for a, b in itertools.combinations(labels, 2):
         assert symplectic_form(a, b) == 0
-    # twice: the memo of the counting rule must not turn a refusal into a count
     for _ in range(2):
-        with pytest.raises(UncertifiedPatternError):
-            count_vanishing(g, labels)
-    # the oracle still knows the true count; refusal is conservative, not wrong
-    assert brute_force_count(g, labels) >= 0
+        assert count_vanishing(g, labels) == brute_force_count(g, labels) == 8
 
 
 def test_certified_patterns_are_types():
-    assert CERTIFIED_PATTERNS == {
-        make_type((1,) * 4, [0b1111]),
-        make_type((1,) * 5, [0b01111]),  # any slot may be the free one
-    }
+    # the weight-4 patterns on 4 and 5 slots (any slot may be the free one):
+    # at a representative in the delta half, a Lagrangian, the labels have
+    # exactly that type, and the count from the type equals the oracle's
+    for packs, t in [
+        ((1, 2, 4, 7), make_type((1,) * 4, [0b1111])),
+        ((1, 2, 4, 7, 8), make_type((1,) * 5, [0b01111])),
+    ]:
+        assert make_type((1,) * len(packs), kernel_f2(packs)) == t
+        for g in range(4, 6):
+            labels = [label(g, p) for p in packs]
+            assert count_from_pattern(g, t.nslots, t.rels) == brute_force_count(g, labels)
 
 
 @pytest.mark.parametrize("k", [6, 7, 8, 9])
 def test_wide_kernel_refused_fast(k):
-    # an even relation on more slots than any certified pattern is refused
-    # without trying the k! slot permutations, on every call
+    # an even relation space on k slots is counted without trying the k!
+    # slot permutations, on every call
     rels = [0b1111, 0b1111 << (k - 4)]
     start = time.perf_counter()
     for _ in range(2):
-        with pytest.raises(UncertifiedPatternError):
-            count_from_pattern(8, k, rels)
+        assert count_from_pattern(8, k, rels) == 1 << (15 - (k - 2))
     assert time.perf_counter() - start < 0.5
 
 
@@ -228,8 +231,10 @@ def test_count_from_pattern_takes_any_basis():
     assert count_from_pattern(3, 4, [0b1111]) == 1 << 2
     assert count_from_pattern(3, 4, (0b1111, 0b1111)) == 1 << 2
     assert count_from_pattern(3, 4, [0b0111]) == 0  # odd-weight relation
-    with pytest.raises(UncertifiedPatternError):
-        count_from_pattern(4, 6, [0b001111, 0b111100])
+    rels = [0b001111, 0b111100]
+    assert kernel_f2(SIX_LABELS_GENUS4) == rref_f2(rels)
+    labels = [label(4, p) for p in SIX_LABELS_GENUS4]
+    assert count_from_pattern(4, 6, rels) == brute_force_count(4, labels) == 8
 
 
 def test_count_matches_brute_force_exhaustive_genus2():
@@ -331,17 +336,36 @@ def _count_by_kernel(g, tup):
 
 
 def test_count_vanishing_matches_kernel_route():
-    # count_vanishing skips kernel_f2 on independent labels; both branches
-    # must agree with the pattern count of the full kernel
-    branches = {True: 0, False: 0}
+    # count_vanishing reads the relations off its own echelon; it must agree
+    # with the count from the kernel_f2 relation basis on independent,
+    # even-relation and odd-relation tuples alike
+    branches = {"independent": 0, "even": 0, "odd": 0}
     cases = [(3, tup) for tup in orthogonal_tuples(3, 5)]
     for g in (4, 5):
         rng = Random(STREAM_SEED + g)
         cases += [(g, random_orthogonal_tuple(rng, g)) for _ in range(3000)]
     for g, tup in cases:
         assert count_vanishing(g, tup) == _count_by_kernel(g, tup)
-        branches[bool(kernel_f2([n.packed for n in tup]))] += 1
-    assert branches[True] and branches[False]
+        kernel = kernel_f2([n.packed for n in tup])
+        if not kernel:
+            branches["independent"] += 1
+        else:
+            branches["odd" if any(r.bit_count() & 1 for r in kernel) else "even"] += 1
+    assert all(branches.values()), branches
+
+
+def test_count_matches_brute_force_past_five_labels():
+    # up to 2g labels per draw, so relation spaces on 6..10 slots too
+    sizes, zeros = set(), 0
+    for g in range(2, 6):
+        rng = Random(STREAM_SEED + 10 * g)
+        for _ in range(2000):
+            tup = random_orthogonal_tuple(rng, g, 2 * g)
+            count = count_vanishing(g, tup)
+            assert count == brute_force_count(g, tup), tup
+            sizes.add(len(tup))
+            zeros += count == 0
+    assert max(sizes) > 5 and zeros
 
 
 @pytest.mark.parametrize("g", [1, 2, 3, 4, 5])
