@@ -8,7 +8,8 @@ monomials of one type, each counted once, is the basic symbol everything
 else expands into.
 
 Degrees are capped at 5: the relation-pattern inventory and the ledger
-identities are only established up to there.
+identities are only established up to there.  The concrete verifier writes
+a monomial as one int with a fixed field per label, sized by DEGREE_MAX.
 """
 from __future__ import annotations
 
@@ -452,8 +453,24 @@ def pushforward_level2(p: BoundaryPoly, g: int) -> dict[tuple[str, ...], Fractio
 
 # --- concrete instantiation and identity checking ----------------------------
 
-MonomialKey = tuple[tuple[int, int], ...]  # sorted ((packed label, exponent), ...)
+# A concrete monomial is one int: label p's exponent sits in the _EXP_BITS
+# bits from _EXP_BITS * p up.  The width holds any exponent up to DEGREE_MAX,
+# so multiplying two monomials is adding their ints while no label's
+# exponent sum reaches 1 << _EXP_BITS (convolve checks this).
+_EXP_BITS = DEGREE_MAX.bit_length()
+_EXP_FIELD = (1 << _EXP_BITS) - 1
 Coeff = int | Fraction
+
+
+def _decode(key: int) -> tuple[tuple[int, int], ...]:
+    """A concrete monomial as sorted ((packed label, exponent), ...)."""
+    out = []
+    while key:
+        p = ((key & -key).bit_length() - 1) // _EXP_BITS
+        e = key >> _EXP_BITS * p & _EXP_FIELD
+        out.append((p, e))
+        key ^= e << _EXP_BITS * p
+    return tuple(out)
 
 
 @lru_cache(maxsize=8)
@@ -481,109 +498,83 @@ def _type_of_key(exps: tuple[int, ...], rels: tuple[int, ...]) -> ConfigType:
 
 
 @lru_cache(maxsize=None)
-def _registry(g: int, degree: int) -> dict[ConfigType, list[MonomialKey]]:
+def _registry(g: int, degree: int) -> dict[ConfigType, list[int]]:
     """Index of all concrete monomials of one degree by configuration type."""
-    index: dict[ConfigType, list[MonomialKey]] = {}
+    if degree > DEGREE_MAX:
+        raise DegreeOverflowError(f"degree {degree} exceeds {DEGREE_MAX}")
+    index: dict[ConfigType, list[int]] = {}
     if degree == 0:
-        return {EMPTY: [()]}
+        return {EMPTY: [0]}
     for k, sets in _orth_sets(g).items():
         if k > degree:
             continue
         kernels = [kernel_f2(labels) for labels in sets]
         for assignment in _compositions(degree, k):
             for labels, rels in zip(sets, kernels):
-                key = tuple(zip(labels, assignment))
+                key = sum(e << _EXP_BITS * p for p, e in zip(labels, assignment))
                 index.setdefault(_type_of_key(assignment, rels), []).append(key)
     return index
 
 
-def instantiate(p: BoundaryPoly, g: int) -> dict[MonomialKey, Fraction]:
+def instantiate(p: BoundaryPoly, g: int) -> dict[int, Fraction]:
     """The polynomial as a literal dictionary of concrete monomials."""
     index = _registry(g, p.degree)
-    out: dict[MonomialKey, Fraction] = {}
+    out: dict[int, Fraction] = {}
     for t, c in p.coeffs.items():
         for key in index.get(t, ()):
             out[key] = c
     return out
 
 
-def convolve(d1: dict[MonomialKey, Coeff], d2: dict[MonomialKey, Coeff], g: int
-             ) -> dict[MonomialKey, Coeff]:
+def convolve(d1: dict[int, Coeff], d2: dict[int, Coeff], g: int) -> dict[int, Coeff]:
     """Product of concrete monomial dictionaries with int or Fraction values.
 
     A pair of monomials whose supports are not pairwise orthogonal
-    multiplies to zero and is dropped.  Keys are grouped by support, and
-    supports by span (_span_classes), so the orthogonality test runs once
-    per pair of spans and key pairs are enumerated only inside compatible
-    ones.  Exponents are packed into one int per key, so merging two
-    monomials is one addition.  Independent of the symbolic product(); used
-    to cross-check it.
+    multiplies to zero and is dropped.  Keys are grouped by the span of
+    their labels (_span_classes), so the orthogonality test runs once per
+    pair of spans and key pairs are enumerated only inside compatible ones.
+    Independent of the symbolic product(); used to cross-check it.
     """
-    width = (_max_degree(d1) + _max_degree(d2)).bit_length()
     masks = _orth_masks(g)
-    classes2 = _span_classes(d2, masks, width)
-    out: dict[int, dict[int, Coeff]] = {}  # support bits -> packed exponents -> value
-    for m1, _, groups1 in _span_classes(d1, masks, width):
-        for _, t2, groups2 in classes2:
+    top1, classes1 = _span_classes(d1, masks)
+    top2, classes2 = _span_classes(d2, masks)
+    if top1 + top2 > _EXP_FIELD:
+        raise DegreeOverflowError(f"label exponent {top1 + top2} exceeds {_EXP_FIELD}")
+    out: dict[int, Coeff] = {}
+    for m1, _, terms1 in classes1:
+        for _, t2, terms2 in classes2:
             if m1 & t2 != t2:
                 continue
-            for s1, terms1 in groups1:
-                for s2, terms2 in groups2:
-                    acc = out.setdefault(s1 | s2, {})
-                    for e1, c1 in terms1:
-                        for e2, c2 in terms2:
-                            e = e1 + e2
-                            acc[e] = acc.get(e, 0) + c1 * c2
-    field = (1 << width) - 1
-    result: dict[MonomialKey, Coeff] = {}
-    for bits, acc in out.items():
-        labels = _bit_positions(bits)
-        shifts = [width * p for p in labels]
-        for e, c in acc.items():
-            if c:
-                result[tuple(zip(labels, [e >> s & field for s in shifts]))] = c
-    return result
+            for k1, c1 in terms1:
+                for k2, c2 in terms2:
+                    k = k1 + k2
+                    out[k] = out.get(k, 0) + c1 * c2
+    return {k: c for k, c in out.items() if c}
 
 
-def _max_degree(d: dict[MonomialKey, Coeff]) -> int:
-    return max((sum(e for _, e in key) for key in d), default=0)
+def _span_classes(d: dict[int, Coeff], masks: list[int]
+                  ) -> tuple[int, list[tuple[int, int, list[tuple[int, Coeff]]]]]:
+    """Keys grouped by the span of their labels, and the largest exponent.
 
-
-def _span_classes(d: dict[MonomialKey, Coeff], masks: list[int], width: int
-                  ) -> list[tuple[int, int, list[tuple[int, list[tuple[int, Coeff]]]]]]:
-    """Keys grouped by support, and supports by the span of their labels.
-
-    Returns [(m, t, [(s, terms), ...]), ...], one entry per span.  s is the
-    label bits of a support and terms its keys as (packed exponents, value):
-    label p's exponent sits in bits width*p and up, wide enough that a sum
-    of two never carries.  m is the AND of the labels' orthogonal closures:
-    the span's orthogonal complement without 0, which names the span.  t is
-    the bits of any one support of the span.  A support u is orthogonal to
-    every label of s exactly when m & u == u; as m plus the zero vector is a
-    subspace, that holds for all supports of a span or for none, so testing
-    t decides the whole entry.
+    Returns (top, [(m, t, terms), ...]), one entry per span; terms are the
+    (key, value) pairs of its keys.  m is the AND of the labels' orthogonal
+    closures: the span's orthogonal complement without 0, which names the
+    span.  t is the label bits of any one key of the span.  A support u is
+    orthogonal to every label of a key exactly when m & u == u; as m plus
+    the zero vector is a subspace, that holds for all supports of a span or
+    for none, so testing t decides the whole entry.
     """
-    groups: dict[int, tuple[int, list[tuple[int, Coeff]]]] = {}
+    top = 0
+    classes: dict[int, tuple[int, list[tuple[int, Coeff]]]] = {}
     for key, c in d.items():
-        mask, bits, packed = -1, 0, 0
-        for p, e in key:
+        mask, bits = -1, 0
+        for p, e in _decode(key):
             mask &= masks[p]
             bits |= 1 << p
-            packed += e << width * p
-        groups.setdefault(bits, (mask, []))[1].append((packed, c))
-    classes: dict[int, tuple[int, list]] = {}
-    for bits, (mask, terms) in groups.items():
-        classes.setdefault(mask, (bits, []))[1].append((bits, terms))
-    return [(mask, bits, members) for mask, (bits, members) in classes.items()]
-
-
-def _bit_positions(bits: int) -> list[int]:
-    out: list[int] = []
-    while bits:
-        low = bits & -bits
-        out.append(low.bit_length() - 1)
-        bits ^= low
-    return out
+            if e > top:
+                top = e
+        classes.setdefault(mask, (bits, []))[1].append((key, c))
+    return top, [(mask, bits, terms) for mask, (bits, terms) in classes.items()]
 
 
 # --- identity ledger ---------------------------------------------------------
@@ -745,12 +736,14 @@ def expand_expr(expr: Expr, g: int) -> BoundaryPoly:
     return total
 
 
-# A concrete value (den, nums) is {key: nums[key] / den}, nums integers; as
+# A concrete value (den, nums) is {key: nums[key] / den}, nums integers and
+# keys monomials in the _EXP_BITS layout, which relies on DEGREE_MAX; as
 # every factor expands with coefficient 1, only term coefficients bring a den.
-ConcreteValue = tuple[int, dict[MonomialKey, int]]
+ConcreteValue = tuple[int, dict[int, int]]
 
-# memo for concrete factor-chain products (integer dictionaries), keyed per genus
-_CONCRETE_MEMO: dict[tuple[int, tuple[Factor, ...]], dict[MonomialKey, int]] = {}
+# memo for concrete factor-chain products (integer dictionaries keyed by
+# monomials in the _EXP_BITS layout, which relies on DEGREE_MAX), per genus
+_CONCRETE_MEMO: dict[tuple[int, tuple[Factor, ...]], dict[int, int]] = {}
 
 
 def concrete_expr(expr: Expr, g: int) -> ConcreteValue:
@@ -761,7 +754,7 @@ def concrete_expr(expr: Expr, g: int) -> ConcreteValue:
     terms are combined over the lcm of their coefficients' denominators.
     """
     den = lcm(*(coeff.denominator for coeff, _ in expr))
-    out: dict[MonomialKey, int] = {}
+    out: dict[int, int] = {}
     for coeff, factors in expr:
         if coeff:
             chain = _concrete_chain(tuple(sorted(factors)), g)
@@ -769,9 +762,9 @@ def concrete_expr(expr: Expr, g: int) -> ConcreteValue:
     return den, out
 
 
-def _concrete_chain(chain: tuple[Factor, ...], g: int) -> dict[MonomialKey, int]:
+def _concrete_chain(chain: tuple[Factor, ...], g: int) -> dict[int, int]:
     if not chain:
-        return {(): 1}
+        return {0: 1}
     memo_key = (g, chain)
     cached = _CONCRETE_MEMO.get(memo_key)
     if cached is not None:
@@ -799,9 +792,10 @@ def check_identity(identity: Identity, g: int) -> IdentityReport:
     _, nums = concrete_expr(diff, g)
     counter = None
     if nums:
-        key = min(nums)
+        key = min(nums, key=_decode)
         den_l, left = concrete_expr(identity.lhs, g)
         den_r, right = concrete_expr(identity.rhs, g)
-        counter = (key, Fraction(left.get(key, 0), den_l), Fraction(right.get(key, 0), den_r))
+        counter = (_decode(key),
+                   Fraction(left.get(key, 0), den_l), Fraction(right.get(key, 0), den_r))
     residual = expand_expr(diff, g)
     return IdentityReport(identity.name, not nums, residual.is_zero(), counter, residual)

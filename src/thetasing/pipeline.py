@@ -345,7 +345,7 @@ class RewriteRule:
     rhs: tuple[tuple[Fraction, LambdaMonomial, Word], ...]
 
 
-_LAM = re.compile(r"lam(\d+)")
+_LAM = re.compile(r"lam([1-9]\d*)")
 
 
 def _rule_terms(text: str, g: int) -> list[tuple[Fraction, LambdaMonomial, Word]]:

@@ -2,6 +2,7 @@
 
 import hashlib
 import itertools
+import re
 from fractions import Fraction
 
 import pytest
@@ -29,6 +30,8 @@ from thetasing.boundary import (
     NAMED_CLASSES,
     BoundaryPoly,
     Identity,
+    _EXP_BITS,
+    _decode,
     _orth_sets,
     _parse_expr,
     _registry,
@@ -312,20 +315,38 @@ def concrete_dicts(draw, g):
     return out
 
 
+def pack(key):
+    """A sorted ((label, exponent), ...) monomial in convolve's int layout."""
+    return sum(e << _EXP_BITS * p for p, e in key)
+
+
 @settings(max_examples=200)
 @given(st.data())
 def test_convolve_matches_all_pairs_reference(data):
     g = data.draw(st.sampled_from((2, 3)))
     d1 = data.draw(concrete_dicts(g))
     d2 = data.draw(concrete_dicts(g))
-    assert convolve(d1, d2, g) == naive_convolve(d1, d2, g)
+    packed = convolve(*({pack(k): c for k, c in d.items()} for d in (d1, d2)), g)
+    assert {_decode(k): c for k, c in packed.items()} == naive_convolve(d1, d2, g)
+
+
+def test_convolve_refuses_a_carrying_exponent():
+    # label 1 at exponent 4, squared, would carry out of its field
+    key = pack(((1, 4),))
+    with pytest.raises(DegreeOverflowError):
+        convolve({key: 1}, {key: 1}, 3)
+
+
+def test_registry_refuses_degree_above_max():
+    with pytest.raises(DegreeOverflowError):
+        _registry(3, 6)
 
 
 def test_registry_types_match_canonical_config():
     for g, max_degree in ((2, 5), (3, 3)):
         for d in range(max_degree + 1):
             for t, keys in _registry(g, d).items():
-                for key in keys:
+                for key in map(_decode, keys):
                     labels = [BoundaryLabel.from_packed(g, p) for p, _ in key]
                     assert canonical_config(labels, [e for _, e in key]) == t, key
 
@@ -349,9 +370,9 @@ def test_check_identity_first_difference_genus3():
     g = 3
     report = check_identity(parse_identity("wrong: sigma1^2 = 2*sigma2"), g)
     assert not report.concrete_ok and not report.symbolic_ok
-    s1 = instantiate(expand_named("sigma1", g), g)
+    s1 = {_decode(k): c for k, c in instantiate(expand_named("sigma1", g), g).items()}
     left = naive_convolve(s1, s1, g)
-    right = {k: 2 * c for k, c in instantiate(expand_named("sigma2", g), g).items()}
+    right = {_decode(k): 2 * c for k, c in instantiate(expand_named("sigma2", g), g).items()}
     first = min(k for k in left.keys() | right.keys() if left.get(k, 0) != right.get(k, 0))
     key, a, b = report.counterexample
     assert (key, a, b) == (first, left.get(first, F(0)), right.get(first, F(0)))
@@ -623,10 +644,13 @@ def test_empty_literal_is_the_unit_class():
 
 
 def test_relation_with_unknown_class_is_refused(tmp_path):
+    # lam0 names no class and lam01 would be a second spelling of lam1
     path = tmp_path / "relations.txt"
-    path.write_text("genus=2: sigma2 = 6*lam1*sigma9\n")
-    with pytest.raises(ValueError, match="sigma9"):
-        load_boundary_relations(str(path))
+    for rhs, name in (("6*lam1*sigma9", "sigma9"), ("6*lam0*sigma1", "lam0"),
+                      ("6*lam01*sigma1", "lam01")):
+        path.write_text(f"genus=2: sigma2 = {rhs}\n")
+        with pytest.raises(ValueError, match=re.escape(f"not ('name', '{name}')")):
+            load_boundary_relations(str(path))
 
 
 @pytest.mark.parametrize("rule", [

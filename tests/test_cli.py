@@ -332,6 +332,11 @@ def _write(tmp_path, text):
      "t: any(1,,1) = sigma2\n", "empty exponent field"),
     ("identities", ["--command", "verify-identities", "--genus", "3"],
      "t: cfg(,2) = cfg(2)\n", "empty exponent field"),
+    # lam0 names no class and lam01 would be a second spelling of lam1
+    ("boundary-relations", ["--command", "compactified-class", "--genus", "2"],
+     "genus=2: sigma2 = 6*lam0*sigma1\n", "not ('name', 'lam0')"),
+    ("boundary-relations", ["--command", "compactified-class", "--genus", "2"],
+     "genus=2: sigma2 = 6*lam01*sigma1\n", "not ('name', 'lam01')"),
 ])
 def test_bad_data_file_fails_before_output(capsys, tmp_path, kind, argv, text, reason):
     path = str(tmp_path / "missing.txt") if text is None else _write(tmp_path, text)
