@@ -32,7 +32,7 @@ from .characteristics import (
     make_type,
     n_odd,
 )
-from .datafile import parse_lines
+from .datafile import numeral, parse_lines
 from .exactla import add_into, pivot_solution
 
 __all__ = [
@@ -603,7 +603,7 @@ def _parse_factor(tok: str) -> Factor:
         rows = []
         # "cfg(e;)" has no relation; otherwise every group names a slot
         for group in rel_part.split("|") if rel_part.strip() else ():
-            idx = [int(x) for x in group.split()]
+            idx = [numeral(x, tok) for x in group.split()]
             if not idx:
                 raise ValueError(f"empty relation group in {tok!r}")
             if any(not 1 <= i <= len(exps) for i in idx):
@@ -622,7 +622,7 @@ def _literal_exponents(text: str, tok: str) -> tuple[int, ...]:
     fields = [x.strip() for x in text.split(",")] if text.strip() else []  # the unit class
     if "" in fields:
         raise ValueError(f"empty exponent field in {tok!r}")
-    exps = tuple(map(int, fields))
+    exps = tuple(numeral(x, tok) for x in fields)
     if any(e <= 0 for e in exps):
         raise ValueError(f"exponents must be positive in {tok!r}")
     return exps
@@ -632,9 +632,9 @@ def _parse_expr(text: str) -> Expr:
     """Terms of one side of a ledger line or a boundary relation.
 
     Grammar: an optional sign, then terms joined by + or -; a term is
-    factors joined by *; a factor is an integer, a class name (lam<i>
+    factors joined by *; a factor is a numeral, a class name (lam<i>
     included) or a cfg(...)/any(...) literal, each optionally raised to
-    ^<integer>.  Integer factors multiply the term's coefficient.
+    ^<numeral>.  Numeral factors multiply the term's coefficient.
     """
     text = text.strip()
     tokens = _TOKEN.findall(text)
@@ -653,13 +653,13 @@ def _parse_expr(text: str) -> Expr:
                 raise ValueError(f"missing factor in {text!r}")
             tok, power = tokens[pos], 1
             if pos + 1 < n and tokens[pos + 1] == "^":
-                if pos + 2 == n or not tokens[pos + 2].isdigit():
+                if pos + 2 == n or not tokens[pos + 2].isdecimal():
                     raise ValueError(f"^ needs an integer power in {text!r}")
-                power = int(tokens[pos + 2])
+                power = numeral(tokens[pos + 2], text)
                 pos += 2
             pos += 1
-            if tok.isdigit():
-                coeff *= int(tok) ** power
+            if tok.isdecimal():
+                coeff *= numeral(tok, text) ** power
             else:
                 factors.extend([_parse_factor(tok)] * power)
             if pos == n or tokens[pos] != "*":

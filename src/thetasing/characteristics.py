@@ -220,49 +220,40 @@ class ConfigType:
         return f"cfg({body}; {' | '.join(groups)})"
 
 
-def _permute_bits(row: int, perm: Sequence[int]) -> int:
-    out = 0
-    for i, target in enumerate(perm):
-        if row >> i & 1:
-            out |= 1 << target
-    return out
-
-
 def make_type(exps: Sequence[int], rels: Iterable[int]) -> ConfigType:
-    """Canonicalize (exponents, relation rows) into a ConfigType."""
-    exps = tuple(exps)
+    """Canonicalize (exponents, relation rows) into a ConfigType.
+
+    The canonical form sorts the exponents non-increasingly and takes the
+    least rref_f2 of the relation rows over every permutation of the slots
+    within each run of equal exponents.  Slot i's column, its bits across
+    the rows, moves with the slot, so such a permutation only rearranges
+    the columns of each run; equal columns give equal rows, and each
+    distinct arrangement is reduced once.  Each input is canonicalized
+    once per process.
+    """
+    return _canonical_type(tuple(exps), tuple(rels))
+
+
+@lru_cache(maxsize=None)
+def _canonical_type(exps: tuple[int, ...], rels: tuple[int, ...]) -> ConfigType:
     if any(e <= 0 for e in exps):
         raise ValueError("exponents must be positive")
     k = len(exps)
-    if k == 0:
-        return EMPTY
-    order = sorted(range(k), key=lambda i: (-exps[i], i))
-    sorted_exps = tuple(exps[i] for i in order)
-    # move old slot order[j] to new slot j
-    inv = [0] * k
-    for new, old in enumerate(order):
-        inv[old] = new
-    base = [_permute_bits(r, inv) for r in rels if r]
-    if not base:
-        return ConfigType(sorted_exps, ())
-    # minimize over permutations within equal-exponent runs
-    runs: list[range] = []
-    start = 0
-    for i in range(1, k + 1):
-        if i == k or sorted_exps[i] != sorted_exps[start]:
-            runs.append(range(start, i))
-            start = i
-    best: tuple[int, ...] | None = None
-    for parts in itertools.product(*(itertools.permutations(r) for r in runs)):
-        perm = [0] * k
-        for run, part in zip(runs, parts):
-            for src, dst in zip(run, part):
-                perm[src] = dst
-        cand = rref_f2(_permute_bits(r, perm) for r in base)
-        if best is None or cand < best:
-            best = cand
-    assert best is not None
-    return ConfigType(sorted_exps, best)
+    # within a run the slot order is irrelevant: every arrangement is tried
+    slots = sorted(range(k), key=lambda i: -exps[i])
+    rows = [r for r in rels if r]
+    # slot s's column with its bit i at bit i*k: an arrangement's row i is
+    # then lane i of the sum of its columns, each shifted to its position
+    cols = [sum((r >> s & 1) << (i * k) for i, r in enumerate(rows)) for s in slots]
+    runs = []
+    for _, run in itertools.groupby(enumerate(cols), key=lambda pc: exps[slots[pc[0]]]):
+        positions, run_cols = zip(*run)
+        runs.append([sum(c << p for p, c in zip(positions, a))
+                     for a in set(itertools.permutations(run_cols))])
+    mask = (1 << k) - 1
+    best = min(rref_f2([sum(parts) >> (i * k) & mask for i in range(len(rows))])
+               for parts in itertools.product(*runs))
+    return ConfigType(tuple(exps[s] for s in slots), best)
 
 
 EMPTY = ConfigType((), ())

@@ -1,11 +1,19 @@
 """Line reader shared by the bundled data files and their replacements."""
 from __future__ import annotations
 
+import re
 from functools import lru_cache
 from importlib import resources
 from typing import Callable, TypeVar
 
 T = TypeVar("T")
+
+
+def numeral(token: str, where: str) -> int:
+    """A number in its one spelling in data files: ASCII digits, no leading 0."""
+    if not re.fullmatch(r"0|[1-9][0-9]*", token):
+        raise ValueError(f"bad numeral {token!r} in {where!r}")
+    return int(token)
 
 
 def parse_lines(name: str, path: str | None, parse: Callable[[str], T]) -> list[T]:

@@ -32,7 +32,7 @@ from .boundary import (
     pushforward_level2,
     word_sort_key,
 )
-from .datafile import parse_lines
+from .datafile import numeral, parse_lines
 from .exactla import add_into, solve
 
 Word = tuple[str, ...]
@@ -375,7 +375,7 @@ def _parse_rule(line: str) -> RewriteRule:
     m = re.fullmatch(r"genus=(\d+)", head.strip())
     if not m or "=" not in body:
         raise ValueError("expected 'genus=<g>: <word> = <terms>'")
-    g = int(m.group(1))
+    g = numeral(m.group(1), head.strip())
     lhs_text, _, rhs_text = body.partition("=")
     lhs_terms = _rule_terms(lhs_text, g)
     if len(lhs_terms) != 1 or lhs_terms[0][0] != 1 or any(lhs_terms[0][1]):

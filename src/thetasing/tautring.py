@@ -22,7 +22,7 @@ from functools import lru_cache
 from math import factorial
 from typing import Iterable, Sequence
 
-from .datafile import parse_lines
+from .datafile import numeral, parse_lines
 from .exactla import add_into, rref
 from .zeta import zeta_negative_odd
 
@@ -210,14 +210,15 @@ def intersection_number(g: int, elem: TautElement) -> Fraction:
 
 # --- normalization data ------------------------------------------------------
 
-_NORM_LINE = re.compile(r"genus=(\d+)\s+value=(-?\d+)/(\d+)\s+source=(.*)")
+_NORM_LINE = re.compile(r"genus=(\d+)\s+value=(-?)(\d+)/(\d+)\s+source=(.*)")
 
 
 def _parse_normalization(line: str) -> tuple[int, tuple[Fraction, str]]:
     m = _NORM_LINE.fullmatch(line)
-    if not m or int(m.group(3)) == 0:
+    if not m or m.group(4) == "0":
         raise ValueError("expected 'genus=<g> value=<p>/<q> source=<text>' with q > 0")
-    return int(m.group(1)), (Fraction(int(m.group(2)), int(m.group(3))), m.group(4).strip())
+    g, p, q = (numeral(x, line) for x in m.group(1, 3, 4))
+    return g, (Fraction(-p if m.group(2) else p, q), m.group(5).strip())
 
 
 def load_normalizations(path: str | None = None) -> NormTable:

@@ -44,6 +44,7 @@ from thetasing.boundary import (
     word_sort_key,
 )
 from thetasing.characteristics import _form_packed, orthogonal_tuples
+from thetasing.exactla import rank
 from thetasing.pipeline import load_boundary_relations
 
 
@@ -515,6 +516,18 @@ def test_change_basis_reduces_once(monkeypatch):
     assert len(calls) == 1
 
 
+def test_target_words_are_independent():
+    # for j <= g the degree-j target words are independent over the types of
+    # genus g, so each stratum has exactly one word form
+    assert [len(DEFAULT_TARGETS[j]) for j in range(1, 6)] == [1, 2, 4, 8, 15]
+    for g in range(1, 6):
+        for j in range(1, g + 1):
+            expansions = [expand_word(normalize_word(w), g) for w in DEFAULT_TARGETS[j]]
+            support = sorted({t for e in expansions for t in e.coeffs})
+            matrix = [[e.coeffs.get(t, F(0)) for e in expansions] for t in support]
+            assert rank(matrix) == len(expansions), (g, j)
+
+
 def test_expand_word_empty():
     assert expand_word((), 3) == BoundaryPoly(0, {EMPTY: F(1)})
 
@@ -630,6 +643,17 @@ def test_malformed_side_is_refused(tmp_path, route, side):
      "empty relation group in 'cfg(1,1,1; 1 2 3 |)'"),
     ("b: cfg(1,1,1; 1 2 | | 2 3) = sigma3", "empty relation group in 'cfg(1,1,1; 1 2 | | 2 3)'"),
     ("b: cfg(1,1,1; |) = sigma3", "empty relation group in 'cfg(1,1,1; |)'"),
+    # a number has one spelling: zero-padded, underscored and non-ASCII
+    # numerals used to be read as the number they spell
+    ("x: cfg(01) = sigma1", "bad numeral '01' in 'cfg(01)'"),
+    ("y: sigma1^02 = sigma1^2", "bad numeral '02' in 'sigma1^02'"),
+    ("z: 01*sigma1 = sigma1", "bad numeral '01' in '01*sigma1'"),
+    ("w: cfg(1,1,1; 01 2 3) = cfg(1,1,1; 1 2 3)",
+     "bad numeral '01' in 'cfg(1,1,1; 01 2 3)'"),
+    ("a: cfg(\u0661) = sigma1", "bad numeral '\u0661' in 'cfg(\u0661)'"),
+    ("a: 2*\u0661*sigma1 = 2*sigma1", "bad numeral '\u0661' in '2*\u0661*sigma1'"),
+    ("u: cfg(1_1) = sigma1", "bad numeral '1_1' in 'cfg(1_1)'"),
+    ("u: cfg(+1) = sigma1", "bad numeral '+1' in 'cfg(+1)'"),
 ])
 def test_bad_identity_line_is_refused(line, reason):
     with pytest.raises(ValueError) as exc:

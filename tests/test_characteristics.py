@@ -2,6 +2,7 @@
 
 import hashlib
 import itertools
+import operator
 import time
 from random import Random
 
@@ -21,6 +22,9 @@ from thetasing import (
 )
 from thetasing.bits import kernel_f2, rref_f2
 from thetasing.characteristics import (
+    EMPTY,
+    ConfigType,
+    _canonical_type,
     _form_packed,
     _labels,
     _sigma_packed,
@@ -208,6 +212,91 @@ def test_certified_patterns_are_types():
         for g in range(4, 6):
             labels = [label(g, p) for p in packs]
             assert count_from_pattern(g, t.nslots, t.rels) == brute_force_count(g, labels)
+
+
+
+# The permutation search make_type used before it searched distinct column
+# arrangements only, kept verbatim as the reference for the new search.
+def _permute_bits(row, perm):
+    out = 0
+    for i, target in enumerate(perm):
+        if row >> i & 1:
+            out |= 1 << target
+    return out
+
+
+def _reference_make_type(exps, rels):
+    """Canonicalize (exponents, relation rows) into a ConfigType."""
+    exps = tuple(exps)
+    if any(e <= 0 for e in exps):
+        raise ValueError("exponents must be positive")
+    k = len(exps)
+    if k == 0:
+        return EMPTY
+    order = sorted(range(k), key=lambda i: (-exps[i], i))
+    sorted_exps = tuple(exps[i] for i in order)
+    # move old slot order[j] to new slot j
+    inv = [0] * k
+    for new, old in enumerate(order):
+        inv[old] = new
+    base = [_permute_bits(r, inv) for r in rels if r]
+    if not base:
+        return ConfigType(sorted_exps, ())
+    # minimize over permutations within equal-exponent runs
+    runs = []
+    start = 0
+    for i in range(1, k + 1):
+        if i == k or sorted_exps[i] != sorted_exps[start]:
+            runs.append(range(start, i))
+            start = i
+    best = None
+    for parts in itertools.product(*(itertools.permutations(r) for r in runs)):
+        perm = [0] * k
+        for run, part in zip(runs, parts):
+            for src, dst in zip(run, part):
+                perm[src] = dst
+        cand = rref_f2(_permute_bits(r, perm) for r in base)
+        if best is None or cand < best:
+            best = cand
+    assert best is not None
+    return ConfigType(sorted_exps, best)
+
+
+def test_make_type_matches_the_permutation_search():
+    # every exponent vector over {1, 2} of up to 5 slots, sorted or not, and
+    # every relation space spanned by at most two rows, given reduced; with
+    # sorted exponents also unreduced, with a zero row and a row repeated
+    checked, mismatches = 0, []
+    for k in range(6):
+        spaces = {rref_f2((a, b)) for a in range(1 << k) for b in range(a, 1 << k)}
+        for exps in itertools.product((1, 2), repeat=k):
+            for basis in spaces:
+                want = _reference_make_type(exps, basis)
+                spellings = [basis]
+                if list(exps) == sorted(exps, reverse=True):
+                    rows = tuple(itertools.accumulate(basis, operator.xor))
+                    spellings.append((0,) + rows + rows[-1:])
+                for rels in spellings:
+                    if make_type(exps, rels) != want:
+                        mismatches.append((exps, rels))
+                checked += 1
+    assert not mismatches
+    assert checked == sum(2 ** k * (1 + (2 ** k - 1) + (2 ** k - 1) * (2 ** k - 2) // 6)
+                          for k in range(6))
+
+
+def test_make_type_canonicalizes_each_input_once():
+    _canonical_type.cache_clear()
+    t = make_type((1, 1, 1, 1, 1), [0b00111])
+    assert make_type([1, 1, 1, 1, 1], (0b00111,)) is t
+    # a generator is read once, like a tuple
+    assert make_type(iter((1,) * 5), iter([0b00111])) is t
+    info = _canonical_type.cache_info()
+    assert (info.misses, info.hits) == (1, 2)
+    # a refused input is refused on every call
+    for _ in range(2):
+        with pytest.raises(ValueError, match="exponents must be positive"):
+            make_type((1, 0), ())
 
 
 @pytest.mark.parametrize("k", [6, 7, 8, 9])

@@ -337,6 +337,15 @@ def _write(tmp_path, text):
      "genus=2: sigma2 = 6*lam0*sigma1\n", "not ('name', 'lam0')"),
     ("boundary-relations", ["--command", "compactified-class", "--genus", "2"],
      "genus=2: sigma2 = 6*lam01*sigma1\n", "not ('name', 'lam01')"),
+    # a number has one spelling, in every data file
+    ("identities", ["--command", "verify-identities", "--genus", "2"],
+     "x: cfg(01) = sigma1\n", "bad numeral '01' in 'cfg(01)'"),
+    ("identities", ["--command", "verify-identities", "--genus", "2"],
+     "a: cfg(\u0661) = sigma1\n", "bad numeral '\u0661' in 'cfg(\u0661)'"),
+    ("boundary-relations", ["--command", "compactified-class", "--genus", "2"],
+     "genus=02: sigma2 = 6*lam1*sigma1\n", "bad numeral '02' in 'genus=02'"),
+    ("normalizations", ["--command", "ring-info", "--genus", "2"],
+     "genus=2 value=1/02880 source=t\n", "bad numeral '02880'"),
 ])
 def test_bad_data_file_fails_before_output(capsys, tmp_path, kind, argv, text, reason):
     path = str(tmp_path / "missing.txt") if text is None else _write(tmp_path, text)

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from thetasing import boundary, tautring
+from thetasing import boundary, characteristics, tautring
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 MODULES = ("boundary", "characteristics", "pipeline", "tautring")
@@ -55,6 +55,16 @@ def test_workload_calls_memo_and_loaders_resolve():
     ]
     for f in loaders:
         assert callable(getattr(_module(f.value.id), f.attr, None))
+
+
+def test_cold_reset_clears_the_type_canonicalizer():
+    # a memo the cold reset cannot find would leave every pass after the
+    # first warm, and the benchmark would time cache hits
+    workloads = _load("workloads")
+    characteristics.make_type((1, 1, 1), [0b111])
+    assert characteristics._canonical_type.cache_info().currsize > 0
+    workloads["cold_reset"]()
+    assert characteristics._canonical_type.cache_info().currsize == 0
 
 
 @pytest.mark.parametrize("name", ["tracer", "workloads"])
