@@ -12,7 +12,6 @@ __all__ = [
     "rref_f2",
     "span_f2",
     "kernel_f2",
-    "min_weight",
 ]
 
 
@@ -54,30 +53,12 @@ def span_f2(basis: Sequence[int]) -> list[int]:
 def kernel_f2(vectors: Sequence[int]) -> tuple[int, ...]:
     """RREF basis of {c in F_2^k : sum of c_i * vectors[i] = 0}.
 
-    k = len(vectors); coordinates of c sit in bits 0..k-1.
+    k = len(vectors); coordinates of c sit in bits 0..k-1.  One rref_f2 of
+    the rows v_i | 1 << (w + i), w the vectors' bit width, does it all: the
+    reduced rows whose low w bits cancel have their tags in reduced form,
+    and they span the kernel.
     """
-    k = len(vectors)
-    if k == 0:
-        return ()
-    # Augment each vector with a coordinate tag, reduce, and read off the
-    # combinations whose vector part cancelled.
-    rows = [(vectors[i] << k) | (1 << i) for i in range(k)]
-    mask = (1 << k) - 1
-    reduced: list[int] = []
-    for row in rows:
-        for b in reduced:
-            low = (b >> k) & -(b >> k)
-            if b >> k and (row >> k) & low:
-                row ^= b
-        reduced.append(row)
-    kernel = [r & mask for r in reduced if r >> k == 0]
-    return rref_f2(kernel)
-
-
-def min_weight(space_basis: Sequence[int]) -> int:
-    """Minimum Hamming weight over the nonzero vectors of a spanned space.
-
-    Returns a number larger than any weight (2**30) for the zero space.
-    """
-    weights = [v.bit_count() for v in span_f2(space_basis) if v]
-    return min(weights) if weights else 1 << 30
+    w = max(vectors, default=0).bit_length()
+    low = (1 << w) - 1
+    tagged = rref_f2(v | 1 << (w + i) for i, v in enumerate(vectors))
+    return tuple(r >> w for r in tagged if not r & low)

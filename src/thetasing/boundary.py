@@ -20,11 +20,12 @@ from functools import lru_cache, reduce
 from math import factorial, lcm
 from typing import Iterable, NamedTuple, Sequence
 
-from .bits import kernel_f2, min_weight, rref_f2, span_f2
+from .bits import kernel_f2, rref_f2, span_f2
 from .characteristics import (
     EMPTY,
     BoundaryLabel,
     ConfigType,
+    _canonical_type,
     _form_packed,
     _orth_masks,
     _orthogonal_sets,
@@ -102,7 +103,8 @@ def _relation_spaces(k: int) -> tuple[tuple[int, ...], ...]:
 
     Weight-1 and weight-2 relations cannot occur among distinct nonzero
     labels.  For k <= 5 a weight count rules out dimension >= 3, so spans of
-    at most two generators exhaust the list.
+    at most two generators exhaust the list; two distinct generators of
+    weight >= 3 span such a space exactly when their sum has weight >= 3.
     """
     if k > DEGREE_MAX:
         raise DegreeOverflowError(f"no relation inventory beyond {DEGREE_MAX} slots")
@@ -111,9 +113,8 @@ def _relation_spaces(k: int) -> tuple[tuple[int, ...], ...]:
     for v in gens:
         spaces.add(rref_f2([v]))
     for v, w in itertools.combinations(gens, 2):
-        rows = rref_f2([v, w])
-        if len(rows) == 2 and min_weight(rows) >= 3:
-            spaces.add(rows)
+        if (v ^ w).bit_count() >= 3:
+            spaces.add(rref_f2([v, w]))
     return tuple(sorted(spaces))
 
 
@@ -474,11 +475,13 @@ def _decode(key: int) -> tuple[tuple[int, int], ...]:
 
 
 @lru_cache(maxsize=8)
-def _orth_sets(g: int) -> dict[int, list[tuple[int, ...]]]:
-    """All pairwise-orthogonal label sets of sizes 1..DEGREE_MAX, packed."""
-    out: dict[int, list[tuple[int, ...]]] = {k: [] for k in range(1, DEGREE_MAX + 1)}
+def _orth_sets(g: int) -> dict[int, list[tuple[tuple[int, ...], tuple[int, ...]]]]:
+    """All pairwise-orthogonal label sets of sizes 1..DEGREE_MAX, packed, each
+    with its relation space as (labels, kernel_f2(labels)), so that the
+    registry of every degree reads the space instead of computing it."""
+    out: dict[int, list] = {k: [] for k in range(1, DEGREE_MAX + 1)}
     for labels in _orthogonal_sets(g, DEGREE_MAX):
-        out[len(labels)].append(labels)
+        out[len(labels)].append((labels, kernel_f2(labels)))
     return out
 
 
@@ -491,10 +494,8 @@ def _compositions(total: int, parts: int) -> Iterable[tuple[int, ...]]:
             yield (first,) + rest
 
 
-@lru_cache(maxsize=None)
-def _type_of_key(exps: tuple[int, ...], rels: tuple[int, ...]) -> ConfigType:
-    """Type of a concrete monomial from its exponents and label relations."""
-    return make_type(exps, rels)
+# a concrete monomial's type from its exponent and relation tuples
+_type_of_key = _canonical_type
 
 
 @lru_cache(maxsize=None)
@@ -508,9 +509,8 @@ def _registry(g: int, degree: int) -> dict[ConfigType, list[int]]:
     for k, sets in _orth_sets(g).items():
         if k > degree:
             continue
-        kernels = [kernel_f2(labels) for labels in sets]
         for assignment in _compositions(degree, k):
-            for labels, rels in zip(sets, kernels):
+            for labels, rels in sets:
                 key = sum(e << _EXP_BITS * p for p, e in zip(labels, assignment))
                 index.setdefault(_type_of_key(assignment, rels), []).append(key)
     return index

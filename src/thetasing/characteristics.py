@@ -308,6 +308,10 @@ def count_vanishing(g: int, labels: Sequence[BoundaryLabel]) -> int:
         packed.append(n.packed)
     if len(set(packed)) != len(packed):
         raise ValueError("labels must be distinct")
+    # The echelon stays inline rather than calling bits.rref_f2: this is the
+    # hot loop of criterion 3, and rref_f2 (full reduction, a sort, a tuple)
+    # made the counts workload's 212,741 calls take 1.6-2.2 s against
+    # 0.86-1.31 s (2-core Xeon VM, Python 3.11).
     echelon: list[int] = []  # distinct leading bits, descending
     odd_relation = False
     for i, a in enumerate(packed):

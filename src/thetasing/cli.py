@@ -260,9 +260,9 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def _note_normalization_overrides(norms) -> None:
-    """One stderr line per genus of the ring's range where a --data
-    normalization differs from the Hirzebruch-Mumford derivation."""
-    for g in sorted(set(norms or ()).intersection(GENERA["ring-info"])):
+    """One stderr line per genus where a --data normalization differs from
+    the Hirzebruch-Mumford derivation."""
+    for g in sorted(norms or ()):
         derived = tautring.derived_normalization(g)
         if norms[g][0] != derived:
             print(f"# normalization override differs from the derivation at genus {g}: "

@@ -8,12 +8,23 @@ from typing import Callable, TypeVar
 
 T = TypeVar("T")
 
+# the genera a data file may name, those of the tautological rings
+GENUS_MAX = 5
+
 
 def numeral(token: str, where: str) -> int:
     """A number in its one spelling in data files: ASCII digits, no leading 0."""
     if not re.fullmatch(r"0|[1-9][0-9]*", token):
         raise ValueError(f"bad numeral {token!r} in {where!r}")
     return int(token)
+
+
+def genus(token: str, where: str) -> int:
+    """A data file's genus: a numeral in 1..GENUS_MAX."""
+    g = numeral(token, where)
+    if not 1 <= g <= GENUS_MAX:
+        raise ValueError(f"genus {g} outside 1..{GENUS_MAX}")
+    return g
 
 
 def parse_lines(name: str, path: str | None, parse: Callable[[str], T]) -> list[T]:

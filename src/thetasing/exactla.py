@@ -12,7 +12,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Mapping, Sequence, TypeVar
 
-__all__ = ["rref", "rank", "pivot_solution", "solve", "add_into"]
+__all__ = ["rref", "rank", "pivot_solution", "add_into"]
 
 K = TypeVar("K")
 
@@ -76,13 +76,6 @@ def pivot_solution(
             x[c] = row[ncols]
     # a pivot in the augmented column is the equation 0 = 1
     return x, not pivots or pivots[-1] < ncols
-
-
-def solve(matrix: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction]) -> list[Fraction] | None:
-    """One exact solution of A x = rhs (the pivot solution), or None if the
-    system is inconsistent."""
-    x, consistent = pivot_solution(matrix, rhs)
-    return x if consistent else None
 
 
 def add_into(acc: dict[K, Fraction], terms: Mapping[K, Fraction], scale=1) -> dict[K, Fraction]:

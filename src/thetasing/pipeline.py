@@ -32,8 +32,8 @@ from .boundary import (
     pushforward_level2,
     word_sort_key,
 )
-from .datafile import numeral, parse_lines
-from .exactla import add_into, solve
+from .datafile import genus, parse_lines
+from .exactla import add_into, pivot_solution
 
 Word = tuple[str, ...]
 from .tautring import (
@@ -297,8 +297,8 @@ def product_locus_taut(g: int, norms: NormTable | None = None) -> TautElement:
             if a == 1:
                 value += coeff * elliptic * Rh.intersection_number({m2: Fraction(1)}, norms)
         rhs.append(value)
-    x = solve(matrix, rhs)
-    if x is None:
+    x, consistent = pivot_solution(matrix, rhs)
+    if not consistent:
         raise RouteMismatchError(
             f"genus-{g} product locus pairing system is inconsistent", matrix, rhs
         )
@@ -375,7 +375,7 @@ def _parse_rule(line: str) -> RewriteRule:
     m = re.fullmatch(r"genus=(\d+)", head.strip())
     if not m or "=" not in body:
         raise ValueError("expected 'genus=<g>: <word> = <terms>'")
-    g = numeral(m.group(1), head.strip())
+    g = genus(m.group(1), head.strip())
     lhs_text, _, rhs_text = body.partition("=")
     lhs_terms = _rule_terms(lhs_text, g)
     if len(lhs_terms) != 1 or lhs_terms[0][0] != 1 or any(lhs_terms[0][1]):

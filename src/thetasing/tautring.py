@@ -22,7 +22,7 @@ from functools import lru_cache
 from math import factorial
 from typing import Iterable, Sequence
 
-from .datafile import numeral, parse_lines
+from .datafile import genus, numeral, parse_lines
 from .exactla import add_into, rref
 from .zeta import zeta_negative_odd
 
@@ -217,13 +217,22 @@ def _parse_normalization(line: str) -> tuple[int, tuple[Fraction, str]]:
     m = _NORM_LINE.fullmatch(line)
     if not m or m.group(4) == "0":
         raise ValueError("expected 'genus=<g> value=<p>/<q> source=<text>' with q > 0")
-    g, p, q = (numeral(x, line) for x in m.group(1, 3, 4))
+    g = genus(m.group(1), line)
+    p, q = (numeral(x, line) for x in m.group(3, 4))
+    if not p:
+        raise ValueError("a normalization must be nonzero")
     return g, (Fraction(-p if m.group(2) else p, q), m.group(5).strip())
 
 
 def load_normalizations(path: str | None = None) -> NormTable:
-    """Top-degree normalizations <lambda_1^{g(g+1)/2}> with provenance strings."""
-    return dict(parse_lines("normalizations.txt", path, _parse_normalization))
+    """Top-degree normalizations <lambda_1^{g(g+1)/2}> with provenance
+    strings; refuses a second line for one genus."""
+    table: NormTable = {}
+    for g, entry in parse_lines("normalizations.txt", path, _parse_normalization):
+        if g in table:
+            raise ValueError(f"a second normalization line for genus {g}")
+        table[g] = entry
+    return table
 
 
 class MissingNormalizationError(KeyError):

@@ -43,6 +43,8 @@ from thetasing.boundary import (
     parse_identity,
     word_sort_key,
 )
+from thetasing import boundary, characteristics
+from thetasing.bits import kernel_f2
 from thetasing.characteristics import _form_packed, orthogonal_tuples
 from thetasing.exactla import rank
 from thetasing.pipeline import load_boundary_relations
@@ -353,13 +355,21 @@ def test_registry_types_match_canonical_config():
 
 
 def test_orth_sets_follow_orthogonal_tuples():
-    # one search serves both: the size-k sets are the size-k tuples, in order
+    # one search serves both: the size-k sets are the size-k tuples, in
+    # order, each stored with its relation space
     for g in (1, 2, 3):
         tuples = [tuple(n.packed for n in tup) for tup in orthogonal_tuples(g, 5)]
         sets = _orth_sets(g)
         for k in range(1, 6):
-            assert sets[k] == [t for t in tuples if len(t) == k]
+            assert [labels for labels, _ in sets[k]] == [t for t in tuples if len(t) == k]
+            for labels, rels in sets[k]:
+                assert rels == kernel_f2(labels)
     assert sum(len(v) for v in _orth_sets(3).values()) == 12663
+
+
+def test_registry_types_share_the_one_canonical_cache():
+    # a concrete monomial's type is memoized once, by make_type's own cache
+    assert boundary._type_of_key is characteristics._canonical_type
 
 
 def test_registry_sizes_genus3():

@@ -9,7 +9,7 @@ from importlib import resources
 
 import pytest
 
-from thetasing import boundary, cli, pipeline
+from thetasing import boundary, cli, exactla, pipeline
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
@@ -346,6 +346,22 @@ def _write(tmp_path, text):
      "genus=02: sigma2 = 6*lam1*sigma1\n", "bad numeral '02' in 'genus=02'"),
     ("normalizations", ["--command", "ring-info", "--genus", "2"],
      "genus=2 value=1/02880 source=t\n", "bad numeral '02880'"),
+    # a genus no ring has, in either file, a zero normalization, and a
+    # second normalization for one genus
+    ("boundary-relations", ["--command", "compactified-class", "--genus", "2"],
+     "genus=2: sigma2 = 6*lam1*sigma1\ngenus=9: sigma2 = 6*lam1*sigma1\n",
+     "line 2 'genus=9: sigma2 = 6*lam1*sigma1': genus 9 outside 1..5"),
+    ("normalizations", ["--command", "ring-info", "--genus", "1"],
+     "genus=0 value=1/24 source=t\ngenus=1 value=1/24 source=t\n",
+     "line 1 'genus=0 value=1/24 source=t': genus 0 outside 1..5"),
+    ("normalizations", ["--command", "ring-info", "--genus", "1"],
+     "genus=1 value=1/24 source=t\ngenus=2 value=-0/1 source=t\n",
+     "line 2 'genus=2 value=-0/1 source=t': a normalization must be nonzero"),
+    ("normalizations", ["--command", "ring-info", "--genus", "2"],
+     "genus=2 value=0/1 source=t\n", "a normalization must be nonzero"),
+    ("normalizations", ["--command", "ring-info", "--genus", "2"],
+     "genus=2 value=1/2880 source=t\ngenus=2 value=1/5760 source=u\n",
+     "a second normalization line for genus 2"),
 ])
 def test_bad_data_file_fails_before_output(capsys, tmp_path, kind, argv, text, reason):
     path = str(tmp_path / "missing.txt") if text is None else _write(tmp_path, text)
@@ -534,7 +550,8 @@ def test_rewritten_override_is_read_again(capsys, tmp_path):
      ["--command", "taut-projection", "--genus", "3"],
      ["thetasing: genus-3 projection differs between routes", "  first: {(", "  second: {}"]),
     # product_locus_taut: the pairing system has no solution
-    (pipeline, "solve", lambda matrix, rhs: None,
+    (pipeline, "pivot_solution",
+     lambda matrix, rhs: (exactla.pivot_solution(matrix, rhs)[0], False),
      ["--command", "product-taut", "--genus", "4"],
      ["thetasing: genus-4 product locus pairing system is inconsistent",
       "  first: [[Fraction(", "  second: [Fraction("]),

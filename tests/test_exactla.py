@@ -3,7 +3,7 @@
 from fractions import Fraction
 from random import Random
 
-from thetasing.exactla import pivot_solution, rref, solve
+from thetasing.exactla import pivot_solution, rref
 
 
 def _rref_fraction_reference(matrix):
@@ -108,7 +108,6 @@ def test_pivot_solution_flags_inconsistent_systems():
             x, consistent = pivot_solution(matrix, rhs)
             assert consistent == expected, (kind, mat)
             assert kind != "inconsistent" or not consistent
-            assert solve(matrix, rhs) == (x if consistent else None)
             if consistent:
                 assert all(sum((a * v for a, v in zip(row, x)), Fraction(0)) == b
                            for row, b in zip(matrix, rhs))
