@@ -21,10 +21,10 @@ of even characteristics.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from collections import namedtuple
 from functools import lru_cache
 from random import Random
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .bits import parity as bit_parity, rref_f2
 
@@ -55,18 +55,16 @@ class NonOrthogonalError(ValueError):
     """A label tuple contains a pair with nonzero symplectic pairing."""
 
 
-@dataclass(frozen=True, slots=True, order=True)
-class Characteristic:
+class Characteristic(namedtuple("Characteristic", "genus eps delt")):
     """A theta characteristic (eps; delt) at a given genus."""
 
-    genus: int
-    eps: int
-    delt: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        top = 1 << self.genus
-        if not (0 <= self.eps < top and 0 <= self.delt < top):
+    def __new__(cls, genus: int, eps: int, delt: int) -> "Characteristic":
+        top = 1 << genus
+        if not (0 <= eps < top and 0 <= delt < top):
             raise ValueError("characteristic halves must fit in g bits")
+        return tuple.__new__(cls, (genus, eps, delt))
 
     @classmethod
     def from_packed(cls, genus: int, packed: int) -> "Characteristic":
@@ -86,23 +84,26 @@ class Characteristic:
         return self.parity == 1
 
 
-@dataclass(frozen=True, slots=True, order=True)
-class BoundaryLabel:
-    """A nonzero element (alpha; beta) of F_2^{2g} indexing a boundary divisor."""
+class BoundaryLabel(namedtuple("BoundaryLabel", "genus alpha beta packed")):
+    """A nonzero element (alpha; beta) of F_2^{2g} indexing a boundary divisor;
+    the counting loops read its stored fourth field packed, (alpha << genus) | beta."""
 
-    genus: int
-    alpha: int
-    beta: int
-    # (alpha << genus) | beta, stored: the counting loops read it per label
-    packed: int = field(init=False, repr=False, compare=False)
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*list(fields)[:3]))  # _replace recomputes packed
 
-    def __post_init__(self) -> None:
-        top = 1 << self.genus
-        if not (0 <= self.alpha < top and 0 <= self.beta < top):
+    def __new__(cls, genus: int, alpha: int, beta: int) -> "BoundaryLabel":
+        top = 1 << genus
+        if not (0 <= alpha < top and 0 <= beta < top):
             raise ValueError("label halves must fit in g bits")
-        if self.alpha == 0 and self.beta == 0:
+        if alpha == 0 and beta == 0:
             raise ValueError("boundary labels are nonzero")
-        object.__setattr__(self, "packed", (self.alpha << self.genus) | self.beta)
+        return tuple.__new__(cls, (genus, alpha, beta, (alpha << genus) | beta))
+
+    def __repr__(self) -> str:
+        return f"BoundaryLabel(genus={self.genus}, alpha={self.alpha}, beta={self.beta})"
+
+    def __getnewargs__(self) -> tuple[int, int, int]:  # copy and pickle call __new__
+        return self[:3]
 
     @classmethod
     def from_packed(cls, genus: int, packed: int) -> "BoundaryLabel":
@@ -182,13 +183,14 @@ def z_set(m: Characteristic) -> frozenset[BoundaryLabel]:
 
 # --- relation patterns and the parity count ----------------------------------
 
-@dataclass(frozen=True, slots=True, order=True)
-class ConfigType:
+class ConfigType(NamedTuple):
     """Canonical (exponents, relation space) shape of a boundary monomial.
 
     exps is non-increasing; rels is the RREF basis of the relation space,
     written over slot bits and minimized over permutations of equal-exponent
     slots.  Construct through make_type() / canonical_config(), not directly.
+    Being a NamedTuple, a type equals (and hashes as) the bare tuple
+    (exps, rels); nothing in the package mixes the two as keys.
     """
 
     exps: tuple[int, ...]
@@ -314,8 +316,9 @@ def count_vanishing(g: int, labels: Sequence[BoundaryLabel]) -> int:
     # 0.86-1.31 s (2-core Xeon VM, Python 3.11).
     echelon: list[int] = []  # distinct leading bits, descending
     odd_relation = False
+    low = (1 << g) - 1
     for i, a in enumerate(packed):
-        ja = _swap_halves(a, g)
+        ja = ((a & low) << g) | (a >> g)  # _swap_halves(a, g), inlined in the hot loop
         for b in packed[i + 1:]:
             if (ja & b).bit_count() & 1:
                 raise NonOrthogonalError("labels must be pairwise orthogonal")
@@ -363,10 +366,10 @@ def brute_force_count(g: int, labels: Sequence[BoundaryLabel]) -> int:
     """Direct enumeration over all 4^g characteristics (g <= 5)."""
     if g > BRUTE_FORCE_GENUS_MAX:
         raise ValueError(f"brute force is capped at genus {BRUTE_FORCE_GENUS_MAX}")
-    if any(n.genus != g for n in labels):
-        raise ValueError("label genus mismatch")
     masks, acc = _vanish_tables(g)
     for n in labels:
+        if n.genus != g:
+            raise ValueError("label genus mismatch")
         acc &= masks[n.packed]
     return acc.bit_count()
 

@@ -17,11 +17,10 @@ the normal parameter implicit in the twist.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 from math import comb, factorial
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .boundary import (
     NAMED_CLASSES,
@@ -338,8 +337,7 @@ def ij_taut(norms: NormTable | None = None) -> TautElement:
 
 # --- space-specific boundary relations ----------------------------------------
 
-@dataclass(frozen=True)
-class RewriteRule:
+class RewriteRule(NamedTuple):
     genus: int
     word_from: Word
     rhs: tuple[tuple[Fraction, LambdaMonomial, Word], ...]
@@ -564,8 +562,7 @@ PUBLISHED_TAUT: dict[tuple[str, int], TautElement] = {
 }
 
 
-@dataclass(frozen=True)
-class ComparisonRow:
+class ComparisonRow(NamedTuple):
     lam_mono: LambdaMonomial
     word: Word
     engine: Fraction | None

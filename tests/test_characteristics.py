@@ -1,9 +1,11 @@
 """Tests for theta characteristics, distinguished label sets, and parity counts."""
 
+import copy
 import hashlib
 import itertools
 import operator
 import time
+from fractions import Fraction
 from random import Random
 
 import pytest
@@ -21,6 +23,7 @@ from thetasing import (
     z_set,
 )
 from thetasing.bits import kernel_f2, rref_f2
+from thetasing.boundary import all_types
 from thetasing.characteristics import (
     EMPTY,
     ConfigType,
@@ -36,6 +39,7 @@ from thetasing.characteristics import (
     orthogonal_tuples,
     random_orthogonal_tuple,
 )
+from thetasing.pipeline import ComparisonRow, load_boundary_relations
 
 # criterion 3's seed, and the sha256 of the first 2000 (packed tuple, count)
 # rows it gives per genus, recorded before the sampler was optimised
@@ -76,6 +80,35 @@ def test_enumerate_labels_is_a_fresh_list_of_shared_labels():
         table = _labels(g)
         assert table[0] is None
         assert all(table[p].packed == p for p in range(1, 1 << (2 * g)))
+
+
+def test_value_types_are_tuples_with_the_old_contract():
+    # a type hashes as its field tuple, so set and dict orders are pinned
+    types = [t for d in range(1, 6) for t in all_types(d)]
+    assert all(hash(t) == hash((t.exps, t.rels)) for t in types)
+    labels = [label(g, p) for g in (3, 2) for p in (9, 1, 14, 6)]
+    chars = [Characteristic(g, e, d) for g, e, d in ((3, 2, 1), (2, 3, 0), (2, 1, 3), (3, 0, 7))]
+    for values, fields in ((labels, operator.attrgetter("genus", "alpha", "beta")),
+                           (chars, operator.attrgetter("genus", "eps", "delt")),
+                           (types[::-1], operator.attrgetter("exps", "rels"))):
+        assert sorted(values) == sorted(values, key=fields)
+    rule = load_boundary_relations()[2][0]
+    row = ComparisonRow((1, 0), (), Fraction(1), None)
+    for value, name in ((labels[0], "alpha"), (chars[0], "eps"), (types[0], "rels"),
+                        (rule, "genus"), (row, "engine")):
+        with pytest.raises(AttributeError):
+            setattr(value, name, 0)
+    with pytest.raises(ValueError, match=r"^characteristic halves must fit in g bits$"):
+        Characteristic(2, 4, 0)
+    with pytest.raises(ValueError, match=r"^label halves must fit in g bits$"):
+        BoundaryLabel(2, 0, 4)
+    with pytest.raises(ValueError, match=r"^boundary labels are nonzero$"):
+        BoundaryLabel(2, 0, 0)
+    assert repr(BoundaryLabel(3, 1, 2)) == "BoundaryLabel(genus=3, alpha=1, beta=2)"
+    assert copy.deepcopy(labels) == labels
+    assert labels[0]._replace(alpha=0) == BoundaryLabel(3, 0, 1)
+    with pytest.raises(ValueError, match=r"^boundary labels are nonzero$"):
+        labels[0]._replace(alpha=0, beta=0)
 
 
 def test_swap_halves_pairing_exhaustive():
@@ -181,8 +214,9 @@ def test_count_rejects_bad_input():
         count_vanishing(g, [label(g, 0b0001), label(g, 0b0100)])
     with pytest.raises(ValueError):
         count_vanishing(g, [label(g, 0b0001), label(g, 0b0001)])
-    with pytest.raises(ValueError):
-        count_vanishing(3, [label(2, 0b0001)])
+    for count in (count_vanishing, brute_force_count):
+        with pytest.raises(ValueError, match=r"^label genus mismatch$"):
+            count(3, [label(3, 0b000001), label(2, 0b0001)])
 
 
 # six labels in a Lagrangian with two independent weight-4 relations, the

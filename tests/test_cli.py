@@ -9,7 +9,7 @@ from importlib import resources
 
 import pytest
 
-from thetasing import boundary, cli, exactla, pipeline
+from thetasing import boundary, characteristics, cli, exactla, pipeline
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
@@ -201,6 +201,37 @@ def test_verify_counts_sampled(capsys):
     )
     assert code == 0
     assert out == "ok genus=4 mode=sampled(200) tuples=201 mismatches=0\n"
+
+
+def test_verify_counts_reports_mismatches(capsys, monkeypatch):
+    count = characteristics.count_vanishing
+    monkeypatch.setattr(characteristics, "count_vanishing",
+                        lambda g, labels: count(g, labels) + (1 if labels else 0))
+    code, out = run(capsys, "--command", "verify-counts", "--genus", "2")
+    assert code == 2
+    # at most three mismatches are printed, each with the labels' reprs
+    lines = out.splitlines()
+    ns = [f"BoundaryLabel(genus=2, alpha=0, beta={b})" for b in (1, 2, 3)]
+    assert lines[:-1] == [
+        f"# MISMATCH g=2 labels=({ns[0]},) 5 != 4",
+        f"# MISMATCH g=2 labels=({ns[0]}, {ns[1]}) 3 != 2",
+        f"# MISMATCH g=2 labels=({ns[0]}, {ns[1]}, {ns[2]}) 1 != 0",
+    ]
+    assert lines[-1] == "FAIL genus=2 mode=exhaustive tuples=76 mismatches=75"
+
+
+def test_cli_import_skips_dataclasses_and_inspect():
+    # only the modules new to the child count, so a site .pth that preloads
+    # either module does not fail the test
+    code = ("import sys; before = set(sys.modules); import thetasing.cli; "
+            "print(sorted({'dataclasses', 'inspect'} & (set(sys.modules) - before)))")
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(
+            p for p in (SRC, os.environ.get("PYTHONPATH")) if p)},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
 
 
 @pytest.mark.parametrize("samples", ["0", "-5"])
