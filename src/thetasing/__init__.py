@@ -26,14 +26,11 @@ from .boundary import (
 )
 from .characteristics import (
     BoundaryLabel,
-    Characteristic,
     NonOrthogonalError,
     brute_force_count,
     count_vanishing,
     enumerate_labels,
-    enumerate_odd,
     symplectic_form,
-    z_set,
 )
 from .pipeline import (
     MixedClass,
@@ -49,7 +46,6 @@ from .pipeline import (
 )
 from .tautring import (
     TautRing,
-    intersection_number,
     normalization,
     ring,
     taut_project_boundary,

@@ -7,17 +7,7 @@ from __future__ import annotations
 
 from typing import Iterable, Sequence
 
-__all__ = [
-    "parity",
-    "rref_f2",
-    "span_f2",
-    "kernel_f2",
-]
-
-
-def parity(x: int) -> int:
-    """Parity of the popcount of x (0 or 1)."""
-    return x.bit_count() & 1
+__all__ = ["rref_f2", "span_f2", "kernel_f2"]
 
 
 def rref_f2(rows: Iterable[int]) -> tuple[int, ...]:

@@ -34,7 +34,7 @@ from .characteristics import (
     n_odd,
 )
 from .datafile import numeral, parse_lines
-from .exactla import add_into, pivot_solution
+from .exactla import Combination, add_into, pivot_solution
 
 __all__ = [
     "ConfigType",
@@ -148,50 +148,27 @@ def all_types(degree: int) -> tuple[ConfigType, ...]:
 
 # --- boundary polynomials ----------------------------------------------------
 
-class BoundaryPoly:
-    """Homogeneous formal sum of configuration-type classes."""
+class BoundaryPoly(Combination):
+    """Homogeneous formal sum of configuration-type classes; the grade is the degree."""
 
-    __slots__ = ("degree", "coeffs")
+    __slots__ = ()
 
     def __init__(self, degree: int, coeffs: dict[ConfigType, Fraction] | None = None):
-        self.degree = degree
-        self.coeffs: dict[ConfigType, Fraction] = {}
+        self.grade = degree
+        self.terms = terms = {}
         for t, c in (coeffs or {}).items():
-            if c == 0:
-                continue
-            if t.degree != degree:
-                raise ValueError(f"type {t} has degree {t.degree}, expected {degree}")
-            self.coeffs[t] = Fraction(c)
+            if c:
+                if t.degree != degree:
+                    raise ValueError(f"type {t} has degree {t.degree}, expected {degree}")
+                terms[t] = Fraction(c)
 
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, BoundaryPoly)
-            and self.degree == other.degree
-            and self.coeffs == other.coeffs
-        )
-
-    def __hash__(self):
-        return hash((self.degree, tuple(sorted(self.coeffs.items()))))
-
-    def __add__(self, other: "BoundaryPoly") -> "BoundaryPoly":
-        if other.degree != self.degree:
-            raise ValueError("degree mismatch")
-        return BoundaryPoly(self.degree, add_into(dict(self.coeffs), other.coeffs))
-
-    def __sub__(self, other: "BoundaryPoly") -> "BoundaryPoly":
-        return self + (-1) * other
-
-    def __rmul__(self, scalar) -> "BoundaryPoly":
-        s = Fraction(scalar)
-        return BoundaryPoly(self.degree, {t: s * c for t, c in self.coeffs.items()})
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
+    degree = property(lambda self: self.grade)
+    coeffs = property(lambda self: self.terms)
 
     def __repr__(self):
-        if not self.coeffs:
+        if not self.terms:
             return f"BoundaryPoly({self.degree}, 0)"
-        bits = " + ".join(f"{c}*{t.literal()}" for t, c in sorted(self.coeffs.items()))
+        bits = " + ".join(f"{c}*{t.literal()}" for t, c in sorted(self.terms.items()))
         return f"BoundaryPoly({self.degree}, {bits})"
 
 
@@ -351,15 +328,16 @@ def product(p: BoundaryPoly, q: BoundaryPoly, g: int) -> BoundaryPoly:
     if degree > DEGREE_MAX:
         raise DegreeOverflowError(f"product degree {degree} exceeds {DEGREE_MAX}")
     out: dict[ConfigType, Fraction] = {}
+    pget, qget = p.terms.get, q.terms.get
     for t in all_types(degree):
         if t.rank > g:
             continue
         acc = Fraction(0)
         for t1, t2, n in _split_table(t):
-            c1 = p.coeffs.get(t1)
+            c1 = pget(t1)
             if not c1:
                 continue
-            c2 = q.coeffs.get(t2)
+            c2 = qget(t2)
             if not c2:
                 continue
             acc += n * c1 * c2

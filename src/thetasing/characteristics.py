@@ -13,10 +13,11 @@ labels n = (alpha; beta) are the nonzero elements of the same F_2^{2g}; the
 symplectic form is <n1, n2> = alpha1 . beta2 + alpha2 . beta1.  Two boundary
 divisors D_{n1}, D_{n2} meet iff <n1, n2> = 0.
 
-The distinguished label set of an odd m consists of *all* nonzero n with
-m + n even; note n equal to the vector of m itself qualifies, since parity
-of the zero characteristic is 0.  Its size is 2^{2g-1} + 2^{g-1}, the number
-of even characteristics.
+The distinguished label set Z_m of an odd m consists of *all* nonzero n
+with m + n even; note n equal to the vector of m itself qualifies, since
+parity of the zero characteristic is 0.  Its size is 2^{2g-1} + 2^{g-1}, the
+number of even characteristics.  Both the odd m and the sets Z_m are
+computed where the brute-force oracle needs them, in _vanish_tables.
 """
 from __future__ import annotations
 
@@ -26,18 +27,14 @@ from functools import lru_cache
 from random import Random
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
-from .bits import parity as bit_parity, rref_f2
+from .bits import rref_f2
 
 __all__ = [
-    "Characteristic",
     "BoundaryLabel",
     "NonOrthogonalError",
-    "parity",
     "n_odd",
     "symplectic_form",
-    "enumerate_odd",
     "enumerate_labels",
-    "z_set",
     "count_vanishing",
     "count_from_pattern",
     "brute_force_count",
@@ -53,35 +50,6 @@ BRUTE_FORCE_GENUS_MAX = 5
 
 class NonOrthogonalError(ValueError):
     """A label tuple contains a pair with nonzero symplectic pairing."""
-
-
-class Characteristic(namedtuple("Characteristic", "genus eps delt")):
-    """A theta characteristic (eps; delt) at a given genus."""
-
-    __slots__ = ()
-
-    def __new__(cls, genus: int, eps: int, delt: int) -> "Characteristic":
-        top = 1 << genus
-        if not (0 <= eps < top and 0 <= delt < top):
-            raise ValueError("characteristic halves must fit in g bits")
-        return tuple.__new__(cls, (genus, eps, delt))
-
-    @classmethod
-    def from_packed(cls, genus: int, packed: int) -> "Characteristic":
-        mask = (1 << genus) - 1
-        return cls(genus, packed >> genus, packed & mask)
-
-    @property
-    def packed(self) -> int:
-        return (self.eps << self.genus) | self.delt
-
-    @property
-    def parity(self) -> int:
-        return bit_parity(self.eps & self.delt)
-
-    @property
-    def is_odd(self) -> bool:
-        return self.parity == 1
 
 
 class BoundaryLabel(namedtuple("BoundaryLabel", "genus alpha beta packed")):
@@ -110,19 +78,6 @@ class BoundaryLabel(namedtuple("BoundaryLabel", "genus alpha beta packed")):
         mask = (1 << genus) - 1
         return cls(genus, packed >> genus, packed & mask)
 
-    @property
-    def parity(self) -> int:
-        return bit_parity(self.alpha & self.beta)
-
-    def __add__(self, other: "BoundaryLabel") -> "BoundaryLabel":
-        if other.genus != self.genus:
-            raise ValueError("genus mismatch")
-        return BoundaryLabel.from_packed(self.genus, self.packed ^ other.packed)
-
-
-def parity(m: Characteristic) -> int:
-    return m.parity
-
 
 def n_odd(g: int) -> int:
     """Number of odd characteristics at genus g."""
@@ -149,15 +104,6 @@ def symplectic_form(n1: BoundaryLabel, n2: BoundaryLabel) -> int:
     return _form_packed(n1.packed, n2.packed, n1.genus)
 
 
-def enumerate_odd(g: int) -> list[Characteristic]:
-    """All odd characteristics, lexicographic in (eps, delt)."""
-    return [
-        Characteristic.from_packed(g, p)
-        for p in range(1 << (2 * g))
-        if _sigma_packed(p, g)
-    ]
-
-
 @lru_cache(maxsize=8)
 def _labels(g: int) -> tuple[BoundaryLabel | None, ...]:
     """Every label at genus g, indexed by packed value (slot 0 is None)."""
@@ -167,18 +113,6 @@ def _labels(g: int) -> tuple[BoundaryLabel | None, ...]:
 def enumerate_labels(g: int) -> list[BoundaryLabel]:
     """All nonzero labels, lexicographic in (alpha, beta)."""
     return list(_labels(g)[1:])
-
-
-def z_set(m: Characteristic) -> frozenset[BoundaryLabel]:
-    """All nonzero labels n with m + n of even parity; requires m odd."""
-    if not m.is_odd:
-        raise ValueError("z_set is defined for odd characteristics only")
-    g, mp = m.genus, m.packed
-    return frozenset(
-        BoundaryLabel.from_packed(g, n)
-        for n in range(1, 1 << (2 * g))
-        if _sigma_packed(mp ^ n, g) == 0
-    )
 
 
 # --- relation patterns and the parity count ----------------------------------
@@ -340,7 +274,8 @@ def count_vanishing(g: int, labels: Sequence[BoundaryLabel]) -> int:
 
 @lru_cache(maxsize=8)
 def _vanish_tables(g: int) -> tuple[list[int], int]:
-    """Per-label bitsets of {m : parity(m + n) even}, plus the odd-m bitset.
+    """Per-label bitsets of {m : parity(m + n) even}, plus the odd-m bitset;
+    so n lies in Z_m exactly when bit m of masks[n] is set.
 
     The set of label n is the even set translated by n.  Translating by one
     bit 2^j swaps adjacent blocks of 2^j bits, so each set comes from the set
@@ -363,27 +298,15 @@ def _vanish_tables(g: int) -> tuple[list[int], int]:
 
 
 def brute_force_count(g: int, labels: Sequence[BoundaryLabel]) -> int:
-    """Direct enumeration over all 4^g characteristics (g <= 5)."""
-    if g > BRUTE_FORCE_GENUS_MAX:
-        raise ValueError(f"brute force is capped at genus {BRUTE_FORCE_GENUS_MAX}")
+    """Direct enumeration over all 4^g characteristics (1 <= g <= 5)."""
+    if not 1 <= g <= BRUTE_FORCE_GENUS_MAX:
+        raise ValueError(f"brute force supports genus 1..{BRUTE_FORCE_GENUS_MAX}, not {g}")
     masks, acc = _vanish_tables(g)
     for n in labels:
         if n.genus != g:
             raise ValueError("label genus mismatch")
         acc &= masks[n.packed]
     return acc.bit_count()
-
-
-def brute_force_count_naive(g: int, labels: Sequence[BoundaryLabel]) -> int:
-    """Loop-and-test reference for the bitset implementation."""
-    packed = [n.packed for n in labels]
-    count = 0
-    for m in range(1 << (2 * g)):
-        if not _sigma_packed(m, g):
-            continue
-        if all(_sigma_packed(m ^ n, g) == 0 for n in packed):
-            count += 1
-    return count
 
 
 # --- tuple generation --------------------------------------------------------

@@ -12,7 +12,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Mapping, Sequence, TypeVar
 
-__all__ = ["rref", "rank", "pivot_solution", "add_into"]
+__all__ = ["rref", "rank", "pivot_solution", "add_into", "Combination"]
 
 K = TypeVar("K")
 
@@ -90,3 +90,35 @@ def add_into(acc: dict[K, Fraction], terms: Mapping[K, Fraction], scale=1) -> di
         else:
             acc.pop(key, None)
     return acc
+
+
+class Combination:
+    """A sparse Q-linear combination of keys, all of one grade.
+
+    A subclass names its keys and grade and is built as Sub(grade, terms).
+    Zero coefficients are dropped, so a combination is zero when it has no
+    terms.  Only combinations of one type and one grade add or compare equal.
+    """
+
+    __slots__ = ("grade", "terms")
+
+    def __init__(self, grade: int, terms: Mapping | None = None):
+        self.grade = grade
+        self.terms = {k: c for k, c in (terms or {}).items() if c}
+
+    def __add__(self, other: "Combination") -> "Combination":
+        if type(other) is not type(self) or other.grade != self.grade:
+            raise ValueError(f"cannot add {other!r} to {self!r}")
+        return type(self)(self.grade, add_into(dict(self.terms), other.terms))
+
+    def __sub__(self, other: "Combination") -> "Combination":
+        return self + (-1) * other
+
+    def __rmul__(self, scalar) -> "Combination":
+        return type(self)(self.grade, {k: scalar * c for k, c in self.terms.items()})
+
+    def __eq__(self, other: object) -> bool:
+        return type(other) is type(self) and other.grade == self.grade and other.terms == self.terms
+
+    def is_zero(self) -> bool:
+        return not self.terms

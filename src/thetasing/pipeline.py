@@ -32,7 +32,7 @@ from .boundary import (
     word_sort_key,
 )
 from .datafile import genus, parse_lines
-from .exactla import add_into, pivot_solution
+from .exactla import Combination, add_into, pivot_solution
 
 Word = tuple[str, ...]
 from .tautring import (
@@ -83,32 +83,12 @@ class RouteMismatchError(RuntimeError):
         self.second = second
 
 
-class MixedClass:
-    """A class on the compactification: sum of lambda-monomial x word terms."""
+class MixedClass(Combination):
+    """A class on the compactification: sum of lambda-monomial x word terms;
+    the grade is the genus."""
 
-    __slots__ = ("genus", "terms")
-
-    def __init__(self, genus: int, terms: dict[LamWord, Fraction]):
-        self.genus = genus
-        self.terms = {k: v for k, v in terms.items() if v}
-
-    def __add__(self, other: "MixedClass") -> "MixedClass":
-        if self.genus != other.genus:
-            raise ValueError("cannot add classes on different spaces")
-        return MixedClass(self.genus, add_into(dict(self.terms), other.terms))
-
-    def scaled(self, c: Fraction) -> "MixedClass":
-        return MixedClass(self.genus, {k: c * v for k, v in self.terms.items()})
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, MixedClass)
-            and self.genus == other.genus
-            and self.terms == other.terms
-        )
-
-    def is_zero(self) -> bool:
-        return not self.terms
+    __slots__ = ()
+    genus = property(lambda self: self.grade)
 
     def sorted_items(self) -> list[tuple[LamWord, Fraction]]:
         return sorted(self.terms.items(), key=lambda item: _term_key(item[0]))
@@ -174,13 +154,8 @@ def stratum(g: int, j: int) -> MixedClass:
     else:
         words = pushforward_level2(expand_zm_power(g, j), g)
     scalar = Fraction((-1) ** j, 4 ** j)
-    terms: dict[LamWord, Fraction] = {}
-    for word, wc in words.items():
-        for mono, lc in lamf.items():
-            val = scalar * wc * lc
-            if val:
-                terms[(mono, word)] = val
-    return MixedClass(g, terms)
+    return MixedClass(g, {(mono, word): scalar * wc * lc
+                          for word, wc in words.items() for mono, lc in lamf.items()})
 
 
 def strata(g: int) -> list[MixedClass]:
@@ -190,10 +165,7 @@ def strata(g: int) -> list[MixedClass]:
 
 
 def _raw_compactified(g: int) -> MixedClass:
-    total = MixedClass(g, {})
-    for s in strata(g):
-        total = total + s
-    return total
+    return sum(strata(g), MixedClass(g))
 
 
 def class_compactified(g: int, relations: RelationTable | None = None) -> MixedClass:

@@ -34,7 +34,6 @@ __all__ = [
     "monomials",
     "mono_degree",
     "mono_mul",
-    "intersection_number",
     "load_normalizations",
     "MissingNormalizationError",
     "normalization",
@@ -201,11 +200,6 @@ class TautRing:
 @lru_cache(maxsize=None)
 def ring(g: int, open_variant: bool = False) -> TautRing:
     return TautRing(g, open_variant)
-
-
-def intersection_number(g: int, elem: TautElement) -> Fraction:
-    """Pair a top-degree class against the fundamental class of genus g."""
-    return ring(g).intersection_number(elem)
 
 
 # --- normalization data ------------------------------------------------------

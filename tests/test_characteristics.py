@@ -13,14 +13,11 @@ from hypothesis import given, settings, strategies as st
 
 from thetasing import (
     BoundaryLabel,
-    Characteristic,
     NonOrthogonalError,
     brute_force_count,
     count_vanishing,
     enumerate_labels,
-    enumerate_odd,
     symplectic_form,
-    z_set,
 )
 from thetasing.bits import kernel_f2, rref_f2
 from thetasing.boundary import all_types
@@ -33,7 +30,6 @@ from thetasing.characteristics import (
     _sigma_packed,
     _swap_halves,
     _vanish_tables,
-    brute_force_count_naive,
     count_from_pattern,
     make_type,
     orthogonal_tuples,
@@ -58,11 +54,23 @@ def labels_strategy(g):
     return st.builds(lambda p: label(g, p), st.integers(1, (1 << (2 * g)) - 1))
 
 
+def odd_characteristics(g):
+    """Packed odd m, ascending, read off the oracle's odd-m bitset."""
+    odd_mask = _vanish_tables(g)[1]
+    return [m for m in range(1 << (2 * g)) if odd_mask >> m & 1]
+
+
+def z_m(g, m):
+    """Packed labels of Z_m: the n whose oracle bitset has bit m set."""
+    masks = _vanish_tables(g)[0]
+    return {n for n in range(1, 1 << (2 * g)) if masks[n] >> m & 1}
+
+
 # --- parity and the symplectic form ------------------------------------------
 
 def test_odd_characteristic_counts():
     for g in range(1, 5):
-        assert len(enumerate_odd(g)) == (1 << (g - 1)) * ((1 << g) - 1)
+        assert len(odd_characteristics(g)) == (1 << (g - 1)) * ((1 << g) - 1)
 
 
 def test_enumerate_labels_count():
@@ -87,19 +95,15 @@ def test_value_types_are_tuples_with_the_old_contract():
     types = [t for d in range(1, 6) for t in all_types(d)]
     assert all(hash(t) == hash((t.exps, t.rels)) for t in types)
     labels = [label(g, p) for g in (3, 2) for p in (9, 1, 14, 6)]
-    chars = [Characteristic(g, e, d) for g, e, d in ((3, 2, 1), (2, 3, 0), (2, 1, 3), (3, 0, 7))]
     for values, fields in ((labels, operator.attrgetter("genus", "alpha", "beta")),
-                           (chars, operator.attrgetter("genus", "eps", "delt")),
                            (types[::-1], operator.attrgetter("exps", "rels"))):
         assert sorted(values) == sorted(values, key=fields)
     rule = load_boundary_relations()[2][0]
     row = ComparisonRow((1, 0), (), Fraction(1), None)
-    for value, name in ((labels[0], "alpha"), (chars[0], "eps"), (types[0], "rels"),
+    for value, name in ((labels[0], "alpha"), (types[0], "rels"),
                         (rule, "genus"), (row, "engine")):
         with pytest.raises(AttributeError):
             setattr(value, name, 0)
-    with pytest.raises(ValueError, match=r"^characteristic halves must fit in g bits$"):
-        Characteristic(2, 4, 0)
     with pytest.raises(ValueError, match=r"^label halves must fit in g bits$"):
         BoundaryLabel(2, 0, 4)
     with pytest.raises(ValueError, match=r"^boundary labels are nonzero$"):
@@ -125,15 +129,15 @@ def test_parity_shift_rule(n1, n2):
     # sigma(a + b) = sigma(a) + sigma(b) + <a, b>  (mod 2)
     if n1.packed == n2.packed:
         return
-    total = (n1.parity + n2.parity + symplectic_form(n1, n2)) & 1
-    assert (n1 + n2).parity == total
+    total = (_sigma_packed(n1.packed, 3) + _sigma_packed(n2.packed, 3) + symplectic_form(n1, n2)) & 1
+    assert _sigma_packed(n1.packed ^ n2.packed, 3) == total
 
 
 @given(labels_strategy(3), labels_strategy(3), labels_strategy(3))
 def test_form_bilinear(a, b, c):
     if a.packed == b.packed:
         return
-    lhs = symplectic_form(a + b, c)
+    lhs = symplectic_form(label(3, a.packed ^ b.packed), c)
     rhs = (symplectic_form(a, c) + symplectic_form(b, c)) & 1
     assert lhs == rhs
     assert symplectic_form(a, c) == symplectic_form(c, a)
@@ -155,29 +159,24 @@ def test_form_is_nondegenerate_genus2():
 def test_z_set_size_and_membership():
     for g in (1, 2, 3):
         expected = (1 << (2 * g - 1)) + (1 << (g - 1))
-        for m in enumerate_odd(g):
-            zs = z_set(m)
+        for m in odd_characteristics(g):
+            zs = z_m(g, m)
             assert len(zs) == expected
             # the label with the same underlying vector as m belongs to the set
-            assert BoundaryLabel.from_packed(g, m.packed) in zs
-
-
-def test_z_set_requires_odd():
-    with pytest.raises(ValueError):
-        z_set(Characteristic(2, 0, 0))
+            assert m in zs
 
 
 def test_z_set_total_incidence():
-    # sum over odd m of |z_set(m)| counts (odd, even-shift) incidences
+    # sum over odd m of |Z_m| counts (odd, even-shift) incidences
     for g in (1, 2, 3):
-        total = sum(len(z_set(m)) for m in enumerate_odd(g))
+        total = sum(len(z_m(g, m)) for m in odd_characteristics(g))
         assert total == ((1 << (2 * g)) - 1) * (1 << (2 * g - 2))
 
 
 def test_z_set_spot_checks_high_genus():
     for g in (4, 5):
-        m = enumerate_odd(g)[0]
-        assert len(z_set(m)) == (1 << (2 * g - 1)) + (1 << (g - 1))
+        m = odd_characteristics(g)[0]
+        assert len(z_m(g, m)) == (1 << (2 * g - 1)) + (1 << (g - 1))
 
 
 # --- counting rule ------------------------------------------------------------
@@ -515,6 +514,18 @@ def test_random_tuple_shape():
             assert symplectic_form(a, b) == 0
 
 
+def brute_force_count_naive(g, labels):
+    """Loop-and-test reference for the bitset implementation."""
+    packed = [n.packed for n in labels]
+    count = 0
+    for m in range(1 << (2 * g)):
+        if not _sigma_packed(m, g):
+            continue
+        if all(_sigma_packed(m ^ n, g) == 0 for n in packed):
+            count += 1
+    return count
+
+
 @settings(max_examples=40)
 @given(st.lists(st.integers(1, 63), min_size=0, max_size=4))
 def test_brute_bitset_matches_naive(packs):
@@ -524,5 +535,6 @@ def test_brute_bitset_matches_naive(packs):
 
 
 def test_brute_force_genus_cap():
-    with pytest.raises(ValueError):
-        brute_force_count(6, [])
+    for g in (-1, 0, 6):
+        with pytest.raises(ValueError, match=rf"^brute force supports genus 1\.\.5, not {g}$"):
+            brute_force_count(g, [])

@@ -3,7 +3,11 @@
 from fractions import Fraction
 from random import Random
 
+import pytest
+
+from thetasing.boundary import BoundaryPoly, make_type
 from thetasing.exactla import pivot_solution, rref
+from thetasing.pipeline import MixedClass
 
 
 def _rref_fraction_reference(matrix):
@@ -113,3 +117,29 @@ def test_pivot_solution_flags_inconsistent_systems():
                            for row, b in zip(matrix, rhs))
             seen.add(consistent)
     assert seen == {True, False}
+
+
+@pytest.mark.parametrize("cls, grade_name, grade, k1, k2", [
+    (BoundaryPoly, "degree", 2, make_type((2,), ()), make_type((1, 1), ())),
+    (MixedClass, "genus", 3, ((0, 0, 0), ("sigma1",)), ((1, 0, 0), ())),
+])
+def test_combination_core(cls, grade_name, grade, k1, k2):
+    F = Fraction
+    other = MixedClass if cls is BoundaryPoly else BoundaryPoly
+    a = cls(grade, {k1: F(2), k2: F(0)})
+    b = cls(grade, {k1: F(-2), k2: F(1, 3)})
+    assert a.terms == {k1: F(2)} and getattr(a, grade_name) == grade
+    with pytest.raises(AttributeError):
+        setattr(a, grade_name, grade)
+    assert (a + b).terms == {k2: F(1, 3)}
+    assert (a - b).terms == {k1: F(4), k2: F(-1, 3)}
+    assert (F(1, 2) * a).terms == {k1: F(1)}
+    assert (0 * a).is_zero() and (a - a).is_zero() and not a.is_zero()
+    assert a == cls(grade, {k1: F(2)}) and a != b
+    assert cls(grade) == cls(grade, {k1: F(0)})
+    assert cls(grade) != cls(grade - 1) and cls(grade) != other(grade)
+    for bad in (cls(grade - 1), other(grade)):
+        with pytest.raises(ValueError, match="^cannot add "):
+            a + bad
+        with pytest.raises(ValueError, match="^cannot add "):
+            a - bad

@@ -225,7 +225,7 @@ def test_mixed_class_algebra():
     a = MixedClass(3, {((0, 0, 0), ("sigma1",)): F(2)})
     b = MixedClass(3, {((0, 0, 0), ("sigma1",)): F(-2)})
     assert (a + b).is_zero()
-    assert a.scaled(F(1, 2)).terms == {((0, 0, 0), ("sigma1",)): F(1)}
+    assert (F(1, 2) * a).terms == {((0, 0, 0), ("sigma1",)): F(1)}
     with pytest.raises(ValueError):
         a + MixedClass(2, {})
 

@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from thetasing import TautRing, intersection_number, normalization, ring
+from thetasing import TautRing, normalization, ring
 from thetasing.exactla import rank
 from thetasing.zeta import zeta_negative_odd
 from thetasing.tautring import (
@@ -235,26 +235,26 @@ def test_top_intersection_numbers():
 
 def test_quoted_genus4_numbers():
     n4 = F(1, 1814400)
-    assert intersection_number(4, {lam(4, 1, 10): F(1)}) == n4
+    assert ring(4).intersection_number({lam(4, 1, 10): F(1)}) == n4
     seven = {mono_mul(lam(4, 3), lam(4, 1, 7)): F(1)}
-    assert intersection_number(4, seven) == F(7, 48) * n4
-    assert intersection_number(4, seven) == F(1, 12441600)
+    assert ring(4).intersection_number(seven) == F(7, 48) * n4
+    assert ring(4).intersection_number(seven) == F(1, 12441600)
     double = {mono_mul(lam(4, 3, 2), lam(4, 1, 4)): F(1)}
-    assert intersection_number(4, double) == F(1, 48) * n4
-    assert intersection_number(4, double) == F(1, 87091200)
+    assert ring(4).intersection_number(double) == F(1, 48) * n4
+    assert ring(4).intersection_number(double) == F(1, 87091200)
 
 
 def test_genus3_lambda3_number():
     elem = {mono_mul(lam(3, 3), lam(3, 1, 3)): F(1)}
-    assert intersection_number(3, elem) == normalization(3) / 8
+    assert ring(3).intersection_number(elem) == normalization(3) / 8
 
 
 def test_intersection_number_errors():
     with pytest.raises(ValueError):
         ring(3, True).intersection_number({lam(3, 1, 6): F(1)})
     with pytest.raises(ValueError):
-        intersection_number(3, {lam(3, 1): F(1)})
-    assert intersection_number(3, {}) == 0
+        ring(3).intersection_number({lam(3, 1): F(1)})
+    assert ring(3).intersection_number({}) == 0
 
 
 def test_pairing_matrices_nonsingular():
