@@ -297,18 +297,18 @@ def test_criterion_10_ring_structure():
     zero = R5.reduce({mono_mul(l1(8), lam(5, 5)): F(1), l1(13): F(-3, 1144)})
     assert zero == {}
     # quoted intersection numbers
-    assert ring(5).intersection_number({l1(15): F(1)}) == F(13, 16329600)
-    assert ring(5).intersection_number({mono_mul(l1(12), lam(5, 3)): F(1)}) == F(2, 16329600)
-    assert ring(5).intersection_number({mono_mul(l1(9), lam(5, 3, 2)): F(1)}) == F(1, 53222400)
-    n4 = F(1, 1814400)
-    assert ring(4).intersection_number({lam(4, 1, 10): F(1)}) == n4
-    assert ring(4).intersection_number({mono_mul(lam(4, 3), lam(4, 1, 7)): F(1)}) == F(7, 48) * n4
+    assert R5.intersection_number({l1(15): F(1)}) == F(13, 16329600)
+    assert R5.intersection_number({mono_mul(l1(12), lam(5, 3)): F(1)}) == F(2, 16329600)
+    assert R5.intersection_number({mono_mul(l1(9), lam(5, 3, 2)): F(1)}) == F(1, 53222400)
+    n4, R4 = F(1, 1814400), ring(4)
+    assert R4.intersection_number({lam(4, 1, 10): F(1)}) == n4
+    assert R4.intersection_number({mono_mul(lam(4, 3), lam(4, 1, 7)): F(1)}) == F(7, 48) * n4
     assert (
-        ring(4).intersection_number({mono_mul(lam(4, 1, 3), mono_mul(lam(4, 1, 4), lam(4, 3))): F(1)})
+        R4.intersection_number({mono_mul(lam(4, 1, 3), mono_mul(lam(4, 1, 4), lam(4, 3))): F(1)})
         == F(7, 48) * n4
     )
     assert (
-        ring(4).intersection_number({mono_mul(lam(4, 3, 2), lam(4, 1, 4)): F(1)})
+        R4.intersection_number({mono_mul(lam(4, 3, 2), lam(4, 1, 4)): F(1)})
         == F(1, 48) * n4
     )
     print("criterion 10 PASS: ring dimensions, pairings, reductions, numbers all match")

@@ -129,7 +129,8 @@ def test_parity_shift_rule(n1, n2):
     # sigma(a + b) = sigma(a) + sigma(b) + <a, b>  (mod 2)
     if n1.packed == n2.packed:
         return
-    total = (_sigma_packed(n1.packed, 3) + _sigma_packed(n2.packed, 3) + symplectic_form(n1, n2)) & 1
+    s1, s2 = _sigma_packed(n1.packed, 3), _sigma_packed(n2.packed, 3)
+    total = (s1 + s2 + symplectic_form(n1, n2)) & 1
     assert _sigma_packed(n1.packed ^ n2.packed, 3) == total
 
 
