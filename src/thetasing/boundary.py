@@ -176,7 +176,7 @@ class BoundaryPoly(Combination):
 
 # Named classes written in the ledger grammar (data/identities.txt), so that
 # _expand_factor is the one expansion of a literal.  sigma<k> is any(1,...,1)
-# and beta<k> is cfg(1,...,1), both built from the name (_named_expr).  A
+# and beta<k> is cfg(1,...,1), both built from the name (_named).  A
 # group stays the sum of its members: written as any(...), the ledger line
 # `sigma5 = A` would hold by definition and check nothing.
 _NAMED: dict[str, str] = {
@@ -210,48 +210,41 @@ NAMED_CLASSES: tuple[str, ...] = tuple(
 )
 
 
+# Display order of the name stems; a group (A) sorts before its members.
+_STEMS = ("sigma", "beta", "Y", "A", "B", "C", "D", "E", "F", "G")
+
+
 @lru_cache(maxsize=None)
-def _named_expr(name: str) -> Expr:
-    """A named class as a parsed ledger expression."""
-    m = re.fullmatch(r"(sigma|beta)([1-9]\d*)", name)
+def _named(tag: str) -> tuple[tuple[int, int], int, Expr]:
+    """A named class as its display key (stem rank, index), degree and
+    parsed ledger expression; KeyError for an unknown name."""
+    m = re.fullmatch(r"(sigma|beta)([1-9]\d*)", tag)
     if m:
-        kind = "any" if m.group(1) == "sigma" else "cfg"
-        return _parse_expr(f"{kind}({','.join('1' * int(m.group(2)))})")
-    if name not in _NAMED:
-        raise KeyError(f"unknown named class {name!r}")
-    return _parse_expr(_NAMED[name])
+        stem, index = m[1], int(m[2])
+        ones = (1,) * index
+        factor = ("any", ones) if stem == "sigma" else ("cfg", ones, ())
+        expr = ((Fraction(1), (factor,)),)
+    elif tag in _NAMED:
+        stem = tag.rstrip("0123456789")
+        index, expr = int(tag[len(stem):] or 0), _parse_expr(_NAMED[tag])
+    else:
+        raise KeyError(f"unknown named class {tag!r}")
+    return (_STEMS.index(stem), index), expr_degree(expr), expr
 
 
 @lru_cache(maxsize=None)
 def expand_named(name: str, g: int) -> BoundaryPoly:
     """A named class as a sum of configuration types realizable at genus g."""
-    return expand_expr(_named_expr(name), g)
-
-
-# tag order used for sorting multiplicative words in reports
-_TAG_CATEGORY = {"sigma": 0, "beta": 1, "Y": 2, "A": 3, "B": 4, "C": 5, "D": 6,
-                 "E": 7, "F": 8, "G": 9}
-
-
-def _tag_key(tag: str) -> tuple[int, int]:
-    m = re.fullmatch(r"([A-Za-z]+?)(\d*)", tag)
-    if not m:
-        raise ValueError(f"bad tag {tag!r}")
-    stem, idx = m.group(1), m.group(2)
-    return (_TAG_CATEGORY[stem], int(idx) if idx else 0)
+    return expand_expr(_named(name)[2], g)
 
 
 def word_sort_key(word: tuple[str, ...]) -> tuple:
-    return (sum(_word_tag_degree(t) for t in word), tuple(_tag_key(t) for t in word))
-
-
-@lru_cache(maxsize=None)
-def _word_tag_degree(tag: str) -> int:
-    return expr_degree(_named_expr(tag))
+    named = [_named(t) for t in word]
+    return (sum(n[1] for n in named), tuple(n[0] for n in named))
 
 
 def normalize_word(word: Iterable[str]) -> tuple[str, ...]:
-    return tuple(sorted(word, key=_tag_key))
+    return tuple(sorted(word, key=lambda t: _named(t)[0]))
 
 
 # --- structural expansion of powers of the distinguished-label sum -----------
@@ -699,7 +692,7 @@ def expr_degree(expr: Expr) -> int:
 
 def _factor_degree(f: Factor) -> int:
     if f[0] == "name":
-        return _word_tag_degree(f[1])
+        return _named(f[1])[1]
     return sum(f[1])
 
 

@@ -29,21 +29,17 @@ DEFAULT_SEED = 20260819
 DEFAULT_SAMPLES = 100000
 
 # The commands, each with the --genus values it supports (checked right after
-# argument parsing).
+# argument parsing) and the genera it runs without --genus; () means that
+# --genus is required.
 GENERA = {
-    "open-class": range(1, 6),
-    "compactified-class": range(1, 6),
-    "taut-projection": range(1, 6),
-    "product-taut": range(3, 6),
-    "ij-taut": range(5, 6),
-    "verify-identities": range(1, 4),
-    "verify-counts": range(1, 6),
-    "ring-info": range(1, 6),
-}
-# Without --genus, ij-taut computes genus 5, verify-identities checks genus 3
-# and verify-counts checks every genus in its range.
-NEEDS_GENUS = {
-    "open-class", "compactified-class", "taut-projection", "product-taut", "ring-info",
+    "open-class": (range(1, 6), ()),
+    "compactified-class": (range(1, 6), ()),
+    "taut-projection": (range(1, 6), ()),
+    "product-taut": (range(3, 6), ()),
+    "ij-taut": (range(5, 6), (5,)),
+    "verify-identities": (range(1, 4), (3,)),
+    "verify-counts": (range(1, 6), (1, 2, 3, 4, 5)),
+    "ring-info": (range(1, 6), ()),
 }
 
 
@@ -72,7 +68,7 @@ def _load_data(parser: argparse.ArgumentParser, items: list[str]) -> dict[str, o
 
 def _record(g: int, mono, word, value: Fraction, prov: str) -> str:
     lam = ",".join(str(e) for e in mono)
-    w = "*".join(word) or "1"
+    w = pipeline._format_word(word)
     return f"lambda={lam} word={w} num={value.numerator} den={value.denominator} prov={prov}"
 
 
@@ -150,10 +146,9 @@ def _emit_mixed(g: int, relations, fmt: str, out) -> int:
     return 2 if mismatches else 0
 
 
-def _cmd_verify_identities(args, identities, out) -> int:
+def _cmd_verify_identities(g: int, identities, out) -> int:
     if identities is None:
         identities = boundary.load_identities()
-    g = args.genus if args.genus is not None else 3
     failures = 0
     for ident in identities:
         report = boundary.check_identity(ident, g)
@@ -173,9 +168,8 @@ def _cmd_verify_identities(args, identities, out) -> int:
     return 2 if failures else 0
 
 
-def _cmd_verify_counts(args, out) -> int:
+def _cmd_verify_counts(args, genera, out) -> int:
     failures = 0
-    genera = [args.genus] if args.genus is not None else list(GENERA["verify-counts"])
     rng = random.Random(args.seed)
     for g in genera:
         if g <= 3:
@@ -200,17 +194,16 @@ def _cmd_verify_counts(args, out) -> int:
     return 2 if failures else 0
 
 
-def _cmd_ring_info(args, norms, out) -> int:
-    g = args.genus
-    R = tautring.ring(g, open_variant=args.open)
-    if not args.open:
+def _cmd_ring_info(g: int, open_variant: bool, norms, out) -> int:
+    R = tautring.ring(g, open_variant=open_variant)
+    if not open_variant:
         table = tautring.load_normalizations() if norms is None else norms
         norm = tautring.normalization(g, table)
         source = table[g][1]
     dims = ",".join(str(R.dimension(d)) for d in range(R.top + 1))
-    out.write(f"genus={g} open={args.open} top={R.top} dims={dims} "
+    out.write(f"genus={g} open={open_variant} top={R.top} dims={dims} "
               f"total={R.total_dimension()}\n")
-    if not args.open:
+    if not open_variant:
         out.write(
             f"top_basis={pipeline._format_lam(R.top_mono)} "
             f"normalization={norm.numerator}/{norm.denominator}\n"
@@ -240,15 +233,16 @@ def main(argv: list[str] | None = None) -> int:
     if args.samples < 1:
         print(f"thetasing: --samples must be at least 1, got {args.samples}", file=sys.stderr)
         return 2
-    supported = GENERA[args.command]
-    if args.genus is None and args.command in NEEDS_GENUS:
+    supported, default = GENERA[args.command]
+    if args.genus is None and not default:
         parser.exit(2, f"thetasing: {args.command} needs --genus\n")
     if args.genus is not None and args.genus not in supported:
         parser.exit(2, f"thetasing: {args.command} supports --genus "
                        f"{supported[0]}..{supported[-1]}, got {args.genus}\n")
+    genera = default if args.genus is None else (args.genus,)
     data = _load_data(parser, args.data)
     try:
-        code = _run(args, data, sys.stdout)
+        code = _run(args, genera, data, sys.stdout)
     except (tautring.MissingNormalizationError, pipeline.RouteMismatchError,
             boundary.InfeasibleBasisError) as exc:
         # raised before the command writes anything; the message is one
@@ -269,31 +263,31 @@ def _note_normalization_overrides(norms) -> None:
                   f"{norms[g][0]} != {derived}", file=sys.stderr)
 
 
-def _run(args, data: dict[str, object], out) -> int:
+def _run(args, genera: tuple[int, ...], data: dict[str, object], out) -> int:
+    """Run one command; every command but verify-counts runs at genera[0]."""
+    g = genera[0]
     norms = data.get("normalizations")
     # the pins hold for the bundled normalizations; an output computed from
     # another table is compared with none of them
     pinned = norms is None
     if args.command == "open-class":
-        return _emit_taut(args.genus, pipeline.class_open(args.genus), "open-class",
-                          args.format, out)
+        return _emit_taut(g, pipeline.class_open(g), "open-class", args.format, out)
     if args.command == "compactified-class":
-        return _emit_mixed(args.genus, data.get("boundary-relations"), args.format, out)
+        return _emit_mixed(g, data.get("boundary-relations"), args.format, out)
     if args.command == "taut-projection":
-        return _emit_taut(args.genus, pipeline.taut_projection(args.genus),
-                          "taut-projection", args.format, out)
+        return _emit_taut(g, pipeline.taut_projection(g), "taut-projection", args.format, out)
     if args.command == "product-taut":
-        return _emit_taut(args.genus, pipeline.product_locus_taut(args.genus, norms),
+        return _emit_taut(g, pipeline.product_locus_taut(g, norms),
                           "product-taut" if pinned else None, args.format, out)
     if args.command == "ij-taut":
-        return _emit_taut(5, pipeline.ij_taut(norms),
+        return _emit_taut(g, pipeline.ij_taut(norms),
                           "ij-taut" if pinned else None, args.format, out)
     if args.command == "verify-identities":
-        return _cmd_verify_identities(args, data.get("identities"), out)
+        return _cmd_verify_identities(g, data.get("identities"), out)
     if args.command == "verify-counts":
-        return _cmd_verify_counts(args, out)
+        return _cmd_verify_counts(args, genera, out)
     if args.command == "ring-info":
-        return _cmd_ring_info(args, norms, out)
+        return _cmd_ring_info(g, args.open, norms, out)
     raise AssertionError(f"unhandled command {args.command}")
 
 

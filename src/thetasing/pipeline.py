@@ -356,7 +356,7 @@ def _parse_rule(line: str) -> RewriteRule:
     for _, _, w in rhs:
         if word_sort_key(w)[0] >= degree:
             raise ValueError(
-                f"right side word {'*'.join(w) or '1'} is not of degree below {degree}")
+                f"right side word {_format_word(w)} is not of degree below {degree}")
     return RewriteRule(g, word, rhs)
 
 

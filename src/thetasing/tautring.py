@@ -22,6 +22,7 @@ from functools import lru_cache
 from math import factorial
 from typing import Iterable, Sequence
 
+from .boundary import expand_word, make_type, normalize_word
 from .datafile import genus, numeral, parse_lines
 from .exactla import add_into, rref
 from .zeta import zeta_negative_odd
@@ -274,8 +275,6 @@ def taut_project_boundary(
     with nonempty word contributes only when its lambda part is constant and
     the word has degree g, via the coefficient of the pure-power type.
     """
-    from .boundary import expand_word, make_type, normalize_word
-
     R = ring(g)
     word = normalize_word(word)
     if not word:

@@ -709,6 +709,30 @@ def test_normalize_word_orders_tags():
     )
 
 
+def test_normalize_word_orders_every_name():
+    # sigma, beta, Y, then each group before its members
+    assert normalize_word(reversed(NAMED_CLASSES)) == (
+        "sigma1", "sigma2", "sigma3", "sigma4", "sigma5",
+        "beta1", "beta2", "beta3", "beta4", "beta5", "Y",
+        "A", "A1", "A2", "A3", "A4", "A5", "B", "B1", "B2", "B3", "B4",
+        "C", "C1", "C2", "D", "D1", "D2", "E", "F", "G",
+    )
+
+
+@pytest.mark.parametrize("tag", ["Q", "sigma0"])
+def test_normalize_word_rejects_unknown_tag(tag):
+    with pytest.raises(KeyError):
+        normalize_word((tag,))
+
+
+def test_sorting_words_again_parses_no_tag():
+    words = DEFAULT_TARGETS[5]
+    sorted(map(normalize_word, words), key=word_sort_key)
+    misses = boundary._named.cache_info().misses
+    sorted(map(normalize_word, words), key=word_sort_key)
+    assert boundary._named.cache_info().misses == misses
+
+
 def test_word_sort_key_display_order():
     words = [("beta3",), ("sigma3",), ("sigma1", "sigma2"), ("sigma1",) * 3]
     ordered = sorted(words, key=word_sort_key)

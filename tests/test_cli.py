@@ -194,6 +194,25 @@ def test_verify_counts_exhaustive(capsys):
     assert out == "ok genus=2 mode=exhaustive tuples=76 mismatches=0\n"
 
 
+def test_verify_counts_without_genus_checks_every_genus(capsys):
+    code, out = run(capsys, "--command", "verify-counts", "--samples", "20", "--seed", "7")
+    assert code == 0
+    assert out.splitlines() == [
+        "ok genus=1 mode=exhaustive tuples=4 mismatches=0",
+        "ok genus=2 mode=exhaustive tuples=76 mismatches=0",
+        "ok genus=3 mode=exhaustive tuples=12664 mismatches=0",
+        "ok genus=4 mode=sampled(20) tuples=21 mismatches=0",
+        "ok genus=5 mode=sampled(20) tuples=21 mismatches=0",
+    ]
+
+
+def test_verify_identities_without_genus_checks_genus_3(capsys, tmp_path):
+    path = _write(tmp_path, "x: sigma1 - sigma1 = 0\n")
+    code, out = run(capsys, "--command", "verify-identities", "--data", f"identities={path}")
+    assert code == 0
+    assert out.splitlines()[-1] == "# checked 1 identities at genus 3"
+
+
 def test_verify_counts_sampled(capsys):
     code, out = run(
         capsys, "--command", "verify-counts", "--genus", "4",
