@@ -24,6 +24,7 @@ from __future__ import annotations
 import itertools
 from collections import namedtuple
 from functools import lru_cache
+from math import ceil, log
 from random import Random
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
@@ -81,6 +82,8 @@ class BoundaryLabel(namedtuple("BoundaryLabel", "genus alpha beta packed")):
 
 def n_odd(g: int) -> int:
     """Number of odd characteristics at genus g."""
+    if g < 1:
+        raise ValueError(f"n_odd supports genus >= 1, not {g}")
     return (1 << (g - 1)) * ((1 << g) - 1)
 
 
@@ -204,6 +207,8 @@ def count_from_pattern(g: int, k: int, rels: Sequence[int]) -> int:
     suffices) and when the rank exceeds g, which no pairwise-orthogonal
     labels reach.
     """
+    if g < 1:
+        raise ValueError(f"count_from_pattern supports genus >= 1, not {g}")
     if k == 0:
         return n_odd(g)
     if any(r.bit_count() & 1 for r in rels):
@@ -237,6 +242,8 @@ def count_vanishing(g: int, labels: Sequence[BoundaryLabel]) -> int:
     bare 1 closes an odd relation; the ones that reduce to 0 close even
     relations and together span the relation space.
     """
+    if g < 1:
+        raise ValueError(f"count_vanishing supports genus >= 1, not {g}")
     packed = []
     for n in labels:
         if n.genus != g:
@@ -384,8 +391,10 @@ def random_orthogonal_tuple(
     orthogonal set spans an isotropic subspace, hence sits inside some
     maximal one, and transvections act transitively on those.
 
-    Draws exactly what rng.randrange(1, 4^g) and rng.randint(1, w) draw on
-    a random.Random, through the same getrandbits rejection loops.
+    Draws exactly what rng.randrange(1, 4^g), rng.randint(1, w) and then
+    rng.sample(range(n), k), n = 2^g - 1, draw on a random.Random, through
+    the same getrandbits rejection loops and sample's choice between a pool
+    and a set.
     """
     if not 1 <= g <= _LANE_GENUS_MAX:
         raise ValueError(f"random_orthogonal_tuple supports genus 1..{_LANE_GENUS_MAX}")
@@ -409,20 +418,72 @@ def random_orthogonal_tuple(
         y ^= y >> 2
         y ^= y >> 1
         basis ^= ((y & ones) * lane) & vs[r]
-    # transvections are invertible, so the basis stays independent and
-    # doubling lists each vector of its span exactly once
-    span = [0]
-    for i in range(g):
-        b = (basis >> (_LANE * i)) & lane
-        span += [x ^ b for x in span]
-    span.sort()
-    nonzero = span[1:]
+    # Reduce the lanes to a reduced echelon basis: each row's leading bit, its
+    # pivot, is clear in every other row.  Transvections are invertible, so
+    # the lanes stay independent and none reduces to 0.
+    rows: list[int] = []
+    for _ in range(g):
+        a = basis & lane
+        basis >>= _LANE
+        for e in rows:
+            if a ^ e < a:  # a has the pivot of e
+                a ^= e
+        j = 0
+        for e in rows:
+            if e ^ a < e:  # e has the pivot of a
+                rows[j] = e ^ a
+            j += 1
+        rows.append(a)
+    rows.sort()  # pivots ascending: row i goes with bit i of a rank
+    # Rank rule.  The element of sorted rank c in the span (0 has rank 0) is
+    # the sum of the rows that the bits of c pick.
+    #
+    # Proof.  Read an element's pivot bits, top pivot first, as a number.  A
+    # nonzero sum of rows has the highest pivot among its rows as its top
+    # bit, since the other rows lie below that pivot.  So for x != y in the
+    # span, x ^ y has a pivot p as its top bit: x and y agree above p and
+    # the larger has bit p, while their numbers agree above p and differ at
+    # p.  Sorting by value is thus sorting by number.  Each row holds its own
+    # pivot and no other, so the sum of the rows that c picks has number c.
+    n = (1 << g) - 1  # the nonzero elements, ranks 1..n
     # k = randint(1, w), drawn as randrange draws it
-    w = min(max_size, len(nonzero))
+    w = min(max_size, n)
     bits = w.bit_length()
     r = getrandbits(bits)
     while r >= w:
         r = getrandbits(bits)
-    picked = sorted(rng.sample(nonzero, r + 1))
+    k = r + 1
+    # the k indices rng.sample(range(n), k) draws: from a pool when an n-list
+    # is smaller than a k-set, by rejection against a set otherwise
+    setsize = 21
+    if k > 5:
+        setsize += 4 ** ceil(log(k * 3, 4))
+    if n <= setsize:
+        pool = list(range(n))
+        picked = []
+        for i in range(n, n - k, -1):
+            bits = i.bit_length()
+            j = getrandbits(bits)
+            while j >= i:
+                j = getrandbits(bits)
+            picked.append(pool[j])
+            pool[j] = pool[i - 1]
+    else:
+        bits = n.bit_length()
+        picked = set()
+        for _ in range(k):
+            j = getrandbits(bits)
+            while j >= n or j in picked:
+                j = getrandbits(bits)
+            picked.add(j)
     labels = _labels(g)
-    return tuple([labels[p] for p in picked])
+    out = []
+    for c in sorted(picked):
+        c += 1  # index j of the nonzero elements is rank j + 1
+        x = 0
+        for e in rows:
+            if c & 1:
+                x ^= e
+            c >>= 1
+        out.append(labels[x])
+    return tuple(out)

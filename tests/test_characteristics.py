@@ -32,6 +32,7 @@ from thetasing.characteristics import (
     _vanish_tables,
     count_from_pattern,
     make_type,
+    n_odd,
     orthogonal_tuples,
     random_orthogonal_tuple,
 )
@@ -418,11 +419,14 @@ def _reference_random_orthogonal_tuple(rng, g, max_size=5):
     return tuple([labels[p] for p in picked])
 
 
-@pytest.mark.parametrize("g", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("g", range(1, 9))
 def test_sampler_matches_randrange_reference(g):
     # same tuples and the same generator state afterwards, so every later
-    # draw from a shared generator is the same too
-    for max_size in (1, 2, 3, 5, 7):
+    # draw from a shared generator is the same too.  Genus 1..8 with up to
+    # 2g labels reaches every branch of random.sample that the sampler
+    # copies: the pool at g = 4, the set for k <= 5 at g = 5, the pool for
+    # k > 5 at g = 5, 6 and the set for k > 5 at g = 7, 8.
+    for max_size in (1, 2, 3, 5, 7, 2 * g):
         for seed in range(3):
             rng, ref = Random(seed), Random(seed)
             for _ in range(200):
@@ -507,12 +511,14 @@ def test_vanish_tables_match_definition(g):
 
 def test_random_tuple_shape():
     rng = Random(7)
-    for _ in range(50):
-        tup = random_orthogonal_tuple(rng, 5)
-        assert 1 <= len(tup) <= 5
-        assert len({n.packed for n in tup}) == len(tup)
-        for a, b in itertools.combinations(tup, 2):
-            assert symplectic_form(a, b) == 0
+    for g in range(1, 9):
+        for _ in range(50):
+            tup = random_orthogonal_tuple(rng, g, 2 * g)
+            assert 1 <= len(tup) <= min(2 * g, 2**g - 1)
+            packed = [n.packed for n in tup]
+            assert packed == sorted(set(packed))
+            for a, b in itertools.combinations(tup, 2):
+                assert symplectic_form(a, b) == 0
 
 
 def brute_force_count_naive(g, labels):
@@ -539,3 +545,19 @@ def test_brute_force_genus_cap():
     for g in (-1, 0, 6):
         with pytest.raises(ValueError, match=rf"^brute force supports genus 1\.\.5, not {g}$"):
             brute_force_count(g, [])
+
+
+@pytest.mark.parametrize("g", [-1, 0])
+@pytest.mark.parametrize("name, call", [
+    ("n_odd", lambda g: n_odd(g)),
+    ("count_from_pattern", lambda g: count_from_pattern(g, 0, ())),
+    ("count_from_pattern", lambda g: count_from_pattern(g, 2, (0b11,))),
+    ("count_vanishing", lambda g: count_vanishing(g, ())),
+    ("count_vanishing", lambda g: count_vanishing(g, [label(2, 0b0001)])),
+])
+def test_parity_count_refuses_genus_below_one(g, name, call):
+    # refused before any label is read, with the genus and the range named
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match=rf"^{name} supports genus >= 1, not {g}$"):
+        call(g)
+    assert time.perf_counter() - start < 1
