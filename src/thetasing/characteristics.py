@@ -418,7 +418,7 @@ def random_orthogonal_tuple(
         y ^= y >> 2
         y ^= y >> 1
         basis ^= ((y & ones) * lane) & vs[r]
-    # Reduce the lanes to a reduced echelon basis: each row's leading bit, its
+    # Bring the lanes to reduced echelon form: each row's leading bit, its
     # pivot, is clear in every other row.  Transvections are invertible, so
     # the lanes stay independent and none reduces to 0.
     rows: list[int] = []

@@ -549,7 +549,7 @@ def test_brute_force_genus_cap():
 
 @pytest.mark.parametrize("g", [-1, 0])
 @pytest.mark.parametrize("name, call", [
-    ("n_odd", lambda g: n_odd(g)),
+    ("n_odd", n_odd),
     ("count_from_pattern", lambda g: count_from_pattern(g, 0, ())),
     ("count_from_pattern", lambda g: count_from_pattern(g, 2, (0b11,))),
     ("count_vanishing", lambda g: count_vanishing(g, ())),
