@@ -235,6 +235,8 @@ def _named(tag: str) -> tuple[tuple[int, int], int, Expr]:
 @lru_cache(maxsize=None)
 def expand_named(name: str, g: int) -> BoundaryPoly:
     """A named class as a sum of configuration types realizable at genus g."""
+    if g < 1:
+        raise ValueError(f"expand_named supports genus >= 1, not {g}")
     return expand_expr(_named(name)[2], g)
 
 
@@ -263,6 +265,8 @@ def expand_zm_power(g: int, j: int) -> BoundaryPoly:
     times the lemma's count of odd m compatible with one (any) monomial of
     that type; the count is tuple-independent.
     """
+    if g < 1:
+        raise ValueError(f"expand_zm_power supports genus >= 1, not {g}")
     if not 0 <= j <= DEGREE_MAX:
         raise DegreeOverflowError(f"power {j} outside 0..{DEGREE_MAX}")
     coeffs: dict[ConfigType, Fraction] = {}
@@ -506,21 +510,29 @@ def convolve(d1: dict[int, Coeff], d2: dict[int, Coeff], g: int) -> dict[int, Co
     pair of spans and key pairs are enumerated only inside compatible ones.
     Independent of the symbolic product(); used to cross-check it.
     """
+    return {k: c for k, c in _convolve_into({}, d1, d2, g, 1).items() if c}
+
+
+def _convolve_into(out: dict[int, Coeff], d1: dict[int, Coeff], d2: dict[int, Coeff],
+                   g: int, scale: Coeff) -> dict[int, Coeff]:
+    """out += scale * (d1 * d2) in place, keeping entries that cancel to zero;
+    returns out.  The one convolution loop: convolve() and concrete_expr()
+    both run it."""
     masks = _orth_masks(g)
     top1, classes1 = _span_classes(d1, masks)
     top2, classes2 = _span_classes(d2, masks)
     if top1 + top2 > _EXP_FIELD:
         raise DegreeOverflowError(f"label exponent {top1 + top2} exceeds {_EXP_FIELD}")
-    out: dict[int, Coeff] = {}
     for m1, _, terms1 in classes1:
         for _, t2, terms2 in classes2:
             if m1 & t2 != t2:
                 continue
             for k1, c1 in terms1:
+                c1 *= scale
                 for k2, c2 in terms2:
                     k = k1 + k2
                     out[k] = out.get(k, 0) + c1 * c2
-    return {k: c for k, c in out.items() if c}
+    return out
 
 
 def _span_classes(d: dict[int, Coeff], masks: list[int]
@@ -723,14 +735,23 @@ def concrete_expr(expr: Expr, g: int) -> ConcreteValue:
     Products are evaluated monomial-by-monomial, independently of the
     symbolic product(), so ledger checks genuinely anchor the latter.  The
     terms are combined over the lcm of their coefficients' denominators.
+    A term of two or more factors is its memoized prefix times its last
+    factor, and that last product is summed straight into the result, never
+    stored; a term of at most one factor is added as it is.  So the memo
+    keeps single factors and proper prefixes only.
     """
     den = lcm(*(coeff.denominator for coeff, _ in expr))
     out: dict[int, int] = {}
     for coeff, factors in expr:
-        if coeff:
-            chain = _concrete_chain(tuple(sorted(factors)), g)
-            add_into(out, chain, coeff.numerator * (den // coeff.denominator))
-    return den, out
+        if not coeff:
+            continue
+        chain, scale = tuple(sorted(factors)), coeff.numerator * (den // coeff.denominator)
+        if len(chain) > 1:
+            _convolve_into(out, _concrete_chain(chain[:-1], g), _concrete_chain(chain[-1:], g),
+                           g, scale)
+        else:
+            add_into(out, _concrete_chain(chain, g), scale)
+    return den, {k: c for k, c in out.items() if c}
 
 
 def _concrete_chain(chain: tuple[Factor, ...], g: int) -> dict[int, int]:
@@ -758,7 +779,10 @@ class IdentityReport(NamedTuple):
 
 def check_identity(identity: Identity, g: int) -> IdentityReport:
     """Verify one ledger identity at genus g: lhs - rhs is zero, concretely
-    and symbolically.  A counterexample is its least nonzero monomial."""
+    and symbolically.  A counterexample is its least nonzero monomial.
+    Exhaustive enumeration is run at genus 1..3 only."""
+    if not 1 <= g <= 3:
+        raise ValueError(f"check_identity supports genus 1..3, not {g}")
     diff = identity.lhs + tuple((-c, factors) for c, factors in identity.rhs)
     _, nums = concrete_expr(diff, g)
     counter = None

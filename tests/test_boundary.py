@@ -3,7 +3,9 @@
 import hashlib
 import itertools
 import re
+import time
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -30,11 +32,15 @@ from thetasing.boundary import (
     NAMED_CLASSES,
     BoundaryPoly,
     Identity,
+    _CONCRETE_MEMO,
     _EXP_BITS,
+    _convolve_into,
     _decode,
+    _expand_factor,
     _orth_sets,
     _parse_expr,
     _registry,
+    concrete_expr,
     convolve,
     expand_expr,
     instantiate,
@@ -46,7 +52,7 @@ from thetasing.boundary import (
 from thetasing import boundary, characteristics
 from thetasing.bits import kernel_f2
 from thetasing.characteristics import _form_packed, orthogonal_tuples
-from thetasing.exactla import rank
+from thetasing.exactla import add_into, rank
 from thetasing.pipeline import load_boundary_relations
 
 
@@ -333,6 +339,27 @@ def test_convolve_matches_all_pairs_reference(data):
     assert {_decode(k): c for k, c in packed.items()} == naive_convolve(d1, d2, g)
 
 
+@settings(max_examples=200)
+@given(st.data())
+def test_convolve_into_adds_the_scaled_product(data):
+    # the in-place core, zeros dropped, is add_into of the public product
+    g = data.draw(st.sampled_from((2, 3)))
+    d1, d2, acc = ({pack(k): c for k, c in data.draw(concrete_dicts(g)).items()}
+                   for _ in range(3))
+    acc = {k: c for k, c in acc.items() if c}
+    scale = data.draw(st.fractions(min_value=-3, max_value=3, max_denominator=4)
+                      .filter(bool))
+    prod = convolve(d1, d2, g)
+    # entries of acc that the scaled product cancels, and one it leaves alone
+    for k in data.draw(st.lists(st.sampled_from(sorted(prod)), unique=True)) if prod else ():
+        acc[k] = -scale * prod[k]
+    acc.setdefault(pack(((1, 5),)), F(7, 2))
+    expected = add_into(dict(acc), prod, scale)
+    out = _convolve_into(acc, d1, d2, g, scale)
+    assert out is acc
+    assert {k: c for k, c in out.items() if c} == expected
+
+
 def test_convolve_refuses_a_carrying_exponent():
     # label 1 at exponent 4, squared, would carry out of its field
     key = pack(((1, 4),))
@@ -435,6 +462,85 @@ def test_check_identity_residual_is_the_symbolic_difference():
     assert not report.concrete_ok and not report.symbolic_ok
     assert report.residual == expand_expr(ident.lhs, g) - expand_expr(ident.rhs, g)
     assert not report.residual.is_zero()
+
+
+def reference_concrete_expr(expr, g):
+    """concrete_expr as it was built before the last product was fused in:
+    each term's whole chain product through convolve, scaled in with
+    add_into, zeros dropped at the end."""
+    den = lcm(*(coeff.denominator for coeff, _ in expr))
+    out = {}
+    for coeff, factors in expr:
+        if coeff:
+            value = {0: 1}
+            for f in sorted(factors):
+                value = convolve(value, dict.fromkeys(instantiate(_expand_factor(f, g), g), 1), g)
+            add_into(out, value, coeff.numerator * (den // coeff.denominator))
+    return den, {k: c for k, c in out.items() if c}
+
+
+def _difference(identity):
+    return identity.lhs + tuple((-c, factors) for c, factors in identity.rhs)
+
+
+def test_concrete_expr_matches_whole_products_genus2():
+    for identity in load_identities():
+        for side in (identity.lhs, identity.rhs, _difference(identity)):
+            assert concrete_expr(side, 2) == reference_concrete_expr(side, 2), identity.name
+
+
+def test_concrete_expr_matches_whole_products_genus3():
+    g = 3
+    s1, s2 = ("name", "sigma1"), ("name", "sigma2")
+    lhs = ((F(1, 2), (s1, s1)),)
+    halves = Identity("halves", lhs, ((F(1, 2), (("cfg", (2,), ()),)), (F(1), (s2,))))
+    thirds = Identity("thirds", lhs, ((F(1, 3), (("cfg", (2,), ()),)), (F(1), (s2,))))
+    zero = parse_identity("x: sigma1 - sigma1 = 0")
+    for identity in (halves, thirds, zero):
+        for side in (identity.lhs, identity.rhs, _difference(identity)):
+            assert concrete_expr(side, g) == reference_concrete_expr(side, g), identity.name
+    assert concrete_expr(_difference(halves), g) == (2, {})
+    assert concrete_expr(_difference(zero), g) == (1, {})
+
+
+def test_concrete_memo_keeps_factors_and_proper_prefixes_genus3():
+    # a whole term's product is summed into its line and never stored
+    _CONCRETE_MEMO.clear()
+    identities = load_identities()
+    for identity in identities:
+        assert check_identity(identity, 3).concrete_ok, identity.name
+    chains = {tuple(sorted(factors)) for identity in identities
+              for _, factors in identity.lhs + identity.rhs}
+    assert _CONCRETE_MEMO
+    for g, chain in _CONCRETE_MEMO:
+        assert g == 3
+        if len(chain) > 1:
+            assert any(len(chain) < len(c) and c[:len(chain)] == chain for c in chains), chain
+
+
+@pytest.mark.parametrize("g", [-1, 0])
+@pytest.mark.parametrize("name, call", [
+    ("expand_named", lambda g: expand_named("sigma1", g)),
+    ("expand_named", lambda g: expand_named("A", g)),
+    ("expand_zm_power", lambda g: expand_zm_power(g, 0)),
+    ("expand_zm_power", lambda g: expand_zm_power(g, 2)),
+])
+def test_expansion_refuses_genus_below_one(g, name, call):
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match=rf"^{name} supports genus >= 1, not {g}$"):
+        call(g)
+    assert time.perf_counter() - start < 1
+
+
+@pytest.mark.parametrize("g", [-1, 0, 4, 6])
+def test_check_identity_refuses_genus_outside_1_to_3(g):
+    # refused before any registry is enumerated or any class expanded
+    registry, named = _registry.cache_info(), expand_named.cache_info()
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match=rf"^check_identity supports genus 1\.\.3, not {g}$"):
+        check_identity(parse_identity("x: sigma1^2 = cfg(2) + 2*cfg(1,1)"), g)
+    assert time.perf_counter() - start < 1
+    assert (_registry.cache_info(), expand_named.cache_info()) == (registry, named)
 
 
 # --- structural expansion of powers ----------------------------------------------
