@@ -60,6 +60,8 @@ __all__ = [
 ]
 
 DEGREE_MAX = 5
+# check_identity enumerates every concrete monomial; feasible up to this genus
+CONCRETE_GENUS_MAX = 3
 
 
 class DegreeOverflowError(ValueError):
@@ -779,10 +781,9 @@ class IdentityReport(NamedTuple):
 
 def check_identity(identity: Identity, g: int) -> IdentityReport:
     """Verify one ledger identity at genus g: lhs - rhs is zero, concretely
-    and symbolically.  A counterexample is its least nonzero monomial.
-    Exhaustive enumeration is run at genus 1..3 only."""
-    if not 1 <= g <= 3:
-        raise ValueError(f"check_identity supports genus 1..3, not {g}")
+    and symbolically.  A counterexample is its least nonzero monomial."""
+    if not 1 <= g <= CONCRETE_GENUS_MAX:
+        raise ValueError(f"check_identity supports genus 1..{CONCRETE_GENUS_MAX}, not {g}")
     diff = identity.lhs + tuple((-c, factors) for c, factors in identity.rhs)
     _, nums = concrete_expr(diff, g)
     counter = None

@@ -37,7 +37,7 @@ GENERA = {
     "taut-projection": (range(1, 6), ()),
     "product-taut": (range(3, 6), ()),
     "ij-taut": (range(5, 6), (5,)),
-    "verify-identities": (range(1, 4), (3,)),
+    "verify-identities": (range(1, boundary.CONCRETE_GENUS_MAX + 1), (3,)),
     "verify-counts": (range(1, 6), (1, 2, 3, 4, 5)),
     "ring-info": (range(1, 6), ()),
 }
