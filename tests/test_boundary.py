@@ -465,9 +465,9 @@ def test_check_identity_residual_is_the_symbolic_difference():
 
 
 def reference_concrete_expr(expr, g):
-    """concrete_expr as it was built before the last product was fused in:
-    each term's whole chain product through convolve, scaled in with
-    add_into, zeros dropped at the end."""
+    """Reference concrete value of a ledger expression: each term's whole
+    chain product through convolve, scaled in with add_into, zeros dropped
+    at the end."""
     den = lcm(*(coeff.denominator for coeff, _ in expr))
     out = {}
     for coeff, factors in expr:
