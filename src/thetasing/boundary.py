@@ -33,7 +33,7 @@ from .characteristics import (
     make_type,
     n_odd,
 )
-from .datafile import numeral, parse_lines
+from .datafile import GENUS_MIN, check_genus, numeral, parse_lines
 from .exactla import Combination, add_into, pivot_solution
 
 __all__ = [
@@ -237,8 +237,7 @@ def _named(tag: str) -> tuple[tuple[int, int], int, Expr]:
 @lru_cache(maxsize=None)
 def expand_named(name: str, g: int) -> BoundaryPoly:
     """A named class as a sum of configuration types realizable at genus g."""
-    if g < 1:
-        raise ValueError(f"expand_named supports genus >= 1, not {g}")
+    check_genus(g, GENUS_MIN, None, "expand_named")
     return expand_expr(_named(name)[2], g)
 
 
@@ -267,8 +266,7 @@ def expand_zm_power(g: int, j: int) -> BoundaryPoly:
     times the lemma's count of odd m compatible with one (any) monomial of
     that type; the count is tuple-independent.
     """
-    if g < 1:
-        raise ValueError(f"expand_zm_power supports genus >= 1, not {g}")
+    check_genus(g, GENUS_MIN, None, "expand_zm_power")
     if not 0 <= j <= DEGREE_MAX:
         raise DegreeOverflowError(f"power {j} outside 0..{DEGREE_MAX}")
     coeffs: dict[ConfigType, Fraction] = {}
@@ -323,6 +321,7 @@ def product(p: BoundaryPoly, q: BoundaryPoly, g: int) -> BoundaryPoly:
     a given ordered pair of factor types; orthogonality and realizability
     are already encoded in the type inventory.
     """
+    check_genus(g, GENUS_MIN, None, "product")
     degree = p.degree + q.degree
     if degree > DEGREE_MAX:
         raise DegreeOverflowError(f"product degree {degree} exceeds {DEGREE_MAX}")
@@ -348,6 +347,7 @@ def product(p: BoundaryPoly, q: BoundaryPoly, g: int) -> BoundaryPoly:
 @lru_cache(maxsize=None)
 def expand_word(word: tuple[str, ...], g: int) -> BoundaryPoly:
     """Product of named classes as a BoundaryPoly."""
+    check_genus(g, GENUS_MIN, None, "expand_word")
     return expand_expr(((Fraction(1), tuple(("name", tag) for tag in word)),), g)
 
 
@@ -370,6 +370,7 @@ def change_basis(
     in the span; never approximates.  Free coefficients in a degenerate
     target set resolve to zero, keeping the output deterministic.
     """
+    check_genus(g, GENUS_MIN, None, "change_basis")
     expansions = [expand_word(normalize_word(w), g) for w in targets]
     support = sorted(set(p.coeffs) | {t for e in expansions for t in e.coeffs})
     matrix = [[e.coeffs.get(t, Fraction(0)) for e in expansions] for t in support]
@@ -423,6 +424,7 @@ def pushforward_level2(p: BoundaryPoly, g: int) -> dict[tuple[str, ...], Fractio
     The named symbols downstairs absorb a factor 2^d by convention, so the
     word coefficients are the upstairs ones divided by 2^degree.
     """
+    check_genus(g, GENUS_MIN, None, "pushforward_level2")
     if p.degree == 0:
         return {(): p.coeffs.get(EMPTY, Fraction(0))}
     scale = Fraction(1, 2**p.degree)
@@ -782,8 +784,7 @@ class IdentityReport(NamedTuple):
 def check_identity(identity: Identity, g: int) -> IdentityReport:
     """Verify one ledger identity at genus g: lhs - rhs is zero, concretely
     and symbolically.  A counterexample is its least nonzero monomial."""
-    if not 1 <= g <= CONCRETE_GENUS_MAX:
-        raise ValueError(f"check_identity supports genus 1..{CONCRETE_GENUS_MAX}, not {g}")
+    check_genus(g, GENUS_MIN, CONCRETE_GENUS_MAX, "check_identity")
     diff = identity.lhs + tuple((-c, factors) for c, factors in identity.rhs)
     _, nums = concrete_expr(diff, g)
     counter = None

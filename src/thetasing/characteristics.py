@@ -29,6 +29,7 @@ from random import Random
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .bits import rref_f2
+from .datafile import GENUS_MIN, check_genus
 
 __all__ = [
     "BoundaryLabel",
@@ -61,6 +62,7 @@ class BoundaryLabel(namedtuple("BoundaryLabel", "genus alpha beta packed")):
     _make = classmethod(lambda cls, fields: cls(*list(fields)[:3]))  # _replace recomputes packed
 
     def __new__(cls, genus: int, alpha: int, beta: int) -> "BoundaryLabel":
+        check_genus(genus, GENUS_MIN, None, "BoundaryLabel")
         top = 1 << genus
         if not (0 <= alpha < top and 0 <= beta < top):
             raise ValueError("label halves must fit in g bits")
@@ -82,8 +84,7 @@ class BoundaryLabel(namedtuple("BoundaryLabel", "genus alpha beta packed")):
 
 def n_odd(g: int) -> int:
     """Number of odd characteristics at genus g."""
-    if g < 1:
-        raise ValueError(f"n_odd supports genus >= 1, not {g}")
+    check_genus(g, GENUS_MIN, None, "n_odd")
     return (1 << (g - 1)) * ((1 << g) - 1)
 
 
@@ -115,6 +116,7 @@ def _labels(g: int) -> tuple[BoundaryLabel | None, ...]:
 
 def enumerate_labels(g: int) -> list[BoundaryLabel]:
     """All nonzero labels, lexicographic in (alpha, beta)."""
+    check_genus(g, GENUS_MIN, None, "enumerate_labels")
     return list(_labels(g)[1:])
 
 
@@ -207,8 +209,7 @@ def count_from_pattern(g: int, k: int, rels: Sequence[int]) -> int:
     suffices) and when the rank exceeds g, which no pairwise-orthogonal
     labels reach.
     """
-    if g < 1:
-        raise ValueError(f"count_from_pattern supports genus >= 1, not {g}")
+    check_genus(g, GENUS_MIN, None, "count_from_pattern")
     if k == 0:
         return n_odd(g)
     if any(r.bit_count() & 1 for r in rels):
@@ -242,8 +243,7 @@ def count_vanishing(g: int, labels: Sequence[BoundaryLabel]) -> int:
     bare 1 closes an odd relation; the ones that reduce to 0 close even
     relations and together span the relation space.
     """
-    if g < 1:
-        raise ValueError(f"count_vanishing supports genus >= 1, not {g}")
+    check_genus(g, GENUS_MIN, None, "count_vanishing")
     packed = []
     for n in labels:
         if n.genus != g:
@@ -305,9 +305,8 @@ def _vanish_tables(g: int) -> tuple[list[int], int]:
 
 
 def brute_force_count(g: int, labels: Sequence[BoundaryLabel]) -> int:
-    """Direct enumeration over all 4^g characteristics (1 <= g <= 5)."""
-    if not 1 <= g <= BRUTE_FORCE_GENUS_MAX:
-        raise ValueError(f"brute force supports genus 1..{BRUTE_FORCE_GENUS_MAX}, not {g}")
+    """Direct enumeration over all 4^g characteristics, g <= BRUTE_FORCE_GENUS_MAX."""
+    check_genus(g, GENUS_MIN, BRUTE_FORCE_GENUS_MAX, "brute force")
     masks, acc = _vanish_tables(g)
     for n in labels:
         if n.genus != g:
@@ -360,16 +359,18 @@ def orthogonal_tuples(g: int, max_size: int) -> Iterator[tuple[BoundaryLabel, ..
 
     Tuples are emitted sorted by packed value, each underlying set once.
     """
+    check_genus(g, GENUS_MIN, None, "orthogonal_tuples")
+    if max_size < 1:
+        raise ValueError("max_size must be at least 1")
     labels = _labels(g)
-    for combo in _orthogonal_sets(g, max_size):
-        yield tuple([labels[p] for p in combo])
+    return (tuple([labels[p] for p in combo]) for combo in _orthogonal_sets(g, max_size))
 
 
 # The sampler holds its g basis vectors in one int, vector i in bits
 # LANE*i .. LANE*i + LANE - 1, so that a transvection acts on all of them in a
 # few big-int operations.  Four parity folds reach 16 bits, enough for 2g <= 16.
 _LANE = 16
-_LANE_GENUS_MAX = _LANE // 2
+SAMPLER_GENUS_MAX = _LANE // 2
 
 
 @lru_cache(maxsize=8)
@@ -396,8 +397,7 @@ def random_orthogonal_tuple(
     the same getrandbits rejection loops and sample's choice between a pool
     and a set.
     """
-    if not 1 <= g <= _LANE_GENUS_MAX:
-        raise ValueError(f"random_orthogonal_tuple supports genus 1..{_LANE_GENUS_MAX}")
+    check_genus(g, GENUS_MIN, SAMPLER_GENUS_MAX, "random_orthogonal_tuple")
     if max_size < 1:
         raise ValueError("max_size must be at least 1")
     basis, ones, vs, jvs = _lane_table(g)

@@ -24,22 +24,25 @@ import sys
 from fractions import Fraction
 
 from . import boundary, characteristics, pipeline, tautring
+from .datafile import GENUS_MAX, GENUS_MIN
 
 DEFAULT_SEED = 20260819
 DEFAULT_SAMPLES = 100000
 
 # The commands, each with the --genus values it supports (checked right after
 # argument parsing) and the genera it runs without --genus; () means that
-# --genus is required.
+# --genus is required.  Every bound is a library constant, read, not restated.
+_COUNTS = range(GENUS_MIN, characteristics.BRUTE_FORCE_GENUS_MAX + 1)
 GENERA = {
-    "open-class": (range(1, 6), ()),
-    "compactified-class": (range(1, 6), ()),
-    "taut-projection": (range(1, 6), ()),
-    "product-taut": (range(3, 6), ()),
-    "ij-taut": (range(5, 6), (5,)),
-    "verify-identities": (range(1, boundary.CONCRETE_GENUS_MAX + 1), (3,)),
-    "verify-counts": (range(1, 6), (1, 2, 3, 4, 5)),
-    "ring-info": (range(1, 6), ()),
+    "open-class": (range(GENUS_MIN, GENUS_MAX + 1), ()),
+    "compactified-class": (range(GENUS_MIN, boundary.DEGREE_MAX + 1), ()),
+    "taut-projection": (range(GENUS_MIN, boundary.DEGREE_MAX + 1), ()),
+    "product-taut": (range(pipeline.PRODUCT_GENUS_MIN, GENUS_MAX + 1), ()),
+    "ij-taut": (range(pipeline.IJ_GENUS, pipeline.IJ_GENUS + 1), (pipeline.IJ_GENUS,)),
+    "verify-identities": (range(GENUS_MIN, boundary.CONCRETE_GENUS_MAX + 1),
+                          (boundary.CONCRETE_GENUS_MAX,)),
+    "verify-counts": (_COUNTS, tuple(_COUNTS)),
+    "ring-info": (range(GENUS_MIN, GENUS_MAX + 1), ()),
 }
 
 
@@ -66,7 +69,7 @@ def _load_data(parser: argparse.ArgumentParser, items: list[str]) -> dict[str, o
     return out
 
 
-def _record(g: int, mono, word, value: Fraction, prov: str) -> str:
+def _record(mono, word, value: Fraction, prov: str) -> str:
     lam = ",".join(str(e) for e in mono)
     w = pipeline._format_word(word)
     return f"lambda={lam} word={w} num={value.numerator} den={value.denominator} prov={prov}"
@@ -83,7 +86,7 @@ def parse_record_line(line: str) -> dict:
     }
 
 
-def _emit_rows(g: int, rows, fmt: str, out, show_word: bool) -> int:
+def _emit_rows(rows, fmt: str, out, show_word: bool) -> int:
     """Write ComparisonRows tagged with their status; returns the number of
     rows whose engine value differs from a published one (a missing engine
     term counts as 0).  Text lines name the word only if show_word."""
@@ -94,7 +97,7 @@ def _emit_rows(g: int, rows, fmt: str, out, show_word: bool) -> int:
         if status in ("conflict", "paper-only"):
             mismatches += 1
         if fmt == "records":
-            out.write(_record(g, row.lam_mono, row.word, value, status) + "\n")
+            out.write(_record(row.lam_mono, row.word, value, status) + "\n")
             if status in ("conflict", "paper-only"):
                 out.write(
                     f"# published value: {row.published.numerator}/{row.published.denominator}\n"
@@ -122,7 +125,7 @@ def _emit_taut(g: int, elem, pin_key: str | None, fmt: str, out) -> int:
         pipeline.ComparisonRow(mono, (), elem.get(mono), None if pins is None else pins.get(mono))
         for mono in sorted(set(elem) | set(pins or ()))
     ]
-    return 2 if _emit_rows(g, rows, fmt, out, False) else 0
+    return 2 if _emit_rows(rows, fmt, out, False) else 0
 
 
 def _emit_mixed(g: int, relations, fmt: str, out) -> int:
@@ -134,7 +137,7 @@ def _emit_mixed(g: int, relations, fmt: str, out) -> int:
             pipeline.ComparisonRow(k[0], k[1], v, None)
             for k, v in raw.sorted_items()
         ]
-    mismatches = _emit_rows(g, rows, fmt, out, True)
+    mismatches = _emit_rows(rows, fmt, out, True)
     if g == 2:
         reduced = pipeline._apply_word_relations(raw, relations)
         out.write(

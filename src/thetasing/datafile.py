@@ -9,7 +9,14 @@ from typing import Callable, TypeVar
 T = TypeVar("T")
 
 # the genera a data file may name, those of the tautological rings
-GENUS_MAX = 5
+GENUS_MIN, GENUS_MAX = 1, 5
+
+
+def check_genus(g: int, lo: int, hi: int | None, what: str) -> None:
+    """Refuse a genus outside lo..hi (hi None: no cap) in one line naming what."""
+    if g < lo or hi is not None and g > hi:
+        span = f"{lo}..{hi}" if hi is not None else f">= {lo}"
+        raise ValueError(f"{what} supports genus {span}, not {g}")
 
 
 def numeral(token: str, where: str) -> int:
@@ -20,10 +27,10 @@ def numeral(token: str, where: str) -> int:
 
 
 def genus(token: str, where: str) -> int:
-    """A data file's genus: a numeral in 1..GENUS_MAX."""
+    """A data file's genus: a numeral in GENUS_MIN..GENUS_MAX."""
     g = numeral(token, where)
-    if not 1 <= g <= GENUS_MAX:
-        raise ValueError(f"genus {g} outside 1..{GENUS_MAX}")
+    if g not in range(GENUS_MIN, GENUS_MAX + 1):
+        raise ValueError(f"genus {g} outside {GENUS_MIN}..{GENUS_MAX}")
     return g
 
 

@@ -23,6 +23,7 @@ from math import comb, factorial
 from typing import NamedTuple, Sequence
 
 from .boundary import (
+    DEGREE_MAX,
     NAMED_CLASSES,
     _parse_expr,
     expand_zm_power,
@@ -31,7 +32,7 @@ from .boundary import (
     pushforward_level2,
     word_sort_key,
 )
-from .datafile import genus, parse_lines
+from .datafile import GENUS_MAX, GENUS_MIN, check_genus, genus, parse_lines
 from .exactla import Combination, add_into, pivot_solution
 
 Word = tuple[str, ...]
@@ -72,6 +73,9 @@ __all__ = [
 ]
 
 LamWord = tuple[LambdaMonomial, Word]
+
+# the least genus of the product locus and of its theta-null part; ij_taut's genus
+PRODUCT_GENUS_MIN, THETA_NULL_GENUS_MIN, IJ_GENUS = 3, 4, 5
 
 
 class RouteMismatchError(RuntimeError):
@@ -131,6 +135,7 @@ def lam_factor(g: int, j: int, R: TautRing | None = None) -> TautElement:
     compactified ring of genus g by default).  Lambda_0 is the top Chern
     class of the Hodge bundle twisted by lam_1/2.
     """
+    check_genus(g, GENUS_MIN, None, "lam_factor")
     raw: TautElement = {}
     for i in range(j, g + 1):
         e1 = i - j
@@ -146,6 +151,7 @@ def lam_factor(g: int, j: int, R: TautRing | None = None) -> TautElement:
 
 def stratum(g: int, j: int) -> MixedClass:
     """Contribution of the j-th twist power to the compactified class."""
+    check_genus(g, GENUS_MIN, DEGREE_MAX, "stratum")
     if not 0 <= j <= g:
         raise ValueError(f"stratum index {j} out of range for genus {g}")
     lamf = lam_factor(g, j)
@@ -159,8 +165,7 @@ def stratum(g: int, j: int) -> MixedClass:
 
 
 def strata(g: int) -> list[MixedClass]:
-    if not 1 <= g <= 5:
-        raise ValueError("strata are implemented for genus 1..5")
+    check_genus(g, GENUS_MIN, DEGREE_MAX, "strata")
     return [stratum(g, j) for j in range(g + 1)]
 
 
@@ -190,6 +195,7 @@ def _apply_word_relations(total: MixedClass, relations: RelationTable | None) ->
 
 def class_open(g: int) -> TautElement:
     """The locus class on A_g itself, where boundary words vanish."""
+    check_genus(g, GENUS_MIN, None, "class_open")
     return add_into({}, lam_factor(g, 0, ring(g, open_variant=True)), n_odd(g))
 
 
@@ -197,6 +203,7 @@ def class_open(g: int) -> TautElement:
 
 def closed_form_projection(g: int) -> TautElement:
     """Projection of the compactified class, assembled in closed form."""
+    check_genus(g, GENUS_MIN, None, "closed_form_projection")
     lam_g_coeff = Fraction((-1) ** (g - 1) * factorial(g - 1)) / (
         8 * zeta_negative_odd(g)
     )
@@ -255,8 +262,7 @@ def product_locus_taut(g: int, norms: NormTable | None = None) -> TautElement:
     check.  The intersection numbers use the normalizations `norms`
     (None: the bundled table).
     """
-    if not 3 <= g <= 5:
-        raise ValueError("product locus supported for genus 3..5")
+    check_genus(g, PRODUCT_GENUS_MIN, GENUS_MAX, "product_locus_taut")
     R = ring(g)
     Rh = ring(g - 1)
     elliptic = normalization(1, norms)
@@ -290,8 +296,7 @@ def theta_null_product_taut(g: int, norms: NormTable | None = None) -> TautEleme
     only its lambda_1 part survives projection, and the corner stratum
     enters with weight 1/12 through the elliptic factor.
     """
-    if g not in (4, 5):
-        raise ValueError("theta-null product term supported for genus 4 and 5")
+    check_genus(g, THETA_NULL_GENUS_MIN, GENUS_MAX, "theta_null_product_taut")
     R = ring(g)
     # lambda_1 coefficient of Mumford's theta-null class at genus h = g - 1,
     # [theta_null] = 2^{h-2}(2^h+1) lambda_1 - 2^{2h-5} delta; its boundary
@@ -304,7 +309,8 @@ def theta_null_product_taut(g: int, norms: NormTable | None = None) -> TautEleme
 
 def ij_taut(norms: NormTable | None = None) -> TautElement:
     """Projection of the genus-5 locus with its theta-null part removed."""
-    return add_into(dict(taut_projection(5)), theta_null_product_taut(5, norms), -1)
+    g = IJ_GENUS
+    return add_into(dict(taut_projection(g)), theta_null_product_taut(g, norms), -1)
 
 
 # --- space-specific boundary relations ----------------------------------------

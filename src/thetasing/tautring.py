@@ -23,7 +23,7 @@ from math import factorial
 from typing import Iterable, Sequence
 
 from .boundary import expand_word, make_type, normalize_word
-from .datafile import genus, numeral, parse_lines
+from .datafile import GENUS_MIN, check_genus, genus, numeral, parse_lines
 from .exactla import add_into, rref
 from .zeta import zeta_negative_odd
 
@@ -73,6 +73,7 @@ def lam(g: int, index: int, power: int = 1) -> LambdaMonomial:
 @lru_cache(maxsize=None)
 def monomials(g: int, degree: int) -> tuple[LambdaMonomial, ...]:
     """All weighted-degree-d monomials, ascending lexicographic in exponents."""
+    check_genus(g, GENUS_MIN, None, "monomials")
     if degree == 0:
         return (unit_mono(g),)
 
@@ -117,6 +118,7 @@ class TautRing:
     """Reduction tables for one genus, compactified or open."""
 
     def __init__(self, g: int, open_variant: bool = False):
+        check_genus(g, GENUS_MIN, None, "TautRing")
         self.g = g
         self.open_variant = open_variant
         self.top = g * (g + 1) // 2
@@ -249,8 +251,7 @@ def derived_normalization(g: int) -> Fraction:
     lambda_1^{g(g+1)/2} is deg LG(g, 2g) times lambda_1...lambda_g in the
     squarefree basis (van der Geer, 1999).
     """
-    if g < 1:
-        raise ValueError("need g >= 1")
+    check_genus(g, GENUS_MIN, None, "derived_normalization")
     top = g * (g + 1) // 2
     value = Fraction((-1) ** top * _squarefree(lam(g, 1, top), False)[(1,) * g])
     for k in range(1, g + 1):
@@ -262,6 +263,7 @@ def derived_normalization(g: int) -> Fraction:
 
 def dg_factor(g: int) -> Fraction:
     """Coefficient of lambda_g in the projection of the g-th power sum word."""
+    check_genus(g, GENUS_MIN, None, "dg_factor")
     return Fraction(-(2 ** (g - 1)) * factorial(g - 1)) / zeta_negative_odd(g)
 
 
@@ -275,6 +277,7 @@ def taut_project_boundary(
     with nonempty word contributes only when its lambda part is constant and
     the word has degree g, via the coefficient of the pure-power type.
     """
+    check_genus(g, GENUS_MIN, None, "taut_project_boundary")
     R = ring(g)
     word = normalize_word(word)
     if not word:

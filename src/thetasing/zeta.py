@@ -5,6 +5,8 @@ from fractions import Fraction
 from functools import lru_cache
 from math import comb
 
+from .datafile import GENUS_MIN, check_genus
+
 __all__ = ["bernoulli", "zeta_negative_odd"]
 
 
@@ -26,6 +28,5 @@ def bernoulli(k: int) -> Fraction:
 
 def zeta_negative_odd(g: int) -> Fraction:
     """zeta(1 - 2g) = -B_{2g} / (2g) for g >= 1."""
-    if g < 1:
-        raise ValueError("need g >= 1")
+    check_genus(g, GENUS_MIN, None, "zeta_negative_odd")
     return -bernoulli(2 * g) / (2 * g)

@@ -34,9 +34,7 @@ def test_compactified_genus4_records_roundtrip(capsys):
     for line in lines:
         rec = cli.parse_record_line(line)
         assert rec["prov"] == "paper"
-        rebuilt = cli._record(
-            4, rec["lambda"], rec["word"], rec["value"], rec["prov"]
-        )
+        rebuilt = cli._record(rec["lambda"], rec["word"], rec["value"], rec["prov"])
         assert rebuilt == line
 
 
