@@ -363,7 +363,8 @@ def orthogonal_tuples(g: int, max_size: int) -> Iterator[tuple[BoundaryLabel, ..
     if max_size < 1:
         raise ValueError("max_size must be at least 1")
     labels = _labels(g)
-    return (tuple([labels[p] for p in combo]) for combo in _orthogonal_sets(g, max_size))
+    for combo in _orthogonal_sets(g, max_size):
+        yield tuple([labels[p] for p in combo])
 
 
 # The sampler holds its g basis vectors in one int, vector i in bits

@@ -32,7 +32,6 @@ DEFAULT_SAMPLES = 100000
 # The commands, each with the --genus values it supports (checked right after
 # argument parsing) and the genera it runs without --genus; () means that
 # --genus is required.  Every bound is a library constant, read, not restated.
-_COUNTS = range(GENUS_MIN, characteristics.BRUTE_FORCE_GENUS_MAX + 1)
 GENERA = {
     "open-class": (range(GENUS_MIN, GENUS_MAX + 1), ()),
     "compactified-class": (range(GENUS_MIN, boundary.DEGREE_MAX + 1), ()),
@@ -41,7 +40,8 @@ GENERA = {
     "ij-taut": (range(pipeline.IJ_GENUS, pipeline.IJ_GENUS + 1), (pipeline.IJ_GENUS,)),
     "verify-identities": (range(GENUS_MIN, boundary.CONCRETE_GENUS_MAX + 1),
                           (boundary.CONCRETE_GENUS_MAX,)),
-    "verify-counts": (_COUNTS, tuple(_COUNTS)),
+    "verify-counts": (range(GENUS_MIN, characteristics.BRUTE_FORCE_GENUS_MAX + 1),
+                      tuple(range(GENUS_MIN, characteristics.BRUTE_FORCE_GENUS_MAX + 1))),
     "ring-info": (range(GENUS_MIN, GENUS_MAX + 1), ()),
 }
 

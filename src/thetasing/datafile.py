@@ -29,7 +29,7 @@ def numeral(token: str, where: str) -> int:
 def genus(token: str, where: str) -> int:
     """A data file's genus: a numeral in GENUS_MIN..GENUS_MAX."""
     g = numeral(token, where)
-    if g not in range(GENUS_MIN, GENUS_MAX + 1):
+    if not GENUS_MIN <= g <= GENUS_MAX:
         raise ValueError(f"genus {g} outside {GENUS_MIN}..{GENUS_MAX}")
     return g
 

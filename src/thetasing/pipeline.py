@@ -74,7 +74,6 @@ __all__ = [
 
 LamWord = tuple[LambdaMonomial, Word]
 
-# the least genus of the product locus and of its theta-null part; ij_taut's genus
 PRODUCT_GENUS_MIN, THETA_NULL_GENUS_MIN, IJ_GENUS = 3, 4, 5
 
 
@@ -309,8 +308,7 @@ def theta_null_product_taut(g: int, norms: NormTable | None = None) -> TautEleme
 
 def ij_taut(norms: NormTable | None = None) -> TautElement:
     """Projection of the genus-5 locus with its theta-null part removed."""
-    g = IJ_GENUS
-    return add_into(dict(taut_projection(g)), theta_null_product_taut(g, norms), -1)
+    return add_into(dict(taut_projection(IJ_GENUS)), theta_null_product_taut(IJ_GENUS, norms), -1)
 
 
 # --- space-specific boundary relations ----------------------------------------

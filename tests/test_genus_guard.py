@@ -8,13 +8,11 @@ and its row fails until it has a guard.  The command-line ranges are read
 from `cli.GENERA`, which builds them from the same library constants.
 """
 
-import ast
 import importlib
 import inspect
 import pkgutil
 import time
 from fractions import Fraction
-from pathlib import Path
 from random import Random
 
 import pytest
@@ -25,58 +23,66 @@ from thetasing import boundary, characteristics, cli, datafile, pipeline, tautri
 _POLY = boundary.BoundaryPoly(1, {characteristics.make_type((1,), ()): Fraction(1)})
 _IDENTITY = boundary.parse_identity("x: sigma1^2 = cfg(2) + 2*cfg(1,1)")
 
-# name -> (call at genus g, least genus, greatest genus or None, name in the message)
+# name -> (call at genus g, least genus, greatest genus or None, name in the message);
+# every bound is the library constant the guard reads
+LO = datafile.GENUS_MIN
 GUARDS = {
     "characteristics.BoundaryLabel": (lambda g: characteristics.BoundaryLabel(g, 1, 0),
-                                      1, None, "BoundaryLabel"),
-    "characteristics.n_odd": (characteristics.n_odd, 1, None, "n_odd"),
+                                      LO, None, "BoundaryLabel"),
+    "characteristics.n_odd": (characteristics.n_odd, LO, None, "n_odd"),
     "characteristics.enumerate_labels": (characteristics.enumerate_labels,
-                                         1, None, "enumerate_labels"),
+                                         LO, None, "enumerate_labels"),
     "characteristics.count_vanishing": (lambda g: characteristics.count_vanishing(g, ()),
-                                        1, None, "count_vanishing"),
+                                        LO, None, "count_vanishing"),
     "characteristics.count_from_pattern": (lambda g: characteristics.count_from_pattern(g, 0, ()),
-                                           1, None, "count_from_pattern"),
+                                           LO, None, "count_from_pattern"),
     "characteristics.brute_force_count": (lambda g: characteristics.brute_force_count(g, ()),
-                                          1, 5, "brute force"),
-    "characteristics.orthogonal_tuples": (lambda g: characteristics.orthogonal_tuples(g, 5),
-                                          1, None, "orthogonal_tuples"),
+                                          LO, characteristics.BRUTE_FORCE_GENUS_MAX,
+                                          "brute force"),
+    "characteristics.orthogonal_tuples": (lambda g: next(characteristics.orthogonal_tuples(g, 5)),
+                                          LO, None, "orthogonal_tuples"),
     "characteristics.random_orthogonal_tuple": (
         lambda g: characteristics.random_orthogonal_tuple(Random(1), g),
-        1, 8, "random_orthogonal_tuple"),
+        LO, characteristics.SAMPLER_GENUS_MAX, "random_orthogonal_tuple"),
     "boundary.expand_named": (lambda g: boundary.expand_named("sigma1", g),
-                              1, None, "expand_named"),
+                              LO, None, "expand_named"),
     "boundary.expand_word": (lambda g: boundary.expand_word(("sigma1",), g),
-                             1, None, "expand_word"),
+                             LO, None, "expand_word"),
     "boundary.expand_zm_power": (lambda g: boundary.expand_zm_power(g, 1),
-                                 1, None, "expand_zm_power"),
-    "boundary.product": (lambda g: boundary.product(_POLY, _POLY, g), 1, None, "product"),
+                                 LO, None, "expand_zm_power"),
+    "boundary.product": (lambda g: boundary.product(_POLY, _POLY, g), LO, None, "product"),
     "boundary.pushforward_level2": (lambda g: boundary.pushforward_level2(_POLY, g),
-                                    1, None, "pushforward_level2"),
+                                    LO, None, "pushforward_level2"),
     "boundary.change_basis": (lambda g: boundary.change_basis(_POLY, [("sigma1",)], g),
-                              1, None, "change_basis"),
+                              LO, None, "change_basis"),
     "boundary.check_identity": (lambda g: boundary.check_identity(_IDENTITY, g),
-                                1, 3, "check_identity"),
-    "tautring.TautRing": (tautring.TautRing, 1, None, "TautRing"),
-    "tautring.ring": (tautring.ring, 1, None, "TautRing"),
-    "tautring.monomials": (lambda g: tautring.monomials(g, 2), 1, None, "monomials"),
+                                LO, boundary.CONCRETE_GENUS_MAX, "check_identity"),
+    "tautring.TautRing": (tautring.TautRing, LO, None, "TautRing"),
+    "tautring.ring": (tautring.ring, LO, None, "TautRing"),
+    "tautring.monomials": (lambda g: tautring.monomials(g, 2), LO, None, "monomials"),
     "tautring.derived_normalization": (tautring.derived_normalization,
-                                       1, None, "derived_normalization"),
-    "tautring.dg_factor": (tautring.dg_factor, 1, None, "dg_factor"),
+                                       LO, None, "derived_normalization"),
+    "tautring.dg_factor": (tautring.dg_factor, LO, None, "dg_factor"),
     "tautring.taut_project_boundary": (lambda g: tautring.taut_project_boundary((), (), g),
-                                       1, None, "taut_project_boundary"),
-    "pipeline.stratum": (lambda g: pipeline.stratum(g, 1), 1, 5, "stratum"),
-    "pipeline.strata": (pipeline.strata, 1, 5, "strata"),
+                                       LO, None, "taut_project_boundary"),
+    "pipeline.stratum": (lambda g: pipeline.stratum(g, 1),
+                         LO, boundary.DEGREE_MAX, "stratum"),
+    "pipeline.strata": (pipeline.strata, LO, boundary.DEGREE_MAX, "strata"),
     # both assemble the strata before anything else
-    "pipeline.class_compactified": (pipeline.class_compactified, 1, 5, "strata"),
-    "pipeline.taut_projection": (pipeline.taut_projection, 1, 5, "strata"),
-    "pipeline.class_open": (pipeline.class_open, 1, None, "class_open"),
-    "pipeline.lam_factor": (lambda g: pipeline.lam_factor(g, 0), 1, None, "lam_factor"),
+    "pipeline.class_compactified": (pipeline.class_compactified,
+                                    LO, boundary.DEGREE_MAX, "strata"),
+    "pipeline.taut_projection": (pipeline.taut_projection, LO, boundary.DEGREE_MAX, "strata"),
+    "pipeline.class_open": (pipeline.class_open, LO, None, "class_open"),
+    "pipeline.lam_factor": (lambda g: pipeline.lam_factor(g, 0), LO, None, "lam_factor"),
     "pipeline.closed_form_projection": (pipeline.closed_form_projection,
-                                        1, None, "closed_form_projection"),
-    "pipeline.product_locus_taut": (pipeline.product_locus_taut, 3, 5, "product_locus_taut"),
+                                        LO, None, "closed_form_projection"),
+    "pipeline.product_locus_taut": (pipeline.product_locus_taut,
+                                    pipeline.PRODUCT_GENUS_MIN, datafile.GENUS_MAX,
+                                    "product_locus_taut"),
     "pipeline.theta_null_product_taut": (pipeline.theta_null_product_taut,
-                                         4, 5, "theta_null_product_taut"),
-    "zeta.zeta_negative_odd": (zeta.zeta_negative_odd, 1, None, "zeta_negative_odd"),
+                                         pipeline.THETA_NULL_GENUS_MIN, datafile.GENUS_MAX,
+                                         "theta_null_product_taut"),
+    "zeta.zeta_negative_odd": (zeta.zeta_negative_odd, LO, None, "zeta_negative_odd"),
 }
 
 # Names that take a genus without a guard of their own, and why.
@@ -141,17 +147,6 @@ def test_helper_accepts_both_bounds_and_any_genus_without_a_cap():
     assert datafile.check_genus(10 ** 6, 1, None, "f") is None
 
 
-def test_caps_are_the_library_constants():
-    assert GUARDS["characteristics.brute_force_count"][2] == characteristics.BRUTE_FORCE_GENUS_MAX
-    assert GUARDS["characteristics.random_orthogonal_tuple"][2] == characteristics.SAMPLER_GENUS_MAX
-    assert GUARDS["boundary.check_identity"][2] == boundary.CONCRETE_GENUS_MAX
-    assert GUARDS["pipeline.strata"][2] == GUARDS["pipeline.stratum"][2] == boundary.DEGREE_MAX
-    assert GUARDS["pipeline.product_locus_taut"][1] == pipeline.PRODUCT_GENUS_MIN
-    assert GUARDS["pipeline.theta_null_product_taut"][1] == pipeline.THETA_NULL_GENUS_MIN
-    assert (GUARDS["pipeline.product_locus_taut"][2] == GUARDS["pipeline.theta_null_product_taut"][2]
-            == datafile.GENUS_MAX)
-
-
 @pytest.mark.parametrize("g", [-1, 0, 6])
 def test_lookups_refuse_a_genus_they_have_no_entry_for(g):
     with pytest.raises(tautring.MissingNormalizationError,
@@ -163,9 +158,9 @@ def test_lookups_refuse_a_genus_they_have_no_entry_for(g):
 
 @pytest.mark.parametrize("max_size", [0, -3])
 def test_orthogonal_tuples_refuses_max_size_below_one(max_size):
-    # refused at the call, before a tuple is asked for
+    # refused on the first next(), before a tuple is built
     with pytest.raises(ValueError, match=r"^max_size must be at least 1$"):
-        characteristics.orthogonal_tuples(2, max_size)
+        next(characteristics.orthogonal_tuples(2, max_size))
 
 
 # --- the command line, from cli.GENERA itself ------------------------------------
@@ -184,18 +179,4 @@ def test_cli_refuses_each_command_just_outside_its_range(capsys, command, g):
     assert captured.out == ""
     assert captured.err == (f"thetasing: {command} supports --genus "
                             f"{supported[0]}..{supported[-1]}, got {g}\n")
-
-
-def test_cli_genera_hold_no_literal_bound():
-    # an integer literal in the table may only be the 1 that turns an
-    # inclusive cap into a range stop
-    tree = ast.parse(Path(cli.__file__).read_text(encoding="utf-8"))
-    table = [node.value for node in tree.body if isinstance(node, ast.Assign)
-             and {t.id for t in node.targets} & {"GENERA", "_COUNTS"}]
-    assert len(table) == 2
-    stops = {id(node.right) for value in table for node in ast.walk(value)
-             if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Add)}
-    literals = [node for value in table for node in ast.walk(value)
-                if isinstance(node, ast.Constant) and isinstance(node.value, int)]
-    assert literals and all(id(node) in stops and node.value == 1 for node in literals)
 
