@@ -359,7 +359,7 @@ def orthogonal_tuples(g: int, max_size: int) -> Iterator[tuple[BoundaryLabel, ..
 
     Tuples are emitted sorted by packed value, each underlying set once.
     """
-    check_genus(g, GENUS_MIN, None, "orthogonal_tuples")
+    check_genus(g, GENUS_MIN, BRUTE_FORCE_GENUS_MAX, "orthogonal_tuples")
     if max_size < 1:
         raise ValueError("max_size must be at least 1")
     labels = _labels(g)

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from functools import reduce
+from functools import lru_cache, reduce
 from math import comb, factorial
 from typing import NamedTuple, Sequence
 
@@ -148,8 +148,13 @@ def lam_factor(g: int, j: int, R: TautRing | None = None) -> TautElement:
 
 # --- strata ------------------------------------------------------------------
 
+@lru_cache(maxsize=None)
 def stratum(g: int, j: int) -> MixedClass:
-    """Contribution of the j-th twist power to the compactified class."""
+    """Contribution of the j-th twist power to the compactified class.
+
+    It reads no data table, so one assembly per (g, j) serves every caller;
+    the result is shared through the cache, so callers must not mutate it.
+    """
     check_genus(g, GENUS_MIN, DEGREE_MAX, "stratum")
     if not 0 <= j <= g:
         raise ValueError(f"stratum index {j} out of range for genus {g}")
@@ -562,6 +567,7 @@ def compare_with_published(g: int, raw: MixedClass | None = None) -> list[Compar
     substitution), since that is the form the printed tables use; `raw` is
     that sum if the caller has already assembled it.
     """
+    check_genus(g, GENUS_MIN, GENUS_MAX, "compare_with_published")
     if g not in PUBLISHED_COMPACTIFIED:
         raise KeyError(f"no published table for genus {g}")
     engine = (_raw_compactified(g) if raw is None else raw).terms

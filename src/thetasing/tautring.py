@@ -23,7 +23,7 @@ from math import factorial
 from typing import Iterable, Sequence
 
 from .boundary import expand_word, make_type, normalize_word
-from .datafile import GENUS_MIN, check_genus, genus, numeral, parse_lines
+from .datafile import GENUS_MAX, GENUS_MIN, check_genus, genus, numeral, parse_lines
 from .exactla import add_into, rref
 from .zeta import zeta_negative_odd
 
@@ -238,6 +238,7 @@ class MissingNormalizationError(KeyError):
 
 def normalization(g: int, norms: NormTable | None = None) -> Fraction:
     """<lambda_1^top> at genus g from `norms` (None: the bundled table)."""
+    check_genus(g, GENUS_MIN, GENUS_MAX, "normalization")
     table = load_normalizations() if norms is None else norms
     if g not in table:
         raise MissingNormalizationError(f"no normalization on file for genus {g}")

@@ -610,6 +610,8 @@ def test_rewritten_override_is_read_again(capsys, tmp_path):
 ], ids=["taut-projection", "product-locus", "change-basis"])
 def test_route_errors_exit_with_residual(capsys, monkeypatch, module, name, replacement,
                                          argv, expected):
+    # a stratum memoized by an earlier test would hide a patch below the assembly
+    pipeline.stratum.cache_clear()
     monkeypatch.setattr(module, name, replacement)
     code = cli.main(argv)
     captured = capsys.readouterr()

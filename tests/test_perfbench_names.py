@@ -15,6 +15,7 @@ import pytest
 from thetasing import boundary, characteristics, tautring
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+SRC = PERFBENCH.parent / "src" / "thetasing"
 MODULES = ("boundary", "characteristics", "pipeline", "tautring")
 
 
@@ -65,6 +66,37 @@ def test_cold_reset_clears_the_type_canonicalizer():
     assert characteristics._canonical_type.cache_info().currsize > 0
     workloads["cold_reset"]()
     assert characteristics._canonical_type.cache_info().currsize == 0
+
+
+def _cached_in_source() -> set[str]:
+    """`module.qualname` of every function in src decorated with lru_cache."""
+    found = set()
+
+    def visit(node, module, prefix):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                qualname = prefix + child.name
+                for deco in getattr(child, "decorator_list", ()):
+                    target = deco.func if isinstance(deco, ast.Call) else deco
+                    name = target.attr if isinstance(target, ast.Attribute) else target.id
+                    if name == "lru_cache":
+                        found.add(f"{module}.{qualname}")
+                nested = "." if isinstance(child, ast.ClassDef) else ".<locals>."
+                visit(child, module, qualname + nested)
+
+    for path in sorted(SRC.glob("*.py")):
+        visit(ast.parse(path.read_text(encoding="utf-8")), path.stem, "")
+    return found
+
+
+def test_cold_reset_finds_every_cache_in_the_source():
+    # a cache the cold reset misses stays warm across passes, so every pass
+    # after the first would time cache hits
+    workloads = _load("workloads")
+    found = {f"{f.__module__.rsplit('.', 1)[1]}.{f.__qualname__}"
+             for f in workloads["_find_caches"]()}
+    assert "pipeline.stratum" in found
+    assert found == _cached_in_source()
 
 
 @pytest.mark.parametrize("name", ["tracer", "workloads"])

@@ -12,6 +12,7 @@ from thetasing import (
     class_open,
     compare_with_published,
     ij_taut,
+    pipeline,
     product_locus_taut,
     strata,
     taut_projection,
@@ -94,6 +95,28 @@ def test_stratum_range_checks():
         stratum(3, -1)
     with pytest.raises(ValueError):
         strata(6)
+
+
+def test_each_stratum_is_assembled_once(monkeypatch):
+    # every output built from the strata shares one level-2 pushforward per
+    # (g, j >= 1); assembled per caller, they made 47 calls for this sequence
+    calls = []
+    pushforward = pipeline.pushforward_level2
+
+    def counted(poly, g):
+        calls.append(g)
+        return pushforward(poly, g)
+
+    stratum.cache_clear()
+    monkeypatch.setattr(pipeline, "pushforward_level2", counted)
+    for g in range(2, 6):
+        class_compactified(g)
+        taut_projection(g)
+        compare_with_published(g)
+    ij_taut()
+    assert sorted(calls) == [g for g in range(2, 6) for _ in range(g)]
+    assert stratum(5, 3) is stratum(5, 3)
+    assert strata(5) is not strata(5)
 
 
 def test_compactified_genus2_vanishes():
