@@ -74,9 +74,9 @@ def _cached_in_source() -> set[str]:
 
     def visit(node, module, prefix):
         for child in ast.iter_child_nodes(node):
-            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
                 qualname = prefix + child.name
-                for deco in getattr(child, "decorator_list", ()):
+                for deco in child.decorator_list:
                     target = deco.func if isinstance(deco, ast.Call) else deco
                     name = target.attr if isinstance(target, ast.Attribute) else target.id
                     if name == "lru_cache":

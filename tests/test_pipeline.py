@@ -99,7 +99,7 @@ def test_stratum_range_checks():
 
 def test_each_stratum_is_assembled_once(monkeypatch):
     # every output built from the strata shares one level-2 pushforward per
-    # (g, j >= 1); assembled per caller, they made 47 calls for this sequence
+    # (g, j >= 1)
     calls = []
     pushforward = pipeline.pushforward_level2
 
