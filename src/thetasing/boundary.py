@@ -18,7 +18,7 @@ import re
 from fractions import Fraction
 from functools import lru_cache, reduce
 from math import factorial, lcm
-from typing import Iterable, NamedTuple, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .bits import kernel_f2, rref_f2, span_f2
 from .characteristics import (
@@ -440,6 +440,8 @@ def pushforward_level2(p: BoundaryPoly, g: int) -> dict[tuple[str, ...], Fractio
 _EXP_BITS = DEGREE_MAX.bit_length()
 _EXP_FIELD = (1 << _EXP_BITS) - 1
 Coeff = int | Fraction
+# (top, [(m, t, terms), ...]): the (key, value) pairs grouped by span
+SpanClasses = tuple[int, list[tuple[int, int, Iterable[tuple[int, Coeff]]]]]
 
 
 def _decode(key: int) -> tuple[tuple[int, int], ...]:
@@ -520,27 +522,37 @@ def convolve(d1: dict[int, Coeff], d2: dict[int, Coeff], g: int) -> dict[int, Co
 def _convolve_into(out: dict[int, Coeff], d1: dict[int, Coeff], d2: dict[int, Coeff],
                    g: int, scale: Coeff) -> dict[int, Coeff]:
     """out += scale * (d1 * d2) in place, keeping entries that cancel to zero;
-    returns out.  The one convolution loop: convolve() and concrete_expr()
-    both run it."""
+    returns out.  convolve() runs it; concrete_expr() runs its pair loop."""
     masks = _orth_masks(g)
-    top1, classes1 = _span_classes(d1, masks)
-    top2, classes2 = _span_classes(d2, masks)
+    _span_pairs(_span_classes(d1, masks), _span_classes(d2, masks), lambda m, t: out, scale)
+    return out
+
+
+def _span_pairs(spans1: SpanClasses, spans2: SpanClasses,
+                pick: Callable[[int, int], dict[int, Coeff]], scale: Coeff) -> int:
+    """The one convolution loop: adds scale * each product of keys of
+    orthogonal spans into pick(m, t), the dict of its span, m = m1 & m2 and
+    t = t1 | t2 (a product key has its factors' labels).  Returns top1 + top2:
+    the product's largest exponent when it is not empty and both operands are
+    sums of type orbits with positive values, as by Witt's theorem some key of
+    the second fits in a Lagrangian with one of the first, top label on top."""
+    (top1, classes1), (top2, classes2) = spans1, spans2
     if top1 + top2 > _EXP_FIELD:
         raise DegreeOverflowError(f"label exponent {top1 + top2} exceeds {_EXP_FIELD}")
-    for m1, _, terms1 in classes1:
-        for _, t2, terms2 in classes2:
+    for m1, t1, terms1 in classes1:
+        for m2, t2, terms2 in classes2:
             if m1 & t2 != t2:
                 continue
+            out = pick(m1 & m2, t1 | t2)
             for k1, c1 in terms1:
                 c1 *= scale
                 for k2, c2 in terms2:
                     k = k1 + k2
                     out[k] = out.get(k, 0) + c1 * c2
-    return out
+    return top1 + top2
 
 
-def _span_classes(d: dict[int, Coeff], masks: list[int]
-                  ) -> tuple[int, list[tuple[int, int, list[tuple[int, Coeff]]]]]:
+def _span_classes(d: dict[int, Coeff], masks: list[int]) -> SpanClasses:
     """Keys grouped by the span of their labels, and the largest exponent.
 
     Returns (top, [(m, t, terms), ...]), one entry per span; terms are the
@@ -728,9 +740,11 @@ def expand_expr(expr: Expr, g: int) -> BoundaryPoly:
 # every factor expands with coefficient 1, only term coefficients bring a den.
 ConcreteValue = tuple[int, dict[int, int]]
 
-# memo for concrete factor-chain products (integer dictionaries keyed by
-# monomials in the _EXP_BITS layout, which relies on DEGREE_MAX), per genus
-_CONCRETE_MEMO: dict[tuple[int, tuple[Factor, ...]], dict[int, int]] = {}
+# memo for concrete factor chains per genus, keyed by monomials in the
+# _EXP_BITS layout (which relies on DEGREE_MAX): a single factor as its integer
+# dictionary, a product of factors grouped by span, so it is never decoded
+Grouped = tuple[int, dict[int, tuple[int, dict[int, int]]]]  # (top, {m: (t, {key: value})})
+_CONCRETE_MEMO: dict[tuple[int, tuple[Factor, ...]], dict[int, int] | Grouped] = {}
 
 
 def concrete_expr(expr: Expr, g: int) -> ConcreteValue:
@@ -751,14 +765,13 @@ def concrete_expr(expr: Expr, g: int) -> ConcreteValue:
             continue
         chain, scale = tuple(sorted(factors)), coeff.numerator * (den // coeff.denominator)
         if len(chain) > 1:
-            _convolve_into(out, _concrete_chain(chain[:-1], g), _concrete_chain(chain[-1:], g),
-                           g, scale)
+            _chain_product(chain, g, lambda m, t: out, scale)
         else:
             add_into(out, _concrete_chain(chain, g), scale)
     return den, {k: c for k, c in out.items() if c}
 
 
-def _concrete_chain(chain: tuple[Factor, ...], g: int) -> dict[int, int]:
+def _concrete_chain(chain: tuple[Factor, ...], g: int) -> dict[int, int] | Grouped:
     if not chain:
         return {0: 1}
     memo_key = (g, chain)
@@ -768,9 +781,21 @@ def _concrete_chain(chain: tuple[Factor, ...], g: int) -> dict[int, int]:
     if len(chain) == 1:
         val = dict.fromkeys(instantiate(_expand_factor(chain[0], g), g), 1)
     else:
-        val = convolve(_concrete_chain(chain[:-1], g), _concrete_chain(chain[-1:], g), g)
+        groups: dict[int, tuple[int, dict[int, int]]] = {}
+        top = _chain_product(chain, g, lambda m, t: groups.setdefault(m, (t, {}))[1], 1)
+        val = (top if groups else 0, groups)
     _CONCRETE_MEMO[memo_key] = val
     return val
+
+
+def _chain_product(chain: tuple[Factor, ...], g: int,
+                   pick: Callable[[int, int], dict[int, int]], scale: int) -> int:
+    """scale * (memoized prefix) * (last factor) into pick's dicts; a single
+    factor is grouped by span at each use, a product is kept grouped."""
+    prefix, masks = _concrete_chain(chain[:-1], g), _orth_masks(g)
+    spans = (_span_classes(prefix, masks) if isinstance(prefix, dict) else
+             (prefix[0], [(m, t, terms.items()) for m, (t, terms) in prefix[1].items()]))
+    return _span_pairs(spans, _span_classes(_concrete_chain(chain[-1:], g), masks), pick, scale)
 
 
 class IdentityReport(NamedTuple):

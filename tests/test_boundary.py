@@ -518,6 +518,71 @@ def test_concrete_memo_keeps_factors_and_proper_prefixes_genus3():
             assert any(len(chain) < len(c) and c[:len(chain)] == chain for c in chains), chain
 
 
+def _decode_counter(monkeypatch):
+    calls = [0]
+
+    def counted(key):
+        calls[0] += 1
+        return _decode(key)
+
+    monkeypatch.setattr(boundary, "_decode", counted)
+    return calls
+
+
+def test_memoized_products_are_never_decoded(monkeypatch):
+    # a memoized product is kept grouped by span; only single factors are
+    # decoded, once at each use (the ungrouped memo decoded 7,308 and 104,706)
+    calls = _decode_counter(monkeypatch)
+    _CONCRETE_MEMO.clear()
+    concrete_expr(_parse_expr("sigma1^4"), 3)
+    # sigma1's 63 keys twice for sigma1^2, once for each later product
+    assert calls[0] == 252
+    _CONCRETE_MEMO.clear()
+    calls[0] = 0
+    identities = load_identities()
+    assert len(identities) == 18
+    for identity in identities:
+        assert check_identity(identity, 3).concrete_ok, identity.name
+    assert calls[0] == 41580
+
+
+def _flat(val):
+    """A memo value as one {key: value} dictionary."""
+    if isinstance(val, dict):
+        return val
+    return {k: c for _, terms in val[1].values() for k, c in terms.items()}
+
+
+def test_memoized_products_match_convolve_and_their_spans():
+    _CONCRETE_MEMO.clear()
+    for g in (2, 3):
+        for identity in load_identities():
+            assert check_identity(identity, g).concrete_ok, identity.name
+    products = [(g, chain) for g, chain in _CONCRETE_MEMO if len(chain) > 1]
+    assert {g for g, _ in products} == {2, 3}
+    for g, chain in products:
+        masks = characteristics._orth_masks(g)
+        top, groups = _CONCRETE_MEMO[g, chain]
+        flat = _flat(_CONCRETE_MEMO[g, chain])
+        prefix, last = _CONCRETE_MEMO[g, chain[:-1]], _CONCRETE_MEMO[g, chain[-1:]]
+        assert flat == convolve(_flat(prefix), last, g), chain
+        assert sum(map(len, (terms for _, terms in groups.values()))) == len(flat)
+        for m, (t, terms) in groups.items():
+            assert boundary._span_classes(terms, masks)[1] == [(m, t, list(terms.items()))], chain
+            assert all(terms.values()), chain
+        assert top == max((e for key in flat for _, e in _decode(key)), default=0), chain
+
+
+def test_memoized_product_guards_the_exponent_field_genus2():
+    # the grouped prefix carries its top exponent as the sum of its factors'
+    _CONCRETE_MEMO.clear()
+    with pytest.raises(DegreeOverflowError, match=r"^label exponent 8 exceeds 7$"):
+        concrete_expr(_parse_expr("cfg(2)*cfg(2)*cfg(4)"), 2)
+    den, nums = concrete_expr(_parse_expr("cfg(1)*cfg(2)*cfg(4)"), 2)
+    assert den == 1 and len(nums) == 375 and all(nums.values())
+    assert isinstance(_CONCRETE_MEMO[2, (("cfg", (1,), ()), ("cfg", (2,), ()))], tuple)
+
+
 @pytest.mark.parametrize("g", [-1, 0])
 @pytest.mark.parametrize("name, call", [
     ("expand_named", lambda g: expand_named("sigma1", g)),

@@ -68,6 +68,28 @@ def test_cold_reset_clears_the_type_canonicalizer():
     assert characteristics._canonical_type.cache_info().currsize == 0
 
 
+def test_cold_reset_clears_the_span_groups(monkeypatch):
+    # span groups cached where the cold reset cannot clear them would make
+    # every pass after the first decode fewer keys, and so run warm
+    workloads = _load("workloads")
+    identity = next(i for i in boundary.load_identities() if i.name == "sigma1-fifth")
+    decode, counts = boundary._decode, []
+    for _ in range(2):
+        workloads["cold_reset"]()
+        calls = [0]
+
+        def counted(key):
+            calls[0] += 1
+            return decode(key)
+
+        monkeypatch.setattr(boundary, "_decode", counted)
+        assert boundary.check_identity(identity, 3).concrete_ok
+        counts.append(calls[0])
+    # sigma1's 63 keys twice for sigma1^2, once for each later product; the
+    # pinned count also holds when an earlier test has filled such a cache
+    assert counts == [315, 315]
+
+
 def _cached_in_source() -> set[str]:
     """`module.qualname` of every function in src decorated with lru_cache."""
     found = set()
