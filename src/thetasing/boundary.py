@@ -531,11 +531,11 @@ def _convolve_into(out: dict[int, Coeff], d1: dict[int, Coeff], d2: dict[int, Co
 def _span_pairs(spans1: SpanClasses, spans2: SpanClasses,
                 pick: Callable[[int, int], dict[int, Coeff]], scale: Coeff) -> int:
     """The one convolution loop: adds scale * each product of keys of
-    orthogonal spans into pick(m, t), the dict of its span, m = m1 & m2 and
-    t = t1 | t2 (a product key has its factors' labels).  Returns top1 + top2:
-    the product's largest exponent when it is not empty and both operands are
-    sums of type orbits with positive values, as by Witt's theorem some key of
-    the second fits in a Lagrangian with one of the first, top label on top."""
+    orthogonal spans into pick(m, t), the dict for the product's span, where
+    m = m1 & m2 and t = t1 | t2 as a product key has its factors' labels.
+    Returns top1 + top2, exactly the largest exponent of a nonempty product of
+    sums of type orbits with positive values: by Witt's theorem the second has
+    a key in one Lagrangian with a top key of the first, on the same top label."""
     (top1, classes1), (top2, classes2) = spans1, spans2
     if top1 + top2 > _EXP_FIELD:
         raise DegreeOverflowError(f"label exponent {top1 + top2} exceeds {_EXP_FIELD}")

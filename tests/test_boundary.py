@@ -518,7 +518,9 @@ def test_concrete_memo_keeps_factors_and_proper_prefixes_genus3():
             assert any(len(chain) < len(c) and c[:len(chain)] == chain for c in chains), chain
 
 
-def _decode_counter(monkeypatch):
+def test_memoized_products_are_never_decoded(monkeypatch):
+    # a memoized product is kept grouped by span; only single factors are
+    # decoded, once at each use (the ungrouped memo decoded 7,308 and 104,706)
     calls = [0]
 
     def counted(key):
@@ -526,13 +528,6 @@ def _decode_counter(monkeypatch):
         return _decode(key)
 
     monkeypatch.setattr(boundary, "_decode", counted)
-    return calls
-
-
-def test_memoized_products_are_never_decoded(monkeypatch):
-    # a memoized product is kept grouped by span; only single factors are
-    # decoded, once at each use (the ungrouped memo decoded 7,308 and 104,706)
-    calls = _decode_counter(monkeypatch)
     _CONCRETE_MEMO.clear()
     concrete_expr(_parse_expr("sigma1^4"), 3)
     # sigma1's 63 keys twice for sigma1^2, once for each later product
