@@ -34,7 +34,7 @@ from .characteristics import (
     n_odd,
 )
 from .datafile import GENUS_MIN, check_genus, numeral, parse_lines
-from .exactla import Combination, add_into, pivot_solution
+from .exactla import Combination, pivot_solution
 
 __all__ = [
     "ConfigType",
@@ -440,8 +440,8 @@ def pushforward_level2(p: BoundaryPoly, g: int) -> dict[tuple[str, ...], Fractio
 _EXP_BITS = DEGREE_MAX.bit_length()
 _EXP_FIELD = (1 << _EXP_BITS) - 1
 Coeff = int | Fraction
-# (top, [(m, t, terms), ...]): the (key, value) pairs grouped by span
-SpanClasses = tuple[int, list[tuple[int, int, Iterable[tuple[int, Coeff]]]]]
+# (top, {m: (t, {key: value})}): a concrete dictionary grouped by span
+Grouped = tuple[int, dict[int, tuple[int, dict[int, Coeff]]]]
 
 
 def _decode(key: int) -> tuple[tuple[int, int], ...]:
@@ -456,13 +456,13 @@ def _decode(key: int) -> tuple[tuple[int, int], ...]:
 
 
 @lru_cache(maxsize=8)
-def _orth_sets(g: int) -> dict[int, list[tuple[tuple[int, ...], tuple[int, ...]]]]:
-    """All pairwise-orthogonal label sets of sizes 1..DEGREE_MAX, packed, each
-    with its relation space as (labels, kernel_f2(labels)), so that the
-    registry of every degree reads the space instead of computing it."""
-    out: dict[int, list] = {k: [] for k in range(1, DEGREE_MAX + 1)}
+def _orth_sets(g: int) -> dict[int, dict[tuple[int, ...], list[tuple[int, ...]]]]:
+    """All pairwise-orthogonal label sets of sizes 1..DEGREE_MAX, packed, by
+    size and then by relation space (kernel_f2(labels)), each group in search
+    order, so that the registry types one group at a time."""
+    out: dict[int, dict] = {k: {} for k in range(1, DEGREE_MAX + 1)}
     for labels in _orthogonal_sets(g, DEGREE_MAX):
-        out[len(labels)].append((labels, kernel_f2(labels)))
+        out[len(labels)].setdefault(kernel_f2(labels), []).append(labels)
     return out
 
 
@@ -487,13 +487,14 @@ def _registry(g: int, degree: int) -> dict[ConfigType, list[int]]:
     index: dict[ConfigType, list[int]] = {}
     if degree == 0:
         return {EMPTY: [0]}
-    for k, sets in _orth_sets(g).items():
+    for k, groups in _orth_sets(g).items():
         if k > degree:
             continue
         for assignment in _compositions(degree, k):
-            for labels, rels in sets:
-                key = sum(e << _EXP_BITS * p for p, e in zip(labels, assignment))
-                index.setdefault(_type_of_key(assignment, rels), []).append(key)
+            # the type depends on the labels only through their relation space
+            for rels, sets in groups.items():
+                index.setdefault(_type_of_key(assignment, rels), []).extend(
+                    sum(e << _EXP_BITS * p for p, e in zip(labels, assignment)) for labels in sets)
     return index
 
 
@@ -524,11 +525,11 @@ def _convolve_into(out: dict[int, Coeff], d1: dict[int, Coeff], d2: dict[int, Co
     """out += scale * (d1 * d2) in place, keeping entries that cancel to zero;
     returns out.  convolve() runs it; concrete_expr() runs its pair loop."""
     masks = _orth_masks(g)
-    _span_pairs(_span_classes(d1, masks), _span_classes(d2, masks), lambda m, t: out, scale)
+    _span_pairs(*(_span_classes(d.items(), masks) for d in (d1, d2)), lambda m, t: out, scale)
     return out
 
 
-def _span_pairs(spans1: SpanClasses, spans2: SpanClasses,
+def _span_pairs(spans1: Grouped, spans2: Grouped,
                 pick: Callable[[int, int], dict[int, Coeff]], scale: Coeff) -> int:
     """The one convolution loop: adds scale * each product of keys of
     orthogonal spans into pick(m, t), the dict for the product's span, where
@@ -536,15 +537,17 @@ def _span_pairs(spans1: SpanClasses, spans2: SpanClasses,
     Returns top1 + top2, exactly the largest exponent of a nonempty product of
     sums of type orbits with positive values: by Witt's theorem the second has
     a key in one Lagrangian with a top key of the first, on the same top label."""
-    (top1, classes1), (top2, classes2) = spans1, spans2
+    (top1, groups1), (top2, groups2) = spans1, spans2
     if top1 + top2 > _EXP_FIELD:
         raise DegreeOverflowError(f"label exponent {top1 + top2} exceeds {_EXP_FIELD}")
-    for m1, t1, terms1 in classes1:
+    # the inner loop runs over each of these once per key of spans1: a list is faster
+    classes2 = [(m2, t2, list(terms2.items())) for m2, (t2, terms2) in groups2.items()]
+    for m1, (t1, terms1) in groups1.items():
         for m2, t2, terms2 in classes2:
             if m1 & t2 != t2:
                 continue
             out = pick(m1 & m2, t1 | t2)
-            for k1, c1 in terms1:
+            for k1, c1 in terms1.items():
                 c1 *= scale
                 for k2, c2 in terms2:
                     k = k1 + k2
@@ -552,11 +555,11 @@ def _span_pairs(spans1: SpanClasses, spans2: SpanClasses,
     return top1 + top2
 
 
-def _span_classes(d: dict[int, Coeff], masks: list[int]) -> SpanClasses:
-    """Keys grouped by the span of their labels, and the largest exponent.
+def _span_classes(items: Iterable[tuple[int, Coeff]], masks: list[int]) -> Grouped:
+    """Items grouped by the span of their keys' labels, and the largest exponent.
 
-    Returns (top, [(m, t, terms), ...]), one entry per span; terms are the
-    (key, value) pairs of its keys.  m is the AND of the labels' orthogonal
+    Returns (top, {m: (t, terms)}), one entry per span; terms is the
+    {key: value} dict of its keys.  m is the AND of the labels' orthogonal
     closures: the span's orthogonal complement without 0, which names the
     span.  t is the label bits of any one key of the span.  A support u is
     orthogonal to every label of a key exactly when m & u == u; as m plus
@@ -564,16 +567,16 @@ def _span_classes(d: dict[int, Coeff], masks: list[int]) -> SpanClasses:
     for none, so testing t decides the whole entry.
     """
     top = 0
-    classes: dict[int, tuple[int, list[tuple[int, Coeff]]]] = {}
-    for key, c in d.items():
+    groups: dict[int, tuple[int, dict[int, Coeff]]] = {}
+    for key, c in items:
         mask, bits = -1, 0
         for p, e in _decode(key):
             mask &= masks[p]
             bits |= 1 << p
             if e > top:
                 top = e
-        classes.setdefault(mask, (bits, []))[1].append((key, c))
-    return top, [(mask, bits, terms) for mask, (bits, terms) in classes.items()]
+        groups.setdefault(mask, (bits, {}))[1][key] = c
+    return top, groups
 
 
 # --- identity ledger ---------------------------------------------------------
@@ -741,10 +744,9 @@ def expand_expr(expr: Expr, g: int) -> BoundaryPoly:
 ConcreteValue = tuple[int, dict[int, int]]
 
 # memo for concrete factor chains per genus, keyed by monomials in the
-# _EXP_BITS layout (which relies on DEGREE_MAX): a single factor as its integer
-# dictionary, a product of factors grouped by span, so it is never decoded
-Grouped = tuple[int, dict[int, tuple[int, dict[int, int]]]]  # (top, {m: (t, {key: value})})
-_CONCRETE_MEMO: dict[tuple[int, tuple[Factor, ...]], dict[int, int] | Grouped] = {}
+# _EXP_BITS layout (which relies on DEGREE_MAX): a single factor or a product
+# of factors, each grouped by span, so a product is never decoded
+_CONCRETE_MEMO: dict[tuple[int, tuple[Factor, ...]], Grouped] = {}
 
 
 def concrete_expr(expr: Expr, g: int) -> ConcreteValue:
@@ -755,31 +757,47 @@ def concrete_expr(expr: Expr, g: int) -> ConcreteValue:
     terms are combined over the lcm of their coefficients' denominators.
     A term of two or more factors is its memoized prefix times its last
     factor, and that last product is summed straight into the result, never
-    stored; a term of at most one factor is added as it is.  So the memo
-    keeps single factors and proper prefixes only.
+    stored.  Terms of at most one factor are summed per type, and each type's
+    monomials, which no other type shares, take that sum at once.  So the
+    memo keeps single factors and proper prefixes only.
     """
     den = lcm(*(coeff.denominator for coeff, _ in expr))
-    out: dict[int, int] = {}
+    sums: dict[ConfigType, int] = {}
+    chains = []
     for coeff, factors in expr:
         if not coeff:
             continue
         chain, scale = tuple(sorted(factors)), coeff.numerator * (den // coeff.denominator)
         if len(chain) > 1:
-            _chain_product(chain, g, lambda m, t: out, scale)
+            chains.append((chain, scale))
         else:
-            add_into(out, _concrete_chain(chain, g), scale)
+            for t in _unit_types(chain[0], g) if chain else (EMPTY,):
+                sums[t] = sums.get(t, 0) + scale
+    out: dict[int, int] = {}
+    for t, c in sums.items():
+        if c:
+            out.update(dict.fromkeys(_registry(g, t.degree).get(t, ()), c))
+    for chain, scale in chains:
+        _chain_product(chain, g, lambda m, t: out, scale)
     return den, {k: c for k, c in out.items() if c}
 
 
-def _concrete_chain(chain: tuple[Factor, ...], g: int) -> dict[int, int] | Grouped:
-    if not chain:
-        return {0: 1}
+def _unit_types(f: Factor, g: int) -> Iterable[ConfigType]:
+    """The types of _expand_factor(f, g), each read as its class with value 1."""
+    coeffs = _expand_factor(f, g).coeffs
+    if any(c != 1 for c in coeffs.values()):
+        raise ValueError(f"factor {f!r} expands with a coefficient other than 1")
+    return coeffs
+
+
+def _concrete_chain(chain: tuple[Factor, ...], g: int) -> Grouped:
     memo_key = (g, chain)
     cached = _CONCRETE_MEMO.get(memo_key)
     if cached is not None:
         return cached
     if len(chain) == 1:
-        val = dict.fromkeys(instantiate(_expand_factor(chain[0], g), g), 1)
+        val = _span_classes(((key, 1) for t in _unit_types(chain[0], g)
+                             for key in _registry(g, t.degree).get(t, ())), _orth_masks(g))
     else:
         groups: dict[int, tuple[int, dict[int, int]]] = {}
         top = _chain_product(chain, g, lambda m, t: groups.setdefault(m, (t, {}))[1], 1)
@@ -790,12 +808,8 @@ def _concrete_chain(chain: tuple[Factor, ...], g: int) -> dict[int, int] | Group
 
 def _chain_product(chain: tuple[Factor, ...], g: int,
                    pick: Callable[[int, int], dict[int, int]], scale: int) -> int:
-    """scale * (memoized prefix) * (last factor) into pick's dicts; a single
-    factor is grouped by span at each use, a product is kept grouped."""
-    prefix, masks = _concrete_chain(chain[:-1], g), _orth_masks(g)
-    spans = (_span_classes(prefix, masks) if isinstance(prefix, dict) else
-             (prefix[0], [(m, t, terms.items()) for m, (t, terms) in prefix[1].items()]))
-    return _span_pairs(spans, _span_classes(_concrete_chain(chain[-1:], g), masks), pick, scale)
+    """scale * (memoized prefix) * (last factor) into pick's dicts."""
+    return _span_pairs(_concrete_chain(chain[:-1], g), _concrete_chain(chain[-1:], g), pick, scale)
 
 
 class IdentityReport(NamedTuple):

@@ -382,16 +382,51 @@ def test_registry_types_match_canonical_config():
 
 
 def test_orth_sets_follow_orthogonal_tuples():
-    # one search serves both: the size-k sets are the size-k tuples, in
-    # order, each stored with its relation space
+    # one search serves both: the size-k sets are the size-k tuples, grouped
+    # by relation space, each group in search order
     for g in (1, 2, 3):
         tuples = [tuple(n.packed for n in tup) for tup in orthogonal_tuples(g, 5)]
         sets = _orth_sets(g)
         for k in range(1, 6):
-            assert [labels for labels, _ in sets[k]] == [t for t in tuples if len(t) == k]
-            for labels, rels in sets[k]:
-                assert rels == kernel_f2(labels)
-    assert sum(len(v) for v in _orth_sets(3).values()) == 12663
+            order = {t: i for i, t in enumerate(t for t in tuples if len(t) == k)}
+            for rels, group in sets[k].items():
+                assert [order[labels] for labels in group] == sorted(map(order.get, group))
+                for labels in group:
+                    assert rels == kernel_f2(labels)
+            assert sorted(labels for group in sets[k].values() for labels in group) == sorted(order)
+    assert sum(len(group) for v in _orth_sets(3).values() for group in v.values()) == 12663
+
+
+def _per_key_registry(g, degree):
+    """The registry as one _type_of_key call per monomial, over the
+    orthogonal sets in search order, each with its relation space."""
+    sets_by_size = {k: [] for k in range(1, boundary.DEGREE_MAX + 1)}
+    for labels in characteristics._orthogonal_sets(g, boundary.DEGREE_MAX):
+        sets_by_size[len(labels)].append((labels, kernel_f2(labels)))
+    index = {}
+    if degree == 0:
+        return {EMPTY: [0]}
+    for k, sets in sets_by_size.items():
+        if k > degree:
+            continue
+        for assignment in boundary._compositions(degree, k):
+            for labels, rels in sets:
+                key = sum(e << _EXP_BITS * p for p, e in zip(labels, assignment))
+                index.setdefault(boundary._type_of_key(assignment, rels), []).append(key)
+    return index
+
+
+def test_registry_matches_the_per_key_loop():
+    # one type per (composition, relation space) gives every class the
+    # monomials the per-key loop gives it, and no monomial two classes
+    for g in (1, 2, 3):
+        for d in range(6):
+            index, expected = _registry(g, d), _per_key_registry(g, d)
+            assert index.keys() == expected.keys(), (g, d)
+            for t, keys in index.items():
+                assert sorted(keys) == sorted(expected[t]), (g, d, t)
+            keys = [key for keys in index.values() for key in keys]
+            assert len(keys) == len(set(keys)), (g, d)
 
 
 def test_registry_types_share_the_one_canonical_cache():
@@ -489,6 +524,36 @@ def test_concrete_expr_matches_whole_products_genus2():
             assert concrete_expr(side, 2) == reference_concrete_expr(side, 2), identity.name
 
 
+def test_concrete_expr_matches_whole_products_on_the_ledger_genus3():
+    identities = {identity.name: identity for identity in load_identities()}
+    # lines of single-factor terms only, which take the per-type fill alone
+    for name in ("sigma5-all", "beta5-refine", "quartic-sum-split"):
+        identity = identities[name]
+        assert all(len(factors) == 1 for _, factors in identity.lhs + identity.rhs), name
+    for identity in identities.values():
+        (den_l, left), (den_r, right) = (reference_concrete_expr(side, 3)
+                                         for side in (identity.lhs, identity.rhs))
+        assert concrete_expr(identity.lhs, 3) == (den_l, left), identity.name
+        assert concrete_expr(identity.rhs, 3) == (den_r, right), identity.name
+        # the difference's reference value, over the lcm of both sides' dens,
+        # without expanding either side's products a second time
+        den = lcm(den_l, den_r)
+        diff = add_into(add_into({}, left, den // den_l), right, -(den // den_r))
+        assert concrete_expr(_difference(identity), 3) == (den, diff), identity.name
+
+
+def test_concrete_verifier_refuses_a_factor_coefficient_other_than_1(monkeypatch):
+    # a factor's types are each read as one class with value 1, on their own
+    # and as a factor of a product
+    expand = boundary._expand_factor
+    monkeypatch.setattr(boundary, "_expand_factor", lambda f, g: 2 * expand(f, g))
+    _CONCRETE_MEMO.clear()
+    for text in ("cfg(2)", "cfg(1)*cfg(1)"):
+        with pytest.raises(ValueError, match=r"^factor .* expands with a coefficient other than 1$"):
+            concrete_expr(_parse_expr(text), 3)
+    assert not _CONCRETE_MEMO
+
+
 def test_concrete_expr_matches_whole_products_genus3():
     g = 3
     s1, s2 = ("name", "sigma1"), ("name", "sigma2")
@@ -519,8 +584,8 @@ def test_concrete_memo_keeps_factors_and_proper_prefixes_genus3():
 
 
 def test_memoized_products_are_never_decoded(monkeypatch):
-    # a memoized product is kept grouped by span; only single factors are
-    # decoded, once at each use (the ungrouped memo decoded 7,308 and 104,706)
+    # every memo entry is kept grouped by span; a single factor is decoded
+    # once, when it is grouped (flat single factors decoded 252 and 41,580)
     calls = [0]
 
     def counted(key):
@@ -530,21 +595,19 @@ def test_memoized_products_are_never_decoded(monkeypatch):
     monkeypatch.setattr(boundary, "_decode", counted)
     _CONCRETE_MEMO.clear()
     concrete_expr(_parse_expr("sigma1^4"), 3)
-    # sigma1's 63 keys twice for sigma1^2, once for each later product
-    assert calls[0] == 252
+    # sigma1's 63 keys, once for all three products
+    assert calls[0] == 63
     _CONCRETE_MEMO.clear()
     calls[0] = 0
     identities = load_identities()
     assert len(identities) == 18
     for identity in identities:
         assert check_identity(identity, 3).concrete_ok, identity.name
-    assert calls[0] == 41580
+    assert calls[0] == 14553
 
 
 def _flat(val):
     """A memo value as one {key: value} dictionary."""
-    if isinstance(val, dict):
-        return val
     return {k: c for _, terms in val[1].values() for k, c in terms.items()}
 
 
@@ -560,10 +623,10 @@ def test_memoized_products_match_convolve_and_their_spans():
         top, groups = _CONCRETE_MEMO[g, chain]
         flat = _flat(_CONCRETE_MEMO[g, chain])
         prefix, last = _CONCRETE_MEMO[g, chain[:-1]], _CONCRETE_MEMO[g, chain[-1:]]
-        assert flat == convolve(_flat(prefix), last, g), chain
+        assert flat == convolve(_flat(prefix), _flat(last), g), chain
         assert sum(map(len, (terms for _, terms in groups.values()))) == len(flat)
         for m, (t, terms) in groups.items():
-            assert boundary._span_classes(terms, masks)[1] == [(m, t, list(terms.items()))], chain
+            assert boundary._span_classes(terms.items(), masks)[1] == {m: (t, terms)}, chain
             assert all(terms.values()), chain
         assert top == max((e for key in flat for _, e in _decode(key)), default=0), chain
 

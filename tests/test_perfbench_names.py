@@ -70,7 +70,8 @@ def test_cold_reset_clears_the_type_canonicalizer():
 
 def test_cold_reset_clears_the_span_groups(monkeypatch):
     # span groups cached where the cold reset cannot clear them would make
-    # every pass after the first decode fewer keys, and so run warm
+    # every pass after the first decode fewer keys (a warm pass reads 0), and
+    # so run warm
     workloads = _load("workloads")
     identity = next(i for i in boundary.load_identities() if i.name == "sigma1-fifth")
     decode, counts = boundary._decode, []
@@ -85,9 +86,9 @@ def test_cold_reset_clears_the_span_groups(monkeypatch):
         monkeypatch.setattr(boundary, "_decode", counted)
         assert boundary.check_identity(identity, 3).concrete_ok
         counts.append(calls[0])
-    # sigma1's 63 keys twice for sigma1^2, once for each later product; the
-    # pinned count also holds when an earlier test has filled such a cache
-    assert counts == [315, 315]
+    # sigma1's 63 keys, once, when it is grouped; the pinned count also
+    # holds when an earlier test has filled such a cache
+    assert counts == [63, 63]
 
 
 def _cached_in_source() -> set[str]:
