@@ -367,21 +367,28 @@ def orthogonal_tuples(g: int, max_size: int) -> Iterator[tuple[BoundaryLabel, ..
         yield tuple([labels[p] for p in combo])
 
 
-# The sampler holds its g basis vectors in one int, vector i in bits
-# LANE*i .. LANE*i + LANE - 1, so that a transvection acts on all of them in a
-# few big-int operations.  Four parity folds reach 16 bits, enough for 2g <= 16.
-_LANE = 16
-SAMPLER_GENUS_MAX = _LANE // 2
+# The sampler keeps its g basis vectors in one int, vector i in lane i of W =
+# 2g*f bits, f = (2g).bit_length(), with its bit j at bit f*j of the lane.
+# Multiplied by `fields`, the sum of the 2g field units, x & J(v) puts its bit
+# count in field 2g - 1 of each lane, whose low bit is <x, v>; times v, these
+# parities add v to just the lanes that need it.  Nothing carries: field t of
+# lane i + 1 sums its bits j <= t and lane i's bits j > t, at most 2g < 2^f,
+# and gets none of lane i at t = 2g - 1, as lane i's product ends at 4g - 2.
+SAMPLER_GENUS_MAX = 8
 
 
 @lru_cache(maxsize=8)
-def _lane_table(g: int) -> tuple[int, int, list[int], list[int]]:
-    """The sampler's start basis, the lane units, and v and J(v) copied into
-    every lane; entry r of either list is for the vector v = r + 1."""
-    ones = sum(1 << (_LANE * i) for i in range(g))
-    start = sum(1 << ((_LANE + 1) * i) for i in range(g))  # vector i is 1 << i
-    vs = range(1, 1 << (2 * g))
-    return start, ones, [v * ones for v in vs], [_swap_halves(v, g) * ones for v in vs]
+def _lane_table(g: int) -> tuple[int, int, int, int, int, list[int], list[int], dict[int, int]]:
+    """The sampler's tables (4^g entries, hence its genus cap), as it unpacks them."""
+    f = (2 * g).bit_length()
+    spread = [0]
+    for j in range(2 * g):  # x + 2^j spreads to spread[x] + 2^(f*j)
+        spread += [s + (1 << (f * j)) for s in spread]
+    ones = sum(1 << (2 * g * f * i) for i in range(g))
+    start = sum(1 << ((2 * g + 1) * f * i) for i in range(g))  # vector i is 1 << i
+    jvs = [_swap_halves(s, f * g) * ones for s in spread[1:]]  # J swaps g-field halves
+    packed = {s: x for x, s in enumerate(spread)}
+    return start, ones, spread[-1], f * (2 * g - 1), 2 * g * f, spread[1:], jvs, packed
 
 
 def random_orthogonal_tuple(
@@ -401,31 +408,24 @@ def random_orthogonal_tuple(
     check_genus(g, GENUS_MIN, SAMPLER_GENUS_MAX, "random_orthogonal_tuple")
     if max_size < 1:
         raise ValueError("max_size must be at least 1")
-    basis, ones, vs, jvs = _lane_table(g)
+    basis, ones, fields, shift, width, vs, jvs, packed = _lane_table(g)
     getrandbits = rng.getrandbits
     bits = 2 * g
     top = (1 << bits) - 1
-    lane = (1 << _LANE) - 1
+    lane = (1 << width) - 1
     for _ in range(12):
         # v = randrange(1, 4^g) = r + 1, drawn as randrange draws it
         r = getrandbits(bits)
         while r >= top:
             r = getrandbits(bits)
-        # x -> x + <x, v> v on every lane: fold the parity of x & J(v) into
-        # each lane's bit 0, then spread it over the lane to select v
-        y = basis & jvs[r]
-        y ^= y >> 8
-        y ^= y >> 4
-        y ^= y >> 2
-        y ^= y >> 1
-        basis ^= ((y & ones) * lane) & vs[r]
+        basis ^= ((basis & jvs[r]) * fields >> shift & ones) * vs[r]  # x += <x, v> v
     # Bring the lanes to reduced echelon form: each row's leading bit, its
     # pivot, is clear in every other row.  Transvections are invertible, so
     # the lanes stay independent and none reduces to 0.
     rows: list[int] = []
     for _ in range(g):
-        a = basis & lane
-        basis >>= _LANE
+        a = packed[basis & lane]
+        basis >>= width
         for e in rows:
             if a ^ e < a:  # a has the pivot of e
                 a ^= e

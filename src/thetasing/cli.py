@@ -8,8 +8,9 @@ item or its file is bad, or the normalization table lacks a genus the
 command needs.  Every `--data` file is read before any output, and its loaded
 table is passed to the computation of that run only.  After a run, each
 genus 1..5 where a `--data normalizations` value differs from the derived
-one gets a `#` line on stderr; stdout still uses the given value.  The
-`records` format emits one self-describing line per term:
+one gets a `#` line on stderr; stdout still uses the given value.  When the
+reader closes stdout early (`| head -1`), the run stops and exits 1, with no
+traceback.  The `records` format emits one self-describing line per term:
 
     lambda=<e1,...,eg> word=<tag*tag or 1> num=<int> den=<int> prov=<tag>
 
@@ -19,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import itertools
+import os
 import random
 import sys
 from fractions import Fraction
@@ -246,12 +248,20 @@ def main(argv: list[str] | None = None) -> int:
     data = _load_data(parser, args.data)
     try:
         code = _run(args, genera, data, sys.stdout)
+        sys.stdout.flush()  # a closed pipe fails here, not at shutdown
     except (tautring.MissingNormalizationError, pipeline.RouteMismatchError,
             boundary.InfeasibleBasisError) as exc:
         # raised before the command writes anything; the message is one
         # line, followed by the residual or the differing values if any
         print(f"thetasing: {exc.args[0]}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # the reader is gone; point stdout at devnull so that the flush at
+        # interpreter shutdown does not fail again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 1
     _note_normalization_overrides(data.get("normalizations"))
     return code
 

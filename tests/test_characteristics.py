@@ -27,6 +27,7 @@ from thetasing.characteristics import (
     _canonical_type,
     _form_packed,
     _labels,
+    _lane_table,
     _sigma_packed,
     _swap_halves,
     _vanish_tables,
@@ -433,6 +434,57 @@ def test_sampler_matches_randrange_reference(g):
                 assert random_orthogonal_tuple(rng, g, max_size) == \
                     _reference_random_orthogonal_tuple(ref, g, max_size)
             assert rng.getstate() == ref.getstate()
+
+
+def _spread_and_step(g):
+    # the sampler's layout as a list, spread[x] the lanes' form of x, and its
+    # transvection step x -> x + <x, v> v on every lane, by one multiply
+    _, ones, fields, shift, width, vs, jvs, packed = _lane_table(g)
+    spread = sorted(packed, key=packed.get)
+    assert [packed[s] for s in spread] == list(range(1 << (2 * g)))
+
+    def step(basis, v):
+        return basis ^ ((basis & jvs[v - 1]) * fields >> shift & ones) * vs[v - 1]
+    return spread, width, step
+
+
+def _in_lanes(spread, width, xs):
+    return sum(spread[x] << (width * i) for i, x in enumerate(xs))
+
+
+@pytest.mark.parametrize("g", [1, 2, 3, 4])
+def test_transvection_step_matches_definition(g):
+    # every v and every x, in every lane with all ones in the others; with
+    # all ones in every lane and v all ones, every field has its largest
+    # count.  A carry between fields or lanes changes a lane or sets a bit
+    # above the last lane.
+    spread, width, step = _spread_and_step(g)
+    top = (1 << (2 * g)) - 1
+    for v in range(1, top + 1):
+        image = [x ^ v if _form_packed(x, v, g) else x for x in range(top + 1)]
+        full = _in_lanes(spread, width, [top] * g)
+        full_image = _in_lanes(spread, width, [image[top]] * g)
+        assert step(full, v) == full_image, v
+        for x in range(top + 1):
+            moved = spread[x] ^ spread[top]
+            moved_image = spread[image[x]] ^ spread[image[top]]
+            for i in range(g):
+                assert step(full ^ moved << (width * i), v) == \
+                    full_image ^ moved_image << (width * i), (x, v, i)
+
+
+def test_transvection_step_matches_definition_genus8():
+    # fields are 5 bits wide from genus 8: the all-ones case and 1000 seeded
+    # draws of a v and one x per lane
+    g, top = 8, (1 << 16) - 1
+    spread, width, step = _spread_and_step(g)
+    rng = Random(STREAM_SEED)
+    cases = [([top] * g, top)]
+    cases += [([rng.randrange(top + 1) for _ in range(g)], rng.randrange(1, top + 1))
+              for _ in range(1000)]
+    for xs, v in cases:
+        image = [x ^ v if _form_packed(x, v, g) else x for x in xs]
+        assert step(_in_lanes(spread, width, xs), v) == _in_lanes(spread, width, image), (xs, v)
 
 
 class _NoDraws(Random):

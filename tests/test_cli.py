@@ -307,6 +307,58 @@ def test_relation_that_keeps_the_degree_exits_at_once(tmp_path):
     assert proc.stderr.endswith("right side word sigma2 is not of degree below 2\n")
 
 
+class _ClosedPipe:
+    # stdout as a reader that has gone away: every write fails
+    def __init__(self, fd):
+        self._fd = fd
+
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+    def flush(self):
+        pass
+
+    def fileno(self):
+        return self._fd
+
+
+def test_closed_stdout_exits_1_without_traceback(capsys, monkeypatch, tmp_path):
+    path = tmp_path / "stdout"
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT)
+    try:
+        monkeypatch.setattr(sys, "stdout", _ClosedPipe(fd))
+        assert cli.main(["--command", "ring-info", "--genus", "2"]) == 1
+        os.write(fd, b"left over")  # the descriptor now points at devnull
+    finally:
+        os.close(fd)
+    assert path.read_bytes() == b""
+    assert capsys.readouterr().err == ""
+
+
+def test_reader_closing_the_pipe_early_gets_no_traceback(tmp_path):
+    # `verify-identities --genus 2 | head -1`: 600 identities with long names
+    # print more than a pipe holds, so the child is still writing when the
+    # reader leaves, whatever the scheduling
+    name = "x" * 2000
+    path = _write(tmp_path, "".join(f"{name}{i}: sigma1 = sigma1\n" for i in range(600)))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "thetasing", "--command", "verify-identities", "--genus", "2",
+         "--data", f"identities={path}"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(
+            p for p in (SRC, os.environ.get("PYTHONPATH")) if p)},
+    )
+    try:
+        first = proc.stdout.readline()
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=60)
+    finally:
+        proc.kill()
+    assert first == f"ok {name}0 concrete=True symbolic=True\n"
+    assert err == ""
+    assert proc.returncode == 1
+
+
 def test_byte_stability(capsys):
     args = ("--command", "compactified-class", "--genus", "3", "--format", "records")
     _, first = run(capsys, *args)
