@@ -9,8 +9,9 @@ command needs.  Every `--data` file is read before any output, and its loaded
 table is passed to the computation of that run only.  After a run, each
 genus 1..5 where a `--data normalizations` value differs from the derived
 one gets a `#` line on stderr; stdout still uses the given value.  When the
-reader closes stdout early (`| head -1`), the run stops and exits 1, with no
-traceback.  The `records` format emits one self-describing line per term:
+reader closes stdout before all output is written (`| head -1`), the run
+stops at its next write and exits 1, with no traceback.  The `records`
+format emits one self-describing line per term:
 
     lambda=<e1,...,eg> word=<tag*tag or 1> num=<int> den=<int> prov=<tag>
 
@@ -259,8 +260,10 @@ def main(argv: list[str] | None = None) -> int:
         # the reader is gone; point stdout at devnull so that the flush at
         # interpreter shutdown does not fail again
         devnull = os.open(os.devnull, os.O_WRONLY)
-        os.dup2(devnull, sys.stdout.fileno())
-        os.close(devnull)
+        try:
+            os.dup2(devnull, sys.stdout.fileno())
+        finally:
+            os.close(devnull)
         return 1
     _note_normalization_overrides(data.get("normalizations"))
     return code

@@ -341,19 +341,19 @@ def test_reader_closing_the_pipe_early_gets_no_traceback(tmp_path):
     # reader leaves, whatever the scheduling
     name = "x" * 2000
     path = _write(tmp_path, "".join(f"{name}{i}: sigma1 = sigma1\n" for i in range(600)))
-    proc = subprocess.Popen(
+    with subprocess.Popen(
         [sys.executable, "-m", "thetasing", "--command", "verify-identities", "--genus", "2",
          "--data", f"identities={path}"],
         stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
         env={**os.environ, "PYTHONPATH": os.pathsep.join(
             p for p in (SRC, os.environ.get("PYTHONPATH")) if p)},
-    )
-    try:
-        first = proc.stdout.readline()
-        proc.stdout.close()
-        _, err = proc.communicate(timeout=60)
-    finally:
-        proc.kill()
+    ) as proc:
+        try:
+            first = proc.stdout.readline()
+            proc.stdout.close()
+            _, err = proc.communicate(timeout=60)
+        finally:
+            proc.kill()  # a no-op once the child has exited
     assert first == f"ok {name}0 concrete=True symbolic=True\n"
     assert err == ""
     assert proc.returncode == 1
