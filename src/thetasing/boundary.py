@@ -517,16 +517,10 @@ def convolve(d1: dict[int, Coeff], d2: dict[int, Coeff], g: int) -> dict[int, Co
     pair of spans and key pairs are enumerated only inside compatible ones.
     Independent of the symbolic product(); used to cross-check it.
     """
-    return {k: c for k, c in _convolve_into({}, d1, d2, g, 1).items() if c}
-
-
-def _convolve_into(out: dict[int, Coeff], d1: dict[int, Coeff], d2: dict[int, Coeff],
-                   g: int, scale: Coeff) -> dict[int, Coeff]:
-    """out += scale * (d1 * d2) in place, keeping entries that cancel to zero;
-    returns out.  convolve() runs it; concrete_expr() runs its pair loop."""
+    out: dict[int, Coeff] = {}
     masks = _orth_masks(g)
-    _span_pairs(*(_span_classes(d.items(), masks) for d in (d1, d2)), lambda m, t: out, scale)
-    return out
+    _span_pairs(*(_span_classes(d.items(), masks) for d in (d1, d2)), lambda m, t: out, 1)
+    return {k: c for k, c in out.items() if c}
 
 
 def _span_pairs(spans1: Grouped, spans2: Grouped,

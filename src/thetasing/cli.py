@@ -124,31 +124,20 @@ def _emit_taut(g: int, elem, pin_key: str | None, fmt: str, out) -> int:
         prov = "paper" if pins == {} else "derived"
         out.write("0" + (f"  [{prov}]\n" if fmt == "text" else f" prov={prov}\n"))
         return 0
-    rows = [
-        pipeline.ComparisonRow(mono, (), elem.get(mono), None if pins is None else pins.get(mono))
-        for mono in sorted(set(elem) | set(pins or ()))
-    ]
+    rows = pipeline.comparison_rows({(mono, ()): c for mono, c in elem.items()},
+                                    {(mono, ()): c for mono, c in (pins or {}).items()})
     return 2 if _emit_rows(rows, fmt, out, False) else 0
 
 
 def _emit_mixed(g: int, relations, fmt: str, out) -> int:
     raw = pipeline._raw_compactified(g)
-    if g in pipeline.PUBLISHED_COMPACTIFIED:
-        rows = pipeline.compare_with_published(g, raw)
-    else:
-        rows = [
-            pipeline.ComparisonRow(k[0], k[1], v, None)
-            for k, v in raw.sorted_items()
-        ]
+    rows = pipeline.comparison_rows(raw.terms, pipeline.PUBLISHED_COMPACTIFIED.get(g, {}))
     mismatches = _emit_rows(rows, fmt, out, True)
-    if g == 2:
-        reduced = pipeline._apply_word_relations(raw, relations)
-        out.write(
-            "# after the genus-2 word relations the class is "
-            + ("0\n" if reduced.is_zero() else "NOT zero\n")
-        )
-        if not reduced.is_zero():
-            return 2
+    if g == pipeline.RELATION_GENUS:
+        vanishes = pipeline._apply_word_relations(raw, relations).is_zero()
+        out.write(f"# after the genus-{pipeline.RELATION_GENUS} word relations the class is "
+                  + ("0\n" if vanishes else "NOT zero\n"))
+        mismatches += not vanishes
     return 2 if mismatches else 0
 
 

@@ -69,12 +69,14 @@ __all__ = [
     "PUBLISHED_COMPACTIFIED",
     "PUBLISHED_STRATA_GENUS3",
     "compare_with_published",
+    "comparison_rows",
     "ComparisonRow",
 ]
 
 LamWord = tuple[LambdaMonomial, Word]
 
 PRODUCT_GENUS_MIN, THETA_NULL_GENUS_MIN, IJ_GENUS = 3, 4, 5
+RELATION_GENUS = 2  # the only genus whose class the word relations rewrite; it must vanish
 
 
 class RouteMismatchError(RuntimeError):
@@ -159,10 +161,7 @@ def stratum(g: int, j: int) -> MixedClass:
     if not 0 <= j <= g:
         raise ValueError(f"stratum index {j} out of range for genus {g}")
     lamf = lam_factor(g, j)
-    if j == 0:
-        words: dict[Word, Fraction] = {(): Fraction(n_odd(g))}
-    else:
-        words = pushforward_level2(expand_zm_power(g, j), g)
+    words = pushforward_level2(expand_zm_power(g, j), g)
     scalar = Fraction((-1) ** j, 4 ** j)
     return MixedClass(g, {(mono, word): scalar * wc * lc
                           for word, wc in words.items() for mono, lc in lamf.items()})
@@ -180,21 +179,19 @@ def _raw_compactified(g: int) -> MixedClass:
 def class_compactified(g: int, relations: RelationTable | None = None) -> MixedClass:
     """The locus class on the perfect cone compactification.
 
-    For genus 2 the generic boundary algebra does not see that the class
-    must die (a smooth genus-2 theta divisor is never singular at a
-    two-torsion point); the space-specific word relations of `relations`
-    (None: the bundled table) are substituted so the output is literally
-    zero there.
+    For genus 2 (RELATION_GENUS) the generic boundary algebra does not see
+    that the class must die (a smooth genus-2 theta divisor is never
+    singular at a two-torsion point); the space-specific word relations of
+    `relations` (None: the bundled table) for the class's genus are
+    substituted so the output is literally zero there.
     """
     return _apply_word_relations(_raw_compactified(g), relations)
 
 
 def _apply_word_relations(total: MixedClass, relations: RelationTable | None) -> MixedClass:
     """The raw stratum sum with its space's word relations substituted."""
-    if total.genus != 2:
-        return total
-    table = load_boundary_relations() if relations is None else relations
-    return substitute_boundary_relations(total, table.get(2, ()))
+    rules = (load_boundary_relations() if relations is None else relations).get(total.genus)
+    return substitute_boundary_relations(total, rules) if rules else total
 
 
 def class_open(g: int) -> TautElement:
@@ -355,6 +352,8 @@ def _parse_rule(line: str) -> RewriteRule:
     if not m or "=" not in body:
         raise ValueError("expected 'genus=<g>: <word> = <terms>'")
     g = genus(m.group(1), head.strip())
+    if g != RELATION_GENUS:
+        raise ValueError(f"word relations apply at genus {RELATION_GENUS} only, not {g}")
     lhs_text, _, rhs_text = body.partition("=")
     lhs_terms = _rule_terms(lhs_text, g)
     if len(lhs_terms) != 1 or lhs_terms[0][0] != 1 or any(lhs_terms[0][1]):
@@ -392,28 +391,25 @@ def _word_minus(word: Word, sub: Word) -> Word | None:
 def substitute_boundary_relations(
     mc: MixedClass, rules: Sequence[RewriteRule]
 ) -> MixedClass:
-    """Rewrite words by the given relations until none applies."""
+    """Rewrite each term by its first matching rule, and each term that gives
+    in turn, until no rule applies (every rule lowers the boundary degree)."""
     R = ring(mc.genus)
-    terms = dict(mc.terms)
-    progress = True
-    while progress:
-        progress = False
-        for (mono, word), c in list(terms.items()):
-            for rule in rules:
-                remainder = _word_minus(word, rule.word_from)
-                if remainder is None:
-                    continue
-                del terms[(mono, word)]
+    out: dict[LamWord, Fraction] = {}
+
+    def rewrite(mono: LambdaMonomial, word: Word, c: Fraction) -> None:
+        for rule in rules:
+            remainder = _word_minus(word, rule.word_from)
+            if remainder is not None:
                 for rc, dmono, wto in rule.rhs:
-                    reduced = R.reduce({mono_mul(mono, dmono): Fraction(1)})
                     word_to = normalize_word(remainder + wto)
-                    add_into(terms, {(bmono, word_to): bc for bmono, bc in reduced.items()},
-                             c * rc)
-                progress = True
-                break
-            if progress:
-                break
-    return MixedClass(mc.genus, terms)
+                    for bmono, bc in R.reduce({mono_mul(mono, dmono): Fraction(1)}).items():
+                        rewrite(bmono, word_to, c * rc * bc)
+                return
+        add_into(out, {(mono, word): c})
+
+    for (mono, word), c in mc.terms.items():
+        rewrite(mono, word, c)
+    return MixedClass(mc.genus, out)
 
 
 # --- published coefficient tables ---------------------------------------------
@@ -424,8 +420,7 @@ def substitute_boundary_relations(
 # (lam1^2 * beta3, coefficient -15/4): the comparison machinery reports
 # that row as derived-only rather than silently merging it.
 
-def _F(a: int, b: int = 1) -> Fraction:
-    return Fraction(a, b)
+_F = Fraction
 
 
 PUBLISHED_COMPACTIFIED: dict[int, dict[LamWord, Fraction]] = {
@@ -560,19 +555,21 @@ class ComparisonRow(NamedTuple):
         return "conflict"
 
 
-def compare_with_published(g: int, raw: MixedClass | None = None) -> list[ComparisonRow]:
+def comparison_rows(engine: dict[LamWord, Fraction],
+                    published: dict[LamWord, Fraction]) -> list[ComparisonRow]:
+    """Engine terms against printed ones, in display order; a tautological
+    class keys each monomial as (monomial, ())."""
+    return [ComparisonRow(k[0], k[1], engine.get(k), published.get(k))
+            for k in sorted(engine.keys() | published.keys(), key=_term_key)]
+
+
+def compare_with_published(g: int) -> list[ComparisonRow]:
     """Engine output against the printed table, term by term.
 
     The engine side is the raw stratum sum (before any space-specific
-    substitution), since that is the form the printed tables use; `raw` is
-    that sum if the caller has already assembled it.
+    substitution), since that is the form the printed tables use.
     """
     check_genus(g, GENUS_MIN, GENUS_MAX, "compare_with_published")
     if g not in PUBLISHED_COMPACTIFIED:
         raise KeyError(f"no published table for genus {g}")
-    engine = (_raw_compactified(g) if raw is None else raw).terms
-    published = PUBLISHED_COMPACTIFIED[g]
-    return [
-        ComparisonRow(k[0], k[1], engine.get(k), published.get(k))
-        for k in sorted(set(engine) | set(published), key=_term_key)
-    ]
+    return comparison_rows(_raw_compactified(g).terms, PUBLISHED_COMPACTIFIED[g])

@@ -34,7 +34,6 @@ from thetasing.boundary import (
     Identity,
     _CONCRETE_MEMO,
     _EXP_BITS,
-    _convolve_into,
     _decode,
     _expand_factor,
     _orth_sets,
@@ -337,27 +336,6 @@ def test_convolve_matches_all_pairs_reference(data):
     d2 = data.draw(concrete_dicts(g))
     packed = convolve(*({pack(k): c for k, c in d.items()} for d in (d1, d2)), g)
     assert {_decode(k): c for k, c in packed.items()} == naive_convolve(d1, d2, g)
-
-
-@settings(max_examples=200)
-@given(st.data())
-def test_convolve_into_adds_the_scaled_product(data):
-    # the in-place core, zeros dropped, is add_into of the public product
-    g = data.draw(st.sampled_from((2, 3)))
-    d1, d2, acc = ({pack(k): c for k, c in data.draw(concrete_dicts(g)).items()}
-                   for _ in range(3))
-    acc = {k: c for k, c in acc.items() if c}
-    scale = data.draw(st.fractions(min_value=-3, max_value=3, max_denominator=4)
-                      .filter(bool))
-    prod = convolve(d1, d2, g)
-    # entries of acc that the scaled product cancels, and one it leaves alone
-    for k in data.draw(st.lists(st.sampled_from(sorted(prod)), unique=True)) if prod else ():
-        acc[k] = -scale * prod[k]
-    acc.setdefault(pack(((1, 5),)), F(7, 2))
-    expected = add_into(dict(acc), prod, scale)
-    out = _convolve_into(acc, d1, d2, g, scale)
-    assert out is acc
-    assert {k: c for k, c in out.items() if c} == expected
 
 
 def test_convolve_refuses_a_carrying_exponent():

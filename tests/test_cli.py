@@ -451,6 +451,10 @@ def _write(tmp_path, text):
     ("boundary-relations", ["--command", "compactified-class", "--genus", "2"],
      "genus=2: sigma2 = 6*lam1*sigma1\ngenus=9: sigma2 = 6*lam1*sigma1\n",
      "line 2 'genus=9: sigma2 = 6*lam1*sigma1': genus 9 outside 1..5"),
+    # relations for a genus whose class is never rewritten would be dropped
+    ("boundary-relations", ["--command", "compactified-class", "--genus", "4"],
+     "genus=4: sigma4 = 0*lam1*sigma1\n",
+     "line 1 'genus=4: sigma4 = 0*lam1*sigma1': word relations apply at genus 2 only, not 4"),
     ("normalizations", ["--command", "ring-info", "--genus", "1"],
      "genus=0 value=1/24 source=t\ngenus=1 value=1/24 source=t\n",
      "line 1 'genus=0 value=1/24 source=t': genus 0 outside 1..5"),

@@ -1,6 +1,7 @@
 """Tests for strata assembly, published tables, and the tautological projections."""
 
 import os
+import random
 import tempfile
 from fractions import Fraction
 
@@ -22,7 +23,9 @@ from thetasing.pipeline import (
     PUBLISHED_COMPACTIFIED,
     PUBLISHED_STRATA_GENUS3,
     PUBLISHED_TAUT,
+    _parse_rule,
     _raw_compactified,
+    _word_minus,
     closed_form_projection,
     corner_class_taut,
     lam_factor,
@@ -30,7 +33,9 @@ from thetasing.pipeline import (
     stratum,
     substitute_boundary_relations,
 )
-from thetasing.tautring import lam, ring, unit_mono
+from thetasing.boundary import normalize_word, word_sort_key
+from thetasing.exactla import add_into
+from thetasing.tautring import lam, mono_mul, ring, unit_mono
 
 
 def F(a, b=1):
@@ -88,6 +93,13 @@ def test_strata_genus3_per_stratum():
     assert parts[3].terms == PUBLISHED_STRATA_GENUS3[3]
 
 
+def test_stratum_zero_is_n_odd_times_lambda_0():
+    n_odd = {1: 1, 2: 6, 3: 28, 4: 120, 5: 496}
+    for g in range(1, 6):
+        expected = {(mono, ()): n_odd[g] * c for mono, c in lam_factor(g, 0).items()}
+        assert stratum(g, 0).terms == expected
+
+
 def test_stratum_range_checks():
     with pytest.raises(ValueError):
         stratum(3, 4)
@@ -99,7 +111,7 @@ def test_stratum_range_checks():
 
 def test_each_stratum_is_assembled_once(monkeypatch):
     # every output built from the strata shares one level-2 pushforward per
-    # (g, j >= 1)
+    # (g, j), stratum 0 included
     calls = []
     pushforward = pipeline.pushforward_level2
 
@@ -114,7 +126,7 @@ def test_each_stratum_is_assembled_once(monkeypatch):
         taut_projection(g)
         compare_with_published(g)
     ij_taut()
-    assert sorted(calls) == [g for g in range(2, 6) for _ in range(g)]
+    assert sorted(calls) == [g for g in range(2, 6) for _ in range(g + 1)]
     assert stratum(5, 3) is stratum(5, 3)
     assert strata(5) is not strata(5)
 
@@ -226,6 +238,75 @@ def test_substitution_fixpoint():
         ((3, 0), ()): F(-2640),
     }
     assert substitute_boundary_relations(out, rules) == out
+
+
+def _restart_substitute(mc, rules):
+    """Reference rewrite: substitute into the first term a rule matches,
+    then rescan from the first term, until no rule applies."""
+    R = ring(mc.genus)
+    terms = dict(mc.terms)
+    progress = True
+    while progress:
+        progress = False
+        for (mono, word), c in list(terms.items()):
+            for rule in rules:
+                remainder = _word_minus(word, rule.word_from)
+                if remainder is None:
+                    continue
+                del terms[(mono, word)]
+                for rc, dmono, wto in rule.rhs:
+                    reduced = R.reduce({mono_mul(mono, dmono): Fraction(1)})
+                    word_to = normalize_word(remainder + wto)
+                    add_into(terms, {(bmono, word_to): bc for bmono, bc in reduced.items()},
+                             c * rc)
+                progress = True
+                break
+            if progress:
+                break
+    return MixedClass(mc.genus, terms)
+
+
+# the rules' own words, drawn more often, and words no rule touches
+WORD_FACTORS = ("sigma1", "sigma1", "sigma1", "sigma2", "sigma2", "sigma3", "beta3", "Y")
+
+
+def _random_genus2_class(rng):
+    """Up to six terms, each a small lambda monomial times a word of degree <= 4."""
+    terms = {}
+    for _ in range(rng.randint(0, 6)):
+        word, budget = [], rng.randint(0, 4)
+        while True:
+            fits = [n for n in WORD_FACTORS if word_sort_key((n,))[0] <= budget]
+            if not fits or rng.random() < 0.2:
+                break
+            word.append(rng.choice(fits))
+            budget -= word_sort_key((word[-1],))[0]
+        key = ((rng.randint(0, 3), rng.randint(0, 1)), normalize_word(word))
+        terms[key] = F(rng.randint(-9, 9), rng.randint(1, 4))
+    return MixedClass(2, terms)
+
+
+def test_substitution_matches_restart_reference():
+    rules = load_boundary_relations()[2]
+    raw = _raw_compactified(2)
+    assert substitute_boundary_relations(raw, rules) == _restart_substitute(raw, rules)
+    rng = random.Random(2025)
+    for _ in range(200):
+        mc = _random_genus2_class(rng)
+        assert substitute_boundary_relations(mc, rules) == _restart_substitute(mc, rules)
+
+
+def test_substitution_applies_the_first_matching_rule():
+    # both rules match sigma1*sigma2, and each order gives its own answer
+    whole = _parse_rule("genus=2: sigma1*sigma2 = 3*lam1*sigma1")
+    part = _parse_rule("genus=2: sigma2 = 6*lam1*sigma1")
+    mc = MixedClass(2, {((0, 0), ("sigma1", "sigma2")): F(1)})
+    for rules, expected in [
+        ((whole, part), {((1, 0), ("sigma1",)): F(3)}),
+        ((part, whole), {((1, 0), ("sigma1", "sigma1")): F(6)}),
+    ]:
+        assert substitute_boundary_relations(mc, rules).terms == expected
+        assert _restart_substitute(mc, rules).terms == expected
 
 
 def test_boundary_relations_path_override():
