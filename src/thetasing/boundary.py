@@ -18,6 +18,7 @@ import re
 from fractions import Fraction
 from functools import lru_cache, reduce
 from math import factorial, lcm
+from operator import mul
 from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .bits import kernel_f2, rref_f2, span_f2
@@ -60,7 +61,7 @@ __all__ = [
 ]
 
 DEGREE_MAX = 5
-# check_identity enumerates every concrete monomial; feasible up to this genus
+# the concrete verifier enumerates every concrete monomial; feasible up to this genus
 CONCRETE_GENUS_MAX = 3
 
 
@@ -459,10 +460,38 @@ def _decode(key: int) -> tuple[tuple[int, int], ...]:
 def _orth_sets(g: int) -> dict[int, dict[tuple[int, ...], list[tuple[int, ...]]]]:
     """All pairwise-orthogonal label sets of sizes 1..DEGREE_MAX, packed, by
     size and then by relation space (kernel_f2(labels)), each group in search
-    order, so that the registry types one group at a time."""
+    order, so that the registry types one group at a time.
+
+    Each relation space is carried forward from the set's prefix, which the
+    search emits right before its extensions: stack[k] holds the last size-k
+    set's echelon, each row a label sum tagged with its slots from bit 2g
+    up, and its relations in RREF.  A new last label that reduces to its tag
+    alone adds that tag as a relation, reduced against the earlier ones,
+    whose rows then lose its pivot.
+    """
     out: dict[int, dict] = {k: {} for k in range(1, DEGREE_MAX + 1)}
+    w = 2 * g
+    label_bits = (1 << w) - 1
+    stack: list[tuple[tuple[int, ...], tuple[int, ...]]] = [((), ())] * (DEGREE_MAX + 1)
     for labels in _orthogonal_sets(g, DEGREE_MAX):
-        out[len(labels)].setdefault(kernel_f2(labels), []).append(labels)
+        k = len(labels)
+        echelon, rels = stack[k - 1]
+        row = labels[-1] | 1 << (w + k - 1)
+        for b in echelon:
+            if row & b & -b:
+                row ^= b
+        if not row & label_bits:
+            r = row >> w
+            for b in rels:
+                if r & b & -b:
+                    r ^= b
+            low = r & -r
+            rels = tuple(sorted([b ^ r if b & low else b for b in rels] + [r],
+                                key=lambda b: b & -b))
+        else:
+            echelon += (row,)
+        stack[k] = echelon, rels
+        out[k].setdefault(rels, []).append(labels)
     return out
 
 
@@ -490,16 +519,20 @@ def _registry(g: int, degree: int) -> dict[ConfigType, list[int]]:
     for k, groups in _orth_sets(g).items():
         if k > degree:
             continue
+        # a key is the sum of its exponents times its labels' field units
+        units = [(rels, [[1 << _EXP_BITS * p for p in labels] for labels in sets])
+                 for rels, sets in groups.items()]
         for assignment in _compositions(degree, k):
             # the type depends on the labels only through their relation space
-            for rels, sets in groups.items():
+            for rels, unit_lists in units:
                 index.setdefault(_type_of_key(assignment, rels), []).extend(
-                    sum(e << _EXP_BITS * p for p, e in zip(labels, assignment)) for labels in sets)
+                    sum(map(mul, assignment, u)) for u in unit_lists)
     return index
 
 
 def instantiate(p: BoundaryPoly, g: int) -> dict[int, Fraction]:
     """The polynomial as a literal dictionary of concrete monomials."""
+    check_genus(g, GENUS_MIN, CONCRETE_GENUS_MAX, "instantiate")
     index = _registry(g, p.degree)
     out: dict[int, Fraction] = {}
     for t, c in p.coeffs.items():
@@ -517,6 +550,7 @@ def convolve(d1: dict[int, Coeff], d2: dict[int, Coeff], g: int) -> dict[int, Co
     pair of spans and key pairs are enumerated only inside compatible ones.
     Independent of the symbolic product(); used to cross-check it.
     """
+    check_genus(g, GENUS_MIN, CONCRETE_GENUS_MAX, "convolve")
     out: dict[int, Coeff] = {}
     masks = _orth_masks(g)
     _span_pairs(*(_span_classes(d.items(), masks) for d in (d1, d2)), lambda m, t: out, 1)
@@ -755,6 +789,7 @@ def concrete_expr(expr: Expr, g: int) -> ConcreteValue:
     monomials, which no other type shares, take that sum at once.  So the
     memo keeps single factors and proper prefixes only.
     """
+    check_genus(g, GENUS_MIN, CONCRETE_GENUS_MAX, "concrete_expr")
     den = lcm(*(coeff.denominator for coeff, _ in expr))
     sums: dict[ConfigType, int] = {}
     chains = []
@@ -770,7 +805,7 @@ def concrete_expr(expr: Expr, g: int) -> ConcreteValue:
     out: dict[int, int] = {}
     for t, c in sums.items():
         if c:
-            out.update(dict.fromkeys(_registry(g, t.degree).get(t, ()), c))
+            out.update(zip(_registry(g, t.degree).get(t, ()), itertools.repeat(c)))
     for chain, scale in chains:
         _chain_product(chain, g, lambda m, t: out, scale)
     return den, {k: c for k, c in out.items() if c}

@@ -28,6 +28,7 @@ from thetasing.characteristics import (
     _form_packed,
     _labels,
     _lane_table,
+    _orthogonal_sets,
     _sigma_packed,
     _swap_halves,
     _vanish_tables,
@@ -571,6 +572,22 @@ def test_random_tuple_shape():
             assert packed == sorted(set(packed))
             for a, b in itertools.combinations(tup, 2):
                 assert symplectic_form(a, b) == 0
+
+
+@pytest.mark.parametrize("g", [1, 2, 3])
+def test_orthogonal_sets_follow_their_prefixes(g):
+    # boundary._orth_sets carries each relation space forward from the
+    # set's prefix, so it needs every set of size k >= 2 to come while its
+    # (k-1)-prefix is the most recent set of size k - 1
+    last = {}
+    sizes = set()
+    for labels in _orthogonal_sets(g, 5):
+        k = len(labels)
+        if k >= 2:
+            assert last[k - 1] == labels[:-1], labels
+        last[k] = labels
+        sizes.add(k)
+    assert sizes == set(range(1, min(5, 2**g - 1) + 1))
 
 
 def brute_force_count_naive(g, labels):

@@ -141,6 +141,28 @@ def test_unsupported_genus_is_refused_with_one_message(name, g):
     assert str(exc.value) == _message(lo, hi, what, g)
 
 
+# The concrete verifier's entry points, outside __all__, each refused before
+# it builds an index: at genus 4 the label sets alone number 9,082,335.
+_CONCRETE = boundary.CONCRETE_GENUS_MAX
+CONCRETE_GUARDS = {
+    "boundary.instantiate": (lambda g: boundary.instantiate(_POLY, g), "instantiate"),
+    "boundary.convolve": (lambda g: boundary.convolve({}, {}, g), "convolve"),
+    "boundary.concrete_expr": (lambda g: boundary.concrete_expr(_IDENTITY.lhs, g),
+                               "concrete_expr"),
+}
+
+
+@pytest.mark.parametrize("name, g", [(name, g) for name in CONCRETE_GUARDS
+                                     for g in (LO - 1, _CONCRETE + 1)])
+def test_concrete_verifier_refuses_an_unsupported_genus(name, g):
+    call, what = CONCRETE_GUARDS[name]
+    start = time.perf_counter()
+    with pytest.raises(ValueError) as exc:
+        call(g)
+    assert time.perf_counter() - start < 1
+    assert str(exc.value) == _message(LO, _CONCRETE, what, g)
+
+
 def test_helper_accepts_both_bounds_and_any_genus_without_a_cap():
     for g in (1, 5):
         assert datafile.check_genus(g, 1, 5, "f") is None
