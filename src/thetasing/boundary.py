@@ -18,7 +18,7 @@ import re
 from fractions import Fraction
 from functools import lru_cache, reduce
 from math import factorial, lcm
-from operator import mul
+from operator import mul, or_
 from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .bits import kernel_f2, rref_f2, span_f2
@@ -548,12 +548,20 @@ def convolve(d1: dict[int, Coeff], d2: dict[int, Coeff], g: int) -> dict[int, Co
     multiplies to zero and is dropped.  Keys are grouped by the span of
     their labels (_span_classes), so the orthogonality test runs once per
     pair of spans and key pairs are enumerated only inside compatible ones.
-    Independent of the symbolic product(); used to cross-check it.
+    _span_pairs takes a unit class second, so d2's keys are split by value,
+    each value scaling its keys' class.  Independent of the symbolic
+    product(); used to cross-check it.
     """
     check_genus(g, GENUS_MIN, CONCRETE_GENUS_MAX, "convolve")
     out: dict[int, Coeff] = {}
     masks = _orth_masks(g)
-    _span_pairs(*(_span_classes(d.items(), masks) for d in (d1, d2)), lambda m, t: out, 1)
+    by_value: dict[Coeff, list[int]] = {}
+    for k, c in d2.items():
+        by_value.setdefault(c, []).append(k)
+    spans1 = _span_classes(d1.items(), masks)
+    for c, keys in by_value.items():
+        _span_pairs(spans1, _span_classes(zip(keys, itertools.repeat(1)), masks),
+                    lambda m, t: out, c)
     return {k: c for k, c in out.items() if c}
 
 
@@ -562,24 +570,36 @@ def _span_pairs(spans1: Grouped, spans2: Grouped,
     """The one convolution loop: adds scale * each product of keys of
     orthogonal spans into pick(m, t), the dict for the product's span, where
     m = m1 & m2 and t = t1 | t2 as a product key has its factors' labels.
+    spans2 is a unit class: its values are read as 1.  Its classes are
+    indexed by the least label bit of t2, which a compatible class has in
+    m1; the empty monomial's t2 == 0 is filed under bit 0, which no label
+    uses, and & reach (the OR of the index's bits) ends the empty m1 = -1.
+    Key pairs are enumerated one by one, spans1's scaled keys innermost.
     Returns top1 + top2, exactly the largest exponent of a nonempty product of
     sums of type orbits with positive values: by Witt's theorem the second has
     a key in one Lagrangian with a top key of the first, on the same top label."""
     (top1, groups1), (top2, groups2) = spans1, spans2
     if top1 + top2 > _EXP_FIELD:
         raise DegreeOverflowError(f"label exponent {top1 + top2} exceeds {_EXP_FIELD}")
-    # the inner loop runs over each of these once per key of spans1: a list is faster
-    classes2 = [(m2, t2, list(terms2.items())) for m2, (t2, terms2) in groups2.items()]
+    index: dict[int, list[tuple[int, int, list[int]]]] = {}
+    for m2, (t2, terms2) in groups2.items():
+        index.setdefault(t2 & -t2 or 1, []).append((m2, t2, list(terms2)))
+    reach = reduce(or_, index, 0)
     for m1, (t1, terms1) in groups1.items():
-        for m2, t2, terms2 in classes2:
-            if m1 & t2 != t2:
-                continue
-            out = pick(m1 & m2, t1 | t2)
-            for k1, c1 in terms1.items():
-                c1 *= scale
-                for k2, c2 in terms2:
-                    k = k1 + k2
-                    out[k] = out.get(k, 0) + c1 * c2
+        scaled = [(k1, c1 * scale) for k1, c1 in terms1.items()]
+        bits = (m1 | 1) & reach
+        while bits:
+            low = bits & -bits
+            bits ^= low
+            for m2, t2, keys2 in index[low]:
+                if m1 & t2 != t2:
+                    continue
+                out = pick(m1 & m2, t1 | t2)
+                get = out.get
+                for k2 in keys2:
+                    for k1, c1 in scaled:
+                        k = k1 + k2
+                        out[k] = get(k, 0) + c1
     return top1 + top2
 
 

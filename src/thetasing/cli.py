@@ -15,7 +15,8 @@ format emits one self-describing line per term:
 
     lambda=<e1,...,eg> word=<tag*tag or 1> num=<int> den=<int> prov=<tag>
 
-which `parse_record_line` reads back.
+which `parse_record_line` reads back.  `verify-counts` prints `tuples=`, the
+number of label tuples checked, the empty tuple included.
 """
 from __future__ import annotations
 

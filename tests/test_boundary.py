@@ -311,6 +311,13 @@ ORTHOGONAL_SETS = {
 }
 
 
+# one monomial for each of about 25 orthogonal sets, exponents 1, 2, 1, ...
+ORTHOGONAL_SETS_KEYS = {
+    g: [tuple((p, 1 + i % 2) for i, p in enumerate(labels)) for labels in sets[::len(sets) // 24]]
+    for g, sets in ORTHOGONAL_SETS.items()
+}
+
+
 @st.composite
 def concrete_dicts(draw, g):
     """Small concrete monomial dictionaries with Fraction values, integral or not."""
@@ -343,6 +350,51 @@ def test_convolve_refuses_a_carrying_exponent():
     key = pack(((1, 4),))
     with pytest.raises(DegreeOverflowError):
         convolve({key: 1}, {key: 1}, 3)
+
+
+def _convolve_both_ways(d1, d2, g):
+    """convolve on packed keys, decoded, and the all-pairs reference."""
+    packed = convolve(*({pack(k): c for k, c in d.items()} for d in (d1, d2)), g)
+    return {_decode(k): c for k, c in packed.items()}, naive_convolve(d1, d2, g)
+
+
+@pytest.mark.parametrize("g", (2, 3))
+def test_convolve_with_the_empty_monomial(g):
+    # key 0 has no labels: its span mask is -1 and it sits under bit 0 of
+    # the least-label index, compatible with every class
+    d = {key: F(i + 1, 2) for i, key in enumerate(ORTHOGONAL_SETS_KEYS[g])}
+    for d1, d2 in (({(): F(3)}, d), (d, {(): F(-2)}), ({(): F(1, 3)}, {(): F(3)}),
+                   ({(): F(1), **d}, {(): F(-1), **d})):
+        got, expected = _convolve_both_ways(d1, d2, g)
+        assert got == expected and got
+
+
+@pytest.mark.parametrize("g", (2, 3))
+def test_convolve_visits_each_class_under_a_shared_least_label(g):
+    # d2 holds the spans of {a} and of {a, q}, both under least label a; d1's
+    # one label r is orthogonal to a but not to q, so its mask holds a yet
+    # only the first class is compatible with it
+    masks = characteristics._orth_masks(g)
+    a = 1
+    q, r = next((q, r) for q in range(a + 1, len(masks)) for r in range(a + 1, len(masks))
+                if masks[a] >> q & masks[a] >> r & 1 and not masks[r] >> q & 1)
+    d1 = {((r, 1),): F(5, 3)}
+    # one value, so both classes pass in one call; the incompatible class
+    # comes first, so a visit that stops there misses the other
+    d2 = dict.fromkeys((((a, 1), (q, 1)), ((a, 1),), ((a, 2),)), F(2))
+    got, expected = _convolve_both_ways(d1, d2, g)
+    assert got == expected == {((a, 1), (r, 1)): F(10, 3), ((a, 2), (r, 1)): F(10, 3)}
+
+
+@pytest.mark.parametrize("g", (2, 3))
+def test_convolve_splits_the_second_operand_by_value(g):
+    # repeated non-unit values: each value's keys pass as one unit class
+    keys = ORTHOGONAL_SETS_KEYS[g]
+    d1 = {key: F(i - 2, 3) for i, key in enumerate(keys[::2])}
+    values = (-3, F(7, 4), -3, F(7, 4), 1, -3)
+    d2 = {key: values[i % len(values)] for i, key in enumerate(keys[1::2])}
+    got, expected = _convolve_both_ways(d1, d2, g)
+    assert got == expected and got
 
 
 def test_registry_refuses_degree_above_max():
@@ -687,6 +739,18 @@ def test_zm_power_range():
 
 def test_pushforward_degree_one():
     assert pushforward_level2(expand_zm_power(3, 1), 3) == {("sigma1",): F(8)}
+
+
+def test_pushforward_of_zm_powers_scales_by_4_per_genus():
+    # no type of degree j has rank above j, so for j <= g the pushforward is
+    # 4^(g - j) times its genus-j value; below g = j types drop out
+    nonzero = {(g, j): {w: c for w, c in pushforward_level2(expand_zm_power(g, j), g).items() if c}
+               for g in range(1, 6) for j in range(1, 6)}
+    fails = {(g, j) for (g, j), v in nonzero.items()
+             if v != {w: 4 ** (g - j) * c for w, c in nonzero[j, j].items()}}
+    assert not {(g, j) for g, j in fails if j <= g}
+    assert fails == {(1, 2), (1, 3), (2, 3), (1, 4), (2, 4), (1, 5), (2, 5), (3, 5), (4, 5)}
+    assert [len(nonzero[j, j]) for j in range(1, 6)] == [1, 2, 4, 7, 15]
 
 
 def test_pushforward_squares_class():
