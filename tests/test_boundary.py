@@ -335,14 +335,20 @@ def pack(key):
     return sum(e << _EXP_BITS * p for p, e in key)
 
 
+def _convolve_both_ways(d1, d2, g):
+    """convolve on packed keys, decoded, and the all-pairs reference."""
+    packed = convolve(*({pack(k): c for k, c in d.items()} for d in (d1, d2)), g)
+    return {_decode(k): c for k, c in packed.items()}, naive_convolve(d1, d2, g)
+
+
 @settings(max_examples=200)
 @given(st.data())
 def test_convolve_matches_all_pairs_reference(data):
     g = data.draw(st.sampled_from((2, 3)))
     d1 = data.draw(concrete_dicts(g))
     d2 = data.draw(concrete_dicts(g))
-    packed = convolve(*({pack(k): c for k, c in d.items()} for d in (d1, d2)), g)
-    assert {_decode(k): c for k, c in packed.items()} == naive_convolve(d1, d2, g)
+    got, expected = _convolve_both_ways(d1, d2, g)
+    assert got == expected
 
 
 def test_convolve_refuses_a_carrying_exponent():
@@ -350,12 +356,6 @@ def test_convolve_refuses_a_carrying_exponent():
     key = pack(((1, 4),))
     with pytest.raises(DegreeOverflowError):
         convolve({key: 1}, {key: 1}, 3)
-
-
-def _convolve_both_ways(d1, d2, g):
-    """convolve on packed keys, decoded, and the all-pairs reference."""
-    packed = convolve(*({pack(k): c for k, c in d.items()} for d in (d1, d2)), g)
-    return {_decode(k): c for k, c in packed.items()}, naive_convolve(d1, d2, g)
 
 
 @pytest.mark.parametrize("g", (2, 3))
@@ -748,7 +748,6 @@ def test_pushforward_of_zm_powers_scales_by_4_per_genus():
                for g in range(1, 6) for j in range(1, 6)}
     fails = {(g, j) for (g, j), v in nonzero.items()
              if v != {w: 4 ** (g - j) * c for w, c in nonzero[j, j].items()}}
-    assert not {(g, j) for g, j in fails if j <= g}
     assert fails == {(1, 2), (1, 3), (2, 3), (1, 4), (2, 4), (1, 5), (2, 5), (3, 5), (4, 5)}
     assert [len(nonzero[j, j]) for j in range(1, 6)] == [1, 2, 4, 7, 15]
 
