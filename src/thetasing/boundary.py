@@ -30,9 +30,10 @@ from .characteristics import (
     _form_packed,
     _orth_masks,
     _orthogonal_sets,
-    count_from_pattern,
+    count_vanishing,
     make_type,
     n_odd,
+    representative,
 )
 from .datafile import GENUS_MIN, check_genus, numeral, parse_lines
 from .exactla import Combination, pivot_solution
@@ -264,15 +265,16 @@ def expand_zm_power(g: int, j: int) -> BoundaryPoly:
     """Sum over odd m of (sum of delta_n over the distinguished set)^j.
 
     Each configuration type appears with coefficient multinomial(j; exps)
-    times the lemma's count of odd m compatible with one (any) monomial of
-    that type; the count is tuple-independent.
+    times the count of odd m compatible with its representative, the one
+    counting rule the oracle certifies; a type of rank above g has no
+    monomial at genus g.
     """
     check_genus(g, GENUS_MIN, None, "expand_zm_power")
     if not 0 <= j <= DEGREE_MAX:
         raise DegreeOverflowError(f"power {j} outside 0..{DEGREE_MAX}")
     coeffs: dict[ConfigType, Fraction] = {}
     for t in all_types(j):
-        cnt = count_from_pattern(g, t.nslots, t.rels)
+        cnt = t.rank <= g and count_vanishing(g, representative(t, g))
         if cnt:
             coeffs[t] = Fraction(_multinomial(j, t.exps) * cnt)
     return BoundaryPoly(j, coeffs)

@@ -28,7 +28,7 @@ from math import ceil, log
 from random import Random
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
-from .bits import rref_f2
+from .bits import kernel_f2, rref_f2
 from .datafile import GENUS_MIN, check_genus
 
 __all__ = [
@@ -38,7 +38,7 @@ __all__ = [
     "symplectic_form",
     "enumerate_labels",
     "count_vanishing",
-    "count_from_pattern",
+    "representative",
     "brute_force_count",
     "orthogonal_tuples",
     "random_orthogonal_tuple",
@@ -200,26 +200,6 @@ def _canonical_type(exps: tuple[int, ...], rels: tuple[int, ...]) -> ConfigType:
 EMPTY = ConfigType((), ())
 
 
-def count_from_pattern(g: int, k: int, rels: Sequence[int]) -> int:
-    """Number of odd m with every slot label in its distinguished set.
-
-    ``rels`` is any F_2-basis of the relation space of the k labels; the
-    count is the one proved in count_vanishing.  It is zero when a relation
-    has odd weight (the weight parity is linear, so testing the basis rows
-    suffices) and when the rank exceeds g, which no pairwise-orthogonal
-    labels reach.
-    """
-    check_genus(g, GENUS_MIN, None, "count_from_pattern")
-    if k == 0:
-        return n_odd(g)
-    if any(r.bit_count() & 1 for r in rels):
-        return 0
-    rank = k - len(rref_f2(rels))
-    if rank > g:
-        return 0
-    return 1 << (2 * g - 1 - rank)
-
-
 def count_vanishing(g: int, labels: Sequence[BoundaryLabel]) -> int:
     """Count odd m whose distinguished set contains every given label.
 
@@ -244,25 +224,26 @@ def count_vanishing(g: int, labels: Sequence[BoundaryLabel]) -> int:
     relations and together span the relation space.
     """
     check_genus(g, GENUS_MIN, None, "count_vanishing")
-    packed = []
-    for n in labels:
-        if n.genus != g:
-            raise ValueError("label genus mismatch")
-        packed.append(n.packed)
-    if len(set(packed)) != len(packed):
-        raise ValueError("labels must be distinct")
-    # The echelon stays inline rather than calling bits.rref_f2: this is the
-    # hot loop of criterion 3, and rref_f2 (full reduction, a sort, a tuple)
-    # made the counts workload's 212,741 calls take 1.6-2.2 s against
-    # 0.86-1.31 s (2-core Xeon VM, Python 3.11).
+    # One pass: each label is checked against the labels before it, then
+    # reduced.  The echelon stays inline rather than calling bits.rref_f2:
+    # this is the hot loop of criterion 3, and rref_f2 (full reduction, a
+    # sort, a tuple) made the counts workload's 212,741 calls take 1.6-2.2 s
+    # against 0.86-1.31 s (2-core Xeon VM, Python 3.11).
+    seen: list[int] = []
     echelon: list[int] = []  # distinct leading bits, descending
     odd_relation = False
     low = (1 << g) - 1
-    for i, a in enumerate(packed):
+    for n in labels:
+        if n.genus != g:
+            raise ValueError("label genus mismatch")
+        a = n.packed
+        if a in seen:
+            raise ValueError("labels must be distinct")
         ja = ((a & low) << g) | (a >> g)  # _swap_halves(a, g), inlined in the hot loop
-        for b in packed[i + 1:]:
+        for b in seen:
             if (ja & b).bit_count() & 1:
                 raise NonOrthogonalError("labels must be pairwise orthogonal")
+        seen.append(a)
         a = a << 1 | 1
         for e in echelon:
             if a ^ e < a:  # a has the leading bit of e
@@ -272,9 +253,32 @@ def count_vanishing(g: int, labels: Sequence[BoundaryLabel]) -> int:
         elif a:
             echelon.append(a)
             echelon.sort(reverse=True)
-    if not packed:
+    if not seen:
         return n_odd(g)
     return 0 if odd_relation else 1 << (2 * g - 1 - len(echelon))
+
+
+def representative(t: ConfigType, g: int) -> tuple[BoundaryLabel, ...]:
+    """Labels of one monomial of type t at genus g, all in the alpha half.
+
+    Label i is column i of a basis of the orthogonal complement of t.rels
+    in F_2^k: bit j of its alpha is bit i of basis row j, and its beta is 0.
+    A relation c holds among the labels exactly when c is orthogonal to
+    every basis row, that is when c lies in t.rels, so the labels have type
+    t; the alpha half is a Lagrangian, so they are pairwise orthogonal; and
+    a minimum relation weight of 3 keeps them nonzero and distinct.  By
+    Witt's theorem every monomial of type t is an image of this one under
+    Sp(2g, F_2), which preserves the count.  A type of rank above g has no
+    monomial at genus g and is refused.
+    """
+    check_genus(g, GENUS_MIN, None, "representative")
+    if t.rank > g:
+        raise ValueError(f"{t.literal()} has rank {t.rank}, above genus {g}")
+    # slot i's column: its bits across the relation rows
+    cols = [sum((r >> i & 1) << j for j, r in enumerate(t.rels)) for i in range(t.nslots)]
+    basis = kernel_f2(cols)
+    return tuple(BoundaryLabel(g, sum((b >> i & 1) << j for j, b in enumerate(basis)), 0)
+                 for i in range(t.nslots))
 
 
 # --- brute-force oracle ------------------------------------------------------

@@ -13,6 +13,9 @@ from hypothesis import given, settings, strategies as st
 
 from thetasing import (
     BoundaryLabel,
+    boundary,
+    characteristics,
+    pipeline,
     NonOrthogonalError,
     brute_force_count,
     count_vanishing,
@@ -32,11 +35,11 @@ from thetasing.characteristics import (
     _sigma_packed,
     _swap_halves,
     _vanish_tables,
-    count_from_pattern,
     make_type,
     n_odd,
     orthogonal_tuples,
     random_orthogonal_tuple,
+    representative,
 )
 from thetasing.pipeline import ComparisonRow, load_boundary_relations
 
@@ -239,8 +242,8 @@ def test_uncertified_pattern_is_refused():
 
 def test_certified_patterns_are_types():
     # the weight-4 patterns on 4 and 5 slots (any slot may be the free one):
-    # at a representative in the delta half, a Lagrangian, the labels have
-    # exactly that type, and the count from the type equals the oracle's
+    # labels in the delta half, a Lagrangian, have exactly that type, and
+    # the count at the type's representative equals the oracle's at them
     for packs, t in [
         ((1, 2, 4, 7), make_type((1,) * 4, [0b1111])),
         ((1, 2, 4, 7, 8), make_type((1,) * 5, [0b01111])),
@@ -248,7 +251,48 @@ def test_certified_patterns_are_types():
         assert make_type((1,) * len(packs), kernel_f2(packs)) == t
         for g in range(4, 6):
             labels = [label(g, p) for p in packs]
-            assert count_from_pattern(g, t.nslots, t.rels) == brute_force_count(g, labels)
+            assert count_vanishing(g, representative(t, g)) == brute_force_count(g, labels)
+
+
+# every type of degree <= 5 with a monomial at genus 1..5
+REPRESENTED = [(t, g) for g in range(1, 6) for j in range(6) for t in all_types(j)
+               if t.rank <= g]
+
+
+@pytest.mark.parametrize("t, g", REPRESENTED,
+                         ids=[f"g{g}-{t.literal()}" for t, g in REPRESENTED])
+def test_representative_has_its_type(t, g):
+    labels = representative(t, g)
+    packed = [n.packed for n in labels]
+    assert len(set(packed)) == len(packed) == t.nslots
+    for a, b in itertools.combinations(labels, 2):
+        assert symplectic_form(a, b) == 0
+    assert make_type(t.exps, kernel_f2(packed)) == t
+    assert count_vanishing(g, labels) == brute_force_count(g, labels)
+
+
+def test_representatives_cover_every_type_of_low_rank():
+    assert len(REPRESENTED) == 111
+
+
+def test_representative_refuses_rank_above_genus():
+    # a type of rank above g has no monomial at genus g: refused in one line
+    for t, g in [(make_type((1,) * 5, ()), 4), (make_type((2, 1, 1, 1, 1), ()), 4),
+                 (ConfigType((1,) * 6, ()), 5)]:
+        with pytest.raises(ValueError) as exc:
+            representative(t, g)
+        assert str(exc.value) == f"{t.literal()} has rank {t.rank}, above genus {g}"
+        assert "\n" not in str(exc.value)
+
+
+def test_representative_at_a_large_genus_is_fast():
+    # built label by label, with no table of the 4^g labels
+    t = make_type((1,) * 5, [0b01111])
+    start = time.perf_counter()
+    labels = representative(t, 40)
+    assert time.perf_counter() - start < 1
+    assert [n.genus for n in labels] == [40] * 5
+    assert count_vanishing(40, labels) == 1 << (2 * 40 - 1 - 4)
 
 
 
@@ -337,30 +381,25 @@ def test_make_type_canonicalizes_each_input_once():
 
 
 @pytest.mark.parametrize("k", [6, 7, 8, 9])
-def test_wide_kernel_refused_fast(k):
-    # an even relation space on k slots is counted without trying the k!
-    # slot permutations, on every call
-    rels = [0b1111, 0b1111 << (k - 4)]
+def test_wide_relation_space_counted_fast(k):
+    # an even relation space on k slots is built and counted without trying
+    # the k! slot permutations, on every call
+    t = ConfigType((1,) * k, rref_f2([0b1111, 0b1111 << (k - 4)]))
     start = time.perf_counter()
     for _ in range(2):
-        assert count_from_pattern(8, k, rels) == 1 << (15 - (k - 2))
+        assert count_vanishing(8, representative(t, 8)) == 1 << (15 - (k - 2))
     assert time.perf_counter() - start < 0.5
 
 
-def test_count_from_pattern_unrealizable_rank():
-    # rank exceeding g cannot come from pairwise-orthogonal labels
-    assert count_from_pattern(5, 6, []) == 0
-
-
-def test_count_from_pattern_takes_any_basis():
-    # lists, tuples and non-reduced bases of one relation space agree
-    assert count_from_pattern(3, 4, [0b1111]) == 1 << 2
-    assert count_from_pattern(3, 4, (0b1111, 0b1111)) == 1 << 2
-    assert count_from_pattern(3, 4, [0b0111]) == 0  # odd-weight relation
+def test_count_at_representative_matches_the_oracle():
+    # an even relation, an odd one, and two even relations on six slots
+    assert count_vanishing(3, representative(make_type((1,) * 4, [0b1111]), 3)) == 1 << 2
+    assert count_vanishing(3, representative(make_type((1,) * 4, [0b0111]), 3)) == 0
     rels = [0b001111, 0b111100]
     assert kernel_f2(SIX_LABELS_GENUS4) == rref_f2(rels)
     labels = [label(4, p) for p in SIX_LABELS_GENUS4]
-    assert count_from_pattern(4, 6, rels) == brute_force_count(4, labels) == 8
+    t = make_type((1,) * 6, rels)
+    assert count_vanishing(4, representative(t, 4)) == brute_force_count(4, labels) == 8
 
 
 def test_count_matches_brute_force_exhaustive_genus2():
@@ -511,8 +550,16 @@ def test_sampler_refuses_bad_arguments_without_drawing(g, max_size, message):
 
 
 def _count_by_kernel(g, tup):
+    # the lemma kept inline, from the kernel_f2 relation basis: 0 when a
+    # relation has odd weight (weight parity is linear, so the basis rows
+    # decide), else 2^(2g-1-rank)
     packed = [n.packed for n in tup]
-    return count_from_pattern(g, len(packed), kernel_f2(packed))
+    if not packed:
+        return n_odd(g)
+    rels = kernel_f2(packed)
+    if any(r.bit_count() & 1 for r in rels):
+        return 0
+    return 1 << (2 * g - 1 - (len(packed) - len(rels)))
 
 
 def test_count_vanishing_matches_kernel_route():
@@ -532,6 +579,41 @@ def test_count_vanishing_matches_kernel_route():
         else:
             branches["odd" if any(r.bit_count() & 1 for r in kernel) else "even"] += 1
     assert all(branches.values()), branches
+
+
+def _oracle_mismatches(g, tuples):
+    # criterion 3's comparison, reading count_vanishing at call time
+    count = characteristics.count_vanishing
+    return [tup for tup in tuples if count(g, tup) != brute_force_count(g, tup)]
+
+
+def test_fault_in_the_counting_rule_the_class_reads_is_caught(monkeypatch):
+    # fault B: +1 on every nonzero count of 5 labels.  boundary holds the
+    # name too, and each stratum is memoized, the only memo that holds a
+    # count, so both names are rebound and the strata cleared
+    count = characteristics.count_vanishing
+
+    def faulty(g, labels):
+        c = count(g, labels)
+        return c + 1 if c and len(labels) == 5 else c
+
+    try:
+        for module in (characteristics, boundary):
+            monkeypatch.setattr(module, "count_vanishing", faulty)
+        pipeline.stratum.cache_clear()
+        # exhaustive at genus 3, yet blind there: two weight-4 relations on
+        # 5 slots would sum to weight 2, so every 5-label count is 0
+        assert not _oracle_mismatches(3, orthogonal_tuples(3, 5))
+        for g in (4, 5):
+            rng = Random(STREAM_SEED + g)
+            assert _oracle_mismatches(g, [random_orthogonal_tuple(rng, g) for _ in range(2000)])
+        # the class reads the same rule: only genus 5 has a stratum of degree 5
+        conflicts = {g: [r for r in pipeline.compare_with_published(g) if r.status == "conflict"]
+                     for g in range(2, 6)}
+        assert [g for g, rows in conflicts.items() if rows] == [5]
+    finally:
+        monkeypatch.undo()
+        pipeline.stratum.cache_clear()
 
 
 def test_count_matches_brute_force_past_five_labels():
@@ -619,8 +701,8 @@ def test_brute_force_genus_cap():
 @pytest.mark.parametrize("g", [-1, 0])
 @pytest.mark.parametrize("name, call", [
     ("n_odd", n_odd),
-    ("count_from_pattern", lambda g: count_from_pattern(g, 0, ())),
-    ("count_from_pattern", lambda g: count_from_pattern(g, 2, (0b11,))),
+    ("representative", lambda g: representative(EMPTY, g)),
+    ("representative", lambda g: representative(make_type((1,) * 5, ()), g)),
     ("count_vanishing", lambda g: count_vanishing(g, ())),
     ("count_vanishing", lambda g: count_vanishing(g, [label(2, 0b0001)])),
 ])

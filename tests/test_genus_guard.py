@@ -34,8 +34,8 @@ GUARDS = {
                                          LO, None, "enumerate_labels"),
     "characteristics.count_vanishing": (lambda g: characteristics.count_vanishing(g, ()),
                                         LO, None, "count_vanishing"),
-    "characteristics.count_from_pattern": (lambda g: characteristics.count_from_pattern(g, 0, ()),
-                                           LO, None, "count_from_pattern"),
+    "characteristics.representative": (lambda g: characteristics.representative(
+        characteristics.EMPTY, g), LO, None, "representative"),
     "characteristics.brute_force_count": (lambda g: characteristics.brute_force_count(g, ()),
                                           LO, characteristics.BRUTE_FORCE_GENUS_MAX,
                                           "brute force"),

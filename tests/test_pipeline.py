@@ -4,11 +4,13 @@ import os
 import random
 import tempfile
 from fractions import Fraction
+from functools import reduce
 
 import pytest
 
 from thetasing import (
     MixedClass,
+    boundary,
     class_compactified,
     class_open,
     compare_with_published,
@@ -159,6 +161,110 @@ def test_compare_with_published_statuses():
     assert row.word == ("beta3",) and row.lam_mono == (2, 0, 0, 0, 0)
     with pytest.raises(KeyError):
         compare_with_published(1)
+
+
+# --- the printed tables as genus-free word vectors -------------------------------
+#
+# For 1 <= j <= g no type of degree j is dropped at genus g, so stratum j is
+# (-1/4)^j * 4^g * W_j (x) Lambda_j(g), Lambda_j = lam_factor(g, j), with the
+# word vector W_j free of the genus.  Each printed term of word degree j >= 1,
+# divided by (-1/4)^j * 4^g * Lambda_j(g)[mono], reads off W_j[word].
+
+def _printed_tables():
+    tables = {g: PUBLISHED_COMPACTIFIED[g] for g in (2, 4, 5)}
+    tables[3] = reduce(add_into, PUBLISHED_STRATA_GENUS3, {})  # the sum of its strata
+    return tables
+
+
+def _word_degree(word):
+    return sum(boundary._named(w)[1] for w in word)
+
+
+def _printed_word_ratios():
+    """{(j, word): {g: {mono: printed term / its scale}}} over every printed term, j >= 1."""
+    ratios = {}
+    for g, table in _printed_tables().items():
+        for (mono, word), c in table.items():
+            j = _word_degree(word)
+            if j:
+                scale = F(-1, 4) ** j * 4 ** g * lam_factor(g, j).get(mono, 0)
+                ratio = c / scale if scale else None
+                ratios.setdefault((j, word), {}).setdefault(g, {})[mono] = ratio
+    return ratios
+
+
+def _printed_word_vectors():
+    """W_j[word], keyed by (j, word), from the printed tables alone (the
+    ratios of one word agree, as test_printed_tables_give_one_word_vector_per_degree checks)."""
+    return {key: ratio for key, by_genus in _printed_word_ratios().items()
+            for per_mono in by_genus.values() for ratio in per_mono.values()}
+
+
+def _derived_rows_against_printed():
+    """(genus, mono, word, engine value, value predicted from the printed W and Lambda_j)
+    for every [derived] row of the published comparison."""
+    w = _printed_word_vectors()
+    out = []
+    for g in range(2, 6):
+        for row in compare_with_published(g):
+            if row.status == "derived":
+                j = _word_degree(row.word)
+                lam_c = lam_factor(g, j)[row.lam_mono]
+                predicted = F(-1, 4) ** j * 4 ** g * w[j, row.word] * lam_c
+                out.append((g, row.lam_mono, row.word, row.engine, predicted))
+    return out
+
+
+def test_printed_tables_give_one_word_vector_per_degree():
+    ratios = _printed_word_ratios()
+    for (j, word), by_genus in ratios.items():
+        for g, per_mono in by_genus.items():
+            # every monomial of Lambda_j(g) is printed with the word, all at one ratio
+            assert per_mono.keys() == lam_factor(g, j).keys(), (g, word)
+            assert len(set(per_mono.values())) == 1, (g, word, per_mono)
+        # and the ratio is the same at every genus that prints the word
+        assert len({r for per_mono in by_genus.values() for r in per_mono.values()}) == 1, word
+    assert [sum(g in by_genus for by_genus in ratios.values()) for g in (2, 3, 4, 5)] == \
+        [3, 7, 14, 28]
+    # the engine's W_j, read at g = j, has the same 29 entries, every one printed somewhere
+    engine = {(j, word): c / 4 ** j
+              for j in range(1, 6)
+              for word, c in boundary.pushforward_level2(boundary.expand_zm_power(j, j), j).items()
+              if c}
+    assert len(engine) == 29
+    assert _printed_word_vectors() == engine
+
+
+def test_derived_rows_follow_from_the_printed_tables():
+    # the one unprinted row, -15/4 lam1^2 beta3 at genus 5, is
+    # (-1/64) * 4^5 * W_3[beta3] * 5 with W_3[beta3] = 3/64 printed at genus 3 and 4
+    rows = _derived_rows_against_printed()
+    assert rows == [(5, (2, 0, 0, 0, 0), ("beta3",), F(-15, 4), F(-15, 4))]
+    assert _printed_word_vectors()[3, ("beta3",)] == F(3, 64)
+
+
+def test_fault_in_a_pushforward_coefficient_is_predicted_away(monkeypatch):
+    # fault C: +1/8 on beta3 in the degree-3 pushforward at genus 5 moves only
+    # the derived row; the published comparison cannot see it, the prediction does
+    push = boundary.pushforward_level2
+
+    def faulty(poly, g):
+        out = push(poly, g)
+        if g == 5 and poly.degree == 3:
+            out[("beta3",)] += F(1, 8)
+        return out
+
+    try:
+        for module in (boundary, pipeline):
+            monkeypatch.setattr(module, "pushforward_level2", faulty)
+        stratum.cache_clear()
+        assert all(r.status in ("paper", "derived")
+                   for g in range(2, 6) for r in compare_with_published(g))
+        rows = _derived_rows_against_printed()
+        assert rows == [(5, (2, 0, 0, 0, 0), ("beta3",), F(-1925, 512), F(-15, 4))]
+    finally:
+        monkeypatch.undo()
+        stratum.cache_clear()
 
 
 # --- open classes and projections ---------------------------------------------------
