@@ -261,15 +261,13 @@ def count_vanishing(g: int, labels: Sequence[BoundaryLabel]) -> int:
 def representative(t: ConfigType, g: int) -> tuple[BoundaryLabel, ...]:
     """Labels of one monomial of type t at genus g, all in the alpha half.
 
-    Label i is column i of a basis of the orthogonal complement of t.rels
-    in F_2^k: bit j of its alpha is bit i of basis row j, and its beta is 0.
-    A relation c holds among the labels exactly when c is orthogonal to
-    every basis row, that is when c lies in t.rels, so the labels have type
-    t; the alpha half is a Lagrangian, so they are pairwise orthogonal; and
-    a minimum relation weight of 3 keeps them nonzero and distinct.  By
-    Witt's theorem every monomial of type t is an image of this one under
-    Sp(2g, F_2), which preserves the count.  A type of rank above g has no
-    monomial at genus g and is refused.
+    Label i is column i of a basis of t.rels^perp in F_2^k: bit j of its
+    alpha is bit i of basis row j.  So a relation c holds among the labels
+    exactly when c lies in (t.rels^perp)^perp = t.rels; the alpha half is a
+    Lagrangian, so they are pairwise orthogonal.  By Witt's theorem the
+    count is the same at every monomial of type t.  A type with no monomial
+    at genus g, of rank above g or with a relation of weight below 3 (a
+    zero or a repeated label), is refused.
     """
     check_genus(g, GENUS_MIN, None, "representative")
     if t.rank > g:
@@ -277,8 +275,10 @@ def representative(t: ConfigType, g: int) -> tuple[BoundaryLabel, ...]:
     # slot i's column: its bits across the relation rows
     cols = [sum((r >> i & 1) << j for j, r in enumerate(t.rels)) for i in range(t.nslots)]
     basis = kernel_f2(cols)
-    return tuple(BoundaryLabel(g, sum((b >> i & 1) << j for j, b in enumerate(basis)), 0)
-                 for i in range(t.nslots))
+    alphas = [sum((b >> i & 1) << j for j, b in enumerate(basis)) for i in range(t.nslots)]
+    if 0 in alphas or len(set(alphas)) < len(alphas):
+        raise ValueError(f"{t.literal()} has a relation of weight below 3")
+    return tuple(BoundaryLabel(g, a, 0) for a in alphas)
 
 
 # --- brute-force oracle ------------------------------------------------------

@@ -4,6 +4,7 @@ import copy
 import hashlib
 import itertools
 import operator
+import re
 import time
 from fractions import Fraction
 from random import Random
@@ -283,6 +284,15 @@ def test_representative_refuses_rank_above_genus():
             representative(t, g)
         assert str(exc.value) == f"{t.literal()} has rank {t.rank}, above genus {g}"
         assert "\n" not in str(exc.value)
+
+
+@pytest.mark.parametrize("rels", [[0b01], [0b11], [0b0011, 0b1100]])
+def test_representative_refuses_a_relation_below_weight_3(rels):
+    # no distinct nonzero labels satisfy it, so no monomial has the type
+    t = make_type((1,) * max(r.bit_length() for r in rels), rels)
+    with pytest.raises(ValueError, match=rf"^{re.escape(t.literal())} has a relation "
+                                         r"of weight below 3$"):
+        representative(t, 4)
 
 
 def test_representative_at_a_large_genus_is_fast():
