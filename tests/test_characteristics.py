@@ -14,13 +14,13 @@ from hypothesis import given, settings, strategies as st
 
 from thetasing import (
     BoundaryLabel,
-    boundary,
-    characteristics,
-    pipeline,
     NonOrthogonalError,
+    boundary,
     brute_force_count,
+    characteristics,
     count_vanishing,
     enumerate_labels,
+    pipeline,
     symplectic_form,
 )
 from thetasing.bits import kernel_f2, rref_f2

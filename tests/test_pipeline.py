@@ -243,7 +243,7 @@ def test_derived_rows_follow_from_the_printed_tables():
     assert _printed_word_vectors()[3, ("beta3",)] == F(3, 64)
 
 
-def test_fault_in_a_pushforward_coefficient_is_predicted_away(monkeypatch):
+def test_fault_in_a_pushforward_coefficient_fails_the_prediction(monkeypatch):
     # fault C: +1/8 on beta3 in the degree-3 pushforward at genus 5 moves only
     # the derived row; the published comparison cannot see it, the prediction does
     push = boundary.pushforward_level2
