@@ -23,6 +23,7 @@ from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .bits import kernel_f2, rref_f2, span_f2
 from .characteristics import (
+    DEGREE_MAX,
     EMPTY,
     BoundaryLabel,
     ConfigType,
@@ -61,7 +62,6 @@ __all__ = [
     "n_odd",
 ]
 
-DEGREE_MAX = 5
 # the concrete verifier enumerates every concrete monomial; feasible up to this genus
 CONCRETE_GENUS_MAX = 3
 
@@ -123,6 +123,7 @@ def _relation_spaces(k: int) -> tuple[tuple[int, ...], ...]:
 
 
 def _partitions(d: int, cap: int | None = None) -> Iterable[tuple[int, ...]]:
+    """The partitions of d into parts <= cap (None: d), parts non-increasing."""
     cap = d if cap is None else cap
     if d == 0:
         yield ()

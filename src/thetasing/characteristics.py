@@ -24,7 +24,6 @@ from __future__ import annotations
 import itertools
 from collections import namedtuple
 from functools import lru_cache
-from math import ceil, log
 from random import Random
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
@@ -48,6 +47,7 @@ __all__ = [
 ]
 
 BRUTE_FORCE_GENUS_MAX = 5
+DEGREE_MAX = 5  # the highest boundary degree, so the most labels of a monomial
 
 
 class NonOrthogonalError(ValueError):
@@ -395,23 +395,20 @@ def _lane_table(g: int) -> tuple[int, int, int, int, int, list[int], list[int], 
     return start, ones, spread[-1], f * (2 * g - 1), 2 * g * f, spread[1:], jvs, packed
 
 
-def random_orthogonal_tuple(
-    rng: Random, g: int, max_size: int = 5
-) -> tuple[BoundaryLabel, ...]:
+def random_orthogonal_tuple(rng: Random, g: int) -> tuple[BoundaryLabel, ...]:
     """A random orthogonal tuple, drawn from a random maximal isotropic space.
 
-    Not a uniform distribution over tuples, but reaches every tuple: any
-    orthogonal set spans an isotropic subspace, hence sits inside some
-    maximal one, and transvections act transitively on those.
+    Not a uniform distribution over tuples, but reaches every tuple of at
+    most DEGREE_MAX labels: any orthogonal set spans an isotropic subspace,
+    hence sits inside some maximal one, and transvections act transitively
+    on those.
 
     Draws exactly what rng.randrange(1, 4^g), rng.randint(1, w) and then
-    rng.sample(range(n), k), n = 2^g - 1, draw on a random.Random, through
-    the same getrandbits rejection loops and sample's choice between a pool
-    and a set.
+    rng.sample(range(n), k), n = 2^g - 1, w = min(DEGREE_MAX, n), draw on
+    a random.Random, through the same getrandbits rejection loops and
+    sample's choice between a pool and a set.
     """
     check_genus(g, GENUS_MIN, SAMPLER_GENUS_MAX, "random_orthogonal_tuple")
-    if max_size < 1:
-        raise ValueError("max_size must be at least 1")
     basis, ones, fields, shift, width, vs, jvs, packed = _lane_table(g)
     getrandbits = rng.getrandbits
     bits = 2 * g
@@ -452,18 +449,15 @@ def random_orthogonal_tuple(
     # pivot and no other, so the sum of the rows that c picks has number c.
     n = (1 << g) - 1  # the nonzero elements, ranks 1..n
     # k = randint(1, w), drawn as randrange draws it
-    w = min(max_size, n)
+    w = min(DEGREE_MAX, n)
     bits = w.bit_length()
     r = getrandbits(bits)
     while r >= w:
         r = getrandbits(bits)
     k = r + 1
-    # the k indices rng.sample(range(n), k) draws: from a pool when an n-list
-    # is smaller than a k-set, by rejection against a set otherwise
-    setsize = 21
-    if k > 5:
-        setsize += 4 ** ceil(log(k * 3, 4))
-    if n <= setsize:
+    # the k indices rng.sample(range(n), k) draws: from a pool when n <= 21,
+    # its size of a k-set for k <= 5 (so g <= 4), else by rejection in a set
+    if n <= 21:
         pool = list(range(n))
         picked = []
         for i in range(n, n - k, -1):

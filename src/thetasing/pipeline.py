@@ -176,22 +176,22 @@ def _raw_compactified(g: int) -> MixedClass:
     return sum(strata(g), MixedClass(g))
 
 
-def class_compactified(g: int, relations: RelationTable | None = None) -> MixedClass:
+def class_compactified(g: int, relations: Sequence[RewriteRule] | None = None) -> MixedClass:
     """The locus class on the perfect cone compactification.
 
     For genus 2 (RELATION_GENUS) the generic boundary algebra does not see
     that the class must die (a smooth genus-2 theta divisor is never
-    singular at a two-torsion point); the space-specific word relations of
-    `relations` (None: the bundled table) for the class's genus are
-    substituted so the output is literally zero there.
+    singular at a two-torsion point); the space-specific word relations
+    `relations` (None: the bundled ones) are substituted there so the
+    output is literally zero.
     """
     return _apply_word_relations(_raw_compactified(g), relations)
 
 
-def _apply_word_relations(total: MixedClass, relations: RelationTable | None) -> MixedClass:
+def _apply_word_relations(total: MixedClass, relations: Sequence[RewriteRule] | None) -> MixedClass:
     """The raw stratum sum with its space's word relations substituted."""
-    rules = (load_boundary_relations() if relations is None else relations).get(total.genus)
-    return substitute_boundary_relations(total, rules) if rules else total
+    rules = load_boundary_relations() if relations is None else relations
+    return substitute_boundary_relations(total, rules) if total.genus == RELATION_GENUS else total
 
 
 def class_open(g: int) -> TautElement:
@@ -316,7 +316,6 @@ def ij_taut(norms: NormTable | None = None) -> TautElement:
 # --- space-specific boundary relations ----------------------------------------
 
 class RewriteRule(NamedTuple):
-    genus: int
     word_from: Word
     rhs: tuple[tuple[Fraction, LambdaMonomial, Word], ...]
 
@@ -365,18 +364,12 @@ def _parse_rule(line: str) -> RewriteRule:
         if word_sort_key(w)[0] >= degree:
             raise ValueError(
                 f"right side word {_format_word(w)} is not of degree below {degree}")
-    return RewriteRule(g, word, rhs)
+    return RewriteRule(word, rhs)
 
 
-# genus -> its word relations, as read by load_boundary_relations
-RelationTable = dict[int, tuple[RewriteRule, ...]]
-
-
-def load_boundary_relations(path: str | None = None) -> RelationTable:
-    out: dict[int, list[RewriteRule]] = {}
-    for rule in parse_lines("boundary_relations.txt", path, _parse_rule):
-        out.setdefault(rule.genus, []).append(rule)
-    return {g: tuple(rules) for g, rules in out.items()}
+def load_boundary_relations(path: str | None = None) -> tuple[RewriteRule, ...]:
+    """The word relations of the genus-2 class, in file order."""
+    return tuple(parse_lines("boundary_relations.txt", path, _parse_rule))
 
 
 def _word_minus(word: Word, sub: Word) -> Word | None:

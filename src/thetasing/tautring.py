@@ -20,9 +20,9 @@ import re
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial
-from typing import Iterable, Sequence
+from typing import Sequence
 
-from .boundary import expand_word, make_type, normalize_word
+from .boundary import _partitions, expand_word, make_type, normalize_word
 from .datafile import GENUS_MAX, GENUS_MIN, check_genus, genus, numeral, parse_lines
 from .exactla import add_into, rref
 from .zeta import zeta_negative_odd
@@ -72,22 +72,10 @@ def lam(g: int, index: int, power: int = 1) -> LambdaMonomial:
 
 @lru_cache(maxsize=None)
 def monomials(g: int, degree: int) -> tuple[LambdaMonomial, ...]:
-    """All weighted-degree-d monomials, ascending lexicographic in exponents."""
+    """All weighted-degree-d monomials, ascending lexicographic in exponents:
+    lambda_1^{e_1}...lambda_g^{e_g} is the partition of d with e_i parts i."""
     check_genus(g, GENUS_MIN, None, "monomials")
-    if degree == 0:
-        return (unit_mono(g),)
-
-    def gen(rem: int, var: int) -> Iterable[tuple[int, ...]]:
-        if var == g:
-            if rem == 0:
-                yield ()
-            return
-        weight = var + 1
-        for e in range(rem // weight + 1):
-            for rest in gen(rem - e * weight, var + 1):
-                yield (e,) + rest
-
-    return tuple(sorted(gen(degree, 0)))
+    return tuple(sorted(tuple(p.count(i) for i in range(1, g + 1)) for p in _partitions(degree, g)))
 
 
 @lru_cache(maxsize=None)

@@ -105,10 +105,10 @@ def test_value_types_are_tuples_with_the_old_contract():
     for values, fields in ((labels, operator.attrgetter("genus", "alpha", "beta")),
                            (types[::-1], operator.attrgetter("exps", "rels"))):
         assert sorted(values) == sorted(values, key=fields)
-    rule = load_boundary_relations()[2][0]
+    rule = load_boundary_relations()[0]
     row = ComparisonRow((1, 0), (), Fraction(1), None)
     for value, name in ((labels[0], "alpha"), (types[0], "rels"),
-                        (rule, "genus"), (row, "engine")):
+                        (rule, "word_from"), (row, "engine")):
         with pytest.raises(AttributeError):
             setattr(value, name, 0)
     with pytest.raises(ValueError, match=r"^label halves must fit in g bits$"):
@@ -473,17 +473,14 @@ def _reference_random_orthogonal_tuple(rng, g, max_size=5):
 @pytest.mark.parametrize("g", range(1, 9))
 def test_sampler_matches_randrange_reference(g):
     # same tuples and the same generator state afterwards, so every later
-    # draw from a shared generator is the same too.  Genus 1..8 with up to
-    # 2g labels reaches every branch of random.sample that the sampler
-    # copies: the pool at g = 4, the set for k <= 5 at g = 5, the pool for
-    # k > 5 at g = 5, 6 and the set for k > 5 at g = 7, 8.
-    for max_size in (1, 2, 3, 5, 7, 2 * g):
-        for seed in range(3):
-            rng, ref = Random(seed), Random(seed)
-            for _ in range(200):
-                assert random_orthogonal_tuple(rng, g, max_size) == \
-                    _reference_random_orthogonal_tuple(ref, g, max_size)
-            assert rng.getstate() == ref.getstate()
+    # draw from a shared generator is the same too.  Genus 1..8 reaches both
+    # branches of random.sample that the sampler copies: the pool at g <= 4
+    # and the set at g >= 5.
+    for seed in range(3):
+        rng, ref = Random(seed), Random(seed)
+        for _ in range(200):
+            assert random_orthogonal_tuple(rng, g) == _reference_random_orthogonal_tuple(ref, g)
+        assert rng.getstate() == ref.getstate()
 
 
 def _spread_and_step(g):
@@ -543,18 +540,13 @@ class _NoDraws(Random):
         raise AssertionError("the sampler drew before refusing")
 
 
-@pytest.mark.parametrize("g, max_size, message", [
-    (4, 0, "max_size must be at least 1"),
-    (4, -3, "max_size must be at least 1"),
-    (0, 5, "supports genus 1..8"),
-    (9, 5, "supports genus 1..8"),
-])
-def test_sampler_refuses_bad_arguments_without_drawing(g, max_size, message):
+@pytest.mark.parametrize("g", [0, 9])
+def test_sampler_refuses_bad_arguments_without_drawing(g):
     rng = _NoDraws(1)
     state = rng.getstate()
     start = time.perf_counter()
-    with pytest.raises(ValueError, match=message):
-        random_orthogonal_tuple(rng, g, max_size)
+    with pytest.raises(ValueError, match="supports genus 1..8"):
+        random_orthogonal_tuple(rng, g)
     assert time.perf_counter() - start < 0.5
     assert rng.getstate() == state
 
@@ -627,12 +619,13 @@ def test_fault_in_the_counting_rule_the_class_reads_is_caught(monkeypatch):
 
 
 def test_count_matches_brute_force_past_five_labels():
-    # up to 2g labels per draw, so relation spaces on 6..10 slots too
+    # up to 2g labels per draw, so relation spaces on 6..10 slots too; the
+    # sampler stops at DEGREE_MAX labels, so its reference draws these
     sizes, zeros = set(), 0
     for g in range(2, 6):
         rng = Random(STREAM_SEED + 10 * g)
         for _ in range(2000):
-            tup = random_orthogonal_tuple(rng, g, 2 * g)
+            tup = _reference_random_orthogonal_tuple(rng, g, 2 * g)
             count = count_vanishing(g, tup)
             assert count == brute_force_count(g, tup), tup
             sizes.add(len(tup))
@@ -658,8 +651,8 @@ def test_random_tuple_shape():
     rng = Random(7)
     for g in range(1, 9):
         for _ in range(50):
-            tup = random_orthogonal_tuple(rng, g, 2 * g)
-            assert 1 <= len(tup) <= min(2 * g, 2**g - 1)
+            tup = random_orthogonal_tuple(rng, g)
+            assert 1 <= len(tup) <= min(5, 2**g - 1)
             packed = [n.packed for n in tup]
             assert packed == sorted(set(packed))
             for a, b in itertools.combinations(tup, 2):

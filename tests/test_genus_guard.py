@@ -89,11 +89,8 @@ GUARDS = {
     "zeta.zeta_negative_odd": (zeta.zeta_negative_odd, LO, None, "zeta_negative_odd"),
 }
 
-# Names that take a genus without a guard of their own, and why.
-UNGUARDED = {
-    "pipeline.RewriteRule": "a parsed record; the relation file's genus= head is read by "
-                            "datafile.genus, which refuses a genus outside 1..GENUS_MAX",
-}
+# Names that take a genus without a guard of their own, and why; none today.
+UNGUARDED: dict[str, str] = {}
 
 
 def _exports():

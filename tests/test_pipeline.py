@@ -326,7 +326,7 @@ def test_ij_decomposition():
 # --- word rewrite rules ---------------------------------------------------------------
 
 def test_boundary_relations_parse():
-    rules = load_boundary_relations()[2]
+    rules = load_boundary_relations()
     assert [r.word_from for r in rules] == [("sigma2",), ("sigma1", "sigma1")]
     assert rules[0].rhs == ((F(6), (1, 0), ("sigma1",)),)
     assert rules[1].rhs == (
@@ -336,7 +336,7 @@ def test_boundary_relations_parse():
 
 
 def test_substitution_fixpoint():
-    rules = load_boundary_relations()[2]
+    rules = load_boundary_relations()
     mc = MixedClass(2, {((0, 0), ("sigma1", "sigma1", "sigma1")): F(1)})
     out = substitute_boundary_relations(mc, rules)
     assert out.terms == {
@@ -393,7 +393,7 @@ def _random_genus2_class(rng):
 
 
 def test_substitution_matches_restart_reference():
-    rules = load_boundary_relations()[2]
+    rules = load_boundary_relations()
     raw = _raw_compactified(2)
     assert substitute_boundary_relations(raw, rules) == _restart_substitute(raw, rules)
     rng = random.Random(2025)
@@ -422,7 +422,7 @@ def test_boundary_relations_path_override():
             fh.write("# no rules\n")
         relations = load_boundary_relations(path)
         # with no rules the genus-2 class keeps its raw word terms
-        assert relations == {}
+        assert relations == ()
         assert not class_compactified(2, relations).is_zero()
     finally:
         os.unlink(path)

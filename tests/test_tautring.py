@@ -1,6 +1,7 @@
 """Tests for the lambda-class ring presentations and intersection pairing."""
 
 import hashlib
+import itertools
 import os
 import tempfile
 from fractions import Fraction
@@ -57,6 +58,16 @@ def test_monomial_utilities():
     assert mono_mul((1, 0), (0, 2)) == (1, 2)
     assert lam(3, 2, 2) == (0, 2, 0)
     assert monomials(2, 2) == ((0, 1), (2, 0))
+
+
+def test_monomials_match_a_brute_force_filter():
+    # every exponent tuple of weighted degree d, with e_i <= d // (i + 1),
+    # found without the partition enumerator that monomials reads
+    for g in range(1, 6):
+        for d in range(g * (g + 1) // 2 + 1):
+            tuples = itertools.product(*(range(d // (i + 1) + 1) for i in range(g)))
+            expected = sorted(e for e in tuples if mono_degree(e) == d)
+            assert monomials(g, d) == tuple(expected), (g, d)
 
 
 def test_dimensions_and_totals():
