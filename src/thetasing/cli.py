@@ -15,7 +15,8 @@ format emits one self-describing line per term:
 
     lambda=<e1,...,eg> word=<tag*tag or 1> num=<int> den=<int> prov=<tag>
 
-which `parse_record_line` reads back.  `verify-counts` prints `tuples=`, the
+or `0 prov=<tag>` for a class that is zero, which `parse_record_line`
+reads back.  `verify-counts` prints `tuples=`, the
 number of label tuples checked, the empty tuple included.
 """
 from __future__ import annotations
@@ -24,11 +25,12 @@ import argparse
 import itertools
 import os
 import random
+import re
 import sys
 from fractions import Fraction
 
 from . import boundary, characteristics, pipeline, tautring
-from .datafile import GENUS_MAX, GENUS_MIN
+from .datafile import GENUS_MAX, GENUS_MIN, numeral
 
 DEFAULT_SEED = 20260819
 DEFAULT_SAMPLES = 100000
@@ -74,19 +76,35 @@ def _load_data(parser: argparse.ArgumentParser, items: list[str]) -> dict[str, o
 
 
 def _record(mono, word, value: Fraction, prov: str) -> str:
+    """One records line: a term, or for mono None the zero class."""
+    if mono is None:
+        return f"0 prov={prov}"
     lam = ",".join(str(e) for e in mono)
     w = pipeline._format_word(word)
     return f"lambda={lam} word={w} num={value.numerator} den={value.denominator} prov={prov}"
 
 
+_RECORD = re.compile(r"(?:lambda=(\S+) word=(1|[A-Za-z]\w*(?:\*[A-Za-z]\w*)*) "
+                     r"num=(-?)(\S+) den=(\S+)|0) prov=([\w-]+)", re.ASCII)
+
+
 def parse_record_line(line: str) -> dict:
-    fields = dict(part.split("=", 1) for part in line.split())
-    word = () if fields["word"] == "1" else tuple(fields["word"].split("*"))
+    """A records line as its lambda, word, value and prov, the zero class
+    with lambda and word None; any other line is refused."""
+    m = _RECORD.fullmatch(line)
+    if not m:
+        raise ValueError(f"not a records line: {line!r}")
+    lam, word, sign, num, den, prov = m.groups()
+    if lam is None:
+        return {"lambda": None, "word": None, "value": Fraction(0), "prov": prov}
+    p, q = numeral(num, line), numeral(den, line)
+    if not q:
+        raise ValueError(f"den=0 in {line!r}")
     return {
-        "lambda": tuple(int(e) for e in fields["lambda"].split(",")),
-        "word": word,
-        "value": Fraction(int(fields["num"]), int(fields["den"])),
-        "prov": fields["prov"],
+        "lambda": tuple(numeral(e, line) for e in lam.split(",")),
+        "word": () if word == "1" else tuple(word.split("*")),
+        "value": Fraction(-p if sign else p, q),
+        "prov": prov,
     }
 
 
@@ -123,7 +141,8 @@ def _emit_taut(g: int, elem, pin_key: str | None, fmt: str, out) -> int:
     pins = None if pin_key is None else pipeline.PUBLISHED_TAUT.get((pin_key, g))
     if not elem and not pins:
         prov = "paper" if pins == {} else "derived"
-        out.write("0" + (f"  [{prov}]\n" if fmt == "text" else f" prov={prov}\n"))
+        out.write(f"0  [{prov}]\n" if fmt == "text"
+                  else _record(None, None, Fraction(0), prov) + "\n")
         return 0
     rows = pipeline.comparison_rows({(mono, ()): c for mono, c in elem.items()},
                                     {(mono, ()): c for mono, c in (pins or {}).items()})
@@ -170,7 +189,7 @@ def _cmd_verify_counts(args, genera, out) -> int:
     for g in genera:
         if g <= 3:
             mode = "exhaustive"
-            tuples = characteristics.orthogonal_tuples(g, 5)
+            tuples = characteristics.orthogonal_tuples(g, characteristics.DEGREE_MAX)
         else:
             mode = f"sampled({args.samples})"
             tuples = (characteristics.random_orthogonal_tuple(rng, g)

@@ -38,6 +38,45 @@ def test_compactified_genus4_records_roundtrip(capsys):
         assert rebuilt == line
 
 
+# every class command at each genus the benchmark runs it
+CLASS_RUNS = [(command, g) for command in ("open-class", "compactified-class", "taut-projection")
+              for g in range(1, 6)]
+CLASS_RUNS += [("product-taut", g) for g in (3, 4, 5)] + [("ij-taut", 5)]
+
+
+@pytest.mark.parametrize("command, g", CLASS_RUNS)
+def test_every_class_records_line_parses_and_rebuilds(capsys, command, g):
+    code, out = run(capsys, "--command", command, "--genus", str(g), "--format", "records")
+    assert code == 0
+    lines = record_lines(out)
+    assert lines
+    for line in lines:
+        rec = cli.parse_record_line(line)
+        assert cli._record(rec["lambda"], rec["word"], rec["value"], rec["prov"]) == line
+    # genus 1 and 2 write the zero class, which reads as no term
+    if command in ("open-class", "taut-projection") and g <= 2:
+        assert lines == ["0 prov=paper" if g == 2 else "0 prov=derived"]
+        assert rec["lambda"] is None and rec["value"] == 0
+
+
+@pytest.mark.parametrize("line, message", [
+    ("lambda=1,0 word=1 num=3 prov=paper", "not a records line: {!r}"),
+    ("lambda=1,0 word=1 num=3 den=1", "not a records line: {!r}"),
+    ("0", "not a records line: {!r}"),
+    ("lambda=1,0 word=sigma1** num=3 den=1 prov=paper", "not a records line: {!r}"),
+    ("lambda=1,0 word=1 num=3 den=0 prov=paper", "den=0 in {!r}"),
+    ("lambda=1,0 word=1 num=-3 den=\u0661 prov=paper", "bad numeral '\u0661' in {!r}"),
+    ("lambda=1,0 word=1 num=\u0661 den=1 prov=paper", "bad numeral '\u0661' in {!r}"),
+    ("lambda=1,0 word=1 num=3 den=-1 prov=paper", "bad numeral '-1' in {!r}"),
+    ("lambda=1,,0 word=1 num=3 den=1 prov=paper", "bad numeral '' in {!r}"),
+    ("lambda=1,0 word=1 num=03 den=1 prov=paper", "bad numeral '03' in {!r}"),
+])
+def test_bad_records_line_is_refused_naming_it(line, message):
+    with pytest.raises(ValueError) as exc:
+        cli.parse_record_line(line)
+    assert str(exc.value) == message.format(line)
+
+
 def test_compactified_genus5_has_one_derived_row(capsys):
     code, out = run(
         capsys, "--command", "compactified-class", "--genus", "5",
