@@ -1,12 +1,15 @@
-"""The names the benchmark harness reaches in thetasing still resolve.
+"""The names the benchmark harness reaches in thetasing still resolve, and
+every call it makes into thetasing still binds to the callee's signature.
 
 `perfbench/tracer.py` and `perfbench/workloads.py` are read and run as
-plain modules here, never edited.  A renamed or deleted function would
-otherwise surface only in `perfbench/selftest.py`, which takes minutes.
+plain modules here, never edited.  A renamed or deleted function, or a
+changed signature, would otherwise surface only in a failed benchmark run
+or in `perfbench/selftest.py`, which takes minutes.
 """
 
 import ast
 import importlib
+import inspect
 import runpy
 from pathlib import Path
 
@@ -135,3 +138,37 @@ def test_every_module_attribute_in_the_source_resolves(name):
     assert seen
     for module, attr in sorted(seen):
         assert hasattr(_module(module), attr), f"{module}.{attr}"
+
+
+def _written_calls(tree: ast.AST) -> list[tuple[str, str, ast.Call]]:
+    """(module, name, call) for each `<module>.<name>(...)` written in the
+    tree, a local alias such as `ch = characteristics` included."""
+    aliases = {m: m for m in MODULES}
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Assign) and isinstance(node.value, ast.Name)
+                and node.value.id in MODULES):
+            aliases.update((t.id, node.value.id) for t in node.targets if isinstance(t, ast.Name))
+    return [(aliases[node.func.value.id], node.func.attr, node) for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+            and isinstance(node.func.value, ast.Name) and node.func.value.id in aliases]
+
+
+def test_every_call_into_thetasing_binds():
+    # each call as written, with its arguments' count and keyword names,
+    # and each call the classes workload makes from its CALLS table
+    trees = [ast.parse(path.read_text(encoding="utf-8")) for path in sorted(PERFBENCH.glob("*.py"))]
+    trees.append(ast.parse(_load("workloads")["_SETUP_CODE"]))
+    bound = set()
+    for tree in trees:
+        for module, attr, call in _written_calls(tree):
+            assert not any(isinstance(a, ast.Starred) for a in call.args), ast.unparse(call)
+            assert all(kw.arg for kw in call.keywords), ast.unparse(call)
+            signature = inspect.signature(getattr(_module(module), attr))
+            signature.bind(*call.args, **{kw.arg: kw.value for kw in call.keywords})
+            bound.add(f"{module}.{attr}")
+    assert {"characteristics.orthogonal_tuples", "characteristics.random_orthogonal_tuple",
+            "characteristics.count_vanishing", "characteristics.brute_force_count",
+            "boundary._registry", "boundary.check_identity", "boundary.load_identities",
+            "pipeline.load_boundary_relations", "tautring.load_normalizations"} <= bound
+    for name, module, attr, args, kwargs in _load("workloads")["Classes"].CALLS:
+        inspect.signature(getattr(module, attr)).bind(*args, **kwargs)
