@@ -304,17 +304,17 @@ def _split_table(t: ConfigType) -> tuple[tuple[ConfigType, ConfigType, int], ...
 
     Entries (t1, t2, n): n exponent splittings of a fixed monomial of type t
     produce factors of types (t1, t2).  Independent of genus and of the
-    concrete monomial.
+    concrete monomial.  The factor of each exponent vector is induced once:
+    it is the first factor of its own splitting and the second of its
+    complement's.
     """
+    factors = {bvec: _induced(t, tuple(i for i, b in enumerate(bvec) if b > 0),
+                              tuple(b for b in bvec if b > 0))
+               for bvec in itertools.product(*(range(e + 1) for e in t.exps))}
     counts: dict[tuple[ConfigType, ConfigType], int] = {}
-    ranges = [range(e + 1) for e in t.exps]
-    for bvec in itertools.product(*ranges):
-        cvec = tuple(e - b for e, b in zip(t.exps, bvec))
-        s1 = tuple(i for i, b in enumerate(bvec) if b > 0)
-        s2 = tuple(i for i, c in enumerate(cvec) if c > 0)
-        t1 = _induced(t, s1, tuple(b for b in bvec if b > 0))
-        t2 = _induced(t, s2, tuple(c for c in cvec if c > 0))
-        counts[(t1, t2)] = counts.get((t1, t2), 0) + 1
+    for bvec, t1 in factors.items():
+        pair = (t1, factors[tuple(e - b for e, b in zip(t.exps, bvec))])
+        counts[pair] = counts.get(pair, 0) + 1
     return tuple((t1, t2, n) for (t1, t2), n in counts.items())
 
 
@@ -350,9 +350,20 @@ def product(p: BoundaryPoly, q: BoundaryPoly, g: int) -> BoundaryPoly:
 
 @lru_cache(maxsize=None)
 def expand_word(word: tuple[str, ...], g: int) -> BoundaryPoly:
-    """Product of named classes as a BoundaryPoly."""
+    """Product of named classes as a BoundaryPoly.
+
+    A type of a degree-d word has at most d slots, so rank <= d, and above
+    genus d the word expands as at genus d.  A word of two or more factors
+    is its cached prefix times its last factor: expand_expr's left fold,
+    each prefix computed once.
+    """
     check_genus(g, GENUS_MIN, None, "expand_word")
-    return expand_expr(((Fraction(1), tuple(("name", tag) for tag in word)),), g)
+    d = sum(_named(tag)[1] for tag in word)
+    if g > d >= 1:
+        return expand_word(word, d)
+    if len(word) < 2:
+        return expand_expr(((Fraction(1), tuple(("name", tag) for tag in word)),), g)
+    return product(expand_word(word[:-1], g), expand_named(word[-1], g), g)
 
 
 # --- change of basis and pushforward -----------------------------------------

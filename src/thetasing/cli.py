@@ -28,6 +28,7 @@ import random
 import re
 import sys
 from fractions import Fraction
+from math import gcd
 
 from . import boundary, characteristics, pipeline, tautring
 from .datafile import GENUS_MAX, GENUS_MIN, numeral
@@ -90,16 +91,23 @@ _RECORD = re.compile(r"(?:lambda=(\S+) word=(1|[A-Za-z]\w*(?:\*[A-Za-z]\w*)*) "
 
 def parse_record_line(line: str) -> dict:
     """A records line as its lambda, word, value and prov, the zero class
-    with lambda and word None; any other line is refused."""
+    with lambda and word None; any other line is refused, a fraction not in
+    lowest terms and an unknown prov included.  The number of lambda
+    exponents is not checked: a records line does not carry its genus."""
     m = _RECORD.fullmatch(line)
     if not m:
         raise ValueError(f"not a records line: {line!r}")
     lam, word, sign, num, den, prov = m.groups()
+    # the tags the writer emits: ComparisonRow.status and _emit_taut's zero class
+    if prov not in ("paper", "derived", "conflict", "paper-only"):
+        raise ValueError(f"unknown prov {prov!r} in {line!r}")
     if lam is None:
         return {"lambda": None, "word": None, "value": Fraction(0), "prov": prov}
     p, q = numeral(num, line), numeral(den, line)
     if not q:
         raise ValueError(f"den=0 in {line!r}")
+    if gcd(p, q) != 1:
+        raise ValueError(f"num/den not in lowest terms in {line!r}")
     return {
         "lambda": tuple(numeral(e, line) for e in lam.split(",")),
         "word": () if word == "1" else tuple(word.split("*")),

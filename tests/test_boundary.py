@@ -3,8 +3,10 @@
 import hashlib
 import itertools
 import re
+import sys
 import time
 from fractions import Fraction
+from functools import reduce
 from math import lcm
 
 import pytest
@@ -48,7 +50,7 @@ from thetasing.boundary import (
     parse_identity,
     word_sort_key,
 )
-from thetasing import boundary, characteristics
+from thetasing import boundary, characteristics, pipeline
 from thetasing.bits import kernel_f2
 from thetasing.characteristics import _form_packed, orthogonal_tuples
 from thetasing.exactla import add_into, rank
@@ -810,6 +812,66 @@ def test_target_words_are_independent():
 
 def test_expand_word_empty():
     assert expand_word((), 3) == BoundaryPoly(0, {EMPTY: F(1)})
+
+
+def _cold():
+    """Clear every functools cache of the thetasing modules."""
+    for name, mod in list(sys.modules.items()):
+        if name == "thetasing" or name.startswith("thetasing."):
+            for obj in vars(mod).values():
+                if callable(getattr(obj, "cache_clear", None)):
+                    obj.cache_clear()
+
+
+def test_shared_word_expansions_equal_the_unshared_fold():
+    # genus-capped, prefix-sharing expansions against a plain left fold of
+    # the factors at each genus, below the word's degree (where the rank
+    # filter cuts types) as well as above it
+    _cold()
+    words = sorted({normalize_word(w) for ws in DEFAULT_TARGETS.values() for w in ws})
+    for g in range(1, 6):
+        assert expand_word((), g) == BoundaryPoly(0, {EMPTY: F(1)})
+        for w in words:
+            folded = reduce(lambda p, q: product(p, q, g), [expand_named(t, g) for t in w])
+            assert expand_word(w, g) == folded, (w, g)
+
+
+def _split_table_reference(t):
+    """The split table with both factors of each splitting induced apart."""
+    counts = {}
+    for bvec in itertools.product(*(range(e + 1) for e in t.exps)):
+        cvec = tuple(e - b for e, b in zip(t.exps, bvec))
+        t1 = boundary._induced(t, tuple(i for i, b in enumerate(bvec) if b > 0),
+                               tuple(b for b in bvec if b > 0))
+        t2 = boundary._induced(t, tuple(i for i, c in enumerate(cvec) if c > 0),
+                               tuple(c for c in cvec if c > 0))
+        counts[(t1, t2)] = counts.get((t1, t2), 0) + 1
+    return tuple((t1, t2, n) for (t1, t2), n in counts.items())
+
+
+def test_split_table_matches_its_per_splitting_reference():
+    for d in range(1, 6):
+        for t in all_types(d):
+            assert boundary._split_table(t) == _split_table_reference(t), t
+
+
+def test_each_word_prefix_is_multiplied_once(monkeypatch):
+    # every class g = 2..5 multiplies each distinct prefix of two or more
+    # factors of a target word once: not once per genus, not once per word
+    _cold()
+    calls = []
+    multiply = boundary.product
+
+    def counted(p, q, g):
+        calls.append(g)
+        return multiply(p, q, g)
+
+    monkeypatch.setattr(boundary, "product", counted)
+    for g in range(2, 6):
+        pipeline.class_compactified(g)
+    prefixes = {normalize_word(w)[:k] for ws in DEFAULT_TARGETS.values() for w in ws
+                for k in range(2, len(w) + 1)}
+    assert len(calls) == len(prefixes) == 16
 
 
 # --- identity verification ---------------------------------------------------------

@@ -70,11 +70,28 @@ def test_every_class_records_line_parses_and_rebuilds(capsys, command, g):
     ("lambda=1,0 word=1 num=3 den=-1 prov=paper", "bad numeral '-1' in {!r}"),
     ("lambda=1,,0 word=1 num=3 den=1 prov=paper", "bad numeral '' in {!r}"),
     ("lambda=1,0 word=1 num=03 den=1 prov=paper", "bad numeral '03' in {!r}"),
+    ("lambda=1,0 word=1 num=2 den=4 prov=paper", "num/den not in lowest terms in {!r}"),
+    ("lambda=1,0 word=1 num=-2 den=4 prov=paper", "num/den not in lowest terms in {!r}"),
+    ("lambda=1,0 word=1 num=0 den=4 prov=paper-only", "num/den not in lowest terms in {!r}"),
+    ("lambda=1,0 word=1 num=3 den=1 prov=nonsense", "unknown prov 'nonsense' in {!r}"),
+    ("0 prov=nonsense", "unknown prov 'nonsense' in {!r}"),
 ])
 def test_bad_records_line_is_refused_naming_it(line, message):
     with pytest.raises(ValueError) as exc:
         cli.parse_record_line(line)
     assert str(exc.value) == message.format(line)
+
+
+@pytest.mark.parametrize("line, value", [
+    ("lambda=1,0 word=1 num=3 den=1 prov=paper", Fraction(3)),
+    ("lambda=1,0 word=sigma1 num=-1 den=2 prov=derived", Fraction(-1, 2)),
+    ("lambda=1,0 word=1 num=3 den=4 prov=conflict", Fraction(3, 4)),
+    ("lambda=1,0 word=1 num=0 den=1 prov=paper-only", Fraction(0)),
+])
+def test_records_line_reads_each_prov_the_writer_emits(line, value):
+    rec = cli.parse_record_line(line)
+    assert rec["value"] == value
+    assert cli._record(rec["lambda"], rec["word"], rec["value"], rec["prov"]) == line
 
 
 def test_compactified_genus5_has_one_derived_row(capsys):
