@@ -31,6 +31,7 @@ from .characteristics import (
     _form_packed,
     _orth_masks,
     _orthogonal_sets,
+    _type_orbit,
     count_vanishing,
     make_type,
     n_odd,
@@ -122,25 +123,36 @@ def _relation_spaces(k: int) -> tuple[tuple[int, ...], ...]:
     return tuple(sorted(spaces))
 
 
-def _partitions(d: int, cap: int | None = None) -> Iterable[tuple[int, ...]]:
-    """The partitions of d into parts <= cap (None: d), parts non-increasing."""
+@lru_cache(maxsize=None)
+def _partitions(d: int, cap: int | None = None) -> tuple[tuple[int, ...], ...]:
+    """The partitions of d into parts <= cap (None: d), parts non-increasing;
+    each (d, cap) is enumerated once per process."""
     cap = d if cap is None else cap
     if d == 0:
-        yield ()
-        return
-    for first in range(min(d, cap), 0, -1):
-        for rest in _partitions(d - first, first):
-            yield (first,) + rest
+        return ((),)
+    return tuple((first,) + rest for first in range(min(d, cap), 0, -1)
+                 for rest in _partitions(d - first, first))
 
 
 @lru_cache(maxsize=None)
 def _types_of(exps: tuple[int, ...]) -> frozenset[ConfigType]:
     """Every configuration type with the given exponents, each once.
 
-    Distinct raw relation spaces can be relabelings of one canonical type,
-    so the set collapses them.
+    Distinct raw relation spaces can be relabelings of one canonical type:
+    each orbit is swept once, from its first raw space, and its other
+    spaces are skipped.  Sorting the exponents first puts the raw spaces
+    and the orbit in the same slot order; as the relation spaces are closed
+    under slot permutations, the types are the same.
     """
-    return frozenset(make_type(exps, rows) for rows in _relation_spaces(len(exps)))
+    exps = tuple(sorted(exps, reverse=True))
+    seen: set[tuple[int, ...]] = set()
+    types = set()
+    for rows in _relation_spaces(len(exps)):
+        if rows not in seen:
+            orbit = _type_orbit(exps, rows)
+            seen |= orbit
+            types.add(ConfigType(exps, min(orbit)))
+    return frozenset(types)
 
 
 @lru_cache(maxsize=None)
@@ -239,9 +251,13 @@ def _named(tag: str) -> tuple[tuple[int, int], int, Expr]:
 
 @lru_cache(maxsize=None)
 def expand_named(name: str, g: int) -> BoundaryPoly:
-    """A named class as a sum of configuration types realizable at genus g."""
+    """A named class as a sum of configuration types realizable at genus g;
+    above genus d, its degree, as at genus d, as for expand_word."""
     check_genus(g, GENUS_MIN, None, "expand_named")
-    return expand_expr(_named(name)[2], g)
+    _, d, expr = _named(name)
+    if g > d >= 1:
+        return expand_named(name, d)
+    return expand_expr(expr, g)
 
 
 def word_sort_key(word: tuple[str, ...]) -> tuple:

@@ -127,7 +127,9 @@ class ConfigType(NamedTuple):
 
     exps is non-increasing; rels is the RREF basis of the relation space,
     written over slot bits and minimized over permutations of equal-exponent
-    slots.  Construct through make_type() / canonical_config(), not directly.
+    slots.  Construct through make_type() / canonical_config(), or as the
+    least member of a whole orbit (_type_orbit, as boundary._types_of does),
+    not directly.
     Being a NamedTuple, a type equals (and hashes as) the bare tuple
     (exps, rels); nothing in the package mixes the two as keys.
     """
@@ -177,6 +179,14 @@ def make_type(exps: Sequence[int], rels: Iterable[int]) -> ConfigType:
 
 @lru_cache(maxsize=None)
 def _canonical_type(exps: tuple[int, ...], rels: tuple[int, ...]) -> ConfigType:
+    return ConfigType(tuple(sorted(exps, reverse=True)), min(_type_orbit(exps, rels)))
+
+
+def _type_orbit(exps: tuple[int, ...], rels: tuple[int, ...]) -> set[tuple[int, ...]]:
+    """The orbit of a relation space: its rref_f2 images over every
+    permutation of the slots within each run of equal exponents, written
+    over the slots in non-increasing exponent order.  The sort is stable,
+    so for non-increasing exps every slot keeps its place."""
     if any(e <= 0 for e in exps):
         raise ValueError("exponents must be positive")
     k = len(exps)
@@ -192,9 +202,8 @@ def _canonical_type(exps: tuple[int, ...], rels: tuple[int, ...]) -> ConfigType:
         runs.append([sum(c << p for p, c in zip(positions, a))
                      for a in set(itertools.permutations(run_cols))])
     mask = (1 << k) - 1
-    best = min(rref_f2([sum(parts) >> (i * k) & mask for i in range(len(rows))])
-               for parts in itertools.product(*runs))
-    return ConfigType(tuple(exps[s] for s in slots), best)
+    return {rref_f2([sum(parts) >> (i * k) & mask for i in range(len(rows))])
+            for parts in itertools.product(*runs)}
 
 
 EMPTY = ConfigType((), ())

@@ -19,15 +19,20 @@ K = TypeVar("K")
 Matrix = list[list[Fraction]]
 
 
-def rref(matrix: Sequence[Sequence[Fraction]]) -> tuple[Matrix, list[int]]:
-    """Reduced row echelon form; returns (rref_rows, pivot_columns)."""
+def rref(matrix: Sequence[Sequence[Fraction]],
+         pivot_cols: int | None = None) -> tuple[Matrix, list[int]]:
+    """Reduced row echelon form; returns (rref_rows, pivot_columns).
+
+    Only the first pivot_cols columns (None: all) take pivots; the rows
+    below the rank are zero there.
+    """
     rows = []
     for row in matrix:
         m = lcm(*(x.denominator for x in row))
         rows.append([x.numerator * (m // x.denominator) for x in row])
     if not rows:
         return [], []
-    ncols = len(rows[0])
+    ncols = len(rows[0]) if pivot_cols is None else pivot_cols
     pivots: list[int] = []
     r = 0
     for c in range(ncols):
@@ -62,20 +67,21 @@ def pivot_solution(
     """The pivot solution of A x = rhs from one reduction of [A | rhs], and
     whether the system is consistent.
 
-    Free variables are set to zero, which keeps the output deterministic; an
-    inconsistent system still gets the pivot values of its unknowns.
+    Free variables are set to zero, which keeps the output deterministic.
+    The b column takes no pivot, so an inconsistent system still gets the
+    pivot values of its unknowns: x solves the reduced equations of rank
+    and fails only the equations 0 = b below them.
     """
     rows = [list(r) + [b] for r, b in zip(matrix, rhs)]
     if not rows:
         return [], True
     ncols = len(matrix[0])
-    red, pivots = rref(rows)
+    red, pivots = rref(rows, ncols)
     x = [Fraction(0)] * ncols
     for row, c in zip(red, pivots):
-        if c < ncols:
-            x[c] = row[ncols]
-    # a pivot in the augmented column is the equation 0 = 1
-    return x, not pivots or pivots[-1] < ncols
+        x[c] = row[ncols]
+    # a row below the rank with a nonzero b entry is the equation 0 = b
+    return x, not any(row[ncols] for row in red[len(pivots):])
 
 
 def add_into(acc: dict[K, Fraction], terms: Mapping[K, Fraction], scale=1) -> dict[K, Fraction]:

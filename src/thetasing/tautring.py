@@ -7,9 +7,11 @@ even pieces of c(E) c(E)^dual = 1, solved for their middle term as the rewrite
 
 with lambda_0 = 1 and lambda_j = 0 for j > g.  Each step moves weight to
 higher indices, so it terminates in the squarefree monomials lambda_S, a basis
-of dimension 2^g (van der Geer, 1999).  The open variant also kills lambda_g,
-dropping every lambda_S with g in S.  The canonical basis of each degree is
-picked greedily from the last monomial back, so lambda_1-powers survive.
+of dimension 2^g (van der Geer, 1999).  The open ring R*(A_g), the
+compactified ring modulo lambda_g, is the compactified ring one genus down
+(ibid.), so it is read off that ring rather than rewritten.  The canonical
+basis of each degree is picked greedily from the last monomial back, so
+lambda_1-powers survive.
 
 Monomials are exponent tuples (e_1, ..., e_g) for lambda_1^{e_1} etc.;
 elements are dicts monomial -> Fraction.
@@ -79,7 +81,7 @@ def monomials(g: int, degree: int) -> tuple[LambdaMonomial, ...]:
 
 
 @lru_cache(maxsize=None)
-def _squarefree(mono: LambdaMonomial, open_variant: bool) -> dict[LambdaMonomial, int]:
+def _squarefree(mono: LambdaMonomial) -> dict[LambdaMonomial, int]:
     """Integer image of a monomial in the squarefree basis lambda_S.
 
     Rewrites the first squared lambda_k and recurses; the result is shared
@@ -88,7 +90,7 @@ def _squarefree(mono: LambdaMonomial, open_variant: bool) -> dict[LambdaMonomial
     g = len(mono)
     k = next((k for k, e in enumerate(mono, 1) if e > 1), None)
     if k is None:
-        return {} if open_variant and mono[-1] else {mono: 1}
+        return {mono: 1}
     out: dict[LambdaMonomial, int] = {}
     for i in range(k):
         if 2 * k - i > g:
@@ -98,7 +100,7 @@ def _squarefree(mono: LambdaMonomial, open_variant: bool) -> dict[LambdaMonomial
         if i:
             term[i - 1] += 1
         term[2 * k - i - 1] += 1
-        add_into(out, _squarefree(tuple(term), open_variant), 2 * (-1) ** (k + i + 1))
+        add_into(out, _squarefree(tuple(term)), 2 * (-1) ** (k + i + 1))
     return out
 
 
@@ -112,23 +114,41 @@ class TautRing:
         self.top = g * (g + 1) // 2
         self.basis: dict[int, list[LambdaMonomial]] = {}
         self.table: dict[LambdaMonomial, TautElement] = {}
+        if open_variant:
+            self._read_off_compact()
+            return
         for d in range(self.top + 1):
             self._build_degree(d)
         # the compactified ring pairs into a one-dimensional top piece
-        if not open_variant:
-            if len(self.basis[self.top]) != 1:
-                raise RuntimeError(f"top degree of genus-{g} ring is not a line")
-            self.top_mono = self.basis[self.top][0]
-            top_reduction = self.reduce({lam(g, 1, self.top): Fraction(1)})
-            self.top_unit = top_reduction.get(self.top_mono, Fraction(0))
-            if self.top_unit == 0:
-                raise RuntimeError("lambda_1^top vanishes; cannot normalize")
+        if len(self.basis[self.top]) != 1:
+            raise RuntimeError(f"top degree of genus-{g} ring is not a line")
+        self.top_mono = self.basis[self.top][0]
+        top_reduction = self.reduce({lam(g, 1, self.top): Fraction(1)})
+        self.top_unit = top_reduction.get(self.top_mono, Fraction(0))
+        if self.top_unit == 0:
+            raise RuntimeError("lambda_1^top vanishes; cannot normalize")
+
+    def _read_off_compact(self) -> None:
+        # R*(A_g) = R*(Abar_{g-1}) with lambda_g -> 0: each monomial of the
+        # ring one genus down gains a zero lambda_g exponent; a monomial
+        # holding lambda_g, or of degree above that ring's top, is zero
+        if self.g > 1:
+            below = ring(self.g - 1)
+            basis, table = below.basis, below.table
+        else:
+            basis, table = {0: [()]}, {(): {(): Fraction(1)}}
+        for d in range(self.top + 1):
+            self.basis[d] = [b + (0,) for b in basis.get(d, ())]
+            rest = sorted(set(monomials(self.g, d)).difference(self.basis[d]))
+            for m in self.basis[d] + rest:
+                image = {} if m[-1] else table.get(m[:-1], {})
+                self.table[m] = {b + (0,): c for b, c in image.items()}
 
     def _build_degree(self, d: int) -> None:
         # columns run from the last monomial back, so the pivots are the
         # greedy basis and each reduced column solves its monomial in it
         monos = monomials(self.g, d)[::-1]
-        images = [_squarefree(m, self.open_variant) for m in monos]
+        images = [_squarefree(m) for m in monos]
         keys = sorted({s for image in images for s in image})
         red, pivots = rref([[image.get(s, 0) for image in images] for s in keys])
         solved = sorted(zip((monos[c] for c in pivots), red))
@@ -242,7 +262,7 @@ def derived_normalization(g: int) -> Fraction:
     """
     check_genus(g, GENUS_MIN, None, "derived_normalization")
     top = g * (g + 1) // 2
-    value = Fraction((-1) ** top * _squarefree(lam(g, 1, top), False)[(1,) * g])
+    value = Fraction((-1) ** top * _squarefree(lam(g, 1, top))[(1,) * g])
     for k in range(1, g + 1):
         value *= zeta_negative_odd(k) / 2
     return value

@@ -774,6 +774,13 @@ def test_change_basis_infeasible():
     with pytest.raises(InfeasibleBasisError) as exc:
         change_basis(p, [("sigma2",)], 3)
     assert cfg(2) in exc.value.residual.coeffs
+    # a nonzero solution: sigma2 is cfg(1,1) at genus 3, so x = 1 and the
+    # residual is exactly p - 1 * sigma2, the lone cfg(2)
+    sigma2 = expand_named("sigma2", 3)
+    p = sigma2 + BoundaryPoly(2, {cfg(2): F(1)})
+    with pytest.raises(InfeasibleBasisError) as exc:
+        change_basis(p, [("sigma2",)], 3)
+    assert exc.value.residual == p - sigma2 == BoundaryPoly(2, {cfg(2): F(1)})
 
 
 def test_change_basis_reduces_once(monkeypatch):
@@ -784,9 +791,9 @@ def test_change_basis_reduces_once(monkeypatch):
     calls = []
     reduce_rows = exactla.rref
 
-    def counted(matrix):
+    def counted(matrix, *pivot_cols):
         calls.append(len(matrix))
-        return reduce_rows(matrix)
+        return reduce_rows(matrix, *pivot_cols)
 
     monkeypatch.setattr(exactla, "rref", counted)
     out = change_basis(expand_zm_power(3, 2), DEFAULT_TARGETS[2], 3)
@@ -872,6 +879,26 @@ def test_each_word_prefix_is_multiplied_once(monkeypatch):
     prefixes = {normalize_word(w)[:k] for ws in DEFAULT_TARGETS.values() for w in ws
                 for k in range(2, len(w) + 1)}
     assert len(calls) == len(prefixes) == 16
+
+
+def test_each_named_class_is_expanded_once(monkeypatch):
+    # above its degree a named class expands as at its degree, so every
+    # class g = 2..5 expands each (name, min(g, degree)) once: 14 values,
+    # where one per (name, g) asked for would be 27
+    _cold()
+    values: dict[tuple[str, int], set[int]] = {}
+    expand = boundary.expand_named
+
+    def recorded(name, g):
+        value = expand(name, g)
+        key = (name, min(g, boundary._named(name)[1]))
+        values.setdefault(key, set()).add(id(value))
+        return value
+
+    monkeypatch.setattr(boundary, "expand_named", recorded)
+    for g in range(2, 6):
+        pipeline.class_compactified(g)
+    assert sum(map(len, values.values())) == len(values) == 14
 
 
 # --- identity verification ---------------------------------------------------------
