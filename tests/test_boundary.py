@@ -243,9 +243,11 @@ def test_type_inventory_is_pinned():
 
 @pytest.mark.parametrize("g", range(1, 6))
 @pytest.mark.parametrize("name, exps", [(f"sigma{k}", "1" + ",1" * (k - 1)) for k in range(1, 6)]
-                         + [("A", "1,1,1,1,1"), ("B", "2,1,1,1"), ("C", "2,2,1"), ("D", "3,1,1")])
+                         + [("A", "1,1,1,1,1"), ("B", "2,1,1,1"), ("C", "2,2,1"), ("D", "3,1,1")]
+                         + [("B", "1,1,2,1"), ("C", "1,2,2"), ("D", "1,3,1")])
 def test_any_literal_counts_each_type_once(name, exps, g):
-    # any(1,1,1,1) used to count a type once per raw relation space reaching it
+    # any(1,1,1,1) used to count a type once per raw relation space reaching
+    # it; exponents out of order must reach every orbit all the same
     assert expand_expr(_parse_expr(f"any({exps})"), g) == expand_named(name, g)
 
 

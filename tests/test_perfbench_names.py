@@ -71,6 +71,16 @@ def test_cold_reset_clears_the_type_canonicalizer():
     assert characteristics._canonical_type.cache_info().currsize == 0
 
 
+def test_cold_reset_clears_the_partition_memo():
+    # the ring build and the type inventory both read the memoized partitions
+    workloads = _load("workloads")
+    tautring.monomials.cache_clear()
+    tautring.monomials(3, 4)
+    assert boundary._partitions.cache_info().currsize > 0
+    workloads["cold_reset"]()
+    assert boundary._partitions.cache_info().currsize == 0
+
+
 def test_cold_reset_clears_the_span_groups(monkeypatch):
     # span groups cached where the cold reset cannot clear them would make
     # every pass after the first decode fewer keys (a warm pass reads 0), and

@@ -120,8 +120,8 @@ def test_open_ring_is_the_compact_ring_modulo_lambda_g():
 
 def test_cold_rings_rewrite_each_monomial_once():
     # an open ring rewrites nothing, so a cold build of both variants at
-    # genus 1-5 rewrites the compact rings' monomials and their descendants
-    # once each: 533 rewrites, where rewriting both variants took 1066
+    # genus 1-5 rewrites each monomial of the compact rings once: 533
+    # rewrites, where rewriting both variants took 1066
     ring.cache_clear()
     _squarefree.cache_clear()
     for g in range(1, 6):
