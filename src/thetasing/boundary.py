@@ -38,7 +38,7 @@ from .characteristics import (
     representative,
 )
 from .datafile import GENUS_MIN, check_genus, numeral, parse_lines
-from .exactla import Combination, pivot_solution
+from .exactla import ZERO, Combination, pivot_solution
 
 __all__ = [
     "ConfigType",
@@ -177,7 +177,7 @@ class BoundaryPoly(Combination):
             if c:
                 if t.degree != degree:
                     raise ValueError(f"type {t} has degree {t.degree}, expected {degree}")
-                terms[t] = Fraction(c)
+                terms[t] = c if type(c) is Fraction else Fraction(c)
 
     degree = property(lambda self: self.grade)
     coeffs = property(lambda self: self.terms)
@@ -350,15 +350,17 @@ def product(p: BoundaryPoly, q: BoundaryPoly, g: int) -> BoundaryPoly:
     for t in all_types(degree):
         if t.rank > g:
             continue
-        acc = Fraction(0)
+        acc = None
         for t1, t2, n in _split_table(t):
+            # a stored coefficient is never zero, so absent is the only zero
             c1 = pget(t1)
-            if not c1:
+            if c1 is None:
                 continue
             c2 = qget(t2)
-            if not c2:
+            if c2 is None:
                 continue
-            acc += n * c1 * c2
+            term = c1 * c2 if n == 1 else n * c1 * c2
+            acc = term if acc is None else acc + term
         if acc:
             out[t] = acc
     return BoundaryPoly(degree, out)
@@ -404,8 +406,8 @@ def change_basis(
     check_genus(g, GENUS_MIN, None, "change_basis")
     expansions = [expand_word(normalize_word(w), g) for w in targets]
     support = sorted(set(p.coeffs) | {t for e in expansions for t in e.coeffs})
-    matrix = [[e.coeffs.get(t, Fraction(0)) for e in expansions] for t in support]
-    rhs = [p.coeffs.get(t, Fraction(0)) for t in support]
+    matrix = [[e.coeffs.get(t, ZERO) for e in expansions] for t in support]
+    rhs = [p.coeffs.get(t, ZERO) for t in support]
     x, consistent = pivot_solution(matrix, rhs)
     if not consistent:
         residual = p
@@ -812,7 +814,9 @@ def expand_expr(expr: Expr, g: int) -> BoundaryPoly:
         if not coeff:
             continue
         polys = [_expand_factor(f, g) for f in factors] or [BoundaryPoly(0, {EMPTY: Fraction(1)})]
-        total = total + coeff * reduce(lambda p, q: product(p, q, g), polys)
+        poly = reduce(lambda p, q: product(p, q, g), polys)
+        # a BoundaryPoly holds Fractions, so 1 * poly is poly itself
+        total = total + (poly if coeff == 1 else coeff * poly)
     return total
 
 

@@ -62,13 +62,20 @@ DATA_LOADERS = {
 
 
 def _load_data(parser: argparse.ArgumentParser, items: list[str]) -> dict[str, object]:
-    """Each --data KIND=PATH as kind -> loaded table; exits 2 on a bad one."""
-    out: dict[str, object] = {}
+    """Each --data KIND=PATH as kind -> loaded table; exits 2 on a bad one,
+    and on a kind given twice before any file is read."""
+    paths: dict[str, str] = {}
     for item in items:
         kind, sep, path = item.partition("=")
         if not sep or kind not in DATA_LOADERS:
             parser.exit(2, f"thetasing: bad --data {item!r}; expected KIND=PATH with KIND in "
                            f"{'|'.join(DATA_LOADERS)}\n")
+        if kind in paths:
+            parser.exit(2, f"thetasing: --data {kind} given twice ({paths[kind]}, {path}); "
+                           f"give each kind at most once\n")
+        paths[kind] = path
+    out: dict[str, object] = {}
+    for kind, path in paths.items():
         try:
             out[kind] = DATA_LOADERS[kind](path)
         except (OSError, ValueError) as exc:

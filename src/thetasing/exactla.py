@@ -5,6 +5,11 @@ elimination is plenty: `rref` scales each row to integers by the lcm of its
 denominators and runs a fraction-free Gauss-Jordan (cross-multiplied
 elimination, gcd-reduced rows, pivots normalized at the end).  Scaling a row
 leaves the row space, hence the reduced form, unchanged.
+
+A Fraction is built only where a value is computed: the zero entries of
+`rref`'s output share the one `ZERO`, and `add_into` never multiplies in a
+unit int scale nor adds a new key to 0, so each stored value keeps the type
+that `old + scale * c` gives.
 """
 from __future__ import annotations
 
@@ -12,9 +17,12 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Mapping, Sequence, TypeVar
 
-__all__ = ["rref", "rank", "pivot_solution", "add_into", "Combination"]
+__all__ = ["ZERO", "rref", "rank", "pivot_solution", "add_into", "Combination"]
 
 K = TypeVar("K")
+
+# the shared zero; a Fraction is immutable, so every zero entry can be this one
+ZERO = Fraction(0)
 
 Matrix = list[list[Fraction]]
 
@@ -54,7 +62,7 @@ def rref(matrix: Sequence[Sequence[Fraction]],
             break
     # normalize each pivot to 1; the rows below the rank are zero
     scales = [row[c] for row, c in zip(rows, pivots)] + [1] * (len(rows) - len(pivots))
-    return [[Fraction(v, p) for v in row] for row, p in zip(rows, scales)], pivots
+    return [[Fraction(v, p) if v else ZERO for v in row] for row, p in zip(rows, scales)], pivots
 
 
 def rank(matrix: Sequence[Sequence[Fraction]]) -> int:
@@ -77,7 +85,7 @@ def pivot_solution(
         return [], True
     ncols = len(matrix[0])
     red, pivots = rref(rows, ncols)
-    x = [Fraction(0)] * ncols
+    x = [ZERO] * ncols
     for row, c in zip(red, pivots):
         x[c] = row[ncols]
     # a row below the rank with a nonzero b entry is the equation 0 = b
@@ -87,10 +95,16 @@ def pivot_solution(
 def add_into(acc: dict[K, Fraction], terms: Mapping[K, Fraction], scale=1) -> dict[K, Fraction]:
     """acc += scale * terms on sparse linear combinations, in place.
 
-    Keys whose coefficient cancels to zero are dropped; returns acc.
+    Keys whose coefficient cancels to zero are dropped; returns acc.  Each
+    value has the type of `old + scale * c` (old = 0 for a new key), but a
+    unit int scale is never multiplied in and a new key takes its term as is.
     """
+    unit = type(scale) is int and scale == 1
     for key, c in terms.items():
-        val = acc.get(key, 0) + scale * c
+        if not unit:
+            c = scale * c
+        old = acc.get(key)
+        val = c if old is None else old + c
         if val:
             acc[key] = val
         else:

@@ -163,8 +163,12 @@ def stratum(g: int, j: int) -> MixedClass:
     lamf = lam_factor(g, j)
     words = pushforward_level2(expand_zm_power(g, j), g)
     scalar = Fraction((-1) ** j, 4 ** j)
-    return MixedClass(g, {(mono, word): scalar * wc * lc
-                          for word, wc in words.items() for mono, lc in lamf.items()})
+    terms = {}
+    for word, wc in words.items():
+        sw = scalar * wc
+        for mono, lc in lamf.items():
+            terms[mono, word] = sw * lc
+    return MixedClass(g, terms)
 
 
 def strata(g: int) -> list[MixedClass]:

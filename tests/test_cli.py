@@ -451,6 +451,21 @@ def test_bad_data_override(capsys):
     )
 
 
+def test_repeated_data_kind_is_refused(capsys, monkeypatch):
+    # the second override used to replace the first without a word; the
+    # refusal comes before any file is read
+    opened = []
+    monkeypatch.setitem(cli.DATA_LOADERS, "normalizations", opened.append)
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["--command", "ring-info", "--genus", "2",
+                  "--data", "normalizations=A", "--data", "normalizations=B"])
+    captured = capsys.readouterr()
+    assert exc.value.code == 2
+    assert captured.out == "" and opened == []
+    assert captured.err == ("thetasing: --data normalizations given twice (A, B); "
+                            "give each kind at most once\n")
+
+
 def _write(tmp_path, text):
     path = tmp_path / "data.txt"
     path.write_text(text)

@@ -6,7 +6,7 @@ from random import Random
 import pytest
 
 from thetasing.boundary import BoundaryPoly, make_type
-from thetasing.exactla import pivot_solution, rref
+from thetasing.exactla import ZERO, add_into, pivot_solution, rref
 from thetasing.pipeline import MixedClass
 
 
@@ -98,6 +98,43 @@ def test_rref_accepts_plain_ints_and_empty_input():
     rows, pivots = rref([[2, 4], [1, 3]])
     assert pivots == [0, 1] and rows == [[1, 0], [0, 1]]
     assert all(type(x) is Fraction for row in rows for x in row)
+
+
+def test_rref_zero_entries_share_one_fraction():
+    rows, _ = rref([[Fraction(1, 2), 0, 1], [1, 0, 2], [0, 0, 0]])
+    assert rows == [[1, 0, 2], [0, 0, 0], [0, 0, 0]]
+    assert all(x is ZERO for row in rows for x in row if not x)
+    assert pivot_solution([[0, 0]], [0]) == ([ZERO, ZERO], True)
+
+
+def _add_into_reference(acc, terms, scale=1):
+    # add_into as it was written before it skipped the unit scale and the
+    # 0 + term of a new key, kept as the reference for values and types
+    for key, c in terms.items():
+        val = acc.get(key, 0) + scale * c
+        if val:
+            acc[key] = val
+        else:
+            acc.pop(key, None)
+    return acc
+
+
+@pytest.mark.parametrize("scale", [1, 3, -1, Fraction(1), Fraction(-2, 3)])
+@pytest.mark.parametrize("values", ["Fraction", "int"])
+def test_add_into_matches_the_reference(scale, values):
+    kind = Fraction if values == "Fraction" else int
+    acc = {"kept": kind(5), "cancels": kind(-2) * scale, "untouched": kind(7)}
+    terms = {"kept": kind(4), "cancels": kind(2), "new": kind(-6), "zero": kind(0)}
+    expected = _add_into_reference(dict(acc), terms, scale)
+    out = add_into(acc, terms, scale)
+    assert out is acc  # updated in place and returned
+    assert acc == expected
+    assert "cancels" not in acc and "zero" not in acc and acc["new"] == -6 * scale
+    assert {k: type(v) for k, v in acc.items()} == {k: type(v) for k, v in expected.items()}
+    # an int scale keeps int values ints (tautring._squarefree relies on it),
+    # and a Fraction value or a Fraction scale gives a Fraction
+    assert {type(v) for k, v in acc.items() if k != "untouched"} == {
+        int if kind is int and type(scale) is int else Fraction}
 
 
 def test_pivot_solution_flags_inconsistent_systems():

@@ -323,6 +323,32 @@ def test_ij_decomposition():
     assert total == taut_projection(5)
 
 
+def test_every_coefficient_is_a_fraction():
+    # an int that equals the right value still compares equal to it, so the
+    # value tests above cannot see one leak into an output; check the type
+    outputs = {}
+    for g in range(1, 6):
+        outputs[f"class_open({g})"] = class_open(g)
+        outputs[f"taut_projection({g})"] = taut_projection(g)
+        for j in range(g + 1):
+            outputs[f"expand_zm_power({g}, {j})"] = boundary.expand_zm_power(g, j).coeffs
+        for open_variant in (False, True):
+            for mono, elem in ring(g, open_variant).table.items():
+                outputs[f"ring({g}, {open_variant}).table[{mono}]"] = elem
+    for g in range(2, 6):
+        outputs[f"class_compactified({g})"] = class_compactified(g).terms
+    for g in range(3, 6):
+        outputs[f"product_locus_taut({g})"] = product_locus_taut(g)
+    for g in (4, 5):
+        outputs[f"theta_null_product_taut({g})"] = theta_null_product_taut(g)
+    outputs["ij_taut()"] = ij_taut()
+    bad = {(name, key): type(c).__name__ for name, terms in outputs.items()
+           for key, c in terms.items() if type(c) is not Fraction}
+    assert bad == {}
+    # the nonzero outputs and tables really were checked
+    assert sum(map(len, outputs.values())) > 800
+
+
 # --- word rewrite rules ---------------------------------------------------------------
 
 def test_boundary_relations_parse():
