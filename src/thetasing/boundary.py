@@ -9,7 +9,7 @@ else expands into.
 
 Degrees are capped at 5: the relation-pattern inventory and the ledger
 identities are only established up to there.  The concrete verifier writes
-a monomial as one int with a fixed field per label, sized by DEGREE_MAX.
+a monomial as one int, the product of its labels' primes to their exponents.
 """
 from __future__ import annotations
 
@@ -17,8 +17,8 @@ import itertools
 import re
 from fractions import Fraction
 from functools import lru_cache, reduce
-from math import factorial, lcm
-from operator import mul, or_
+from math import factorial, isqrt, lcm, prod
+from operator import or_
 from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .bits import kernel_f2, rref_f2, span_f2
@@ -466,26 +466,51 @@ def pushforward_level2(p: BoundaryPoly, g: int) -> dict[tuple[str, ...], Fractio
 
 # --- concrete instantiation and identity checking ----------------------------
 
-# A concrete monomial is one int: label p's exponent sits in the _EXP_BITS
-# bits from _EXP_BITS * p up.  The width holds any exponent up to DEGREE_MAX,
-# so multiplying two monomials is adding their ints while no label's
-# exponent sum reaches 1 << _EXP_BITS (convolve checks this).
-_EXP_BITS = DEGREE_MAX.bit_length()
-_EXP_FIELD = (1 << _EXP_BITS) - 1
+# A concrete monomial is one int, the product of its labels' primes, each
+# to its exponent: label p has the p-th prime _PRIMES[p] (2 for label 1).
+# Multiplying two monomials is multiplying their ints, exact at every
+# exponent by unique factorization; the empty monomial is 1.  At genus <=
+# CONCRETE_GENUS_MAX the labels are 1..63 and a key of degree <= DEGREE_MAX
+# is at most 307^5 < 2^42.
+_PRIMES: dict[int, int] = dict(zip(range(1, 1 << 2 * CONCRETE_GENUS_MAX), (
+    n for n in itertools.count(2) if all(n % q for q in range(2, isqrt(n) + 1)))))
+# what _decode has left once one label's power remains: 1 and each prime
+# power up to DEGREE_MAX, as its ((label, exponent),) tail
+_TAILS = {1: (), **{q ** e: ((p, e),) for p, q in _PRIMES.items()
+                     for e in range(1, DEGREE_MAX + 1)}}
 Coeff = int | Fraction
-# (top, {m: (t, {key: value})}): a concrete dictionary grouped by span
-Grouped = tuple[int, dict[int, tuple[int, dict[int, Coeff]]]]
+# {m: (t, {key: value})}: a concrete dictionary grouped by span
+Grouped = dict[int, tuple[int, dict[int, Coeff]]]
+
+
+def _units(labels: Iterable[int]) -> tuple[int, ...]:
+    """The labels' primes, in order: the factors _encode raises."""
+    return tuple(map(_PRIMES.__getitem__, labels))
+
+
+def _encode(unit_lists: Iterable[Sequence[int]], exponents: Sequence[int]) -> list[int]:
+    """The key of each monomial that raises one list of _units to the
+    exponents, in order."""
+    return [prod(map(pow, units, exponents)) for units in unit_lists]
 
 
 def _decode(key: int) -> tuple[tuple[int, int], ...]:
-    """A concrete monomial as sorted ((packed label, exponent), ...)."""
+    """A concrete monomial as sorted ((packed label, exponent), ...): trial
+    division in label order until one label's power is left."""
     out = []
-    while key:
-        p = ((key & -key).bit_length() - 1) // _EXP_BITS
-        e = key >> _EXP_BITS * p & _EXP_FIELD
-        out.append((p, e))
-        key ^= e << _EXP_BITS * p
-    return tuple(out)
+    tail = _TAILS.get(key)
+    for p, q in _PRIMES.items():
+        if tail is not None:
+            break
+        if not key % q:
+            e = 1
+            key //= q
+            while not key % q:
+                key //= q
+                e += 1
+            out.append((p, e))
+            tail = _TAILS.get(key)
+    return tuple(out) + tail
 
 
 @lru_cache(maxsize=8)
@@ -547,18 +572,16 @@ def _registry(g: int, degree: int) -> dict[ConfigType, list[int]]:
         raise DegreeOverflowError(f"degree {degree} exceeds {DEGREE_MAX}")
     index: dict[ConfigType, list[int]] = {}
     if degree == 0:
-        return {EMPTY: [0]}
+        return {EMPTY: _encode([()], ())}
     for k, groups in _orth_sets(g).items():
         if k > degree:
             continue
-        # a key is the sum of its exponents times its labels' field units
-        units = [(rels, [[1 << _EXP_BITS * p for p in labels] for labels in sets])
-                 for rels, sets in groups.items()]
+        units = [(rels, list(map(_units, sets))) for rels, sets in groups.items()]
         for assignment in _compositions(degree, k):
             # the type depends on the labels only through their relation space
             for rels, unit_lists in units:
                 index.setdefault(_type_of_key(assignment, rels), []).extend(
-                    sum(map(mul, assignment, u)) for u in unit_lists)
+                    _encode(unit_lists, assignment))
     return index
 
 
@@ -598,7 +621,7 @@ def convolve(d1: dict[int, Coeff], d2: dict[int, Coeff], g: int) -> dict[int, Co
 
 
 def _span_pairs(spans1: Grouped, spans2: Grouped,
-                pick: Callable[[int, int], dict[int, Coeff]], scale: Coeff) -> int:
+                pick: Callable[[int, int], dict[int, Coeff]], scale: Coeff) -> None:
     """The one convolution loop: adds scale * each product of keys of
     orthogonal spans into pick(m, t), the dict for the product's span, where
     m = m1 & m2 and t = t1 | t2 as a product key has its factors' labels.
@@ -606,18 +629,12 @@ def _span_pairs(spans1: Grouped, spans2: Grouped,
     indexed by the least label bit of t2, which a compatible class has in
     m1; the empty monomial's t2 == 0 is filed under bit 0, which no label
     uses, and & reach (the OR of the index's bits) ends the empty m1 = -1.
-    Key pairs are enumerated one by one, spans1's scaled keys innermost.
-    Returns top1 + top2, exactly the largest exponent of a nonempty product of
-    sums of type orbits with positive values: by Witt's theorem the second has
-    a key in one Lagrangian with a top key of the first, on the same top label."""
-    (top1, groups1), (top2, groups2) = spans1, spans2
-    if top1 + top2 > _EXP_FIELD:
-        raise DegreeOverflowError(f"label exponent {top1 + top2} exceeds {_EXP_FIELD}")
+    Key pairs are enumerated one by one, spans1's scaled keys innermost."""
     index: dict[int, list[tuple[int, int, list[int]]]] = {}
-    for m2, (t2, terms2) in groups2.items():
+    for m2, (t2, terms2) in spans2.items():
         index.setdefault(t2 & -t2 or 1, []).append((m2, t2, list(terms2)))
     reach = reduce(or_, index, 0)
-    for m1, (t1, terms1) in groups1.items():
+    for m1, (t1, terms1) in spans1.items():
         scaled = [(k1, c1 * scale) for k1, c1 in terms1.items()]
         bits = (m1 | 1) & reach
         while bits:
@@ -630,15 +647,14 @@ def _span_pairs(spans1: Grouped, spans2: Grouped,
                 get = out.get
                 for k2 in keys2:
                     for k1, c1 in scaled:
-                        k = k1 + k2
+                        k = k1 * k2
                         out[k] = get(k, 0) + c1
-    return top1 + top2
 
 
 def _span_classes(items: Iterable[tuple[int, Coeff]], masks: list[int]) -> Grouped:
-    """Items grouped by the span of their keys' labels, and the largest exponent.
+    """Items grouped by the span of their keys' labels.
 
-    Returns (top, {m: (t, terms)}), one entry per span; terms is the
+    Returns {m: (t, terms)}, one entry per span; terms is the
     {key: value} dict of its keys.  m is the AND of the labels' orthogonal
     closures: the span's orthogonal complement without 0, which names the
     span.  t is the label bits of any one key of the span.  A support u is
@@ -646,17 +662,14 @@ def _span_classes(items: Iterable[tuple[int, Coeff]], masks: list[int]) -> Group
     the zero vector is a subspace, that holds for all supports of a span or
     for none, so testing t decides the whole entry.
     """
-    top = 0
-    groups: dict[int, tuple[int, dict[int, Coeff]]] = {}
+    groups: Grouped = {}
     for key, c in items:
         mask, bits = -1, 0
-        for p, e in _decode(key):
+        for p, _ in _decode(key):
             mask &= masks[p]
             bits |= 1 << p
-            if e > top:
-                top = e
         groups.setdefault(mask, (bits, {}))[1][key] = c
-    return top, groups
+    return groups
 
 
 # --- identity ledger ---------------------------------------------------------
@@ -821,13 +834,13 @@ def expand_expr(expr: Expr, g: int) -> BoundaryPoly:
 
 
 # A concrete value (den, nums) is {key: nums[key] / den}, nums integers and
-# keys monomials in the _EXP_BITS layout, which relies on DEGREE_MAX; as
-# every factor expands with coefficient 1, only term coefficients bring a den.
+# keys prime-product monomials (_encode); as every factor expands with
+# coefficient 1, only term coefficients bring a den.
 ConcreteValue = tuple[int, dict[int, int]]
 
-# memo for concrete factor chains per genus, keyed by monomials in the
-# _EXP_BITS layout (which relies on DEGREE_MAX): a single factor or a product
-# of factors, each grouped by span, so a product is never decoded
+# memo for concrete factor chains per genus, keyed by prime-product
+# monomials: a single factor or a product of factors, each grouped by span,
+# so a product is never decoded
 _CONCRETE_MEMO: dict[tuple[int, tuple[Factor, ...]], Grouped] = {}
 
 
@@ -841,9 +854,13 @@ def concrete_expr(expr: Expr, g: int) -> ConcreteValue:
     factor, and that last product is summed straight into the result, never
     stored.  Terms of at most one factor are summed per type, and each type's
     monomials, which no other type shares, take that sum at once.  So the
-    memo keeps single factors and proper prefixes only.
+    memo keeps single factors and proper prefixes only.  An expression
+    above DEGREE_MAX is refused before any work, as product() refuses it.
     """
     check_genus(g, GENUS_MIN, CONCRETE_GENUS_MAX, "concrete_expr")
+    degree = expr_degree(expr)
+    if degree > DEGREE_MAX:
+        raise DegreeOverflowError(f"product degree {degree} exceeds {DEGREE_MAX}")
     den = lcm(*(coeff.denominator for coeff, _ in expr))
     sums: dict[ConfigType, int] = {}
     chains = []
@@ -882,17 +899,16 @@ def _concrete_chain(chain: tuple[Factor, ...], g: int) -> Grouped:
         val = _span_classes(((key, 1) for t in _unit_types(chain[0], g)
                              for key in _registry(g, t.degree).get(t, ())), _orth_masks(g))
     else:
-        groups: dict[int, tuple[int, dict[int, int]]] = {}
-        top = _chain_product(chain, g, lambda m, t: groups.setdefault(m, (t, {}))[1], 1)
-        val = (top if groups else 0, groups)
+        val = {}
+        _chain_product(chain, g, lambda m, t: val.setdefault(m, (t, {}))[1], 1)
     _CONCRETE_MEMO[memo_key] = val
     return val
 
 
 def _chain_product(chain: tuple[Factor, ...], g: int,
-                   pick: Callable[[int, int], dict[int, int]], scale: int) -> int:
+                   pick: Callable[[int, int], dict[int, int]], scale: int) -> None:
     """scale * (memoized prefix) * (last factor) into pick's dicts."""
-    return _span_pairs(_concrete_chain(chain[:-1], g), _concrete_chain(chain[-1:], g), pick, scale)
+    _span_pairs(_concrete_chain(chain[:-1], g), _concrete_chain(chain[-1:], g), pick, scale)
 
 
 class IdentityReport(NamedTuple):

@@ -164,7 +164,8 @@ class TautRing:
         out: TautElement = {}
         for mono, coeff in elem.items():
             if coeff and mono_degree(mono) <= self.top:
-                add_into(out, self.table[mono], coeff)
+                # a unit coefficient adds the row as it is: the rows hold Fractions
+                add_into(out, self.table[mono], 1 if coeff == 1 else coeff)
         return out
 
     def mul(self, a: TautElement, b: TautElement) -> TautElement:

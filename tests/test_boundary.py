@@ -7,7 +7,7 @@ import sys
 import time
 from fractions import Fraction
 from functools import reduce
-from math import lcm
+from math import lcm, prod
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -35,12 +35,13 @@ from thetasing.boundary import (
     BoundaryPoly,
     Identity,
     _CONCRETE_MEMO,
-    _EXP_BITS,
     _decode,
+    _encode,
     _expand_factor,
     _orth_sets,
     _parse_expr,
     _registry,
+    _units,
     concrete_expr,
     convolve,
     expand_expr,
@@ -335,8 +336,8 @@ def concrete_dicts(draw, g):
 
 
 def pack(key):
-    """A sorted ((label, exponent), ...) monomial in convolve's int layout."""
-    return sum(e << _EXP_BITS * p for p, e in key)
+    """A sorted ((label, exponent), ...) monomial as the registry's int key."""
+    return _encode([_units(p for p, _ in key)], [e for _, e in key])[0]
 
 
 def _convolve_both_ways(d1, d2, g):
@@ -355,16 +356,17 @@ def test_convolve_matches_all_pairs_reference(data):
     assert got == expected
 
 
-def test_convolve_refuses_a_carrying_exponent():
-    # label 1 at exponent 4, squared, would carry out of its field
-    key = pack(((1, 4),))
-    with pytest.raises(DegreeOverflowError):
-        convolve({key: 1}, {key: 1}, 3)
+def test_convolve_is_exact_where_an_exponent_field_would_carry():
+    # label 1 at exponent 4, squared: a 3-bit exponent field would carry
+    # into label 2's; a product of prime powers cannot
+    d = {((1, 4),): F(1)}
+    got, expected = _convolve_both_ways(d, d, 3)
+    assert got == expected == {((1, 8),): F(1)}
 
 
 @pytest.mark.parametrize("g", (2, 3))
 def test_convolve_with_the_empty_monomial(g):
-    # key 0 has no labels: its span mask is -1 and it sits under bit 0 of
+    # key 1 has no labels: its span mask is -1 and it sits under bit 0 of
     # the least-label index, compatible with every class
     d = {key: F(i + 1, 2) for i, key in enumerate(ORTHOGONAL_SETS_KEYS[g])}
     for d1, d2 in (({(): F(3)}, d), (d, {(): F(-2)}), ({(): F(1, 3)}, {(): F(3)}),
@@ -439,13 +441,13 @@ def _per_key_registry(g, degree):
         sets_by_size[len(labels)].append((labels, kernel_f2(labels)))
     index = {}
     if degree == 0:
-        return {EMPTY: [0]}
+        return {EMPTY: [pack(())]}
     for k, sets in sets_by_size.items():
         if k > degree:
             continue
         for assignment in boundary._compositions(degree, k):
             for labels, rels in sets:
-                key = sum(e << _EXP_BITS * p for p, e in zip(labels, assignment))
+                key = pack(tuple(zip(labels, assignment)))
                 index.setdefault(boundary._type_of_key(assignment, rels), []).append(key)
     return index
 
@@ -471,6 +473,38 @@ def test_registry_types_share_the_one_canonical_cache():
 def test_registry_sizes_genus3():
     sizes = [sum(len(keys) for keys in _registry(3, d).values()) for d in range(6)]
     assert sizes == [1, 63, 1008, 6048, 19908, 50148]
+    # a key of degree <= 5 on labels 1..63 is at most 307^5: a wider layout
+    # coming back fails here
+    assert all(key < 1 << 42 for d in range(6) for keys in _registry(3, d).values()
+               for key in keys)
+
+
+def _stabilizer_order(t):
+    """The slot permutations within runs of equal exponents that map t's
+    relation space onto itself."""
+    k = t.nslots
+    space = {reduce(lambda a, b: a ^ b, rows, 0)
+             for n in range(len(t.rels) + 1) for rows in itertools.combinations(t.rels, n)}
+    count = 0
+    for perm in itertools.permutations(range(k)):
+        if all(t.exps[perm[i]] == t.exps[i] for i in range(k)):
+            count += space == {sum((v >> i & 1) << perm[i] for i in range(k)) for v in space}
+    return count
+
+
+@pytest.mark.parametrize("g", (1, 2, 3))
+def test_registry_sizes_follow_the_orbit_count(g):
+    # the ordered label tuples with t's relation space put independent,
+    # pairwise orthogonal labels on the rank free slots (the i-th avoids the
+    # span of the earlier ones inside their orthogonal complement) and fix
+    # the rest; the run permutations act freely on those of t's whole orbit,
+    # so a type has tuples / |Stab(t)| monomials, 0 above rank g
+    for d in range(boundary.DEGREE_MAX + 1):
+        index = _registry(g, d)
+        assert set(index) <= set(all_types(d))
+        for t in all_types(d):
+            tuples = prod(2 ** (2 * g - i) - 2 ** i for i in range(t.rank))
+            assert len(index.get(t, ())) * _stabilizer_order(t) == tuples, (g, d, t)
 
 
 def test_check_identity_first_difference_genus3():
@@ -541,7 +575,7 @@ def reference_concrete_expr(expr, g):
     out = {}
     for coeff, factors in expr:
         if coeff:
-            value = {0: 1}
+            value = {pack(()): 1}
             for f in sorted(factors):
                 value = convolve(value, dict.fromkeys(instantiate(_expand_factor(f, g), g), 1), g)
             add_into(out, value, coeff.numerator * (den // coeff.denominator))
@@ -615,6 +649,8 @@ def test_concrete_memo_keeps_factors_and_proper_prefixes_genus3():
         assert g == 3
         if len(chain) > 1:
             assert any(len(chain) < len(c) and c[:len(chain)] == chain for c in chains), chain
+    # every stored key, products included, stays below 2^42 (307^5 bounds it)
+    assert all(key < 1 << 42 for val in _CONCRETE_MEMO.values() for key in _flat(val))
 
 
 def test_memoized_products_are_never_decoded(monkeypatch):
@@ -642,7 +678,7 @@ def test_memoized_products_are_never_decoded(monkeypatch):
 
 def _flat(val):
     """A memo value as one {key: value} dictionary."""
-    return {k: c for _, terms in val[1].values() for k, c in terms.items()}
+    return {k: c for _, terms in val.values() for k, c in terms.items()}
 
 
 def test_memoized_products_match_convolve_and_their_spans():
@@ -654,25 +690,30 @@ def test_memoized_products_match_convolve_and_their_spans():
     assert {g for g, _ in products} == {2, 3}
     for g, chain in products:
         masks = characteristics._orth_masks(g)
-        top, groups = _CONCRETE_MEMO[g, chain]
+        groups = _CONCRETE_MEMO[g, chain]
         flat = _flat(_CONCRETE_MEMO[g, chain])
         prefix, last = _CONCRETE_MEMO[g, chain[:-1]], _CONCRETE_MEMO[g, chain[-1:]]
         assert flat == convolve(_flat(prefix), _flat(last), g), chain
         assert sum(map(len, (terms for _, terms in groups.values()))) == len(flat)
         for m, (t, terms) in groups.items():
-            assert boundary._span_classes(terms.items(), masks)[1] == {m: (t, terms)}, chain
+            assert boundary._span_classes(terms.items(), masks) == {m: (t, terms)}, chain
             assert all(terms.values()), chain
-        assert top == max((e for key in flat for _, e in _decode(key)), default=0), chain
 
 
 def test_memoized_product_guards_the_exponent_field_genus2():
-    # the grouped prefix carries its top exponent as the sum of its factors'
+    # a chain above DEGREE_MAX is refused by its degree, as product() refuses
+    # it, before any factor is grouped or multiplied
     _CONCRETE_MEMO.clear()
-    with pytest.raises(DegreeOverflowError, match=r"^label exponent 8 exceeds 7$"):
-        concrete_expr(_parse_expr("cfg(2)*cfg(2)*cfg(4)"), 2)
-    den, nums = concrete_expr(_parse_expr("cfg(1)*cfg(2)*cfg(4)"), 2)
-    assert den == 1 and len(nums) == 375 and all(nums.values())
-    assert isinstance(_CONCRETE_MEMO[2, (("cfg", (1,), ()), ("cfg", (2,), ()))], tuple)
+    for text, degree in (("cfg(2)*cfg(2)*cfg(4)", 8), ("cfg(1)*cfg(2)*cfg(4)", 7)):
+        with pytest.raises(DegreeOverflowError, match=rf"^product degree {degree} exceeds 5$"):
+            concrete_expr(_parse_expr(text), 2)
+        with pytest.raises(DegreeOverflowError, match=rf"^product degree {degree} exceeds 5$"):
+            expand_expr(_parse_expr(text), 2)
+    assert not _CONCRETE_MEMO
+    expr = _parse_expr("cfg(1)*cfg(2)*cfg(2)")
+    den, nums = concrete_expr(expr, 2)
+    assert (den, nums) == reference_concrete_expr(expr, 2) and len(nums) == 240
+    assert isinstance(_CONCRETE_MEMO[2, (("cfg", (1,), ()), ("cfg", (2,), ()))], dict)
 
 
 @pytest.mark.parametrize("g", [-1, 0])
