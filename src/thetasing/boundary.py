@@ -15,10 +15,11 @@ from __future__ import annotations
 
 import itertools
 import re
+from array import array
 from fractions import Fraction
-from functools import lru_cache, reduce
+from functools import lru_cache, partial, reduce
 from math import factorial, isqrt, lcm, prod
-from operator import or_
+from operator import and_, mul, or_
 from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .bits import kernel_f2, rref_f2, span_f2
@@ -484,13 +485,23 @@ Grouped = dict[int, tuple[int, dict[int, Coeff]]]
 
 
 def _units(labels: Iterable[int]) -> tuple[int, ...]:
-    """The labels' primes, in order: the factors _encode raises."""
+    """The labels' primes, in order: the factors a key raises."""
     return tuple(map(_PRIMES.__getitem__, labels))
+
+
+def _encode_slots(slots: Sequence[Sequence[int]], exponents: Sequence[int]) -> Iterable[int]:
+    """The key of each label set whose slot i has the prime slots[i][n] in
+    set n, raised to exponents[i], in set order: one C-level pass a slot
+    and no product per key.  With no slot, the one key of the empty set, 1."""
+    powers = [col if e == 1 else map(pow, col, itertools.repeat(e))
+              for col, e in zip(slots, exponents)]
+    return reduce(partial(map, mul), powers[1:], powers[0]) if powers else (1,)
 
 
 def _encode(unit_lists: Iterable[Sequence[int]], exponents: Sequence[int]) -> list[int]:
     """The key of each monomial that raises one list of _units to the
-    exponents, in order."""
+    exponents, in order, one product a key: the tests' encoder of single
+    monomials, independent of the registry's _encode_slots."""
     return [prod(map(pow, units, exponents)) for units in unit_lists]
 
 
@@ -552,6 +563,42 @@ def _orth_sets(g: int) -> dict[int, dict[tuple[int, ...], list[tuple[int, ...]]]
     return out
 
 
+class LabelSets(NamedTuple):
+    """One relation-space group of _orth_sets(g), read off once a genus."""
+    slots: tuple[array, ...]  # slot i's prime in each set, in set order
+    masks: list[int]  # each set's span mask, as _span_classes names it
+    first: dict[int, tuple[int, ...]]  # each span's first set
+
+
+# the empty monomial's one label set: no slot, span mask -1, no label
+_NO_LABELS = LabelSets((), [-1], {-1: ()})
+
+
+@lru_cache(maxsize=8)
+def _label_sets(g: int) -> dict[int, dict[tuple[int, ...], LabelSets]]:
+    """_orth_sets(g) with each set's primes and span read off its labels,
+    once a genus: the registry encodes its keys from the primes, and a
+    single factor is grouped by span from the masks, with no key factored.
+
+    A set's span mask is the AND of its labels' _orth_masks; equal masks
+    share one int.  Each span's first set in the group gives the span its
+    label bits when a factor is grouped.
+    """
+    orth = _orth_masks(g)
+    shared: dict[int, int] = {}
+    out: dict[int, dict[tuple[int, ...], LabelSets]] = {}
+    for k, groups in _orth_sets(g).items():
+        out[k] = {}
+        for rels, sets in groups.items():
+            slots = tuple(zip(*sets))
+            masks = list(reduce(partial(map, and_), (map(orth.__getitem__, s) for s in slots)))
+            masks = list(map(shared.setdefault, masks, masks))
+            # reversed, so each span keeps its first set
+            first = dict(zip(reversed(masks), reversed(sets)))
+            out[k][rels] = LabelSets(tuple(array("H", _units(s)) for s in slots), masks, first)
+    return out
+
+
 def _compositions(total: int, parts: int) -> Iterable[tuple[int, ...]]:
     if parts == 1:
         yield (total,)
@@ -566,23 +613,32 @@ _type_of_key = _canonical_type
 
 
 @lru_cache(maxsize=None)
-def _registry(g: int, degree: int) -> dict[ConfigType, list[int]]:
-    """Index of all concrete monomials of one degree by configuration type."""
+def _chunks(g: int, degree: int) -> dict[ConfigType, list[tuple[tuple[int, ...], LabelSets]]]:
+    """Each type's monomials of one degree as (exponents, label sets)
+    chunks, one per (composition, relation space), in the registry's order:
+    by set size k, then composition, then relation space, sets in order."""
     if degree > DEGREE_MAX:
         raise DegreeOverflowError(f"degree {degree} exceeds {DEGREE_MAX}")
-    index: dict[ConfigType, list[int]] = {}
     if degree == 0:
-        return {EMPTY: _encode([()], ())}
-    for k, groups in _orth_sets(g).items():
+        return {EMPTY: [((), _NO_LABELS)]}
+    chunks: dict[ConfigType, list[tuple[tuple[int, ...], LabelSets]]] = {}
+    for k, groups in _label_sets(g).items():
         if k > degree:
             continue
-        units = [(rels, list(map(_units, sets))) for rels, sets in groups.items()]
         for assignment in _compositions(degree, k):
             # the type depends on the labels only through their relation space
-            for rels, unit_lists in units:
-                index.setdefault(_type_of_key(assignment, rels), []).extend(
-                    _encode(unit_lists, assignment))
-    return index
+            for rels, sets in groups.items():
+                chunks.setdefault(_type_of_key(assignment, rels), []).append((assignment, sets))
+    return chunks
+
+
+@lru_cache(maxsize=None)
+def _registry(g: int, degree: int) -> dict[ConfigType, list[int]]:
+    """Index of all concrete monomials of one degree by configuration type,
+    each type's keys chunk by chunk (_chunks)."""
+    return {t: list(itertools.chain.from_iterable(
+                _encode_slots(sets.slots, exps) for exps, sets in chunks))
+            for t, chunks in _chunks(g, degree).items()}
 
 
 def instantiate(p: BoundaryPoly, g: int) -> dict[int, Fraction]:
@@ -652,7 +708,9 @@ def _span_pairs(spans1: Grouped, spans2: Grouped,
 
 
 def _span_classes(items: Iterable[tuple[int, Coeff]], masks: list[int]) -> Grouped:
-    """Items grouped by the span of their keys' labels.
+    """Items grouped by the span of their keys' labels, each key decoded;
+    convolve's grouping of arbitrary dictionaries (the ledger's factors are
+    grouped from their label sets, _factor_spans).
 
     Returns {m: (t, terms)}, one entry per span; terms is the
     {key: value} dict of its keys.  m is the AND of the labels' orthogonal
@@ -840,7 +898,7 @@ ConcreteValue = tuple[int, dict[int, int]]
 
 # memo for concrete factor chains per genus, keyed by prime-product
 # monomials: a single factor or a product of factors, each grouped by span,
-# so a product is never decoded
+# so no key is ever decoded
 _CONCRETE_MEMO: dict[tuple[int, tuple[Factor, ...]], Grouped] = {}
 
 
@@ -891,18 +949,40 @@ def _unit_types(f: Factor, g: int) -> Iterable[ConfigType]:
 
 
 def _concrete_chain(chain: tuple[Factor, ...], g: int) -> Grouped:
+    """The memoized concrete value of a chain of factors, grouped by span: a
+    single factor read off its label sets (_factor_spans), a longer chain
+    built from the span pairs of its prefix and its last factor."""
     memo_key = (g, chain)
     cached = _CONCRETE_MEMO.get(memo_key)
     if cached is not None:
         return cached
     if len(chain) == 1:
-        val = _span_classes(((key, 1) for t in _unit_types(chain[0], g)
-                             for key in _registry(g, t.degree).get(t, ())), _orth_masks(g))
+        val = _factor_spans(chain[0], g)
     else:
         val = {}
         _chain_product(chain, g, lambda m, t: val.setdefault(m, (t, {}))[1], 1)
     _CONCRETE_MEMO[memo_key] = val
     return val
+
+
+def _factor_spans(f: Factor, g: int) -> Grouped:
+    """A single factor as _span_classes groups its classes with value 1,
+    read off the label sets its registry keys were encoded from: each
+    type's keys pair, chunk by chunk, with the span masks of their sets
+    (_chunks), so no key is factored.  t is the OR of 1 << label over the
+    first set of its span in the first chunk that has it: the labels of the
+    span's first key, which _span_classes reads t from."""
+    groups: Grouped = {}
+    for t in _unit_types(f, g):
+        keys = iter(_registry(g, t.degree).get(t, ()))
+        for _, sets in _chunks(g, t.degree).get(t, ()):
+            # masks first: zip stops at the chunk's end before it takes a key
+            for m, key in zip(sets.masks, keys):
+                group = groups.get(m)
+                if group is None:
+                    group = groups[m] = (sum(1 << p for p in sets.first[m]), {})
+                group[1][key] = 1
+    return groups
 
 
 def _chain_product(chain: tuple[Factor, ...], g: int,

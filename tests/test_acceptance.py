@@ -5,6 +5,7 @@ time their own core computation and fail when over budget.
 """
 
 import time
+from collections import Counter
 from fractions import Fraction
 from random import Random
 
@@ -23,7 +24,8 @@ from thetasing import (
     taut_projection,
     theta_null_product_taut,
 )
-from thetasing.boundary import make_type
+from thetasing.bits import kernel_f2
+from thetasing.boundary import all_types, make_type
 from thetasing.characteristics import orthogonal_tuples, random_orthogonal_tuple
 from thetasing.exactla import rank
 from thetasing.pipeline import (
@@ -75,10 +77,18 @@ def test_criterion_03_counting_oracle():
             checked += 1
     rng = Random(SEED)
     for g in (4, 5):
+        patterns = Counter()
         for _ in range(SAMPLES):
             labels = random_orthogonal_tuple(rng, g)
             assert count_vanishing(g, labels) == brute_force_count(g, labels), labels
+            patterns[len(labels), kernel_f2([n.packed for n in labels])] += 1
             checked += 1
+        # the sample reaches every label pattern that exists at this genus:
+        # each all-ones type of rank <= g, 11 at genus 4 and 12 at genus 5
+        reached = {make_type((1,) * k, rels) for k, rels in patterns}
+        assert reached == {t for d in range(1, 6) for t in all_types(d)
+                           if t.exps == (1,) * d and t.rank <= g}, g
+        assert len(reached) == {4: 11, 5: 12}[g]
     elapsed = time.perf_counter() - start
     assert checked >= 2 * SAMPLES + 75 + 12663
     assert elapsed < 120.0, f"criterion 3 took {elapsed:.2f}s, budget 120s"

@@ -82,26 +82,26 @@ def test_cold_reset_clears_the_partition_memo():
 
 
 def test_cold_reset_clears_the_span_groups(monkeypatch):
-    # span groups cached where the cold reset cannot clear them would make
-    # every pass after the first decode fewer keys (a warm pass reads 0), and
-    # so run warm
+    # span groups or label-set tables cached where the cold reset cannot
+    # clear them would make every pass after the first group no factor or
+    # build no table (a warm pass reads (0, 0)), and so run warm
     workloads = _load("workloads")
     identity = next(i for i in boundary.load_identities() if i.name == "sigma1-fifth")
-    decode, counts = boundary._decode, []
+    group, counts = boundary._factor_spans, []
     for _ in range(2):
         workloads["cold_reset"]()
         calls = [0]
 
-        def counted(key):
+        def counted(f, g):
             calls[0] += 1
-            return decode(key)
+            return group(f, g)
 
-        monkeypatch.setattr(boundary, "_decode", counted)
+        monkeypatch.setattr(boundary, "_factor_spans", counted)
         assert boundary.check_identity(identity, 3).concrete_ok
-        counts.append(calls[0])
-    # sigma1's 63 keys, once, when it is grouped; the pinned count also
-    # holds when an earlier test has filled such a cache
-    assert counts == [63, 63]
+        counts.append((calls[0], boundary._label_sets.cache_info().misses))
+    # sigma1 grouped once and the genus-3 label sets built once; the pinned
+    # counts also hold when an earlier test has filled such a cache
+    assert counts == [(1, 1), (1, 1)]
 
 
 def _cached_in_source() -> set[str]:
