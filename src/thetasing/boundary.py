@@ -18,7 +18,7 @@ import re
 from array import array
 from fractions import Fraction
 from functools import lru_cache, partial, reduce
-from math import factorial, isqrt, lcm, prod
+from math import factorial, isqrt, lcm
 from operator import and_, mul, or_
 from typing import Callable, Iterable, NamedTuple, Sequence
 
@@ -475,10 +475,6 @@ def pushforward_level2(p: BoundaryPoly, g: int) -> dict[tuple[str, ...], Fractio
 # is at most 307^5 < 2^42.
 _PRIMES: dict[int, int] = dict(zip(range(1, 1 << 2 * CONCRETE_GENUS_MAX), (
     n for n in itertools.count(2) if all(n % q for q in range(2, isqrt(n) + 1)))))
-# what _decode has left once one label's power remains: 1 and each prime
-# power up to DEGREE_MAX, as its ((label, exponent),) tail
-_TAILS = {1: (), **{q ** e: ((p, e),) for p, q in _PRIMES.items()
-                     for e in range(1, DEGREE_MAX + 1)}}
 Coeff = int | Fraction
 # {m: (t, {key: value})}: a concrete dictionary grouped by span
 Grouped = dict[int, tuple[int, dict[int, Coeff]]]
@@ -498,33 +494,22 @@ def _encode_slots(slots: Sequence[Sequence[int]], exponents: Sequence[int]) -> I
     return reduce(partial(map, mul), powers[1:], powers[0]) if powers else (1,)
 
 
-def _encode(unit_lists: Iterable[Sequence[int]], exponents: Sequence[int]) -> list[int]:
-    """The key of each monomial that raises one list of _units to the
-    exponents, in order, one product a key: the tests' encoder of single
-    monomials, independent of the registry's _encode_slots."""
-    return [prod(map(pow, units, exponents)) for units in unit_lists]
-
-
 def _decode(key: int) -> tuple[tuple[int, int], ...]:
     """A concrete monomial as sorted ((packed label, exponent), ...): trial
-    division in label order until one label's power is left."""
+    division in label order."""
     out = []
-    tail = _TAILS.get(key)
     for p, q in _PRIMES.items():
-        if tail is not None:
+        if key == 1:
             break
-        if not key % q:
-            e = 1
+        e = 0
+        while not key % q:
             key //= q
-            while not key % q:
-                key //= q
-                e += 1
+            e += 1
+        if e:
             out.append((p, e))
-            tail = _TAILS.get(key)
-    return tuple(out) + tail
+    return tuple(out)
 
 
-@lru_cache(maxsize=8)
 def _orth_sets(g: int) -> dict[int, dict[tuple[int, ...], list[tuple[int, ...]]]]:
     """All pairwise-orthogonal label sets of sizes 1..DEGREE_MAX, packed, by
     size and then by relation space (kernel_f2(labels)), each group in search
@@ -532,33 +517,21 @@ def _orth_sets(g: int) -> dict[int, dict[tuple[int, ...], list[tuple[int, ...]]]
 
     Each relation space is carried forward from the set's prefix, which the
     search emits right before its extensions: stack[k] holds the last size-k
-    set's echelon, each row a label sum tagged with its slots from bit 2g
-    up, and its relations in RREF.  A new last label that reduces to its tag
-    alone adds that tag as a relation, reduced against the earlier ones,
-    whose rows then lose its pivot.
+    set's span, {vector: slots that sum to it}, and its relations in RREF.
+    A new last label already in the span closes one relation with the slots
+    that reach it; any other label doubles the span.
     """
     out: dict[int, dict] = {k: {} for k in range(1, DEGREE_MAX + 1)}
-    w = 2 * g
-    label_bits = (1 << w) - 1
-    stack: list[tuple[tuple[int, ...], tuple[int, ...]]] = [((), ())] * (DEGREE_MAX + 1)
+    stack: list[tuple[dict[int, int], tuple[int, ...]]] = [({0: 0}, ())] * (DEGREE_MAX + 1)
     for labels in _orthogonal_sets(g, DEGREE_MAX):
         k = len(labels)
-        echelon, rels = stack[k - 1]
-        row = labels[-1] | 1 << (w + k - 1)
-        for b in echelon:
-            if row & b & -b:
-                row ^= b
-        if not row & label_bits:
-            r = row >> w
-            for b in rels:
-                if r & b & -b:
-                    r ^= b
-            low = r & -r
-            rels = tuple(sorted([b ^ r if b & low else b for b in rels] + [r],
-                                key=lambda b: b & -b))
+        span, rels = stack[k - 1]
+        x, slot = labels[-1], 1 << (k - 1)
+        if x in span:
+            rels = rref_f2(rels + (span[x] | slot,))
         else:
-            echelon += (row,)
-        stack[k] = echelon, rels
+            span = {**span, **{v ^ x: s | slot for v, s in span.items()}}
+        stack[k] = span, rels
         out[k].setdefault(rels, []).append(labels)
     return out
 

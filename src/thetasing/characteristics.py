@@ -115,8 +115,9 @@ def _labels(g: int) -> tuple[BoundaryLabel | None, ...]:
 
 
 def enumerate_labels(g: int) -> list[BoundaryLabel]:
-    """All nonzero labels, lexicographic in (alpha, beta)."""
-    check_genus(g, GENUS_MIN, None, "enumerate_labels")
+    """All nonzero labels, lexicographic in (alpha, beta): the 4^g - 1
+    entries of the table the sampler shares, so capped as the sampler is."""
+    check_genus(g, GENUS_MIN, SAMPLER_GENUS_MAX, "enumerate_labels")
     return list(_labels(g)[1:])
 
 

@@ -36,12 +36,10 @@ from thetasing.boundary import (
     Identity,
     _CONCRETE_MEMO,
     _decode,
-    _encode,
     _expand_factor,
     _orth_sets,
     _parse_expr,
     _registry,
-    _units,
     concrete_expr,
     convolve,
     expand_expr,
@@ -336,8 +334,9 @@ def concrete_dicts(draw, g):
 
 
 def pack(key):
-    """A sorted ((label, exponent), ...) monomial as the registry's int key."""
-    return _encode([_units(p for p, _ in key)], [e for _, e in key])[0]
+    """A sorted ((label, exponent), ...) monomial as the registry's int key,
+    one product a key, independent of the registry's slot-wise encoder."""
+    return prod(boundary._PRIMES[p] ** e for p, e in key)
 
 
 def _convolve_both_ways(d1, d2, g):
@@ -415,6 +414,26 @@ def test_registry_types_match_canonical_config():
                 for key in map(_decode, keys):
                     labels = [BoundaryLabel.from_packed(g, p) for p, _ in key]
                     assert canonical_config(labels, [e for _, e in key]) == t, key
+
+
+def test_decode_inverts_every_genus3_registry_key():
+    # each monomial of degree 0..5, packed here from its labels, decodes to
+    # itself; the verifier decodes degrees 4 and 5 only for their labels
+    sets = list(characteristics._orthogonal_sets(3, boundary.DEGREE_MAX))
+    total = 0
+    for d in range(boundary.DEGREE_MAX + 1):
+        monomials = [()] if d == 0 else [
+            tuple(zip(labels, exps)) for labels in sets if len(labels) <= d
+            for exps in boundary._compositions(d, len(labels))]
+        expected = {pack(m): m for m in monomials}
+        keys = [key for keys in _registry(3, d).values() for key in keys]
+        assert sorted(keys) == sorted(expected), d
+        for key in keys:
+            assert _decode(key) == expected[key], (d, key)
+        total += len(keys)
+    assert total == 77176
+    # an exponent above DEGREE_MAX, as a product of two keys carries it
+    assert _decode(pack(((1, 8), (63, 6)))) == ((1, 8), (63, 6))
 
 
 def test_orth_sets_follow_orthogonal_tuples():

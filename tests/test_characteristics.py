@@ -661,9 +661,9 @@ def test_random_tuple_shape():
 
 @pytest.mark.parametrize("g", [1, 2, 3])
 def test_orthogonal_sets_follow_their_prefixes(g):
-    # boundary._orth_sets carries each relation space forward from the
-    # set's prefix, so it needs every set of size k >= 2 to come while its
-    # (k-1)-prefix is the most recent set of size k - 1
+    # boundary._orth_sets carries each set's span and relation space
+    # forward from the set's prefix, so it needs every set of size k >= 2 to
+    # come while its (k-1)-prefix is the most recent set of size k - 1
     last = {}
     sizes = set()
     for labels in _orthogonal_sets(g, 5):

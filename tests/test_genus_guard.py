@@ -31,7 +31,8 @@ GUARDS = {
                                       LO, None, "BoundaryLabel"),
     "characteristics.n_odd": (characteristics.n_odd, LO, None, "n_odd"),
     "characteristics.enumerate_labels": (characteristics.enumerate_labels,
-                                         LO, None, "enumerate_labels"),
+                                         LO, characteristics.SAMPLER_GENUS_MAX,
+                                         "enumerate_labels"),
     "characteristics.count_vanishing": (lambda g: characteristics.count_vanishing(g, ()),
                                         LO, None, "count_vanishing"),
     "characteristics.representative": (lambda g: characteristics.representative(
