@@ -910,7 +910,7 @@ def concrete_expr(expr: Expr, g: int) -> ConcreteValue:
             out.update(zip(_registry(g, t.degree).get(t, ()), itertools.repeat(c)))
     for chain, scale in chains:
         _chain_product(chain, g, lambda m, t: out, scale)
-    return den, {k: c for k, c in out.items() if c}
+    return den, {k: c for k, c in out.items() if c} if any(out.values()) else {}
 
 
 def _unit_types(f: Factor, g: int) -> Iterable[ConfigType]:

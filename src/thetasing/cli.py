@@ -11,13 +11,10 @@ genus 1..5 where a `--data normalizations` value differs from the derived
 one gets a `#` line on stderr; stdout still uses the given value.  When the
 reader closes stdout before all output is written (`| head -1`), the run
 stops at its next write and exits 1, with no traceback.  The `records`
-format emits one self-describing line per term:
-
-    lambda=<e1,...,eg> word=<tag*tag or 1> num=<int> den=<int> prov=<tag>
-
-or `0 prov=<tag>` for a class that is zero, which `parse_record_line`
-reads back.  `verify-counts` prints `tuples=`, the
-number of label tuples checked, the empty tuple included.
+format emits one self-describing line per term, written by
+`datafile.record_line` and read back by `datafile.parse_record_line`.
+`verify-counts` prints `tuples=`, the number of label tuples checked, the
+empty tuple included.
 """
 from __future__ import annotations
 
@@ -25,13 +22,13 @@ import argparse
 import itertools
 import os
 import random
-import re
 import sys
 from fractions import Fraction
-from math import gcd
 
 from . import boundary, characteristics, pipeline, tautring
-from .datafile import GENUS_MAX, GENUS_MIN, numeral
+from .datafile import GENUS_MAX, GENUS_MIN, format_word
+from .datafile import parse_record_line  # noqa: F401  (the reader of this output)
+from .datafile import record_line as _record
 
 DEFAULT_SEED = 20260819
 DEFAULT_SAMPLES = 100000
@@ -83,46 +80,6 @@ def _load_data(parser: argparse.ArgumentParser, items: list[str]) -> dict[str, o
     return out
 
 
-def _record(mono, word, value: Fraction, prov: str) -> str:
-    """One records line: a term, or for mono None the zero class."""
-    if mono is None:
-        return f"0 prov={prov}"
-    lam = ",".join(str(e) for e in mono)
-    w = pipeline._format_word(word)
-    return f"lambda={lam} word={w} num={value.numerator} den={value.denominator} prov={prov}"
-
-
-_RECORD = re.compile(r"(?:lambda=(\S+) word=(1|[A-Za-z]\w*(?:\*[A-Za-z]\w*)*) "
-                     r"num=(-?)(\S+) den=(\S+)|0) prov=([\w-]+)", re.ASCII)
-
-
-def parse_record_line(line: str) -> dict:
-    """A records line as its lambda, word, value and prov, the zero class
-    with lambda and word None; any other line is refused, a fraction not in
-    lowest terms and an unknown prov included.  The number of lambda
-    exponents is not checked: a records line does not carry its genus."""
-    m = _RECORD.fullmatch(line)
-    if not m:
-        raise ValueError(f"not a records line: {line!r}")
-    lam, word, sign, num, den, prov = m.groups()
-    # the tags the writer emits: ComparisonRow.status and _emit_taut's zero class
-    if prov not in ("paper", "derived", "conflict", "paper-only"):
-        raise ValueError(f"unknown prov {prov!r} in {line!r}")
-    if lam is None:
-        return {"lambda": None, "word": None, "value": Fraction(0), "prov": prov}
-    p, q = numeral(num, line), numeral(den, line)
-    if not q:
-        raise ValueError(f"den=0 in {line!r}")
-    if gcd(p, q) != 1:
-        raise ValueError(f"num/den not in lowest terms in {line!r}")
-    return {
-        "lambda": tuple(numeral(e, line) for e in lam.split(",")),
-        "word": () if word == "1" else tuple(word.split("*")),
-        "value": Fraction(-p if sign else p, q),
-        "prov": prov,
-    }
-
-
 def _emit_rows(rows, fmt: str, out, show_word: bool) -> int:
     """Write ComparisonRows tagged with their status; returns the number of
     rows whose engine value differs from a published one (a missing engine
@@ -142,7 +99,7 @@ def _emit_rows(rows, fmt: str, out, show_word: bool) -> int:
         else:
             term = pipeline._format_lam(row.lam_mono)
             if show_word:
-                term += f"*{pipeline._format_word(row.word)}"
+                term += f"*{format_word(row.word)}"
             line = f"{value} * {term}  [{status}]"
             if status in ("conflict", "paper-only"):
                 line += f"  (published: {row.published})"

@@ -1,9 +1,12 @@
-"""Line reader shared by the bundled data files and their replacements."""
+"""Line reader shared by the bundled data files and their replacements, and
+the records format that `--format records` writes and `published.txt` holds."""
 from __future__ import annotations
 
 import re
+from fractions import Fraction
 from functools import lru_cache
 from importlib import resources
+from math import gcd
 from typing import Callable, TypeVar
 
 T = TypeVar("T")
@@ -21,7 +24,7 @@ def check_genus(g: int, lo: int, hi: int | None, what: str) -> None:
 
 def numeral(token: str, where: str) -> int:
     """A number in its one spelling in data files: ASCII digits, no leading 0."""
-    if not re.fullmatch(r"0|[1-9][0-9]*", token):
+    if not (token.isascii() and token.isdigit() and (token == "0" or token[0] != "0")):
         raise ValueError(f"bad numeral {token!r} in {where!r}")
     return int(token)
 
@@ -62,3 +65,50 @@ def _parse_text(text: str, parse: Callable[[str], T]) -> list[T]:
             except ValueError as exc:
                 raise ValueError(f"line {number} {line!r}: {exc}") from None
     return out
+
+
+# --- the records format ---------------------------------------------------------
+
+_RECORD = re.compile(r"(?:lambda=(\S+) word=(1|[A-Za-z]\w*(?:\*[A-Za-z]\w*)*) "
+                     r"num=(-?)(\S+) den=(\S+)|0) prov=([\w-]+)", re.ASCII)
+
+
+def format_word(word: tuple[str, ...]) -> str:
+    return "*".join(word) or "1"
+
+
+def record_line(mono, word, value: Fraction, prov: str) -> str:
+    """One records line, `lambda=<e1,...,eg> word=<tag*tag or 1> num=<int>
+    den=<int> prov=<tag>`, or for mono None the zero class, `0 prov=<tag>`."""
+    if mono is None:
+        return f"0 prov={prov}"
+    lam = ",".join(str(e) for e in mono)
+    return (f"lambda={lam} word={format_word(word)} "
+            f"num={value.numerator} den={value.denominator} prov={prov}")
+
+
+def parse_record_line(line: str) -> dict:
+    """A records line as its lambda, word, value and prov, the zero class
+    with lambda and word None; any other line is refused, a fraction not in
+    lowest terms and an unknown prov included.  The number of lambda
+    exponents is not checked: a records line does not carry its genus."""
+    m = _RECORD.fullmatch(line)
+    if not m:
+        raise ValueError(f"not a records line: {line!r}")
+    lam, word, sign, num, den, prov = m.groups()
+    # the tags the writer emits: ComparisonRow.status and cli's zero class
+    if prov not in ("paper", "derived", "conflict", "paper-only"):
+        raise ValueError(f"unknown prov {prov!r} in {line!r}")
+    if lam is None:
+        return {"lambda": None, "word": None, "value": Fraction(0), "prov": prov}
+    p, q = numeral(num, line), numeral(den, line)
+    if not q:
+        raise ValueError(f"den=0 in {line!r}")
+    if gcd(p, q) != 1:
+        raise ValueError(f"num/den not in lowest terms in {line!r}")
+    return {
+        "lambda": tuple(numeral(e, line) for e in lam.split(",")),
+        "word": () if word == "1" else tuple(word.split("*")),
+        "value": Fraction(-p if sign else p, q),
+        "prov": prov,
+    }

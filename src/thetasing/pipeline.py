@@ -32,7 +32,8 @@ from .boundary import (
     pushforward_level2,
     word_sort_key,
 )
-from .datafile import GENUS_MAX, GENUS_MIN, check_genus, genus, parse_lines
+from .datafile import (GENUS_MAX, GENUS_MIN, check_genus, format_word, genus, parse_lines,
+                       parse_record_line, record_line)
 from .exactla import Combination, add_into, pivot_solution
 
 Word = tuple[str, ...]
@@ -100,7 +101,7 @@ class MixedClass(Combination):
 
     def __repr__(self) -> str:
         parts = [
-            f"{coeff}*{_format_lam(mono)}*{_format_word(word)}"
+            f"{coeff}*{_format_lam(mono)}*{format_word(word)}"
             for (mono, word), coeff in self.sorted_items()
         ]
         return f"MixedClass(g={self.genus}: " + (" + ".join(parts) or "0") + ")"
@@ -120,10 +121,6 @@ def _format_lam(mono: LambdaMonomial) -> str:
         if e
     ]
     return "*".join(parts) or "1"
-
-
-def _format_word(word: Word) -> str:
-    return "*".join(word) or "1"
 
 
 # --- the twisted Chern class and its binomial regrouping ---------------------
@@ -367,7 +364,7 @@ def _parse_rule(line: str) -> RewriteRule:
     for _, _, w in rhs:
         if word_sort_key(w)[0] >= degree:
             raise ValueError(
-                f"right side word {_format_word(w)} is not of degree below {degree}")
+                f"right side word {format_word(w)} is not of degree below {degree}")
     return RewriteRule(word, rhs)
 
 
@@ -411,128 +408,54 @@ def substitute_boundary_relations(
 
 # --- published coefficient tables ---------------------------------------------
 #
-# The tables below pin the printed expansions this engine reconstructs.
-# Keys are (lambda exponent tuple, normalized word); the genus-5 table is
-# the printed version, which omits one term the recomputation produces
-# (lam1^2 * beta3, coefficient -15/4): the comparison machinery reports
-# that row as derived-only rather than silently merging it.
+# The printed expansions, read from data/published.txt.  The genus-5 class is
+# printed without the term -15/4*lam1^2*beta3, which the comparison reports as
+# derived.
 
-_F = Fraction
-
-
-PUBLISHED_COMPACTIFIED: dict[int, dict[LamWord, Fraction]] = {
-    2: {
-        ((2, 0), ()): _F(15, 2),
-        ((1, 0), ("sigma1",)): _F(-1),
-        ((0, 0), ("sigma1", "sigma1")): _F(1, 16),
-        ((0, 0), ("sigma2",)): _F(-1, 16),
-    },
-    4: {
-        ((1, 0, 1, 0), ()): _F(180),
-        ((4, 0, 0, 0), ()): _F(45, 2),
-        ((0, 0, 1, 0), ("sigma1",)): _F(-8),
-        ((3, 0, 0, 0), ("sigma1",)): _F(-14),
-        ((2, 0, 0, 0), ("sigma1", "sigma1")): _F(7, 2),
-        ((2, 0, 0, 0), ("sigma2",)): _F(-7, 2),
-        ((1, 0, 0, 0), ("sigma1", "sigma1", "sigma1")): _F(-3, 8),
-        ((1, 0, 0, 0), ("sigma1", "sigma2")): _F(9, 16),
-        ((1, 0, 0, 0), ("sigma3",)): _F(9, 16),
-        ((1, 0, 0, 0), ("beta3",)): _F(-9, 16),
-        ((0, 0, 0, 0), ("Y",)): _F(3, 64),
-        ((0, 0, 0, 0), ("sigma4",)): _F(1, 64),
-        ((0, 0, 0, 0), ("sigma1", "sigma3")): _F(-1, 16),
-        ((0, 0, 0, 0), ("sigma1", "beta3")): _F(3, 64),
-        ((0, 0, 0, 0), ("sigma2", "sigma2")): _F(1, 64),
-        ((0, 0, 0, 0), ("sigma1", "sigma1", "sigma2")): _F(-1, 32),
-        ((0, 0, 0, 0), ("sigma1", "sigma1", "sigma1", "sigma1")): _F(1, 64),
-    },
-    5: {
-        ((0, 0, 0, 0, 1), ()): _F(496),
-        ((2, 0, 1, 0, 0), ()): _F(372),
-        ((5, 0, 0, 0, 0), ()): _F(93, 2),
-        ((1, 0, 1, 0, 0), ("sigma1",)): _F(-64),
-        ((4, 0, 0, 0, 0), ("sigma1",)): _F(-34),
-        ((0, 0, 1, 0, 0), ("sigma1", "sigma1")): _F(4),
-        ((3, 0, 0, 0, 0), ("sigma1", "sigma1")): _F(14),
-        ((0, 0, 1, 0, 0), ("sigma2",)): _F(-4),
-        ((3, 0, 0, 0, 0), ("sigma2",)): _F(-14),
-        ((2, 0, 0, 0, 0), ("sigma3",)): _F(15, 4),
-        ((2, 0, 0, 0, 0), ("sigma1", "sigma2")): _F(15, 4),
-        ((2, 0, 0, 0, 0), ("sigma1", "sigma1", "sigma1")): _F(-5, 2),
-        ((1, 0, 0, 0, 0), ("sigma4",)): _F(7, 32),
-        ((1, 0, 0, 0, 0), ("sigma1", "sigma3")): _F(-7, 8),
-        ((1, 0, 0, 0, 0), ("Y",)): _F(21, 32),
-        ((1, 0, 0, 0, 0), ("sigma1", "beta3")): _F(21, 32),
-        ((1, 0, 0, 0, 0), ("sigma2", "sigma2")): _F(7, 32),
-        ((1, 0, 0, 0, 0), ("sigma1", "sigma1", "sigma2")): _F(-7, 16),
-        ((1, 0, 0, 0, 0), ("sigma1", "sigma1", "sigma1", "sigma1")): _F(7, 32),
-        ((0, 0, 0, 0, 0), ("sigma5",)): _F(95, 256),
-        ((0, 0, 0, 0, 0), ("beta5",)): _F(15, 128),
-        ((0, 0, 0, 0, 0), ("A2",)): _F(45, 256),
-        ((0, 0, 0, 0, 0), ("A3",)): _F(15, 128),
-        ((0, 0, 0, 0, 0), ("A4",)): _F(15, 256),
-        ((0, 0, 0, 0, 0), ("C1",)): _F(-15, 256),
-        ((0, 0, 0, 0, 0), ("D1",)): _F(-5, 128),
-        ((0, 0, 0, 0, 0), ("sigma1", "sigma4")): _F(-45, 256),
-        ((0, 0, 0, 0, 0), ("sigma1", "beta4")): _F(-15, 256),
-        ((0, 0, 0, 0, 0), ("sigma1", "Y")): _F(-15, 128),
-        ((0, 0, 0, 0, 0), ("sigma2", "sigma3")): _F(-5, 256),
-        ((0, 0, 0, 0, 0), ("sigma1", "sigma1", "sigma3")): _F(15, 256),
-        ((0, 0, 0, 0, 0), ("sigma1", "sigma2", "sigma2")): _F(-5, 256),
-        ((0, 0, 0, 0, 0), ("sigma1", "sigma1", "sigma1", "sigma2")): _F(5, 256),
-        ((0, 0, 0, 0, 0), ("sigma1", "sigma1", "sigma1", "sigma1", "sigma1")): _F(-1, 128),
-    },
-}
-
-# genus 3, kept stratum by stratum as printed
-PUBLISHED_STRATA_GENUS3: tuple[dict[LamWord, Fraction], ...] = (
-    {
-        ((0, 0, 1), ()): _F(28),
-        ((3, 0, 0), ()): _F(35, 2),
-    },
-    {
-        ((2, 0, 0), ("sigma1",)): _F(-9, 2),
-    },
-    {
-        ((1, 0, 0), ("sigma1", "sigma1")): _F(5, 8),
-        ((1, 0, 0), ("sigma2",)): _F(-5, 8),
-    },
-    {
-        ((0, 0, 0), ("sigma1", "sigma1", "sigma1")): _F(-1, 32),
-        ((0, 0, 0), ("sigma1", "sigma2")): _F(3, 64),
-        ((0, 0, 0), ("sigma3",)): _F(3, 64),
-        ((0, 0, 0), ("beta3",)): _F(-3, 64),
-    },
-)
+_PINS = ("open-class", "taut-projection", "product-taut", "theta-null-taut", "ij-taut")
+_TABLES = ("compactified", "stratum0", "stratum1", "stratum2", "stratum3", *_PINS)
 
 
-PUBLISHED_COMPACTIFIED[3] = reduce(add_into, PUBLISHED_STRATA_GENUS3, {})
+def _published_line(line: str) -> tuple[str, int, dict]:
+    """A line `<table> genus=<g> <records line>` as its table, genus and record."""
+    table, _, rest = line.partition(" genus=")
+    head, _, record = rest.partition(" ")
+    if table not in _TABLES or not record.endswith(" prov=paper"):
+        raise ValueError("expected '<table> genus=<g> <records line with prov=paper>', "
+                         f"<table> one of compactified|stratum0..stratum3|{'|'.join(_PINS)}")
+    g, rec = genus(head, f"genus={head}"), parse_record_line(record)
+    if table not in _PINS and table.startswith("stratum") != (g == 3):
+        raise ValueError("genus 3 is printed as stratum0..stratum3, and only genus 3 is")
+    if rec["lambda"] is not None and len(rec["lambda"]) != g:
+        raise ValueError(f"{len(rec['lambda'])} lambda exponents at genus {g}")
+    if table in _PINS and rec["word"]:
+        raise ValueError(f"a tautological pin has word 1, not {format_word(rec['word'])}")
+    return table, g, rec
 
-PUBLISHED_TAUT: dict[tuple[str, int], TautElement] = {
-    ("open-class", 2): {},
-    ("open-class", 4): {(4, 0, 0, 0): _F(45)},
-    ("open-class", 5): {(2, 0, 1, 0, 0): _F(372), (5, 0, 0, 0, 0): _F(93, 2)},
-    ("taut-projection", 2): {},
-    ("taut-projection", 4): {(4, 0, 0, 0): _F(45)},
-    ("taut-projection", 5): {
-        (5, 0, 0, 0, 0): _F(93, 2),
-        (2, 0, 1, 0, 0): _F(372),
-        (0, 0, 0, 0, 1): _F(100),
-    },
-    ("product-taut", 4): {(0, 0, 1, 0): _F(20)},
-    ("product-taut", 5): {(1, 0, 1, 0, 0): _F(11), (4, 0, 0, 0, 0): _F(-11, 8)},
-    ("theta-null-taut", 4): {(4, 0, 0, 0): _F(45)},
-    ("theta-null-taut", 5): {
-        (5, 0, 0, 0, 0): _F(-187, 2),
-        (2, 0, 1, 0, 0): _F(748),
-        (0, 0, 0, 0, 1): _F(-748),
-    },
-    ("ij-taut", 5): {
-        (5, 0, 0, 0, 0): _F(140),
-        (2, 0, 1, 0, 0): _F(-376),
-        (0, 0, 0, 0, 1): _F(848),
-    },
-}
+
+def _published_tables(rows: Sequence[tuple[str, int, dict]]):
+    """The compactified classes by genus (genus 3 the sum of its strata), the
+    genus-3 strata and the tautological pins by (table, genus), keyed (lambda
+    exponents, word) and lambda exponents; a repeated key is refused."""
+    pins: dict[tuple[str, int], dict] = {}
+    for table, g, rec in rows:
+        mono = rec["lambda"]
+        # a zero pin is keyed None, a key that stands for the whole pin
+        key = None if mono is None else mono if table in _PINS else (mono, rec["word"])
+        pin = pins.setdefault((table, g), {})
+        if pin and (key is None or key in pin or None in pin):
+            raise ValueError(f"repeated key in {table} genus={g} "
+                             f"{record_line(mono, rec['word'], rec['value'], rec['prov'])}")
+        pin[key] = rec["value"]
+    pins = {k: {m: c for m, c in pin.items() if m is not None} for k, pin in pins.items()}
+    strata3 = tuple(pins.get((f"stratum{j}", 3), {}) for j in range(4))
+    compact = {g: pin for (table, g), pin in pins.items() if table == "compactified"}
+    compact[3] = reduce(add_into, strata3, {})
+    return compact, strata3, {k: pin for k, pin in pins.items() if k[0] in _PINS}
+
+
+PUBLISHED_COMPACTIFIED, PUBLISHED_STRATA_GENUS3, PUBLISHED_TAUT = _published_tables(
+    parse_lines("published.txt", None, _published_line))
 
 
 class ComparisonRow(NamedTuple):

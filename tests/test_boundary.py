@@ -50,7 +50,7 @@ from thetasing.boundary import (
     word_sort_key,
 )
 from thetasing import boundary, characteristics, pipeline
-from thetasing.bits import kernel_f2
+from thetasing.bits import kernel_f2, span_f2
 from thetasing.characteristics import _form_packed, orthogonal_tuples
 from thetasing.exactla import add_into, rank
 from thetasing.pipeline import RewriteRule, load_boundary_relations
@@ -978,6 +978,81 @@ def test_split_table_matches_its_per_splitting_reference():
     for d in range(1, 6):
         for t in all_types(d):
             assert boundary._split_table(t) == _split_table_reference(t), t
+
+
+# every type of degree 0-5; each has at most 5 slots, so rank <= 5, and a
+# split table does not depend on the genus, so genus 5 reaches every entry
+SPLIT_GENUS = 5
+SPLIT_TYPES = [t for d in range(6) for t in all_types(d)]
+
+
+def _split_entry_mismatches():
+    """The types whose split table differs from the one tallied at real
+    labels: each splitting of representative(t, 5)'s exponents, both parts
+    typed by canonical_config, which never calls _induced."""
+    bad = []
+    for t in SPLIT_TYPES:
+        labels = characteristics.representative(t, SPLIT_GENUS)
+        tally = {}
+        for bvec in itertools.product(*(range(e + 1) for e in t.exps)):
+            parts = []
+            for vec in (bvec, tuple(e - b for e, b in zip(t.exps, bvec))):
+                slots = [i for i, e in enumerate(vec) if e]
+                parts.append(canonical_config([labels[i] for i in slots], [vec[i] for i in slots]))
+            tally[tuple(parts)] = tally.get(tuple(parts), 0) + 1
+        if {(t1, t2): n for t1, t2, n in boundary._split_table(t)} != tally:
+            alphas = " ".join(str(label.alpha) for label in labels)
+            bad.append(f"{t.literal()} at genus-{SPLIT_GENUS} labels alpha {alphas}, beta 0")
+    return bad
+
+
+def test_split_table_entries_match_the_types_of_real_labels():
+    assert len(SPLIT_TYPES) == 32
+    assert sum(len(boundary._split_table(t)) for t in SPLIT_TYPES) == 249
+    assert _split_entry_mismatches() == []
+
+
+@pytest.fixture
+def fault_i(monkeypatch):
+    """_induced drops every induced relation of weight 4; the memos that
+    hold split tables are cleared on the way in and on the way out."""
+    induced = boundary._induced
+
+    def drop_weight_four(t, slots, exps):
+        sub = induced(t, slots, exps)
+        return make_type(sub.exps, [v for v in span_f2(sub.rels) if v.bit_count() not in (0, 4)])
+
+    memos = (boundary._split_table, boundary.expand_word, pipeline.stratum)
+    for memo in memos:
+        memo.cache_clear()
+    monkeypatch.setattr(boundary, "_induced", drop_weight_four)
+    yield
+    monkeypatch.undo()
+    for memo in memos:
+        memo.cache_clear()
+
+
+def test_fault_in_induced_is_caught_by_the_entry_check_only(fault_i):
+    # the per-splitting reference calls the same _induced, so it is a self-pin
+    bad = _split_entry_mismatches()
+    assert len(bad) == 4 and bad[0].startswith("cfg(1,1,1,1; 1 2 3 4) at "), bad
+    for t in SPLIT_TYPES:
+        assert boundary._split_table(t) == _split_table_reference(t), t
+
+
+@pytest.mark.parametrize("g", [3, 4, 5])
+def test_product_is_associative_and_has_a_unit(g):
+    singles = [BoundaryPoly(t.degree, {t: F(1)}) for d in (1, 2, 3) for t in all_types(d)]
+    triples = [(p, q, r) for p, q, r in itertools.product(singles, repeat=3)
+               if p.degree + q.degree + r.degree <= 5]
+    assert len(triples) == 31
+    for p, q, r in triples:
+        assert product(product(p, q, g), r, g) == product(p, product(q, r, g), g), (p, q, r)
+    unit = BoundaryPoly(0, {EMPTY: F(1)})
+    for t in SPLIT_TYPES:
+        if t.rank <= g:
+            p = BoundaryPoly(t.degree, {t: F(1)})
+            assert product(unit, p, g) == p == product(p, unit, g), t
 
 
 def test_each_word_prefix_is_multiplied_once(monkeypatch):

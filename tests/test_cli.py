@@ -1,6 +1,7 @@
 """Tests for the command line front end: output formats, round-trips, exit codes."""
 
 import os
+import random
 import subprocess
 import sys
 import tempfile
@@ -8,8 +9,9 @@ from fractions import Fraction
 from importlib import resources
 
 import pytest
+from hypothesis import example, given, strategies as st
 
-from thetasing import boundary, characteristics, cli, exactla, pipeline
+from thetasing import boundary, characteristics, cli, datafile, exactla, pipeline
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
@@ -92,6 +94,24 @@ def test_records_line_reads_each_prov_the_writer_emits(line, value):
     rec = cli.parse_record_line(line)
     assert rec["value"] == value
     assert cli._record(rec["lambda"], rec["word"], rec["value"], rec["prov"]) == line
+
+
+# the tags the writer emits: ComparisonRow.status, and paper or derived on a zero class
+WRITER_PROVS = ("paper", "derived", "conflict", "paper-only")
+RECORD_TERMS = st.tuples(st.lists(st.integers(0, 60), min_size=1, max_size=5).map(tuple),
+                         st.lists(st.sampled_from(boundary.NAMED_CLASSES), max_size=5).map(tuple),
+                         st.fractions())
+
+
+@given(st.none() | RECORD_TERMS, st.sampled_from(WRITER_PROVS))
+@example(None, "paper")
+@example(((2, 0, 0, 0, 0), ("beta3",), Fraction(-15, 4)), "derived")
+def test_records_lines_round_trip_through_the_writer_and_reader(term, prov):
+    mono, word, value = term or (None, None, Fraction(0))
+    line = datafile.record_line(mono, word, value, prov)
+    rec = datafile.parse_record_line(line)
+    assert rec == {"lambda": mono, "word": word, "value": value, "prov": prov}
+    assert datafile.record_line(rec["lambda"], rec["word"], rec["value"], rec["prov"]) == line
 
 
 def test_compactified_genus5_has_one_derived_row(capsys):
@@ -748,3 +768,82 @@ def test_route_errors_exit_with_residual(capsys, monkeypatch, module, name, repl
     assert len(lines) == len(expected) and captured.err.endswith("\n")
     for line, start in zip(lines, expected):
         assert line.startswith(start)
+
+
+# --- bad input as a seeded property ----------------------------------------------
+
+# each --data kind with a command that reads its table
+FUZZ_RUNS = {
+    "identities": ["--command", "verify-identities", "--genus", "2"],
+    "normalizations": ["--command", "product-taut", "--genus", "3"],
+    "boundary-relations": ["--command", "compactified-class", "--genus", "2"],
+}
+FUZZ_SEED, FUZZ_FILES = 20261020, 100
+FUZZ_ALPHABET = "0123456789=:*^+-/()#;|,. \n\tabelmgnostuvAY١é"
+BUNDLED_FILES = {"identities": "identities.txt", "normalizations": "normalizations.txt",
+                 "boundary-relations": "boundary_relations.txt"}
+
+
+def _mutate(text, rng):
+    """text with 1-3 random one-character replacements, insertions or deletions."""
+    chars = list(text)
+    for _ in range(rng.randint(1, 3)):
+        i, c = rng.randrange(len(chars) + 1), rng.choice(FUZZ_ALPHABET)
+        op = rng.randrange(3)
+        if op == 1 or i == len(chars):
+            chars.insert(i, c)
+        elif op == 0:
+            chars[i] = c
+        else:
+            del chars[i]
+    return "".join(chars)
+
+
+def _outcome(capsys, argv):
+    """Run cli.main in process; the exit code, or the problem with the run."""
+    try:
+        code = cli.main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    except Exception as exc:  # a traceback, had the run been a process
+        return f"{argv}: {type(exc).__name__}: {exc}"
+    out, err = capsys.readouterr()
+    refusals = [l for l in err.splitlines() if l.startswith("thetasing:")]
+    # a verification verdict exits 2 on stdout; every other exit 2 is one refusal
+    verdict = code == 2 and not refusals and ("FAIL " in out or "NOT zero" in out)
+    if code not in (0, 2) or "Traceback" in err or \
+            len(refusals) != (code == 2 and not verdict):
+        return f"{argv}: exit {code}, stderr {err!r}"
+    return code
+
+
+def test_mutated_data_files_exit_0_or_2_with_one_message(capsys, tmp_path):
+    rng = random.Random(FUZZ_SEED)
+    problems, runs = [], 0
+    for kind, argv in FUZZ_RUNS.items():
+        bundled = resources.files("thetasing.data").joinpath(BUNDLED_FILES[kind]).read_text()
+        lines = "".join(l + "\n" for l in bundled.splitlines() if l and not l.startswith("#"))
+        for n in range(FUZZ_FILES):
+            path = tmp_path / f"{kind}-{n}.txt"
+            path.write_text(_mutate(lines, rng), encoding="utf-8")
+            outcome = _outcome(capsys, argv + ["--data", f"{kind}={path}"])
+            runs += 1
+            if isinstance(outcome, str):
+                problems.append(f"{outcome} on {path.read_text(encoding='utf-8')!r}")
+    assert runs == 300 and problems == []
+
+
+def test_unreadable_inputs_and_unsupported_values_are_refused(capsys, tmp_path):
+    (tmp_path / "latin1.txt").write_bytes(b"genus=2 value=1/2880 source=\xe9t\xe9\n")
+    (tmp_path / "empty.txt").write_text("")
+    refused = [argv + ["--data", f"{kind}={path}"] for kind, argv in FUZZ_RUNS.items()
+               for path in (tmp_path / "latin1.txt", tmp_path, tmp_path / "missing.txt", "")]
+    refused += [["--command", command, f"--genus={g}"] for command in cli.GENERA
+                for g in (-1, 0, 6, 99999999999)]
+    refused.append(["--command", "verify-counts", "--genus", "2", "--samples", "0"])
+    assert [_outcome(capsys, argv) for argv in refused] == [2] * len(refused)
+    # an empty ledger is refused, an empty normalization table lacks the
+    # genus, and with no word relations the genus-2 class is not zero (a verdict)
+    empty = [_outcome(capsys, argv + ["--data", f"{kind}={tmp_path / 'empty.txt'}"])
+             for kind, argv in FUZZ_RUNS.items()]
+    assert empty == [2, 2, 2]

@@ -5,6 +5,7 @@ import random
 import tempfile
 from fractions import Fraction
 from functools import reduce
+from importlib import resources
 
 import pytest
 
@@ -36,6 +37,7 @@ from thetasing.pipeline import (
     substitute_boundary_relations,
 )
 from thetasing.boundary import normalize_word, word_sort_key
+from thetasing.datafile import parse_lines, record_line
 from thetasing.exactla import add_into
 from thetasing.tautring import lam, mono_mul, ring, unit_mono
 
@@ -161,6 +163,78 @@ def test_compare_with_published_statuses():
     assert row.word == ("beta3",) and row.lam_mono == (2, 0, 0, 0, 0)
     with pytest.raises(KeyError):
         compare_with_published(1)
+
+
+# --- the printed tables as a records file ------------------------------------------
+
+PUBLISHED_TEXT = resources.files("thetasing.data").joinpath("published.txt").read_bytes()
+
+
+def test_published_file_has_one_spelling():
+    # each line is what the records writer gives for what it reads as, and
+    # each word is in the normal order the engine's keys use
+    lines = [l for l in PUBLISHED_TEXT.split(b"\n") if l and not l.startswith(b"#")]
+    assert len(lines) == 83
+    for raw in lines:
+        table, g, rec = pipeline._published_line(raw.decode("utf-8"))
+        rendered = f"{table} genus={g} " + record_line(rec["lambda"], rec["word"], rec["value"],
+                                                        rec["prov"])
+        assert rendered.encode("utf-8") == raw
+        assert rec["word"] is None or normalize_word(rec["word"]) == rec["word"], raw
+
+
+def _published_copy(tmp_path, old, new):
+    text = PUBLISHED_TEXT.decode("utf-8")
+    assert text.count(old + "\n") == 1
+    path = tmp_path / "published.txt"
+    path.write_text(text.replace(old + "\n", new + "\n"), encoding="utf-8")
+    return str(path), text[:text.index(old + "\n")].count("\n") + 1
+
+
+STRATUM2 = "stratum2 genus=3 lambda=1,0,0 word=sigma2 num=-5 den=8 prov=paper"
+EXPECTED = "expected '<table> genus=<g> <records line with prov=paper>'"
+
+
+@pytest.mark.parametrize("new, reason", [
+    ("stratum7 genus=3 lambda=1,0,0 word=sigma2 num=-5 den=8 prov=paper", EXPECTED),
+    ("strata2 genus=3 lambda=1,0,0 word=sigma2 num=-5 den=8 prov=paper", EXPECTED),
+    ("stratum2 genus=3 lambda=1,0,0 word=sigma2 num=-5 den=8 prov=derived", EXPECTED),
+    ("stratum2 genus=4 lambda=1,0,0,0 word=sigma2 num=-5 den=8 prov=paper",
+     "genus 3 is printed as stratum0..stratum3, and only genus 3 is"),
+    ("compactified genus=3 lambda=1,0,0 word=sigma2 num=-5 den=8 prov=paper",
+     "genus 3 is printed as stratum0..stratum3, and only genus 3 is"),
+    ("stratum2 genus=3 lambda=1,0 word=sigma2 num=-5 den=8 prov=paper",
+     "2 lambda exponents at genus 3"),
+    ("stratum2 genus=03 lambda=1,0,0 word=sigma2 num=-5 den=8 prov=paper",
+     "bad numeral '03' in 'genus=03'"),
+    ("stratum2 genus=3 lambda=1,0,0 word=sigma2 num=-10 den=16 prov=paper",
+     "num/den not in lowest terms"),
+    ("open-class genus=3 lambda=1,0,0 word=sigma2 num=-5 den=8 prov=paper",
+     "a tautological pin has word 1, not sigma2"),
+])
+def test_malformed_published_line_is_refused_with_its_line_number(tmp_path, new, reason):
+    path, number = _published_copy(tmp_path, STRATUM2, new)
+    with pytest.raises(ValueError) as exc:
+        pipeline._published_tables(parse_lines("published.txt", path, pipeline._published_line))
+    message = str(exc.value)
+    assert message.startswith(f"line {number} {new!r}: ") and reason in message
+    assert "\n" not in message
+
+
+@pytest.mark.parametrize("old, new", [
+    (STRATUM2, STRATUM2 + "\n" + STRATUM2.replace("num=-5", "num=5")),
+    ("open-class genus=2 0 prov=paper",
+     "open-class genus=2 0 prov=paper\nopen-class genus=2 lambda=2,0 word=1 num=1 den=1 prov=paper"),
+    ("open-class genus=4 lambda=4,0,0,0 word=1 num=45 den=1 prov=paper",
+     "open-class genus=4 lambda=4,0,0,0 word=1 num=45 den=1 prov=paper\n"
+     "open-class genus=4 0 prov=paper"),
+])
+def test_repeated_published_key_is_refused_naming_the_line(tmp_path, old, new):
+    path, _ = _published_copy(tmp_path, old, new)
+    repeated = new.split("\n")[1]
+    with pytest.raises(ValueError) as exc:
+        pipeline._published_tables(parse_lines("published.txt", path, pipeline._published_line))
+    assert str(exc.value) == f"repeated key in {repeated}"
 
 
 # --- the printed tables as genus-free word vectors -------------------------------
