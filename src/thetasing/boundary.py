@@ -20,7 +20,7 @@ from fractions import Fraction
 from functools import lru_cache, partial, reduce
 from math import factorial, isqrt, lcm
 from operator import and_, mul, or_
-from typing import Callable, Iterable, NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .bits import kernel_f2, rref_f2, span_f2
 from .characteristics import (
@@ -644,40 +644,50 @@ def convolve(d1: dict[int, Coeff], d2: dict[int, Coeff], g: int) -> dict[int, Co
         by_value.setdefault(c, []).append(k)
     spans1 = _span_classes(d1.items(), masks)
     for c, keys in by_value.items():
-        _span_pairs(spans1, _span_classes(zip(keys, itertools.repeat(1)), masks),
-                    lambda m, t: out, c)
+        _span_pairs(spans1, _span_classes(zip(keys, itertools.repeat(1)), masks), c, out)
     return {k: c for k, c in out.items() if c}
 
 
-def _span_pairs(spans1: Grouped, spans2: Grouped,
-                pick: Callable[[int, int], dict[int, Coeff]], scale: Coeff) -> None:
-    """The one convolution loop: adds scale * each product of keys of
-    orthogonal spans into pick(m, t), the dict for the product's span, where
-    m = m1 & m2 and t = t1 | t2 as a product key has its factors' labels.
-    spans2 is a unit class: its values are read as 1.  Its classes are
-    indexed by the least label bit of t2, which a compatible class has in
-    m1; the empty monomial's t2 == 0 is filed under bit 0, which no label
-    uses, and & reach (the OR of the index's bits) ends the empty m1 = -1.
-    Key pairs are enumerated one by one, spans1's scaled keys innermost."""
-    index: dict[int, list[tuple[int, int, list[int]]]] = {}
-    for m2, (t2, terms2) in spans2.items():
-        index.setdefault(t2 & -t2 or 1, []).append((m2, t2, list(terms2)))
-    reach = reduce(or_, index, 0)
-    for m1, (t1, terms1) in spans1.items():
-        scaled = [(k1, c1 * scale) for k1, c1 in terms1.items()]
+SpanIndex = dict[int, list[tuple[int, int, list[int]]]]
+
+
+def _span_index(spans: Grouped) -> tuple[SpanIndex, int]:
+    """A unit operand's span classes as (m, t, keys), filed under the least
+    label bit of t, and reach, the OR of the index's bits.  A class of span
+    mask m1 is compatible with (m, t) exactly when m1 & t == t, so only the
+    entries under a bit of m1 can be; the empty monomial's t == 0 is filed
+    under bit 0, which no label uses, and & reach ends the empty m1 = -1.
+    The pair loops walk the bits of (m1 | 1) & reach, lowest first."""
+    index: SpanIndex = {}
+    for m, (t, terms) in spans.items():
+        index.setdefault(t & -t or 1, []).append((m, t, list(terms)))
+    return index, reduce(or_, index, 0)
+
+
+def _span_pairs(spans1: Grouped, spans2: Grouped, scale: Coeff, out: dict[int, Coeff]) -> None:
+    """The flat pair loop: adds scale * each product of keys of orthogonal
+    spans into out.  spans2 is a unit class: its values are read as 1.  Each
+    class of spans1 lists the keys of all its compatible classes once, in
+    the walk over spans2's index (_span_index), and runs each of its own
+    keys, scaled once, over that list, its own keys outermost.  Key pairs
+    are enumerated one by one."""
+    index, reach = _span_index(spans2)
+    get = out.get
+    for m1, (_, terms1) in spans1.items():
+        keys: list[int] = []
         bits = (m1 | 1) & reach
         while bits:
             low = bits & -bits
             bits ^= low
-            for m2, t2, keys2 in index[low]:
-                if m1 & t2 != t2:
-                    continue
-                out = pick(m1 & m2, t1 | t2)
-                get = out.get
-                for k2 in keys2:
-                    for k1, c1 in scaled:
-                        k = k1 * k2
-                        out[k] = get(k, 0) + c1
+            for _, t2, keys2 in index[low]:
+                if m1 & t2 == t2:
+                    keys += keys2
+        if keys:
+            for k1, c1 in terms1.items():
+                c1 *= scale
+                for k2 in keys:
+                    k = k1 * k2
+                    out[k] = get(k, 0) + c1
 
 
 def _span_classes(items: Iterable[tuple[int, Coeff]], masks: list[int]) -> Grouped:
@@ -909,7 +919,7 @@ def concrete_expr(expr: Expr, g: int) -> ConcreteValue:
         if c:
             out.update(zip(_registry(g, t.degree).get(t, ()), itertools.repeat(c)))
     for chain, scale in chains:
-        _chain_product(chain, g, lambda m, t: out, scale)
+        _chain_product(chain, g, scale, out)
     return den, {k: c for k, c in out.items() if c} if any(out.values()) else {}
 
 
@@ -932,8 +942,30 @@ def _concrete_chain(chain: tuple[Factor, ...], g: int) -> Grouped:
     if len(chain) == 1:
         val = _factor_spans(chain[0], g)
     else:
+        # the pair loop of _span_pairs, its key pairs grouped by the
+        # product's span m1 & m2 with labels t1 | t2, the last factor's
+        # keys outside and the prefix's inside
         val = {}
-        _chain_product(chain, g, lambda m, t: val.setdefault(m, (t, {}))[1], 1)
+        index, reach = _span_index(_concrete_chain(chain[-1:], g))
+        for m1, (t1, terms1) in _concrete_chain(chain[:-1], g).items():
+            items1 = list(terms1.items())
+            bits = (m1 | 1) & reach
+            while bits:
+                low = bits & -bits
+                bits ^= low
+                for m2, t2, keys2 in index[low]:
+                    if m1 & t2 != t2:
+                        continue
+                    m = m1 & m2
+                    group = val.get(m)
+                    if group is None:
+                        group = val[m] = (t1 | t2, {})
+                    out = group[1]
+                    get = out.get
+                    for k2 in keys2:
+                        for k1, c1 in items1:
+                            k = k1 * k2
+                            out[k] = get(k, 0) + c1
     _CONCRETE_MEMO[memo_key] = val
     return val
 
@@ -958,10 +990,9 @@ def _factor_spans(f: Factor, g: int) -> Grouped:
     return groups
 
 
-def _chain_product(chain: tuple[Factor, ...], g: int,
-                   pick: Callable[[int, int], dict[int, int]], scale: int) -> None:
-    """scale * (memoized prefix) * (last factor) into pick's dicts."""
-    _span_pairs(_concrete_chain(chain[:-1], g), _concrete_chain(chain[-1:], g), pick, scale)
+def _chain_product(chain: tuple[Factor, ...], g: int, scale: int, out: dict[int, int]) -> None:
+    """scale * (memoized prefix) * (last factor), summed into out."""
+    _span_pairs(_concrete_chain(chain[:-1], g), _concrete_chain(chain[-1:], g), scale, out)
 
 
 class IdentityReport(NamedTuple):

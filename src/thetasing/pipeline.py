@@ -368,9 +368,37 @@ def _parse_rule(line: str) -> RewriteRule:
     return RewriteRule(word, rhs)
 
 
+def _rule_projections(rule: RewriteRule) -> tuple[TautElement, TautElement]:
+    """Both sides of a word relation under taut_project_boundary at its
+    genus, which must agree.  Necessary, not sufficient: the projection keeps
+    only the word-free terms and a degree-g word's pure-power coefficient."""
+    g = RELATION_GENUS
+    left = taut_project_boundary(unit_mono(g), rule.word_from, g)
+    right: TautElement = {}
+    for c, mono, word in rule.rhs:
+        add_into(right, taut_project_boundary(mono, word, g), c)
+    return left, right
+
+
+def _format_taut(elem: TautElement) -> str:
+    return " + ".join(f"{c}*{_format_lam(m)}" for m, c in sorted(elem.items())) or "0"
+
+
+def _parse_checked_rule(line: str) -> RewriteRule:
+    """A rule of a relations file, refused unless both of its sides project
+    alike (_rule_projections)."""
+    rule = _parse_rule(line)
+    left, right = _rule_projections(rule)
+    if left != right:
+        raise ValueError(f"the sides project differently at genus {RELATION_GENUS}: "
+                         f"{_format_taut(left)} against {_format_taut(right)}")
+    return rule
+
+
 def load_boundary_relations(path: str | None = None) -> tuple[RewriteRule, ...]:
-    """The word relations of the genus-2 class, in file order."""
-    return tuple(parse_lines("boundary_relations.txt", path, _parse_rule))
+    """The word relations of the genus-2 class, in file order, each checked
+    by projection (_parse_checked_rule)."""
+    return tuple(parse_lines("boundary_relations.txt", path, _parse_checked_rule))
 
 
 def _word_minus(word: Word, sub: Word) -> Word | None:

@@ -26,7 +26,7 @@ from typing import Sequence
 
 from .boundary import _partitions, expand_word, make_type, normalize_word
 from .datafile import GENUS_MAX, GENUS_MIN, check_genus, genus, numeral, parse_lines
-from .exactla import add_into, rref
+from .exactla import ZERO, add_into, rref
 from .zeta import zeta_negative_odd
 
 __all__ = [
@@ -153,7 +153,9 @@ class TautRing:
         red, pivots = rref([[image.get(s, 0) for image in images] for s in keys])
         solved = sorted(zip((monos[c] for c in pivots), red))
         self.basis[d] = [b for b, _ in solved]
-        entries = {m: {b: row[j] for b, row in solved if row[j]} for j, m in enumerate(monos)}
+        # every zero entry of rref's rows is the shared ZERO
+        entries = {m: {b: row[j] for b, row in solved if row[j] is not ZERO}
+                   for j, m in enumerate(monos)}
         for m in self.basis[d] + sorted(set(monos).difference(self.basis[d])):
             self.table[m] = entries[m]
 

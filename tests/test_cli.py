@@ -486,6 +486,20 @@ def test_repeated_data_kind_is_refused(capsys, monkeypatch):
                             "give each kind at most once\n")
 
 
+def test_relation_rule_that_projects_differently_is_refused(capsys, tmp_path):
+    path = tmp_path / "relations.txt"
+    path.write_text("genus=2: sigma1^2 = 22*lam1*sigma1 - 119*lam1^2\n")
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["--command", "compactified-class", "--genus", "2",
+                  "--data", f"boundary-relations={path}"])
+    captured = capsys.readouterr()
+    assert exc.value.code == 2 and captured.out == ""
+    assert captured.err == (
+        f"thetasing: bad --data boundary-relations file {path}: line 1 "
+        "'genus=2: sigma1^2 = 22*lam1*sigma1 - 119*lam1^2': the sides project "
+        "differently at genus 2: -120*lam1^2 against -119*lam1^2\n")
+
+
 def _write(tmp_path, text):
     path = tmp_path / "data.txt"
     path.write_text(text)

@@ -529,6 +529,27 @@ def test_boundary_relations_path_override():
     assert class_compactified(2).is_zero()
 
 
+def test_relation_rules_are_checked_by_projection(tmp_path):
+    # each bundled rule's sides under taut_project_boundary at genus 2
+    sides = [pipeline._rule_projections(rule) for rule in load_boundary_relations()]
+    # sigma2 = 6*lam1*sigma1 is vacuous here: a word below degree 2 and a
+    # word times a lambda class both project to 0, so the check reads 0 = 0
+    assert sides[0] == ({}, {})
+    # sigma1^2 = 22*lam1*sigma1 - 120*lam1^2: both sides are -120*lam1^2
+    assert sides[1] == ({(2, 0): F(-120)}, {(2, 0): F(-120)})
+    bundled = resources.files("thetasing.data").joinpath("boundary_relations.txt").read_text()
+    path = tmp_path / "relations.txt"
+    path.write_text(bundled, encoding="utf-8")
+    assert load_boundary_relations(str(path)) == load_boundary_relations()
+    # a planted coefficient is refused in one line that names the rule
+    path.write_text(bundled.replace("- 120*lam1^2", "- 119*lam1^2"), encoding="utf-8")
+    with pytest.raises(ValueError) as exc:
+        load_boundary_relations(str(path))
+    assert str(exc.value) == (
+        "line 9 'genus=2: sigma1^2 = 22*lam1*sigma1 - 119*lam1^2': the sides project "
+        "differently at genus 2: -120*lam1^2 against -119*lam1^2")
+
+
 # --- MixedClass algebra -----------------------------------------------------------------
 
 def test_mixed_class_algebra():
