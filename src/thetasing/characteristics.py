@@ -97,11 +97,6 @@ def _form_packed(x: int, y: int, g: int) -> int:
     return (((x >> g) & y & mask).bit_count() + ((y >> g) & x & mask).bit_count()) & 1
 
 
-def _swap_halves(v: int, g: int) -> int:
-    """J(v): exchange the alpha and beta halves, so <x, v> = parity(x & J(v))."""
-    return ((v & ((1 << g) - 1)) << g) | (v >> g)
-
-
 def symplectic_form(n1: BoundaryLabel, n2: BoundaryLabel) -> int:
     if n1.genus != n2.genus:
         raise ValueError("genus mismatch")
@@ -249,7 +244,7 @@ def count_vanishing(g: int, labels: Sequence[BoundaryLabel]) -> int:
         a = n.packed
         if a in seen:
             raise ValueError("labels must be distinct")
-        ja = ((a & low) << g) | (a >> g)  # _swap_halves(a, g), inlined in the hot loop
+        ja = ((a & low) << g) | (a >> g)  # J(a), the halves swapped: <a, b> = parity(ja & b)
         for b in seen:
             if (ja & b).bit_count() & 1:
                 raise NonOrthogonalError("labels must be pairwise orthogonal")
@@ -381,118 +376,69 @@ def orthogonal_tuples(g: int, max_size: int) -> Iterator[tuple[BoundaryLabel, ..
         yield tuple([labels[p] for p in combo])
 
 
-# The sampler keeps its g basis vectors in one int, vector i in lane i of W =
-# 2g*f bits, f = (2g).bit_length(), with its bit j at bit f*j of the lane.
-# Multiplied by `fields`, the sum of the 2g field units, x & J(v) puts its bit
-# count in field 2g - 1 of each lane, whose low bit is <x, v>; times v, these
-# parities add v to just the lanes that need it.  Nothing carries: field t of
-# lane i + 1 sums its bits j <= t and lane i's bits j > t, at most 2g < 2^f,
-# and gets none of lane i at t = 2g - 1, as lane i's product ends at 4g - 2.
+# The sampler reads its labels from the 4^g-entry table of _labels, shared with
+# enumerate_labels (65,536 entries at genus 8), hence their genus cap.
 SAMPLER_GENUS_MAX = 8
 
 
-@lru_cache(maxsize=8)
-def _lane_table(g: int) -> tuple[int, int, int, int, int, list[int], list[int], dict[int, int]]:
-    """The sampler's tables (4^g entries, hence its genus cap), as it unpacks them."""
-    f = (2 * g).bit_length()
-    spread = [0]
-    for j in range(2 * g):  # x + 2^j spreads to spread[x] + 2^(f*j)
-        spread += [s + (1 << (f * j)) for s in spread]
-    ones = sum(1 << (2 * g * f * i) for i in range(g))
-    start = sum(1 << ((2 * g + 1) * f * i) for i in range(g))  # vector i is 1 << i
-    jvs = [_swap_halves(s, f * g) * ones for s in spread[1:]]  # J swaps g-field halves
-    packed = {s: x for x, s in enumerate(spread)}
-    return start, ones, spread[-1], f * (2 * g - 1), 2 * g * f, spread[1:], jvs, packed
-
-
 def random_orthogonal_tuple(rng: Random, g: int) -> tuple[BoundaryLabel, ...]:
-    """A random orthogonal tuple, drawn from a random maximal isotropic space.
+    """A random orthogonal tuple: 1..DEGREE_MAX labels of a random Lagrangian.
+
+    Every Lagrangian of F_2^{2g} is transverse to one of the 2^g coordinate
+    Lagrangians (Arnold's lemma), so it is J_I(graph S) = {J_I(S c; c)}, S a
+    symmetric g x g matrix and J_I the swap of alpha_i and beta_i for i in I.
+    Conversely each such chart is a Lagrangian: graph S is isotropic as S is
+    symmetric, and J_I preserves the form.  c -> J_I(S c; c) is linear and
+    injective, so the relations among the drawn labels are those among their
+    c's: a draw's pattern has the law of a uniform k-set of nonzero c.
 
     Not a uniform distribution over tuples, but reaches every tuple of at
-    most DEGREE_MAX labels: any orthogonal set spans an isotropic subspace,
-    hence sits inside some maximal one, and transvections act transitively
-    on those.
+    most min(DEGREE_MAX, 2^g - 1) labels: their span is isotropic, hence in
+    some Lagrangian, whose labels are the images of the nonzero c.
 
-    Draws exactly what rng.randrange(1, 4^g), rng.randint(1, w) and then
-    rng.sample(range(n), k), n = 2^g - 1, w = min(DEGREE_MAX, n), draw on
-    a random.Random, through the same getrandbits rejection loops and
-    sample's choice between a pool and a set.
+    Draws getrandbits(g(g+3)/2), whose low g bits are I (bit p for bit p of
+    a half) and whose rest is the upper triangle of S, row p from its
+    diagonal bit p on; then k = randint(1, w), w = min(DEGREE_MAX, 2^g - 1),
+    through randrange's getrandbits rejection loop; then k distinct nonzero
+    c by getrandbits(g) rejection.  Labels are sorted by packed value.
     """
     check_genus(g, GENUS_MIN, SAMPLER_GENUS_MAX, "random_orthogonal_tuple")
-    basis, ones, fields, shift, width, vs, jvs, packed = _lane_table(g)
     getrandbits = rng.getrandbits
-    bits = 2 * g
-    top = (1 << bits) - 1
-    lane = (1 << width) - 1
-    for _ in range(12):
-        # v = randrange(1, 4^g) = r + 1, drawn as randrange draws it
-        r = getrandbits(bits)
-        while r >= top:
-            r = getrandbits(bits)
-        basis ^= ((basis & jvs[r]) * fields >> shift & ones) * vs[r]  # x += <x, v> v
-    # Bring the lanes to reduced echelon form: each row's leading bit, its
-    # pivot, is clear in every other row.  Transvections are invertible, so
-    # the lanes stay independent and none reduces to 0.
-    rows: list[int] = []
-    for _ in range(g):
-        a = packed[basis & lane]
-        basis >>= width
-        for e in rows:
-            if a ^ e < a:  # a has the pivot of e
-                a ^= e
-        j = 0
-        for e in rows:
-            if e ^ a < e:  # e has the pivot of a
-                rows[j] = e ^ a
-            j += 1
-        rows.append(a)
-    rows.sort()  # pivots ascending: row i goes with bit i of a rank
-    # Rank rule.  The element of sorted rank c in the span (0 has rank 0) is
-    # the sum of the rows that the bits of c pick.
-    #
-    # Proof.  Read an element's pivot bits, top pivot first, as a number.  A
-    # nonzero sum of rows has the highest pivot among its rows as its top
-    # bit, since the other rows lie below that pivot.  So for x != y in the
-    # span, x ^ y has a pivot p as its top bit: x and y agree above p and
-    # the larger has bit p, while their numbers agree above p and differ at
-    # p.  Sorting by value is thus sorting by number.  Each row holds its own
-    # pivot and no other, so the sum of the rows that c picks has number c.
-    n = (1 << g) - 1  # the nonzero elements, ranks 1..n
+    low = (1 << g) - 1
+    r = getrandbits(g * (g + 3) // 2)
+    swap = r & low  # I
+    r >>= g
+    rows: list[int] = []  # row p of S, also its column p
+    for p in range(g):
+        row = (r & (low >> p)) << p  # bits p.. from the triangle
+        r >>= g - p
+        q = 0
+        for above in rows:  # bits below p: S is symmetric
+            row |= (above >> p & 1) << q
+            q += 1
+        rows.append(row)
     # k = randint(1, w), drawn as randrange draws it
-    w = min(DEGREE_MAX, n)
+    w = min(DEGREE_MAX, low)
     bits = w.bit_length()
     r = getrandbits(bits)
     while r >= w:
         r = getrandbits(bits)
-    k = r + 1
-    # the k indices rng.sample(range(n), k) draws: from a pool when n <= 21,
-    # its size of a k-set for k <= 5 (so g <= 4), else by rejection in a set
-    if n <= 21:
-        pool = list(range(n))
-        picked = []
-        for i in range(n, n - k, -1):
-            bits = i.bit_length()
-            j = getrandbits(bits)
-            while j >= i:
-                j = getrandbits(bits)
-            picked.append(pool[j])
-            pool[j] = pool[i - 1]
-    else:
-        bits = n.bit_length()
-        picked = set()
-        for _ in range(k):
-            j = getrandbits(bits)
-            while j >= n or j in picked:
-                j = getrandbits(bits)
-            picked.add(j)
-    labels = _labels(g)
+    picked: list[int] = []
+    for _ in range(r + 1):
+        c = getrandbits(g)
+        while not c or c in picked:
+            c = getrandbits(g)
+        picked.append(c)
     out = []
-    for c in sorted(picked):
-        c += 1  # index j of the nonzero elements is rank j + 1
-        x = 0
-        for e in rows:
-            if c & 1:
-                x ^= e
-            c >>= 1
-        out.append(labels[x])
-    return tuple(out)
+    for c in picked:
+        s = 0  # S c: the columns of S that the bits of c pick
+        x = c
+        for row in rows:
+            if x & 1:
+                s ^= row
+            x >>= 1
+        d = (s ^ c) & swap  # J_I trades the halves' bits in I
+        out.append((s ^ d) << g | c ^ d)
+    out.sort()
+    labels = _labels(g)
+    return tuple([labels[x] for x in out])

@@ -35,8 +35,6 @@ from .boundary import (
 from .datafile import (GENUS_MAX, GENUS_MIN, check_genus, format_word, genus, parse_lines,
                        parse_record_line, record_line)
 from .exactla import Combination, add_into, pivot_solution
-
-Word = tuple[str, ...]
 from .tautring import (
     LambdaMonomial,
     NormTable,
@@ -74,6 +72,7 @@ __all__ = [
     "ComparisonRow",
 ]
 
+Word = tuple[str, ...]
 LamWord = tuple[LambdaMonomial, Word]
 
 PRODUCT_GENUS_MIN, THETA_NULL_GENUS_MIN, IJ_GENUS = 3, 4, 5

@@ -3,6 +3,7 @@
 import copy
 import hashlib
 import itertools
+import math
 import operator
 import re
 import time
@@ -31,10 +32,8 @@ from thetasing.characteristics import (
     _canonical_type,
     _form_packed,
     _labels,
-    _lane_table,
     _orthogonal_sets,
     _sigma_packed,
-    _swap_halves,
     _vanish_tables,
     make_type,
     n_odd,
@@ -45,11 +44,12 @@ from thetasing.characteristics import (
 from thetasing.pipeline import ComparisonRow, load_boundary_relations
 
 # criterion 3's seed, and the sha256 of the first 2000 (packed tuple, count)
-# rows it gives per genus, recorded before the sampler was optimised
+# rows it gives per genus, recorded when the sampler began drawing one chart
+# (I, S) per tuple
 STREAM_SEED = 20260819
 STREAM_SHA256 = {
-    4: "b508fef66a55bcb412dc83f4691393eaf5118443808e9f48c99f13fcff8869e4",
-    5: "3173c30eb1c5bc921f13afd00126a8d3b1755b333e2af7714469fa78aadf9f9b",
+    4: "5963d61495d7e127c8be35e1653e80a1c9caa0f7fe290611ab78fb6b1cc19f9a",
+    5: "e1a875a0800aaac69728c674420d1d3bc368e748d382d5264944076be55284fc",
 }
 
 
@@ -120,6 +120,12 @@ def test_value_types_are_tuples_with_the_old_contract():
     assert labels[0]._replace(alpha=0) == BoundaryLabel(3, 0, 1)
     with pytest.raises(ValueError, match=r"^boundary labels are nonzero$"):
         labels[0]._replace(alpha=0, beta=0)
+
+
+def _swap_halves(v, g):
+    # J(v): the alpha and beta halves exchanged, as count_vanishing and the
+    # transvection reference below write it inline
+    return ((v & ((1 << g) - 1)) << g) | (v >> g)
 
 
 def test_swap_halves_pairing_exhaustive():
@@ -448,14 +454,15 @@ def test_sample_stream_is_pinned():
 
 
 def _reference_random_orthogonal_tuple(rng, g, max_size=5):
-    # the sampler as it was before its draws were inlined and its basis
-    # lane-packed, kept verbatim as the reference for the rewrite
+    # a second sampler, by twelve random transvections of the beta-side
+    # Lagrangian, that draws up to max_size labels; the sampler stops at
+    # DEGREE_MAX, so the tests that need longer tuples draw from this one
     mask = (1 << g) - 1
     size = 1 << (2 * g)
     basis = [1 << i for i in range(g)]  # the delta-side coordinate vectors
     for _ in range(12):
         v = rng.randrange(1, size)
-        jv = ((v & mask) << g) | (v >> g)  # _swap_halves(v, g), inlined in the hot loop
+        jv = ((v & mask) << g) | (v >> g)  # _swap_halves(v, g)
         basis = [x ^ v if (x & jv).bit_count() & 1 else x for x in basis]
     # transvections are invertible, so the basis stays independent and
     # doubling lists each vector of its span exactly once
@@ -470,68 +477,88 @@ def _reference_random_orthogonal_tuple(rng, g, max_size=5):
     return tuple([labels[p] for p in picked])
 
 
+def _chart(g, r):
+    # the chart (I, S) that the sampler's first draw r gives: I as a list of
+    # flags, S as a list of rows (bit q of row p is S[p][q]); the low g bits
+    # of r are I, the rest S's upper triangle, row p from its diagonal on
+    swap = [r >> p & 1 for p in range(g)]
+    r >>= g
+    rows = [0] * g
+    for p in range(g):
+        for q in range(p, g):
+            if r & 1:
+                rows[p] |= 1 << q
+                rows[q] |= 1 << p
+            r >>= 1
+    return swap, rows
+
+
+def _chart_label(g, swap, rows, c):
+    # packed J_I(S c; c), one coordinate (bit p of each half) at a time
+    alpha = beta = 0
+    for p in range(g):
+        a, b = (rows[p] & c).bit_count() & 1, c >> p & 1
+        if swap[p]:
+            a, b = b, a
+        alpha |= a << p
+        beta |= b << p
+    return alpha << g | beta
+
+
+def _reference_chart_tuple(rng, g):
+    # the sampler's draws, through the plain chart above
+    swap, rows = _chart(g, rng.getrandbits(g * (g + 3) // 2))
+    k = rng.randint(1, min(5, 2**g - 1))
+    cs = []
+    while len(cs) < k:
+        c = rng.getrandbits(g)
+        if c and c not in cs:
+            cs.append(c)
+    labels = _labels(g)
+    return tuple(labels[x] for x in sorted(_chart_label(g, swap, rows, c) for c in cs))
+
+
 @pytest.mark.parametrize("g", range(1, 9))
-def test_sampler_matches_randrange_reference(g):
+def test_sampler_matches_chart_reference(g):
     # same tuples and the same generator state afterwards, so every later
-    # draw from a shared generator is the same too.  Genus 1..8 reaches both
-    # branches of random.sample that the sampler copies: the pool at g <= 4
-    # and the set at g >= 5.
+    # draw from a shared generator is the same too
     for seed in range(3):
         rng, ref = Random(seed), Random(seed)
         for _ in range(200):
-            assert random_orthogonal_tuple(rng, g) == _reference_random_orthogonal_tuple(ref, g)
+            assert random_orthogonal_tuple(rng, g) == _reference_chart_tuple(ref, g)
         assert rng.getstate() == ref.getstate()
 
 
-def _spread_and_step(g):
-    # the sampler's layout as a list, spread[x] the lanes' form of x, and its
-    # transvection step x -> x + <x, v> v on every lane, by one multiply
-    _, ones, fields, shift, width, vs, jvs, packed = _lane_table(g)
-    spread = sorted(packed, key=packed.get)
-    assert [packed[s] for s in spread] == list(range(1 << (2 * g)))
-
-    def step(basis, v):
-        return basis ^ ((basis & jvs[v - 1]) * fields >> shift & ones) * vs[v - 1]
-    return spread, width, step
-
-
-def _in_lanes(spread, width, xs):
-    return sum(spread[x] << (width * i) for i, x in enumerate(xs))
-
-
 @pytest.mark.parametrize("g", [1, 2, 3, 4])
-def test_transvection_step_matches_definition(g):
-    # every v and every x, in every lane with all ones in the others; with
-    # all ones in every lane and v all ones, every field has its largest
-    # count.  A carry between fields or lanes changes a lane or sets a bit
-    # above the last lane.
-    spread, width, step = _spread_and_step(g)
-    top = (1 << (2 * g)) - 1
-    for v in range(1, top + 1):
-        image = [x ^ v if _form_packed(x, v, g) else x for x in range(top + 1)]
-        full = _in_lanes(spread, width, [top] * g)
-        full_image = _in_lanes(spread, width, [image[top]] * g)
-        assert step(full, v) == full_image, v
-        for x in range(top + 1):
-            moved = spread[x] ^ spread[top]
-            moved_image = spread[image[x]] ^ spread[image[top]]
-            for i in range(g):
-                assert step(full ^ moved << (width * i), v) == \
-                    full_image ^ moved_image << (width * i), (x, v, i)
+def test_charts_give_every_lagrangian(g):
+    # every chart (I, S) the sampler can draw is a Lagrangian, and together
+    # they give all prod (2^i + 1) Lagrangians of F_2^{2g} (Arnold's lemma),
+    # so every orthogonal tuple of at most DEGREE_MAX labels can be drawn
+    seen = set()
+    for r in range(1 << (g * (g + 3) // 2)):
+        swap, rows = _chart(g, r)
+        seen.add(rref_f2([_chart_label(g, swap, rows, 1 << q) for q in range(g)]))
+    for space in seen:
+        assert len(space) == g
+        assert not any(_form_packed(x, y, g) for x, y in itertools.combinations(space, 2))
+    assert len(seen) == math.prod(2**i + 1 for i in range(1, g + 1)) == [3, 15, 135, 2295][g - 1]
 
 
-def test_transvection_step_matches_definition_genus8():
-    # fields are 5 bits wide from genus 8: the all-ones case and 1000 seeded
-    # draws of a v and one x per lane
-    g, top = 8, (1 << 16) - 1
-    spread, width, step = _spread_and_step(g)
-    rng = Random(STREAM_SEED)
-    cases = [([top] * g, top)]
-    cases += [([rng.randrange(top + 1) for _ in range(g)], rng.randrange(1, top + 1))
-              for _ in range(1000)]
-    for xs, v in cases:
-        image = [x ^ v if _form_packed(x, v, g) else x for x in xs]
-        assert step(_in_lanes(spread, width, xs), v) == _in_lanes(spread, width, image), (xs, v)
+@pytest.mark.parametrize("g", [5, 6, 7, 8])
+def test_charts_are_injective_linear_maps_past_genus4(g):
+    # past the exhaustive range, 200 seeded charts: c -> J_I(S c; c) is
+    # linear and injective on F_2^g, and its g basis images are pairwise
+    # orthogonal, so each chart is a Lagrangian and the relations among the
+    # drawn labels are exactly those among their c's
+    rng = Random(STREAM_SEED + g)
+    for _ in range(200):
+        swap, rows = _chart(g, rng.getrandbits(g * (g + 3) // 2))
+        images = [_chart_label(g, swap, rows, c) for c in range(1 << g)]
+        assert len(set(images)) == 1 << g and images[0] == 0
+        for c in range(1, 1 << g):
+            assert images[c] == images[c & (c - 1)] ^ images[c & -c], (swap, rows, c)
+        basis = [images[1 << q] for q in range(g)]
+        assert not any(_form_packed(x, y, g) for x, y in itertools.combinations(basis, 2))
 
 
 class _NoDraws(Random):
