@@ -19,7 +19,7 @@ from array import array
 from fractions import Fraction
 from functools import lru_cache, partial, reduce
 from math import factorial, isqrt, lcm
-from operator import and_, mul, or_
+from operator import and_, mul, or_, sub
 from typing import Iterable, NamedTuple, Sequence
 
 from .bits import kernel_f2, rref_f2, span_f2
@@ -512,14 +512,15 @@ def _decode(key: int) -> tuple[tuple[int, int], ...]:
 
 def _orth_sets(g: int) -> dict[int, dict[tuple[int, ...], list[tuple[int, ...]]]]:
     """All pairwise-orthogonal label sets of sizes 1..DEGREE_MAX, packed, by
-    size and then by relation space (kernel_f2(labels)), each group in search
-    order, so that the registry types one group at a time.
+    size and then by relation space, each group in search order, so that the
+    registry types one group at a time.
 
     Each relation space is carried forward from the set's prefix, which the
     search emits right before its extensions: stack[k] holds the last size-k
-    set's span, {vector: slots that sum to it}, and its relations in RREF.
-    A new last label already in the span closes one relation with the slots
-    that reach it; any other label doubles the span.
+    set's span, {vector: slots that sum to it}, and its relation rows.  A
+    last label already in the span closes one relation, its slot (the row's
+    top bit) plus the non-closing slots that reach it, so the rows are the
+    space's one such basis, the group's key.  Others double the span.
     """
     out: dict[int, dict] = {k: {} for k in range(1, DEGREE_MAX + 1)}
     stack: list[tuple[dict[int, int], tuple[int, ...]]] = [({0: 0}, ())] * (DEGREE_MAX + 1)
@@ -528,7 +529,7 @@ def _orth_sets(g: int) -> dict[int, dict[tuple[int, ...], list[tuple[int, ...]]]
         span, rels = stack[k - 1]
         x, slot = labels[-1], 1 << (k - 1)
         if x in span:
-            rels = rref_f2(rels + (span[x] | slot,))
+            rels += (span[x] | slot,)
         else:
             span = {**span, **{v ^ x: s | slot for v, s in span.items()}}
         stack[k] = span, rels
@@ -546,72 +547,61 @@ class LabelSets(NamedTuple):
 # the empty monomial's one label set: no slot, span mask -1, no label
 _NO_LABELS = LabelSets((), [-1], {-1: ()})
 
-
-@lru_cache(maxsize=8)
-def _label_sets(g: int) -> dict[int, dict[tuple[int, ...], LabelSets]]:
-    """_orth_sets(g) with each set's primes and span read off its labels,
-    once a genus: the registry encodes its keys from the primes, and a
-    single factor is grouped by span from the masks, with no key factored.
-
-    A set's span mask is the AND of its labels' _orth_masks; equal masks
-    share one int.  Each span's first set in the group gives the span its
-    label bits when a factor is grouped.
-    """
-    orth = _orth_masks(g)
-    shared: dict[int, int] = {}
-    out: dict[int, dict[tuple[int, ...], LabelSets]] = {}
-    for k, groups in _orth_sets(g).items():
-        out[k] = {}
-        for rels, sets in groups.items():
-            slots = tuple(zip(*sets))
-            masks = list(reduce(partial(map, and_), (map(orth.__getitem__, s) for s in slots)))
-            masks = list(map(shared.setdefault, masks, masks))
-            # reversed, so each span keeps its first set
-            first = dict(zip(reversed(masks), reversed(sets)))
-            out[k][rels] = LabelSets(tuple(array("H", _units(s)) for s in slots), masks, first)
-    return out
+# each type's monomials of one degree as (exponents, label sets) chunks
+Chunks = dict[ConfigType, list[tuple[tuple[int, ...], LabelSets]]]
 
 
 def _compositions(total: int, parts: int) -> Iterable[tuple[int, ...]]:
-    if parts == 1:
-        yield (total,)
-        return
-    for first in range(1, total - parts + 2):
-        for rest in _compositions(total - first, parts - 1):
-            yield (first,) + rest
+    """The compositions of total into parts positive parts, lexicographic:
+    one per choice of parts - 1 cut points among 1..total - 1."""
+    for cuts in itertools.combinations(range(1, total), parts - 1):
+        yield tuple(map(sub, cuts + (total,), (0,) + cuts))
 
 
 # a concrete monomial's type from its exponent and relation tuples
 _type_of_key = _canonical_type
 
 
-@lru_cache(maxsize=None)
-def _chunks(g: int, degree: int) -> dict[ConfigType, list[tuple[tuple[int, ...], LabelSets]]]:
-    """Each type's monomials of one degree as (exponents, label sets)
-    chunks, one per (composition, relation space), in the registry's order:
-    by set size k, then composition, then relation space, sets in order."""
-    if degree > DEGREE_MAX:
-        raise DegreeOverflowError(f"degree {degree} exceeds {DEGREE_MAX}")
-    if degree == 0:
-        return {EMPTY: [((), _NO_LABELS)]}
-    chunks: dict[ConfigType, list[tuple[tuple[int, ...], LabelSets]]] = {}
-    for k, groups in _label_sets(g).items():
-        if k > degree:
-            continue
-        for assignment in _compositions(degree, k):
-            # the type depends on the labels only through their relation space
-            for rels, sets in groups.items():
-                chunks.setdefault(_type_of_key(assignment, rels), []).append((assignment, sets))
-    return chunks
+@lru_cache(maxsize=8)
+def _label_sets(g: int) -> dict[int, Chunks]:
+    """The concrete verifier's one table a genus: each degree's types, each
+    with its chunks, one per (composition, relation space) in the registry's
+    key order: set size, composition, relation space, sets in search order.
+    Each group of _orth_sets(g) is read off its labels once: its primes slot
+    by slot, each set's span mask (the AND of its labels' _orth_masks, equal
+    masks sharing one int) and each span's first set, which gives a factor's
+    span its label bits, so no key is ever factored."""
+    orth = _orth_masks(g)
+    shared: dict[int, int] = {}
+    table: dict[int, Chunks] = {d: {} for d in range(DEGREE_MAX + 1)}
+    table[0][EMPTY] = [((), _NO_LABELS)]
+    for k, groups in _orth_sets(g).items():
+        read = []
+        for rels, sets in groups.items():
+            slots = tuple(zip(*sets))
+            masks = list(reduce(partial(map, and_), (map(orth.__getitem__, s) for s in slots)))
+            masks = list(map(shared.setdefault, masks, masks))
+            # reversed, so each span keeps its first set
+            first = dict(zip(reversed(masks), reversed(sets)))
+            read.append((rels, LabelSets(tuple(array("H", _units(s)) for s in slots), masks, first)))
+        # k runs outermost, so each degree's chunks come by set size first
+        for degree in range(k, DEGREE_MAX + 1):
+            for exps in _compositions(degree, k):
+                # the type depends on the labels only through their relation space
+                for rels, sets in read:
+                    table[degree].setdefault(_type_of_key(exps, rels), []).append((exps, sets))
+    return table
 
 
 @lru_cache(maxsize=None)
 def _registry(g: int, degree: int) -> dict[ConfigType, list[int]]:
     """Index of all concrete monomials of one degree by configuration type,
-    each type's keys chunk by chunk (_chunks)."""
+    each type's keys chunk by chunk (_label_sets)."""
+    if degree > DEGREE_MAX:
+        raise DegreeOverflowError(f"degree {degree} exceeds {DEGREE_MAX}")
     return {t: list(itertools.chain.from_iterable(
                 _encode_slots(sets.slots, exps) for exps, sets in chunks))
-            for t, chunks in _chunks(g, degree).items()}
+            for t, chunks in _label_sets(g).get(degree, {}).items()}
 
 
 def instantiate(p: BoundaryPoly, g: int) -> dict[int, Fraction]:
@@ -972,17 +962,15 @@ def _concrete_chain(chain: tuple[Factor, ...], g: int) -> Grouped:
 
 def _factor_spans(f: Factor, g: int) -> Grouped:
     """A single factor as _span_classes groups its classes with value 1,
-    read off the label sets its registry keys were encoded from: each
-    type's keys pair, chunk by chunk, with the span masks of their sets
-    (_chunks), so no key is factored.  t is the OR of 1 << label over the
-    first set of its span in the first chunk that has it: the labels of the
+    read off the chunks of its types (_label_sets): each chunk's keys are
+    encoded as the registry encodes them and paired with their sets' span
+    masks, so no key is factored.  t is the OR of 1 << label over the first
+    set of its span in the first chunk that has it: the labels of the
     span's first key, which _span_classes reads t from."""
     groups: Grouped = {}
     for t in _unit_types(f, g):
-        keys = iter(_registry(g, t.degree).get(t, ()))
-        for _, sets in _chunks(g, t.degree).get(t, ()):
-            # masks first: zip stops at the chunk's end before it takes a key
-            for m, key in zip(sets.masks, keys):
+        for exps, sets in _label_sets(g)[t.degree].get(t, ()):
+            for m, key in zip(sets.masks, _encode_slots(sets.slots, exps)):
                 group = groups.get(m)
                 if group is None:
                     group = groups[m] = (sum(1 << p for p in sets.first[m]), {})

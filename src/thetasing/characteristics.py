@@ -112,7 +112,7 @@ def _labels(g: int) -> tuple[BoundaryLabel | None, ...]:
 def enumerate_labels(g: int) -> list[BoundaryLabel]:
     """All nonzero labels, lexicographic in (alpha, beta): the 4^g - 1
     entries of the table the sampler shares, so capped as the sampler is."""
-    check_genus(g, GENUS_MIN, SAMPLER_GENUS_MAX, "enumerate_labels")
+    check_genus(g, GENUS_MIN, BRUTE_FORCE_GENUS_MAX, "enumerate_labels")
     return list(_labels(g)[1:])
 
 
@@ -376,11 +376,6 @@ def orthogonal_tuples(g: int, max_size: int) -> Iterator[tuple[BoundaryLabel, ..
         yield tuple([labels[p] for p in combo])
 
 
-# The sampler reads its labels from the 4^g-entry table of _labels, shared with
-# enumerate_labels (65,536 entries at genus 8), hence their genus cap.
-SAMPLER_GENUS_MAX = 8
-
-
 def random_orthogonal_tuple(rng: Random, g: int) -> tuple[BoundaryLabel, ...]:
     """A random orthogonal tuple: 1..DEGREE_MAX labels of a random Lagrangian.
 
@@ -402,7 +397,8 @@ def random_orthogonal_tuple(rng: Random, g: int) -> tuple[BoundaryLabel, ...]:
     through randrange's getrandbits rejection loop; then k distinct nonzero
     c by getrandbits(g) rejection.  Labels are sorted by packed value.
     """
-    check_genus(g, GENUS_MIN, SAMPLER_GENUS_MAX, "random_orthogonal_tuple")
+    # a drawn tuple is only ever checked against brute force, so capped as it is
+    check_genus(g, GENUS_MIN, BRUTE_FORCE_GENUS_MAX, "random_orthogonal_tuple")
     getrandbits = rng.getrandbits
     low = (1 << g) - 1
     r = getrandbits(g * (g + 3) // 2)

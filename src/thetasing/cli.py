@@ -116,6 +116,8 @@ def _emit_taut(g: int, elem, pin_key: str | None, fmt: str, out) -> int:
         out.write(f"0  [{prov}]\n" if fmt == "text"
                   else _record(None, None, Fraction(0), prov) + "\n")
         return 0
+    if pins == {}:  # a printed 0: every engine term is published as 0
+        pins = dict.fromkeys(elem, Fraction(0))
     rows = pipeline.comparison_rows({(mono, ()): c for mono, c in elem.items()},
                                     {(mono, ()): c for mono, c in (pins or {}).items()})
     return 2 if _emit_rows(rows, fmt, out, False) else 0
@@ -159,7 +161,8 @@ def _cmd_verify_counts(args, genera, out) -> int:
     failures = 0
     rng = random.Random(args.seed)
     for g in genera:
-        if g <= 3:
+        # exhaustive where the ledger enumerates the same orthogonal sets
+        if g <= boundary.CONCRETE_GENUS_MAX:
             mode = "exhaustive"
             tuples = characteristics.orthogonal_tuples(g, characteristics.DEGREE_MAX)
         else:

@@ -50,7 +50,7 @@ from thetasing.boundary import (
     word_sort_key,
 )
 from thetasing import boundary, characteristics, pipeline
-from thetasing.bits import kernel_f2, span_f2
+from thetasing.bits import kernel_f2, rref_f2, span_f2
 from thetasing.characteristics import _form_packed, orthogonal_tuples
 from thetasing.exactla import add_into, rank
 from thetasing.pipeline import RewriteRule, load_boundary_relations
@@ -405,6 +405,8 @@ def test_convolve_splits_the_second_operand_by_value(g):
 def test_registry_refuses_degree_above_max():
     with pytest.raises(DegreeOverflowError):
         _registry(3, 6)
+    # no type has a negative degree, so such a polynomial has no monomial
+    assert instantiate(BoundaryPoly(-1), 3) == {}
 
 
 def test_registry_types_match_canonical_config():
@@ -447,9 +449,35 @@ def test_orth_sets_follow_orthogonal_tuples():
             for rels, group in sets[k].items():
                 assert [order[labels] for labels in group] == sorted(map(order.get, group))
                 for labels in group:
-                    assert rels == kernel_f2(labels)
+                    assert rref_f2(rels) == kernel_f2(labels)
             assert sorted(labels for group in sets[k].values() for labels in group) == sorted(order)
+            # the rows key the space canonically: one group per space
+            spaces = [rref_f2(rels) for rels in sets[k]]
+            assert len(spaces) == len(set(spaces)), (g, k)
     assert sum(len(group) for v in _orth_sets(3).values() for group in v.values()) == 12663
+
+
+def test_orth_sets_reduce_no_relation_tuple(monkeypatch):
+    # the search keys each group by the rows it closes, with no elimination
+    calls = []
+    monkeypatch.setattr(boundary, "rref_f2", lambda rows: calls.append(rows) or rref_f2(rows))
+    _orth_sets(3)
+    assert calls == []
+
+
+def test_cold_ledger_line_builds_one_table_and_only_the_registries_it_fills(monkeypatch):
+    # sigma1 is grouped from the genus-3 table, not from a registry, and the
+    # degree-5 registry serves the line's single factors
+    identity = next(i for i in load_identities() if i.name == "sigma1-fifth")
+    boundary._label_sets.cache_clear()
+    _registry.cache_clear()
+    _CONCRETE_MEMO.clear()
+    built = []
+    registry = boundary._registry
+    monkeypatch.setattr(boundary, "_registry", lambda g, d: built.append((g, d)) or registry(g, d))
+    assert check_identity(identity, 3).concrete_ok
+    assert boundary._label_sets.cache_info().misses == 1
+    assert set(built) == {(3, 5)}
 
 
 def _per_key_registry(g, degree):

@@ -27,6 +27,7 @@ from thetasing import (
 from thetasing.bits import kernel_f2, rref_f2
 from thetasing.boundary import all_types
 from thetasing.characteristics import (
+    BRUTE_FORCE_GENUS_MAX,
     EMPTY,
     ConfigType,
     _canonical_type,
@@ -518,7 +519,7 @@ def _reference_chart_tuple(rng, g):
     return tuple(labels[x] for x in sorted(_chart_label(g, swap, rows, c) for c in cs))
 
 
-@pytest.mark.parametrize("g", range(1, 9))
+@pytest.mark.parametrize("g", range(1, 6))
 def test_sampler_matches_chart_reference(g):
     # same tuples and the same generator state afterwards, so every later
     # draw from a shared generator is the same too
@@ -567,12 +568,12 @@ class _NoDraws(Random):
         raise AssertionError("the sampler drew before refusing")
 
 
-@pytest.mark.parametrize("g", [0, 9])
+@pytest.mark.parametrize("g", [0, BRUTE_FORCE_GENUS_MAX + 1])
 def test_sampler_refuses_bad_arguments_without_drawing(g):
     rng = _NoDraws(1)
     state = rng.getstate()
     start = time.perf_counter()
-    with pytest.raises(ValueError, match="supports genus 1..8"):
+    with pytest.raises(ValueError, match=rf"supports genus 1\.\.{BRUTE_FORCE_GENUS_MAX}, "):
         random_orthogonal_tuple(rng, g)
     assert time.perf_counter() - start < 0.5
     assert rng.getstate() == state
@@ -676,7 +677,7 @@ def test_vanish_tables_match_definition(g):
 
 def test_random_tuple_shape():
     rng = Random(7)
-    for g in range(1, 9):
+    for g in range(1, 6):
         for _ in range(50):
             tup = random_orthogonal_tuple(rng, g)
             assert 1 <= len(tup) <= min(5, 2**g - 1)

@@ -679,6 +679,21 @@ def test_unreproduced_taut_pin_fails(capsys, monkeypatch, mono, fmt, line, publi
     assert sum(l.endswith(("prov=paper", "[paper]")) for l in lines) == paper_rows
 
 
+@pytest.mark.parametrize("command, engine", [
+    ("open-class", "class_open"), ("taut-projection", "taut_projection")])
+@pytest.mark.parametrize("fmt, lines", [
+    ("text", ["7 * lam1  [conflict]  (published: 0)"]),
+    ("records", ["lambda=1,0 word=1 num=7 den=1 prov=conflict", "# published value: 0/1"]),
+])
+def test_nonzero_value_against_a_printed_zero_fails(capsys, monkeypatch, command, engine,
+                                                    fmt, lines):
+    # the genus-2 pins are printed as 0, which every engine term must match
+    assert pipeline.PUBLISHED_TAUT[(command, 2)] == {}
+    monkeypatch.setattr(pipeline, engine, lambda g: {(1, 0): Fraction(7)})
+    code, out = run(capsys, "--command", command, "--genus", "2", "--format", fmt)
+    assert (code, out.splitlines()) == (2, lines)
+
+
 def test_unreproduced_compactified_pin_fails(capsys, monkeypatch):
     pins = dict(pipeline.PUBLISHED_COMPACTIFIED[4])
     pins[((0, 1, 0, 1), ("sigma4",))] = Fraction(7)

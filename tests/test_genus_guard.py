@@ -31,7 +31,7 @@ GUARDS = {
                                       LO, None, "BoundaryLabel"),
     "characteristics.n_odd": (characteristics.n_odd, LO, None, "n_odd"),
     "characteristics.enumerate_labels": (characteristics.enumerate_labels,
-                                         LO, characteristics.SAMPLER_GENUS_MAX,
+                                         LO, characteristics.BRUTE_FORCE_GENUS_MAX,
                                          "enumerate_labels"),
     "characteristics.count_vanishing": (lambda g: characteristics.count_vanishing(g, ()),
                                         LO, None, "count_vanishing"),
@@ -45,7 +45,7 @@ GUARDS = {
                                           "orthogonal_tuples"),
     "characteristics.random_orthogonal_tuple": (
         lambda g: characteristics.random_orthogonal_tuple(Random(1), g),
-        LO, characteristics.SAMPLER_GENUS_MAX, "random_orthogonal_tuple"),
+        LO, characteristics.BRUTE_FORCE_GENUS_MAX, "random_orthogonal_tuple"),
     "boundary.expand_named": (lambda g: boundary.expand_named("sigma1", g),
                               LO, None, "expand_named"),
     "boundary.expand_word": (lambda g: boundary.expand_word(("sigma1",), g),
