@@ -496,17 +496,22 @@ def _encode_slots(slots: Sequence[Sequence[int]], exponents: Sequence[int]) -> I
 
 def _decode(key: int) -> tuple[tuple[int, int], ...]:
     """A concrete monomial as sorted ((packed label, exponent), ...): trial
-    division in label order."""
-    out = []
+    division in label order.  A key below 1, or with a factor that is no
+    label's prime, is no monomial and is refused."""
+    if key < 1:
+        raise ValueError(f"key {key} is not a monomial: below 1")
+    rest, out = key, []
     for p, q in _PRIMES.items():
-        if key == 1:
+        if rest == 1:
             break
         e = 0
-        while not key % q:
-            key //= q
+        while not rest % q:
+            rest //= q
             e += 1
         if e:
             out.append((p, e))
+    if rest != 1:
+        raise ValueError(f"key {key} is not a monomial: factor {rest} is no label's prime")
     return tuple(out)
 
 
@@ -623,8 +628,9 @@ def convolve(d1: dict[int, Coeff], d2: dict[int, Coeff], g: int) -> dict[int, Co
     their labels (_span_classes), so the orthogonality test runs once per
     pair of spans and key pairs are enumerated only inside compatible ones.
     _span_pairs takes a unit class second, so d2's keys are split by value,
-    each value scaling its keys' class.  Independent of the symbolic
-    product(); used to cross-check it.
+    each value scaling its keys' class.  A key that is no monomial of genus
+    g is refused.  Independent of the symbolic product(); used to
+    cross-check it.
     """
     check_genus(g, GENUS_MIN, CONCRETE_GENUS_MAX, "convolve")
     out: dict[int, Coeff] = {}
@@ -691,12 +697,15 @@ def _span_classes(items: Iterable[tuple[int, Coeff]], masks: list[int]) -> Group
     span.  t is the label bits of any one key of the span.  A support u is
     orthogonal to every label of a key exactly when m & u == u; as m plus
     the zero vector is a subspace, that holds for all supports of a span or
-    for none, so testing t decides the whole entry.
+    for none, so testing t decides the whole entry.  A label outside masks
+    is refused.
     """
     groups: Grouped = {}
     for key, c in items:
         mask, bits = -1, 0
         for p, _ in _decode(key):
+            if p >= len(masks):
+                raise ValueError(f"key {key} has label {p}, above the last label {len(masks) - 1}")
             mask &= masks[p]
             bits |= 1 << p
         groups.setdefault(mask, (bits, {}))[1][key] = c
@@ -719,7 +728,14 @@ class Identity(NamedTuple):
     rhs: Expr
 
 
-_TOKEN = re.compile(r"cfg\([^)]*\)|any\([^)]*\)|[A-Za-z_][A-Za-z0-9_]*|\d+|[+\-*^]")
+# The grammar of a side: an optional sign, then factors joined by * within a
+# term and by + or - between terms; a factor is a cfg(...)/any(...) literal, a
+# name or a numeral, optionally raised to ^<numeral>.  Each run of spaces
+# belongs to exactly one " *", so a refusal never backtracks through the ways
+# of splitting it; a tab is refused.
+_FACTOR = r"(cfg\([^)]*\)|any\([^)]*\)|[A-Za-z_][A-Za-z0-9_]*|\d+) *(?:\^ *(\d+) *)?"
+_SIDE = re.compile(rf"(?:[+-] *)?{_FACTOR}(?:[*+-] *{_FACTOR})*")
+_SIGNED_FACTOR = re.compile(rf"([*+-]?) *{_FACTOR}")
 
 
 def _parse_factor(tok: str) -> Factor:
@@ -755,45 +771,22 @@ def _literal_exponents(text: str, tok: str) -> tuple[int, ...]:
 
 
 def _parse_expr(text: str) -> Expr:
-    """Terms of one side of a ledger line or a boundary relation.
-
-    Grammar: an optional sign, then terms joined by + or -; a term is
-    factors joined by *; a factor is a numeral, a class name (lam<i>
-    included) or a cfg(...)/any(...) literal, each optionally raised to
-    ^<numeral>.  Numeral factors multiply the term's coefficient.
-    """
+    """Terms of one side of a ledger line or a boundary relation, a _SIDE;
+    numeral factors multiply the term's coefficient."""
     text = text.strip()
-    tokens = _TOKEN.findall(text)
-    if not tokens or "".join(tokens).replace(" ", "") != text.replace(" ", ""):
+    if not _SIDE.fullmatch(text):
         raise ValueError(f"cannot parse {text!r}")
     terms: list[Term] = []
-    pos, n = 0, len(tokens)
-    while pos < n:
-        sign = tokens[pos]
-        if sign in ("+", "-"):
-            pos += 1
-        coeff = Fraction(-1 if sign == "-" else 1)
-        factors: list[Factor] = []
-        while True:
-            if pos == n or tokens[pos] in ("+", "-", "*", "^"):
-                raise ValueError(f"missing factor in {text!r}")
-            tok, power = tokens[pos], 1
-            if pos + 1 < n and tokens[pos + 1] == "^":
-                if pos + 2 == n or not tokens[pos + 2].isdecimal():
-                    raise ValueError(f"^ needs an integer power in {text!r}")
-                power = numeral(tokens[pos + 2], text)
-                pos += 2
-            pos += 1
-            if tok.isdecimal():
-                coeff *= numeral(tok, text) ** power
-            else:
-                factors.extend([_parse_factor(tok)] * power)
-            if pos == n or tokens[pos] != "*":
-                break
-            pos += 1
-        if pos < n and tokens[pos] not in ("+", "-"):
-            raise ValueError(f"expected + or - before {tokens[pos]!r} in {text!r}")
-        terms.append((coeff, tuple(factors)))
+    for op, atom, power in _SIGNED_FACTOR.findall(text):
+        n = numeral(power, text) if power else 1
+        # a +, a - or the first factor starts a term; a * multiplies into it
+        if op != "*":
+            terms.append((Fraction(-1 if op == "-" else 1), ()))
+        coeff, factors = terms[-1]
+        if atom.isdecimal():
+            terms[-1] = coeff * numeral(atom, text) ** n, factors
+        else:
+            terms[-1] = coeff, factors + (_parse_factor(atom),) * n
     return tuple(terms)
 
 

@@ -90,7 +90,7 @@ def record_line(mono, word, value: Fraction, prov: str) -> str:
 def parse_record_line(line: str) -> dict:
     """A records line as its lambda, word, value and prov, the zero class
     with lambda and word None; any other line is refused, a fraction not in
-    lowest terms and an unknown prov included.  The number of lambda
+    lowest terms, num=-0 and an unknown prov included.  The number of lambda
     exponents is not checked: a records line does not carry its genus."""
     m = _RECORD.fullmatch(line)
     if not m:
@@ -104,6 +104,8 @@ def parse_record_line(line: str) -> dict:
     p, q = numeral(num, line), numeral(den, line)
     if not q:
         raise ValueError(f"den=0 in {line!r}")
+    if sign and not p:
+        raise ValueError(f"num=-0 in {line!r}: zero is written num=0")
     if gcd(p, q) != 1:
         raise ValueError(f"num/den not in lowest terms in {line!r}")
     return {

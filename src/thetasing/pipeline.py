@@ -19,6 +19,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from functools import lru_cache, reduce
+from itertools import combinations
 from math import comb, factorial
 from typing import NamedTuple, Sequence
 
@@ -396,8 +397,16 @@ def _parse_checked_rule(line: str) -> RewriteRule:
 
 def load_boundary_relations(path: str | None = None) -> tuple[RewriteRule, ...]:
     """The word relations of the genus-2 class, in file order, each checked
-    by projection (_parse_checked_rule)."""
-    return tuple(parse_lines("boundary_relations.txt", path, _parse_checked_rule))
+    by projection (_parse_checked_rule).  substitute_boundary_relations
+    applies the first rule whose word divides a term's word, so a rule whose
+    word an earlier rule's word divides would never apply; it is refused."""
+    rules = tuple(parse_lines("boundary_relations.txt", path, _parse_checked_rule))
+    for earlier, rule in combinations(rules, 2):
+        if _word_minus(rule.word_from, earlier.word_from) is not None:
+            raise ValueError(f"the relation for {format_word(rule.word_from)} never applies: "
+                             f"the earlier relation for {format_word(earlier.word_from)} "
+                             f"rewrites every term it would")
+    return rules
 
 
 def _word_minus(word: Word, sub: Word) -> Word | None:

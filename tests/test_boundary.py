@@ -438,6 +438,23 @@ def test_decode_inverts_every_genus3_registry_key():
     assert _decode(pack(((1, 8), (63, 6)))) == ((1, 8), (63, 6))
 
 
+def test_convolve_refuses_a_key_that_is_no_monomial():
+    # a foreign prime used to be dropped from the span test, a negative key
+    # misread and a label of a higher genus raised IndexError; key 0 made
+    # _decode divide by 2 forever, so the 0 cases come last
+    for d1, d2, g, message in [
+        ({2 * 311: 1}, {3: 1}, 3, "key 622 is not a monomial: factor 311 is no label's prime"),
+        ({3: 1}, {2 * 311: 1}, 3, "key 622 is not a monomial: factor 311 is no label's prime"),
+        ({-2: 1}, {3: 1}, 3, "key -2 is not a monomial: below 1"),
+        ({53: 1}, {2: 1}, 2, "key 53 has label 16, above the last label 15"),
+        ({3: 1}, {0: 1}, 3, "key 0 is not a monomial: below 1"),
+        ({0: 1}, {3: 1}, 3, "key 0 is not a monomial: below 1"),
+    ]:
+        with pytest.raises(ValueError) as exc:
+            convolve(d1, d2, g)
+        assert str(exc.value) == message
+
+
 def test_orth_sets_follow_orthogonal_tuples():
     # one search serves both: the size-k sets are the size-k tuples, grouped
     # by relation space, each group in search order
@@ -1211,6 +1228,64 @@ def test_malformed_side_is_refused(tmp_path, route, side):
             load_boundary_relations(str(path))
         assert "line 2 " in str(exc.value)
     assert repr(side) in str(exc.value)
+
+
+def _write_side(terms, rng):
+    """A side in the ledger grammar, a single space or none around every
+    operator: terms are (sign, [((text, value), power or None), ...])."""
+    def gap():
+        return rng.choice(("", " "))
+    out = []
+    for i, (sign, factors) in enumerate(terms):
+        if i or sign != "+" or rng.random() < 0.5:
+            out += [gap(), sign, gap()]
+        for j, ((text, _), power) in enumerate(factors):
+            if j:
+                out += [gap(), "*", gap()]
+            out.append(text if power is None else f"{text}{gap()}^{gap()}{power}")
+    return "".join(out)
+
+
+_ATOMS = st.one_of(
+    st.sampled_from(NAMED_CLASSES + tuple(f"lam{i}" for i in range(1, 6))).map(
+        lambda name: (name, ("name", name))),
+    st.sampled_from([t for d in range(boundary.DEGREE_MAX + 1) for t in all_types(d)]).map(
+        lambda t: (t.literal(), ("cfg", t.exps, t.rels))),
+    st.lists(st.integers(1, 3), max_size=4).map(
+        lambda exps: (f"any({','.join(map(str, exps))})", ("any", tuple(exps)))),
+    st.integers(0, 40).map(lambda n: (str(n), n)),
+)
+
+
+@settings(max_examples=100, derandomize=True)
+@given(st.lists(st.tuples(st.sampled_from("+-"),
+                          st.lists(st.tuples(_ATOMS, st.none() | st.integers(0, 3)),
+                                   min_size=1, max_size=4)),
+                min_size=1, max_size=4),
+       st.randoms(use_true_random=False))
+def test_written_side_parses_back(terms, rng):
+    expected = []
+    for sign, factors in terms:
+        coeff, read = F(-1 if sign == "-" else 1), []
+        for (_, value), power in factors:
+            n = 1 if power is None else power
+            if isinstance(value, int):
+                coeff *= value ** n
+            else:
+                read += [value] * n
+        expected.append((coeff, tuple(read)))
+    assert _parse_expr(_write_side(terms, rng)) == tuple(expected)
+
+
+def test_malformed_side_is_refused_without_backtracking():
+    # if a run of spaces could split between two " *" of the grammar, each
+    # factor would double the ways to retry; the short side comes first, so
+    # such a pattern fails here quickly rather than hanging on the long one
+    for side, budget in (("a   *" * 10 + "!", 0.05), ("a   *" * 2000 + "!", 0.5)):
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="cannot parse"):
+            _parse_expr(side)
+        assert time.perf_counter() - start < budget, len(side)
 
 
 @pytest.mark.parametrize("line, reason", [

@@ -75,6 +75,8 @@ def test_every_class_records_line_parses_and_rebuilds(capsys, command, g):
     ("lambda=1,0 word=1 num=2 den=4 prov=paper", "num/den not in lowest terms in {!r}"),
     ("lambda=1,0 word=1 num=-2 den=4 prov=paper", "num/den not in lowest terms in {!r}"),
     ("lambda=1,0 word=1 num=0 den=4 prov=paper-only", "num/den not in lowest terms in {!r}"),
+    # zero has one spelling, num=0
+    ("lambda=1,0 word=1 num=-0 den=1 prov=paper", "num=-0 in {!r}: zero is written num=0"),
     ("lambda=1,0 word=1 num=3 den=1 prov=nonsense", "unknown prov 'nonsense' in {!r}"),
     ("0 prov=nonsense", "unknown prov 'nonsense' in {!r}"),
 ])

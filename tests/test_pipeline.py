@@ -40,6 +40,7 @@ from thetasing.boundary import normalize_word, word_sort_key
 from thetasing.datafile import parse_lines, record_line
 from thetasing.exactla import add_into
 from thetasing.tautring import lam, mono_mul, ring, unit_mono
+from thetasing.zeta import bernoulli
 
 
 def F(a, b=1):
@@ -375,6 +376,29 @@ def test_product_locus_values():
         product_locus_taut(6)
 
 
+def _van_der_geer_product_class(g):
+    # [A_1 x A_{g-1}] = g / (6 |B_{2g}|) lambda_{g-1} (van der Geer 1999)
+    return ring(g).reduce({lam(g, g - 1): F(g) / (6 * abs(bernoulli(2 * g)))})
+
+
+def test_product_locus_matches_van_der_geer_closed_form(monkeypatch):
+    for g in (3, 4, 5):
+        assert product_locus_taut(g) == _van_der_geer_product_class(g)
+    # a planted fault: the elliptic half of each restricted monomial of
+    # degree >= 2 doubled; at genus 3 no printed table would catch it
+    restrict = pipeline._restrict_to_product
+
+    def doubled(mono, g):
+        terms = restrict(mono, g)
+        if sum(k * e for k, e in enumerate(mono, 1)) < 2:
+            return terms
+        return {key: 2 * c if key[0] == 1 else c for key, c in terms.items()}
+
+    monkeypatch.setattr(pipeline, "_restrict_to_product", doubled)
+    for g in (3, 4, 5):
+        assert product_locus_taut(g) != _van_der_geer_product_class(g), g
+
+
 def test_corner_class():
     assert corner_class_taut(4) == {(1, 0, 1, 0): F(240), (4, 0, 0, 0): F(-30)}
     assert corner_class_taut(5) == {(0, 0, 0, 0, 1): F(132)}
@@ -548,6 +572,26 @@ def test_relation_rules_are_checked_by_projection(tmp_path):
     assert str(exc.value) == (
         "line 9 'genus=2: sigma1^2 = 22*lam1*sigma1 - 119*lam1^2': the sides project "
         "differently at genus 2: -120*lam1^2 against -119*lam1^2")
+
+
+def test_relation_that_an_earlier_one_shadows_is_refused(tmp_path):
+    # substitution applies a term's first matching rule, so a rule whose word
+    # an earlier rule's word divides would be read and never applied
+    bundled = resources.files("thetasing.data").joinpath("boundary_relations.txt").read_text()
+    path = tmp_path / "relations.txt"
+    for text, later, earlier in [
+        (bundled + "genus=2: sigma2 = 7*lam1*sigma1\n", "sigma2", "sigma2"),
+        ("genus=2: sigma1 = 0\n" + bundled, "sigma1*sigma1", "sigma1"),
+    ]:
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(ValueError) as exc:
+            load_boundary_relations(str(path))
+        assert str(exc.value) == (
+            f"the relation for {later} never applies: the earlier relation for "
+            f"{earlier} rewrites every term it would")
+    # after sigma1^2, a rule for sigma1 still applies to an odd power
+    path.write_text(bundled + "genus=2: sigma1 = 0\n", encoding="utf-8")
+    assert load_boundary_relations(str(path))[:2] == load_boundary_relations()
 
 
 # --- MixedClass algebra -----------------------------------------------------------------
