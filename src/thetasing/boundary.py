@@ -730,9 +730,9 @@ class Identity(NamedTuple):
 
 # The grammar of a side: an optional sign, then factors joined by * within a
 # term and by + or - between terms; a factor is a cfg(...)/any(...) literal, a
-# name or a numeral, optionally raised to ^<numeral>.  Each run of spaces
-# belongs to exactly one " *", so a refusal never backtracks through the ways
-# of splitting it; a tab is refused.
+# name or a numeral, optionally raised to ^<numeral> of at most DEGREE_MAX.
+# Each run of spaces belongs to exactly one " *", so a refusal never
+# backtracks through the ways of splitting it; a tab is refused.
 _FACTOR = r"(cfg\([^)]*\)|any\([^)]*\)|[A-Za-z_][A-Za-z0-9_]*|\d+) *(?:\^ *(\d+) *)?"
 _SIDE = re.compile(rf"(?:[+-] *)?{_FACTOR}(?:[*+-] *{_FACTOR})*")
 _SIGNED_FACTOR = re.compile(rf"([*+-]?) *{_FACTOR}")
@@ -779,6 +779,8 @@ def _parse_expr(text: str) -> Expr:
     terms: list[Term] = []
     for op, atom, power in _SIGNED_FACTOR.findall(text):
         n = numeral(power, text) if power else 1
+        if n > DEGREE_MAX:  # before a factor tuple or a numeral power is built
+            raise ValueError(f"power above {DEGREE_MAX} in {atom + '^' + power!r}")
         # a +, a - or the first factor starts a term; a * multiplies into it
         if op != "*":
             terms.append((Fraction(-1 if op == "-" else 1), ()))

@@ -288,6 +288,13 @@ def representative(t: ConfigType, g: int) -> tuple[BoundaryLabel, ...]:
 
 # --- brute-force oracle ------------------------------------------------------
 
+def _bit_clear_sets(g: int) -> list[int]:
+    """low[j], for each bit j of a packed value at genus g: the bitset of the
+    x in 0..4^g - 1 with bit j of x clear (its complement holds those with it set)."""
+    full = (1 << (1 << (2 * g))) - 1
+    return [full // ((1 << (2 << j)) - 1) * ((1 << (1 << j)) - 1) for j in range(2 * g)]
+
+
 @lru_cache(maxsize=8)
 def _vanish_tables(g: int) -> tuple[list[int], int]:
     """Per-label bitsets of {m : parity(m + n) even}, plus the odd-m bitset;
@@ -303,8 +310,7 @@ def _vanish_tables(g: int) -> tuple[list[int], int]:
     for m in range(size):
         if _sigma_packed(m, g):
             odd_mask |= 1 << m
-    # low[j]: the bits m with bit j of m clear
-    low = [full // ((1 << (2 << j)) - 1) * ((1 << (1 << j)) - 1) for j in range(2 * g)]
+    low = _bit_clear_sets(g)
     masks = [full ^ odd_mask] + [0] * (size - 1)
     for n in range(1, size):
         j = (n & -n).bit_length() - 1
@@ -328,16 +334,21 @@ def brute_force_count(g: int, labels: Sequence[BoundaryLabel]) -> int:
 
 @lru_cache(maxsize=8)
 def _orth_masks(g: int) -> list[int]:
-    """Per-label bitsets of the orthogonal labels, self included (slot 0 empty)."""
+    """Per-label bitsets of the orthogonal labels, self included (slot 0 empty).
+
+    <a, b> = parity(J(a) & b), J the swap of the halves, so the b with
+    <a, b> = 1 are the XOR over the bits j of J(a) of the b with bit j set.
+    J moves bit j to bit j + g mod 2g, and the sets of a come from those of a
+    without its lowest bit by one XOR.
+    """
     size = 1 << (2 * g)
-    masks = [0] * size
+    full = (1 << size) - 1
+    low = _bit_clear_sets(g)
+    odd = [0] * size  # the b with <a, b> = 1
     for a in range(1, size):
-        m = 0
-        for b in range(1, size):
-            if _form_packed(a, b, g) == 0:
-                m |= 1 << b
-        masks[a] = m
-    return masks
+        j = (a & -a).bit_length() - 1
+        odd[a] = odd[a & (a - 1)] ^ full ^ low[(j + g) % (2 * g)]
+    return [0] + [full ^ 1 ^ x for x in odd[1:]]  # label 0 is no label
 
 
 def _orthogonal_sets(g: int, max_size: int) -> Iterator[tuple[int, ...]]:
@@ -376,6 +387,25 @@ def orthogonal_tuples(g: int, max_size: int) -> Iterator[tuple[BoundaryLabel, ..
         yield tuple([labels[p] for p in combo])
 
 
+@lru_cache(maxsize=8)
+def _chart_tables(g: int) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
+    """The sampler's tables at genus g.  S, packed one row per 8-bit lane
+    (bit 8p + q is S[p][q]), is by_low[t & 255] | by_high[t >> 8] for the
+    triangle draw t; picks[c] masks the lanes of the rows that c picks.
+    Eight-bit lanes hold any g <= 8."""
+    # triangle bit i sets S[p][q] and S[q][p], row p from its diagonal on
+    cells = [1 << (8 * p + q) | 1 << (8 * q + p) for p in range(g) for q in range(p, g)]
+
+    def subset_ors(chunk: list[int]) -> tuple[int, ...]:
+        table = [0]  # entry i: the OR of the cells of the bits of i
+        for cell in chunk:
+            table += [s | cell for s in table]
+        return tuple(table)
+
+    picks = tuple(sum(255 << (8 * p) for p in range(g) if c >> p & 1) for c in range(1 << g))
+    return subset_ors(cells[:8]), subset_ors(cells[8:]), picks
+
+
 def random_orthogonal_tuple(rng: Random, g: int) -> tuple[BoundaryLabel, ...]:
     """A random orthogonal tuple: 1..DEGREE_MAX labels of a random Lagrangian.
 
@@ -396,6 +426,10 @@ def random_orthogonal_tuple(rng: Random, g: int) -> tuple[BoundaryLabel, ...]:
     diagonal bit p on; then k = randint(1, w), w = min(DEGREE_MAX, 2^g - 1),
     through randrange's getrandbits rejection loop; then k distinct nonzero
     c by getrandbits(g) rejection.  Labels are sorted by packed value.
+
+    S is read from _chart_tables in two lookups.  S c is the XOR of the
+    rows c picks: masked to those lanes, the lanes fold onto lane 0 in three
+    shifts.
     """
     # a drawn tuple is only ever checked against brute force, so capped as it is
     check_genus(g, GENUS_MIN, BRUTE_FORCE_GENUS_MAX, "random_orthogonal_tuple")
@@ -404,15 +438,8 @@ def random_orthogonal_tuple(rng: Random, g: int) -> tuple[BoundaryLabel, ...]:
     r = getrandbits(g * (g + 3) // 2)
     swap = r & low  # I
     r >>= g
-    rows: list[int] = []  # row p of S, also its column p
-    for p in range(g):
-        row = (r & (low >> p)) << p  # bits p.. from the triangle
-        r >>= g - p
-        q = 0
-        for above in rows:  # bits below p: S is symmetric
-            row |= (above >> p & 1) << q
-            q += 1
-        rows.append(row)
+    by_low, by_high, picks = _chart_tables(g)
+    sp = by_low[r & 255] | by_high[r >> 8]  # S, row p in lane p
     # k = randint(1, w), drawn as randrange draws it
     w = min(DEGREE_MAX, low)
     bits = w.bit_length()
@@ -427,12 +454,11 @@ def random_orthogonal_tuple(rng: Random, g: int) -> tuple[BoundaryLabel, ...]:
         picked.append(c)
     out = []
     for c in picked:
-        s = 0  # S c: the columns of S that the bits of c pick
-        x = c
-        for row in rows:
-            if x & 1:
-                s ^= row
-            x >>= 1
+        x = sp & picks[c]  # S c: the XOR of these lanes
+        x ^= x >> 32
+        x ^= x >> 16
+        x ^= x >> 8
+        s = x & low
         d = (s ^ c) & swap  # J_I trades the halves' bits in I
         out.append((s ^ d) << g | c ^ d)
     out.sort()

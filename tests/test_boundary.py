@@ -1288,6 +1288,26 @@ def test_malformed_side_is_refused_without_backtracking():
         assert time.perf_counter() - start < budget, len(side)
 
 
+@pytest.mark.parametrize("line, token", [
+    # 9^30000000 used to be computed (46.7 s), and sigma1^3000000 built a
+    # 3,000,000-factor tuple before the degree check refused it
+    ("x: 9^30000000*sigma1 = sigma1", "9^30000000"),
+    ("x: sigma1^3000000 = sigma1", "sigma1^3000000"),
+    ("x: sigma1 = 2 ^ 6*sigma1", "2^6"),
+])
+def test_power_above_degree_max_is_refused_before_it_is_built(line, token):
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match=rf"^power above 5 in {re.escape(repr(token))}$"):
+        parse_identity(line)
+    assert time.perf_counter() - start < 0.1
+
+
+def test_powers_up_to_degree_max_still_parse():
+    assert _parse_expr("-2^3") == ((F(-8), ()),)
+    assert _parse_expr("lam1^2") == ((F(1), (("name", "lam1"),) * 2),)
+    assert _parse_expr("sigma1^5") == ((F(1), (("name", "sigma1"),) * 5),)
+
+
 @pytest.mark.parametrize("line, reason", [
     ("bad: sigma9 = sigma1", "unknown class 'sigma9'"),
     ("bad: lam1*sigma1 = sigma2", "unknown class 'lam1'"),

@@ -31,8 +31,10 @@ from thetasing.characteristics import (
     EMPTY,
     ConfigType,
     _canonical_type,
+    _chart_tables,
     _form_packed,
     _labels,
+    _orth_masks,
     _orthogonal_sets,
     _sigma_packed,
     _vanish_tables,
@@ -562,6 +564,59 @@ def test_charts_are_injective_linear_maps_past_genus4(g):
         assert not any(_form_packed(x, y, g) for x, y in itertools.combinations(basis, 2))
 
 
+class _Scripted(Random):
+    # replays the given (width, value) draws, checking each draw's width
+    def __init__(self, draws):
+        super().__init__(0)
+        self.draws = list(draws)
+
+    def getrandbits(self, k):
+        width, value = self.draws.pop(0)
+        assert k == width
+        return value
+
+
+def _check_chart_draw(g, r):
+    # the sampler's labels at chart draw r, for every nonzero c, against the
+    # plain chart: each call draws at most w labels, so the c's go in chunks
+    swap, rows = _chart(g, r)
+    w = min(5, 2**g - 1)
+    cs = list(range(1, 1 << g))
+    for i in range(0, len(cs), w):
+        chunk = cs[i:i + w]
+        rng = _Scripted([(g * (g + 3) // 2, r), (w.bit_length(), len(chunk) - 1)]
+                        + [(g, c) for c in chunk])
+        got = [n.packed for n in random_orthogonal_tuple(rng, g)]
+        assert got == sorted(_chart_label(g, swap, rows, c) for c in chunk), (r, chunk)
+        assert not rng.draws
+
+
+@pytest.mark.parametrize("g", [1, 2, 3])
+def test_chart_tables_match_the_plain_chart_exhaustive(g):
+    # every I, every triangle of S and every nonzero c
+    for r in range(1 << (g * (g + 3) // 2)):
+        _check_chart_draw(g, r)
+
+
+@pytest.mark.parametrize("g", [4, 5])
+def test_chart_tables_match_the_plain_chart_seeded(g):
+    rng = Random(STREAM_SEED - g)
+    for _ in range(300):
+        _check_chart_draw(g, rng.getrandbits(g * (g + 3) // 2))
+
+
+def test_sampler_cap_fits_its_chart_tables():
+    # S sits one row per 8-bit lane, and S c folds lanes 0..7 onto lane 0 by
+    # shifts of 32, 16 and 8, so no genus above 8; and S is two byte-table
+    # lookups, so its triangle, g(g+1)/2 bits, fits in 16 bits
+    g = BRUTE_FORCE_GENUS_MAX
+    assert g <= 8
+    by_low, by_high, picks = _chart_tables(g)
+    assert len(by_low) <= 256 and len(by_high) <= 256
+    assert len(by_low) * len(by_high) == 1 << (g * (g + 1) // 2)
+    assert len(picks) == 1 << g and max(picks) < 1 << 64
+
+
 class _NoDraws(Random):
     # a draw would loop forever on a zero-width range; fail instead
     def getrandbits(self, k):
@@ -685,6 +740,15 @@ def test_random_tuple_shape():
             assert packed == sorted(set(packed))
             for a, b in itertools.combinations(tup, 2):
                 assert symplectic_form(a, b) == 0
+
+
+@pytest.mark.parametrize("g", [1, 2, 3, 4])
+def test_orth_masks_match_the_form(g):
+    size = 1 << (2 * g)
+    masks = _orth_masks(g)
+    assert masks[0] == 0 and len(masks) == size
+    for a in range(1, size):
+        assert masks[a] == sum(1 << b for b in range(1, size) if _form_packed(a, b, g) == 0), a
 
 
 @pytest.mark.parametrize("g", [1, 2, 3])

@@ -5,6 +5,7 @@ import random
 import subprocess
 import sys
 import tempfile
+import time
 from fractions import Fraction
 from importlib import resources
 
@@ -225,6 +226,22 @@ def test_verify_identities_failure_exit_code(capsys):
         os.unlink(path)
     assert code == 2
     assert out.splitlines()[0].startswith("FAIL bogus-double")
+
+
+@pytest.mark.parametrize("line, token", [
+    ("x: 9^30000000*sigma1 = sigma1", "9^30000000"),
+    ("x: sigma1^3000000 = sigma1", "sigma1^3000000"),
+])
+def test_ledger_power_above_degree_max_exits_at_once(capsys, tmp_path, line, token):
+    path = _write(tmp_path, line + "\n")
+    start = time.perf_counter()
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["--command", "verify-identities", "--genus", "2",
+                  "--data", f"identities={path}"])
+    assert time.perf_counter() - start < 0.1
+    out, err = capsys.readouterr()
+    assert exc.value.code == 2 and out == ""
+    assert err.count("\n") == 1 and err.endswith(f"power above 5 in {token!r}\n")
 
 
 def test_verify_identities_any_literals(capsys, tmp_path):
