@@ -15,12 +15,11 @@ from __future__ import annotations
 
 import itertools
 import re
-from array import array
 from fractions import Fraction
 from functools import lru_cache, partial, reduce
 from math import factorial, isqrt, lcm
 from operator import and_, mul, or_, sub
-from typing import Iterable, NamedTuple, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .bits import kernel_f2, rref_f2, span_f2
 from .characteristics import (
@@ -488,10 +487,10 @@ def _units(labels: Iterable[int]) -> tuple[int, ...]:
 def _encode_slots(slots: Sequence[Sequence[int]], exponents: Sequence[int]) -> Iterable[int]:
     """The key of each label set whose slot i has the prime slots[i][n] in
     set n, raised to exponents[i], in set order: one C-level pass a slot
-    and no product per key.  With no slot, the one key of the empty set, 1."""
+    and no product per key."""
     powers = [col if e == 1 else map(pow, col, itertools.repeat(e))
               for col, e in zip(slots, exponents)]
-    return reduce(partial(map, mul), powers[1:], powers[0]) if powers else (1,)
+    return reduce(partial(map, mul), powers[1:], powers[0])
 
 
 def _decode(key: int) -> tuple[tuple[int, int], ...]:
@@ -542,18 +541,16 @@ def _orth_sets(g: int) -> dict[int, dict[tuple[int, ...], list[tuple[int, ...]]]
     return out
 
 
-class LabelSets(NamedTuple):
-    """One relation-space group of _orth_sets(g), read off once a genus."""
-    slots: tuple[array, ...]  # slot i's prime in each set, in set order
+class Chunk(NamedTuple):
+    """One (composition, relation space) chunk of a type's monomials: the
+    keys of one relation-space group of _orth_sets(g) at one composition."""
+    keys: list[int]  # each set's key, in set order
     masks: list[int]  # each set's span mask, as _span_classes names it
     first: dict[int, tuple[int, ...]]  # each span's first set
 
 
-# the empty monomial's one label set: no slot, span mask -1, no label
-_NO_LABELS = LabelSets((), [-1], {-1: ()})
-
-# each type's monomials of one degree as (exponents, label sets) chunks
-Chunks = dict[ConfigType, list[tuple[tuple[int, ...], LabelSets]]]
+# each type's monomials of one degree, chunk by chunk
+Chunks = dict[ConfigType, list[Chunk]]
 
 
 def _compositions(total: int, parts: int) -> Iterable[tuple[int, ...]]:
@@ -569,17 +566,19 @@ _type_of_key = _canonical_type
 
 @lru_cache(maxsize=8)
 def _label_sets(g: int) -> dict[int, Chunks]:
-    """The concrete verifier's one table a genus: each degree's types, each
-    with its chunks, one per (composition, relation space) in the registry's
-    key order: set size, composition, relation space, sets in search order.
-    Each group of _orth_sets(g) is read off its labels once: its primes slot
-    by slot, each set's span mask (the AND of its labels' _orth_masks, equal
-    masks sharing one int) and each span's first set, which gives a factor's
-    span its label bits, so no key is ever factored."""
+    """The concrete verifier's one table a genus, and the one place keys are
+    encoded: each degree's types, each with its chunks, one per
+    (composition, relation space) in the registry's key order: set size,
+    composition, relation space, sets in search order.  Each group of
+    _orth_sets(g) is read off its labels once: its primes slot by slot, each
+    set's span mask (the AND of its labels' _orth_masks, equal masks sharing
+    one int) and each span's first set, which gives a factor's span its
+    label bits, so no key is ever factored.  The empty monomial's chunk is
+    the one key 1, of span mask -1 and no label."""
     orth = _orth_masks(g)
     shared: dict[int, int] = {}
     table: dict[int, Chunks] = {d: {} for d in range(DEGREE_MAX + 1)}
-    table[0][EMPTY] = [((), _NO_LABELS)]
+    table[0][EMPTY] = [Chunk([1], [-1], {-1: ()})]
     for k, groups in _orth_sets(g).items():
         read = []
         for rels, sets in groups.items():
@@ -588,13 +587,14 @@ def _label_sets(g: int) -> dict[int, Chunks]:
             masks = list(map(shared.setdefault, masks, masks))
             # reversed, so each span keeps its first set
             first = dict(zip(reversed(masks), reversed(sets)))
-            read.append((rels, LabelSets(tuple(array("H", _units(s)) for s in slots), masks, first)))
+            read.append((rels, tuple(map(_units, slots)), masks, first))
         # k runs outermost, so each degree's chunks come by set size first
         for degree in range(k, DEGREE_MAX + 1):
             for exps in _compositions(degree, k):
                 # the type depends on the labels only through their relation space
-                for rels, sets in read:
-                    table[degree].setdefault(_type_of_key(exps, rels), []).append((exps, sets))
+                for rels, primes, masks, first in read:
+                    table[degree].setdefault(_type_of_key(exps, rels), []).append(
+                        Chunk(list(_encode_slots(primes, exps)), masks, first))
     return table
 
 
@@ -604,8 +604,7 @@ def _registry(g: int, degree: int) -> dict[ConfigType, list[int]]:
     each type's keys chunk by chunk (_label_sets)."""
     if degree > DEGREE_MAX:
         raise DegreeOverflowError(f"degree {degree} exceeds {DEGREE_MAX}")
-    return {t: list(itertools.chain.from_iterable(
-                _encode_slots(sets.slots, exps) for exps, sets in chunks))
+    return {t: list(itertools.chain.from_iterable(c.keys for c in chunks))
             for t, chunks in _label_sets(g).get(degree, {}).items()}
 
 
@@ -644,40 +643,47 @@ def convolve(d1: dict[int, Coeff], d2: dict[int, Coeff], g: int) -> dict[int, Co
     return {k: c for k, c in out.items() if c}
 
 
-SpanIndex = dict[int, list[tuple[int, int, list[int]]]]
-
-
-def _span_index(spans: Grouped) -> tuple[SpanIndex, int]:
-    """A unit operand's span classes as (m, t, keys), filed under the least
-    label bit of t, and reach, the OR of the index's bits.  A class of span
-    mask m1 is compatible with (m, t) exactly when m1 & t == t, so only the
-    entries under a bit of m1 can be; the empty monomial's t == 0 is filed
-    under bit 0, which no label uses, and & reach ends the empty m1 = -1.
-    The pair loops walk the bits of (m1 | 1) & reach, lowest first."""
-    index: SpanIndex = {}
+def _compatible(spans: Grouped) -> Callable[[int], list[tuple[int, int, list[int]]]]:
+    """The lookup m1 -> [(m, t, keys), ...] of a unit operand's span classes
+    compatible with a class of span mask m1, in index order.  The classes
+    are filed once under the least label bit of t.  (m, t) is compatible
+    with m1 exactly when m1 & t == t, so only the entries under a bit of m1
+    can be; the empty monomial's t == 0 is filed under bit 0, which no label
+    uses, and & reach, the OR of the index's bits, ends the empty m1 = -1.
+    A lookup walks the bits of (m1 | 1) & reach, lowest first."""
+    index: dict[int, list[tuple[int, int, list[int]]]] = {}
     for m, (t, terms) in spans.items():
         index.setdefault(t & -t or 1, []).append((m, t, list(terms)))
-    return index, reduce(or_, index, 0)
+    reach = reduce(or_, index, 0)
+
+    def lookup(m1: int) -> list[tuple[int, int, list[int]]]:
+        found = []
+        bits = (m1 | 1) & reach
+        while bits:
+            low = bits & -bits
+            bits ^= low
+            # a plain loop: a comprehension costs a call a bit on Python 3.11
+            for entry in index[low]:
+                t = entry[1]
+                if m1 & t == t:
+                    found.append(entry)
+        return found
+    return lookup
 
 
 def _span_pairs(spans1: Grouped, spans2: Grouped, scale: Coeff, out: dict[int, Coeff]) -> None:
     """The flat pair loop: adds scale * each product of keys of orthogonal
     spans into out.  spans2 is a unit class: its values are read as 1.  Each
-    class of spans1 lists the keys of all its compatible classes once, in
-    the walk over spans2's index (_span_index), and runs each of its own
-    keys, scaled once, over that list, its own keys outermost.  Key pairs
-    are enumerated one by one."""
-    index, reach = _span_index(spans2)
+    class of spans1 lists the keys of all its compatible classes
+    (_compatible) once, and runs each of its own keys, scaled once, over
+    that list, its own keys outermost.  Key pairs are enumerated one by
+    one."""
+    compatible = _compatible(spans2)
     get = out.get
     for m1, (_, terms1) in spans1.items():
         keys: list[int] = []
-        bits = (m1 | 1) & reach
-        while bits:
-            low = bits & -bits
-            bits ^= low
-            for _, t2, keys2 in index[low]:
-                if m1 & t2 == t2:
-                    keys += keys2
+        for _, _, keys2 in compatible(m1):
+            keys += keys2
         if keys:
             for k1, c1 in terms1.items():
                 c1 *= scale
@@ -904,7 +910,7 @@ def concrete_expr(expr: Expr, g: int) -> ConcreteValue:
         if c:
             out.update(zip(_registry(g, t.degree).get(t, ()), itertools.repeat(c)))
     for chain, scale in chains:
-        _chain_product(chain, g, scale, out)
+        _span_pairs(_concrete_chain(chain[:-1], g), _concrete_chain(chain[-1:], g), scale, out)
     return den, {k: c for k, c in out.items() if c} if any(out.values()) else {}
 
 
@@ -931,51 +937,40 @@ def _concrete_chain(chain: tuple[Factor, ...], g: int) -> Grouped:
         # product's span m1 & m2 with labels t1 | t2, the last factor's
         # keys outside and the prefix's inside
         val = {}
-        index, reach = _span_index(_concrete_chain(chain[-1:], g))
+        compatible = _compatible(_concrete_chain(chain[-1:], g))
         for m1, (t1, terms1) in _concrete_chain(chain[:-1], g).items():
             items1 = list(terms1.items())
-            bits = (m1 | 1) & reach
-            while bits:
-                low = bits & -bits
-                bits ^= low
-                for m2, t2, keys2 in index[low]:
-                    if m1 & t2 != t2:
-                        continue
-                    m = m1 & m2
-                    group = val.get(m)
-                    if group is None:
-                        group = val[m] = (t1 | t2, {})
-                    out = group[1]
-                    get = out.get
-                    for k2 in keys2:
-                        for k1, c1 in items1:
-                            k = k1 * k2
-                            out[k] = get(k, 0) + c1
+            for m2, t2, keys2 in compatible(m1):
+                m = m1 & m2
+                group = val.get(m)
+                if group is None:
+                    group = val[m] = (t1 | t2, {})
+                out = group[1]
+                get = out.get
+                for k2 in keys2:
+                    for k1, c1 in items1:
+                        k = k1 * k2
+                        out[k] = get(k, 0) + c1
     _CONCRETE_MEMO[memo_key] = val
     return val
 
 
 def _factor_spans(f: Factor, g: int) -> Grouped:
     """A single factor as _span_classes groups its classes with value 1,
-    read off the chunks of its types (_label_sets): each chunk's keys are
-    encoded as the registry encodes them and paired with their sets' span
-    masks, so no key is factored.  t is the OR of 1 << label over the first
-    set of its span in the first chunk that has it: the labels of the
-    span's first key, which _span_classes reads t from."""
+    read off the chunks of its types (_label_sets): each chunk's keys, the
+    registry's own ints, are paired with their sets' span masks, so no key
+    is factored.  t is the OR of 1 << label over the first set of its span
+    in the first chunk that has it: the labels of the span's first key,
+    which _span_classes reads t from."""
     groups: Grouped = {}
     for t in _unit_types(f, g):
-        for exps, sets in _label_sets(g)[t.degree].get(t, ()):
-            for m, key in zip(sets.masks, _encode_slots(sets.slots, exps)):
+        for chunk in _label_sets(g)[t.degree].get(t, ()):
+            for m, key in zip(chunk.masks, chunk.keys):
                 group = groups.get(m)
                 if group is None:
-                    group = groups[m] = (sum(1 << p for p in sets.first[m]), {})
+                    group = groups[m] = (sum(1 << p for p in chunk.first[m]), {})
                 group[1][key] = 1
     return groups
-
-
-def _chain_product(chain: tuple[Factor, ...], g: int, scale: int, out: dict[int, int]) -> None:
-    """scale * (memoized prefix) * (last factor), summed into out."""
-    _span_pairs(_concrete_chain(chain[:-1], g), _concrete_chain(chain[-1:], g), scale, out)
 
 
 class IdentityReport(NamedTuple):

@@ -3,6 +3,7 @@ the records format that `--format records` writes and `published.txt` holds."""
 from __future__ import annotations
 
 import re
+import sys
 from fractions import Fraction
 from functools import lru_cache
 from importlib import resources
@@ -23,10 +24,15 @@ def check_genus(g: int, lo: int, hi: int | None, what: str) -> None:
 
 
 def numeral(token: str, where: str) -> int:
-    """A number in its one spelling in data files: ASCII digits, no leading 0."""
+    """A number in its one spelling in data files: ASCII digits, no leading 0,
+    and no more digits than the interpreter converts to an int."""
     if not (token.isascii() and token.isdigit() and (token == "0" or token[0] != "0")):
         raise ValueError(f"bad numeral {token!r} in {where!r}")
-    return int(token)
+    try:
+        return int(token)
+    except ValueError:
+        raise ValueError(f"bad numeral of {len(token)} digits in {where!r}: more than "
+                         f"the {sys.get_int_max_str_digits()} an int is read from") from None
 
 
 def genus(token: str, where: str) -> int:

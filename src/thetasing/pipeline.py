@@ -131,9 +131,12 @@ def lam_factor(g: int, j: int, R: TautRing | None = None) -> TautElement:
     Substituting x = lam_1/2 + t into sum lam_{g-i} x^i and collecting t^j
     gives sum_{i>=j} C(i,j) (lam_1/2)^{i-j} lam_{g-i}, reduced in R (the
     compactified ring of genus g by default).  Lambda_0 is the top Chern
-    class of the Hodge bundle twisted by lam_1/2.
+    class of the Hodge bundle twisted by lam_1/2.  A j below 0 is refused;
+    above g, Lambda_j is an empty sum, {}.
     """
     check_genus(g, GENUS_MIN, None, "lam_factor")
+    if j < 0:
+        raise ValueError(f"stratum index {j} out of range for genus {g}")
     raw: TautElement = {}
     for i in range(j, g + 1):
         e1 = i - j

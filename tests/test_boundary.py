@@ -389,6 +389,19 @@ def test_convolve_visits_each_class_under_a_shared_least_label(g):
     d2 = dict.fromkeys((((a, 1), (q, 1)), ((a, 1),), ((a, 2),)), F(2))
     got, expected = _convolve_both_ways(d1, d2, g)
     assert got == expected == {((a, 1), (r, 1)): F(10, 3), ((a, 2), (r, 1)): F(10, 3)}
+    # the lookup itself against a plain filter over all classes, at every
+    # span mask of d1 and, at genus 3, of the ledger product sigma2 * sigma2
+    spans = [(boundary._span_classes(((pack(k), 1) for k in d), masks) for d in (d1, d2))]
+    if g == 3:
+        chain = next(tuple(sorted(fs)) for i in load_identities() if i.name == "sigma2-squared"
+                     for _, fs in i.lhs)
+        spans.append(tuple(boundary._factor_spans(f, g) for f in chain))
+    for spans1, spans2 in spans:
+        lookup = boundary._compatible(spans2)
+        for m1 in spans1:
+            found = lookup(m1)
+            plain = {m: (t, list(terms)) for m, (t, terms) in spans2.items() if m1 & t == t}
+            assert len(found) == len(plain) and {m: (t, keys) for m, t, keys in found} == plain
 
 
 @pytest.mark.parametrize("g", (2, 3))
@@ -625,6 +638,23 @@ def test_factor_spans_match_span_classes_of_the_registry():
             for m, (t, terms) in got.items():
                 assert terms == expected[m][1], (g, f, m)
                 assert t in {sum(1 << p for p, _ in _decode(key)) for key in terms}, (g, f, m)
+
+
+def test_factor_spans_share_the_registry_keys():
+    # a single factor's keys are the registry's own int objects, not equal
+    # copies: every ledger factor and every any(...) up to degree 5
+    factors = {f for identity in load_identities()
+               for _, fs in identity.lhs + identity.rhs for f in fs}
+    factors |= {("any", exps) for d in range(boundary.DEGREE_MAX + 1)
+                for exps in boundary._partitions(d)}
+    for g in (1, 2, 3):
+        registry = {key: key for d in range(boundary.DEGREE_MAX + 1)
+                    for keys in _registry(g, d).values() for key in keys}
+        keys = {f: [key for _, terms in boundary._factor_spans(f, g).values() for key in terms]
+                for f in sorted(factors)}
+        assert any(keys.values())
+        for f, fkeys in keys.items():
+            assert all(registry[key] is key for key in fkeys), (g, f)
 
 
 def test_check_identity_first_difference_genus3():

@@ -12,7 +12,7 @@ from importlib import resources
 import pytest
 from hypothesis import example, given, strategies as st
 
-from thetasing import boundary, characteristics, cli, datafile, exactla, pipeline
+from thetasing import boundary, characteristics, cli, datafile, exactla, pipeline, tautring
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
@@ -525,6 +525,10 @@ def _write(tmp_path, text):
     return str(path)
 
 
+# the fewest digits the interpreter refuses to read as an int
+LONG = "9" * (sys.get_int_max_str_digits() + 1)
+
+
 @pytest.mark.parametrize("kind, argv, text, reason", [
     # missing files
     ("boundary-relations", ["--command", "compactified-class", "--genus", "2"], None,
@@ -570,6 +574,10 @@ def _write(tmp_path, text):
      "genus=02: sigma2 = 6*lam1*sigma1\n", "bad numeral '02' in 'genus=02'"),
     ("normalizations", ["--command", "ring-info", "--genus", "2"],
      "genus=2 value=1/02880 source=t\n", "bad numeral '02880'"),
+    # and no more digits than an int is read from
+    pytest.param("identities", ["--command", "verify-identities", "--genus", "2"],
+                 f"x: cfg({LONG}) = sigma1\n", f"bad numeral of {len(LONG)} digits in 'cfg({LONG})'",
+                 id="long-numeral"),
     # a genus no ring has, in either file, a zero normalization, and a
     # second normalization for one genus
     ("boundary-relations", ["--command", "compactified-class", "--genus", "2"],
@@ -601,6 +609,22 @@ def test_bad_data_file_fails_before_output(capsys, tmp_path, kind, argv, text, r
     assert captured.err.startswith(f"thetasing: bad --data {kind} file {path}: ")
     assert reason in captured.err
     assert captured.err.count("\n") == 1 and captured.err.endswith("\n")
+
+
+@pytest.mark.parametrize("read, line", [
+    (boundary.parse_identity, f"x: {LONG}*sigma1 = sigma1"),
+    (boundary.parse_identity, f"x: cfg({LONG}) = sigma1"),
+    (boundary.parse_identity, f"x: sigma1^{LONG} = sigma1"),
+    (datafile.parse_record_line, f"lambda=1,0 word=1 num={LONG} den=1 prov=paper"),
+    (tautring._parse_normalization, f"genus=2 value={LONG}/1 source=t"),
+    (lambda line: datafile.genus(line[len("genus="):], line), f"genus={LONG}"),
+], ids=("coefficient", "cfg", "power", "record", "normalization", "genus"))
+def test_numeral_too_long_for_an_int_is_a_bad_numeral(read, line):
+    with pytest.raises(ValueError) as exc:
+        read(line)
+    message = str(exc.value)
+    assert message.startswith(f"bad numeral of {len(LONG)} digits in ")
+    assert "\n" not in message and "set_int_max_str_digits" not in message
 
 
 def test_ring_info_prints_normalization_override(capsys, tmp_path):

@@ -60,6 +60,13 @@ def test_lam_factor_values():
     assert lam_factor(5, 5) == {(0, 0, 0, 0, 0): F(1)}
 
 
+def test_lam_factor_refuses_a_negative_index():
+    # Lambda_j for j > g is an empty sum; j < 0 names no twist power
+    assert lam_factor(3, 4) == {}
+    with pytest.raises(ValueError, match=r"^stratum index -1 out of range for genus 3$"):
+        lam_factor(3, -1)
+
+
 def test_lam_factor_regroups_chern_polynomial():
     # evaluating sum_i lam_{g-i} (lam_1/2 + t)^i at g+1 rational points must
     # agree with sum_j t^j Lambda_j; that pins every Lambda_j coefficient
