@@ -57,6 +57,7 @@ __all__ = [
     "Identity",
     "load_identities",
     "check_identity",
+    "value_at",
     "DEFAULT_TARGETS",
     "NAMED_CLASSES",
     "word_sort_key",
@@ -973,6 +974,37 @@ def _factor_spans(f: Factor, g: int) -> Grouped:
     return groups
 
 
+def value_at(expr: Expr, support: Sequence[BoundaryLabel], exponents: Sequence[int],
+             g: int) -> Fraction:
+    """Value of a ledger expression at one concrete monomial M of genus g: per
+    term, its coefficient times the number of ordered factorizations
+    M = M_1 ... M_k with M_i of a type of factor i (_unit_types), each part
+    typed from its labels by canonical_config, never by product, a split
+    table or change_basis.  A support that is not pairwise orthogonal is the
+    zero class, of value 0."""
+    check_genus(g, GENUS_MIN, None, "value_at")
+    if support and support[0].genus != g:
+        raise ValueError(f"label of genus {support[0].genus} at genus {g}")
+    degree = expr_degree(expr)
+    if degree > DEGREE_MAX:
+        raise DegreeOverflowError(f"degree {degree} exceeds {DEGREE_MAX}")
+    if canonical_config(support, exponents) is None or sum(exponents) != degree:
+        return Fraction(0)
+    part_type = {part: canonical_config([x for x, e in zip(support, part) if e],
+                                        [e for e in part if e])
+                 for part in itertools.product(*(range(e + 1) for e in exponents))}
+
+    def count(units: list, rest: tuple[int, ...]) -> int:
+        if not units:
+            return 1  # each part has its factor's degree, so nothing is left
+        return sum(count(units[1:], tuple(map(sub, rest, part)))
+                   for part in itertools.product(*(range(e + 1) for e in rest))
+                   if part_type[part] in units[0])
+
+    return sum((coeff * count([_unit_types(f, g) for f in factors], tuple(exponents))
+                for coeff, factors in expr if coeff), Fraction(0))
+
+
 class IdentityReport(NamedTuple):
     name: str
     concrete_ok: bool
@@ -983,16 +1015,17 @@ class IdentityReport(NamedTuple):
 
 def check_identity(identity: Identity, g: int) -> IdentityReport:
     """Verify one ledger identity at genus g: lhs - rhs is zero, concretely
-    and symbolically.  A counterexample is its least nonzero monomial."""
+    and symbolically.  A counterexample is its least nonzero monomial and
+    each side's value there, read by value_at."""
     check_genus(g, GENUS_MIN, CONCRETE_GENUS_MAX, "check_identity")
     diff = identity.lhs + tuple((-c, factors) for c, factors in identity.rhs)
     _, nums = concrete_expr(diff, g)
     counter = None
     if nums:
-        key = min(nums, key=_decode)
-        den_l, left = concrete_expr(identity.lhs, g)
-        den_r, right = concrete_expr(identity.rhs, g)
-        counter = (_decode(key),
-                   Fraction(left.get(key, 0), den_l), Fraction(right.get(key, 0), den_r))
+        first = min(map(_decode, nums))
+        support = [BoundaryLabel.from_packed(g, p) for p, _ in first]
+        exps = [e for _, e in first]
+        counter = (first, value_at(identity.lhs, support, exps, g),
+                   value_at(identity.rhs, support, exps, g))
     residual = expand_expr(diff, g)
     return IdentityReport(identity.name, not nums, residual.is_zero(), counter, residual)

@@ -6,7 +6,7 @@ import re
 import sys
 import time
 from fractions import Fraction
-from functools import reduce
+from functools import lru_cache, reduce
 from math import factorial, lcm, prod
 
 import pytest
@@ -43,10 +43,12 @@ from thetasing.boundary import (
     concrete_expr,
     convolve,
     expand_expr,
+    expr_degree,
     instantiate,
     make_type,
     normalize_word,
     parse_identity,
+    value_at,
     word_sort_key,
 )
 from thetasing import boundary, characteristics, pipeline
@@ -693,7 +695,13 @@ def test_check_identity_of_a_zero_difference():
     assert report.residual == BoundaryPoly(1)
 
 
-def test_check_identity_expands_the_difference_once(monkeypatch):
+@pytest.mark.parametrize("line, counterexample", [
+    ("sq: any(1)^2 = cfg(2) + 2*any(1,1)", None),
+    # a failing line reads its first difference through value_at, so the
+    # two sides are not evaluated over the whole genus again
+    ("sq: any(1)^2 = cfg(2) + any(1,1)", (((1, 1), (2, 1)), F(2), F(1))),
+], ids=["holds", "fails"])
+def test_check_identity_expands_the_difference_once(monkeypatch, line, counterexample):
     import thetasing.boundary as boundary
 
     calls = {"concrete_expr": 0, "expand_expr": 0}
@@ -703,8 +711,10 @@ def test_check_identity_expands_the_difference_once(monkeypatch):
             return _inner(*args)
         monkeypatch.setattr(boundary, name, counted)
     # literals only, so no named class expands through expand_expr
-    report = check_identity(parse_identity("sq: any(1)^2 = cfg(2) + 2*any(1,1)"), 3)
-    assert report.concrete_ok and report.symbolic_ok
+    report = check_identity(parse_identity(line), 3)
+    holds = counterexample is None
+    assert report.concrete_ok is holds and report.symbolic_ok is holds
+    assert report.counterexample == counterexample
     assert calls == {"concrete_expr": 1, "expand_expr": 1}
 
 
@@ -715,6 +725,114 @@ def test_check_identity_residual_is_the_symbolic_difference():
     assert not report.concrete_ok and not report.symbolic_ok
     assert report.residual == expand_expr(ident.lhs, g) - expand_expr(ident.rhs, g)
     assert not report.residual.is_zero()
+
+
+# --- value_at: a ledger expression at one concrete monomial ---------------------
+
+def _raise(*args, **kwargs):
+    raise AssertionError("value_at reached the type algebra")
+
+
+@lru_cache(maxsize=None)
+def _ledger_at_representatives():
+    """{(g, line, t): ((lhs value, lhs coefficient), (rhs value, rhs coefficient))}
+    for every bundled line, at genus 1-5, and every type t of the line's
+    degree with rank <= g: each value read by value_at at representative(t, g)
+    while product, _split_table, _induced and change_basis raise, and each
+    coefficient read off expand_expr before they were rebound."""
+    polys = {(g, i): (expand_expr(i.lhs, g), expand_expr(i.rhs, g))
+             for g in range(1, 6) for i in load_identities()}
+    table = {}
+    with pytest.MonkeyPatch.context() as mp:
+        for name in ("product", "_split_table", "_induced", "change_basis"):
+            mp.setattr(boundary, name, _raise)
+        expand_named.cache_clear()  # so the named classes expand with them raising
+        for (g, identity), sides in polys.items():
+            for t in all_types(expr_degree(identity.lhs + identity.rhs)):
+                if t.rank <= g:
+                    labels = characteristics.representative(t, g)
+                    table[g, identity.name, t] = tuple(
+                        (value_at(side, labels, t.exps, g), poly.coeffs.get(t, F(0)))
+                        for side, poly in zip((identity.lhs, identity.rhs), sides))
+    return table
+
+
+def test_value_at_reads_the_ledger_without_the_type_algebra():
+    table = _ledger_at_representatives()
+    compared, nonzero = {}, {}
+    for (g, name, t), ((lhs, lhs_coeff), (rhs, rhs_coeff)) in table.items():
+        assert type(lhs) is Fraction and type(rhs) is Fraction
+        assert lhs == lhs_coeff and rhs == rhs_coeff and lhs == rhs, (g, name, t.literal())
+        compared[g] = compared.get(g, 0) + 2
+        nonzero[g] = nonzero.get(g, 0) + (lhs != 0) + (rhs != 0)
+    assert compared == {1: 36, 2: 168, 3: 348, 4: 456, 5: 480}
+    assert nonzero == {1: 4, 2: 50, 3: 174, 4: 262, 5: 284}
+    assert (sum(compared.values()), sum(nonzero.values())) == (1488, 774)
+
+
+def test_vacuous_ledger_lines_by_genus():
+    # a line is vacuous at genus g when both sides are 0 at every
+    # representative; no line may be vacuous at every genus
+    table = _ledger_at_representatives()
+    names = {name for _, name, _ in table}
+    vacuous = {g: sorted(name for name in names
+                         if not any(lhs or rhs for (h, n, _), ((lhs, _), (rhs, _)) in table.items()
+                                    if (h, n) == (g, name)))
+               for g in range(1, 6)}
+    assert [len(vacuous[g]) for g in range(1, 6)] == [16, 9, 2, 1, 0]
+    assert vacuous[3] == ["beta5-refine", "sigma1-beta4"]
+    assert vacuous[4] == ["beta5-refine"]
+    assert not set.intersection(*map(set, vacuous.values()))
+
+
+@pytest.mark.parametrize("g", [2, 3])
+def test_value_at_matches_concrete_expr_on_the_ledger(g):
+    # genus 2: every concrete monomial of a line's degree; genus 3: each
+    # type's representative.  Each monomial as (key, support, exponents)
+    identities = load_identities()
+    degrees = {expr_degree(i.lhs + i.rhs) for i in identities}
+    monomials = {}
+    for d in degrees:
+        if g == 2:
+            decoded = [_decode(key) for keys in _registry(g, d).values() for key in keys]
+        else:
+            decoded = [tuple(zip((x.packed for x in characteristics.representative(t, g)), t.exps))
+                       for t in all_types(d) if t.rank <= g]
+        monomials[d] = [(pack(mono), [BoundaryLabel.from_packed(g, p) for p, _ in mono],
+                         [e for _, e in mono]) for mono in decoded]
+    compared = 0
+    for identity in identities:
+        for side in (identity.lhs, identity.rhs):
+            den, nums = concrete_expr(side, g)
+            for key, support, exps in monomials[expr_degree(identity.lhs + identity.rhs)]:
+                assert value_at(side, support, exps, g) == F(nums.get(key, 0), den), \
+                    (identity.name, g, key)
+                compared += 1
+    assert compared == {2: 9180, 3: 348}[g]
+
+
+def test_value_at_refuses_bad_input_and_reads_zero_off_a_non_orthogonal_support():
+    g = 2
+    a = BoundaryLabel.from_packed(g, 0b0001)
+    b = BoundaryLabel.from_packed(g, 0b0100)  # <a, b> = 1
+    c = BoundaryLabel.from_packed(g, 0b0010)
+    square = _parse_expr("sigma1^2")
+    assert value_at(square, [a, c], [1, 1], g) == 2
+    # a monomial of another degree has no factorization into the factors
+    assert value_at(square, [a, c], [1, 2], g) == value_at(square, [a], [1], g) == 0
+    zero = value_at(square, [a, b], [1, 1], g)
+    assert zero == 0 and type(zero) is Fraction
+    with pytest.raises(ValueError, match=r"^label of genus 2 at genus 3$"):
+        value_at(square, [a, c], [1, 1], 3)
+    with pytest.raises(ValueError, match=r"^label genus mismatch$"):
+        value_at(square, [a, BoundaryLabel(3, 1, 0)], [1, 1], g)
+    with pytest.raises(ValueError, match=r"^support and exponents must have equal length$"):
+        value_at(square, [a, c], [2], g)
+    for factor in (("cfg", (6,), ()), ("any", (1,) * 6)):
+        with pytest.raises(DegreeOverflowError, match=r"^degree 6 exceeds 5$"):
+            value_at(((F(1), (factor,)),), [a], [6], g)
+        # a term of coefficient 0 is skipped, as expr_degree and concrete_expr skip it
+        assert value_at(square + ((F(0), (factor,)),), [a, c], [1, 1], g) == 2
 
 
 def reference_concrete_expr(expr, g):

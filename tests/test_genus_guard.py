@@ -59,6 +59,8 @@ GUARDS = {
                               LO, None, "change_basis"),
     "boundary.check_identity": (lambda g: boundary.check_identity(_IDENTITY, g),
                                 LO, boundary.CONCRETE_GENUS_MAX, "check_identity"),
+    "boundary.value_at": (lambda g: boundary.value_at(_IDENTITY.lhs, (), (), g),
+                          LO, None, "value_at"),
     "tautring.TautRing": (tautring.TautRing, LO, None, "TautRing"),
     "tautring.ring": (tautring.ring, LO, None, "TautRing"),
     "tautring.monomials": (lambda g: tautring.monomials(g, 2), LO, None, "monomials"),
