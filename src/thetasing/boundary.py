@@ -515,6 +515,26 @@ def _decode(key: int) -> tuple[tuple[int, int], ...]:
     return tuple(out)
 
 
+def _least_key(keys: Iterable[int]) -> int:
+    """The key of least _decode, found by elimination rather than decoding:
+    label by label in order, only the keys its prime divides are kept, those
+    of least exponent, with that power divided out; a key with nothing left
+    is the least outright."""
+    left = {key: key for key in keys}
+    for q in _PRIMES.values():
+        for key, rest in left.items():
+            if rest == 1:
+                return key
+        kept = {key: rest // q for key, rest in left.items() if not rest % q}
+        while kept:
+            left = kept
+            kept = {key: rest // q for key, rest in left.items() if not rest % q}
+            if len(kept) < len(left):  # the keys q divides no more have the least exponent
+                left = {key: rest for key, rest in left.items() if rest % q}
+                break
+    return min(left, key=_decode)  # no key left is a monomial: _decode refuses
+
+
 def _orth_sets(g: int) -> dict[int, dict[tuple[int, ...], list[tuple[int, ...]]]]:
     """All pairwise-orthogonal label sets of sizes 1..DEGREE_MAX, packed, by
     size and then by relation space, each group in search order, so that the
@@ -1022,7 +1042,7 @@ def check_identity(identity: Identity, g: int) -> IdentityReport:
     _, nums = concrete_expr(diff, g)
     counter = None
     if nums:
-        first = min(map(_decode, nums))
+        first = _decode(_least_key(nums))
         support = [BoundaryLabel.from_packed(g, p) for p, _ in first]
         exps = [e for _, e in first]
         counter = (first, value_at(identity.lhs, support, exps, g),

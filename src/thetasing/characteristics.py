@@ -22,6 +22,7 @@ computed where the brute-force oracle needs them, in _vanish_tables.
 from __future__ import annotations
 
 import itertools
+from array import array
 from collections import namedtuple
 from functools import lru_cache
 from random import Random
@@ -388,22 +389,34 @@ def orthogonal_tuples(g: int, max_size: int) -> Iterator[tuple[BoundaryLabel, ..
 
 
 @lru_cache(maxsize=8)
-def _chart_tables(g: int) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
-    """The sampler's tables at genus g.  S, packed one row per 8-bit lane
-    (bit 8p + q is S[p][q]), is by_low[t & 255] | by_high[t >> 8] for the
-    triangle draw t; picks[c] masks the lanes of the rows that c picks.
-    Eight-bit lanes hold any g <= 8."""
+def _chart_tables(g: int) -> tuple[int, tuple[array, ...], tuple[array, ...], int, int, tuple]:
+    """The sampler's tables at genus g: the chart draw's width g(g+3)/2,
+    by_low, by_high, w = min(DEGREE_MAX, 2^g - 1), w.bit_length() and
+    _labels(g).  The triangle draw t of S splits S into S_low, its cells of
+    the low 8 bits of t, and S_high, the rest; they share no cell, so
+    S c = S_low c ^ S_high c, and the unswapped label (S c) << g | c is
+    by_low[t & 255][c] ^ by_high[t >> 8][c].  Entries are below 2^(2g), so
+    array('H') rows hold any g <= 8."""
     # triangle bit i sets S[p][q] and S[q][p], row p from its diagonal on
-    cells = [1 << (8 * p + q) | 1 << (8 * q + p) for p in range(g) for q in range(p, g)]
+    cells = [(p, q) for p in range(g) for q in range(p, g)]
 
-    def subset_ors(chunk: list[int]) -> tuple[int, ...]:
-        table = [0]  # entry i: the OR of the cells of the bits of i
-        for cell in chunk:
-            table += [s | cell for s in table]
+    def products(chunk: list[tuple[int, int]], keep: int) -> tuple[array, ...]:
+        table = []  # row t at c: (S_t c) << g | c & keep; keep is -1 for by_low, 0 for by_high
+        for t in range(1 << len(chunk)):
+            rows = [0] * g  # row p of S as bits q
+            for i, (p, q) in enumerate(chunk):
+                if t >> i & 1:
+                    rows[p] |= 1 << q
+                    rows[q] |= 1 << p
+            sc = [0]  # S c is the XOR of the rows c picks (S is symmetric)
+            for row in rows:
+                sc += [s ^ row for s in sc]
+            table.append(array("H", [s << g | c & keep for c, s in enumerate(sc)]))
         return tuple(table)
 
-    picks = tuple(sum(255 << (8 * p) for p in range(g) if c >> p & 1) for c in range(1 << g))
-    return subset_ors(cells[:8]), subset_ors(cells[8:]), picks
+    w = min(DEGREE_MAX, (1 << g) - 1)
+    return (g * (g + 3) // 2, products(cells[:8], -1), products(cells[8:], 0),
+            w, w.bit_length(), _labels(g))
 
 
 def random_orthogonal_tuple(rng: Random, g: int) -> tuple[BoundaryLabel, ...]:
@@ -427,40 +440,32 @@ def random_orthogonal_tuple(rng: Random, g: int) -> tuple[BoundaryLabel, ...]:
     through randrange's getrandbits rejection loop; then k distinct nonzero
     c by getrandbits(g) rejection.  Labels are sorted by packed value.
 
-    S is read from _chart_tables in two lookups.  S c is the XOR of the
-    rows c picks: masked to those lanes, the lanes fold onto lane 0 in three
-    shifts.
+    The unswapped labels (S c; c) are read from _chart_tables in two
+    lookups per c; J_I is then one masked XOR.
     """
     # a drawn tuple is only ever checked against brute force, so capped as it is
     check_genus(g, GENUS_MIN, BRUTE_FORCE_GENUS_MAX, "random_orthogonal_tuple")
+    width, by_low, by_high, w, w_bits, labels = _chart_tables(g)
     getrandbits = rng.getrandbits
-    low = (1 << g) - 1
-    r = getrandbits(g * (g + 3) // 2)
-    swap = r & low  # I
+    r = getrandbits(width)
+    swap = r & ((1 << g) - 1)  # I
     r >>= g
-    by_low, by_high, picks = _chart_tables(g)
-    sp = by_low[r & 255] | by_high[r >> 8]  # S, row p in lane p
+    lo, hi = by_low[r & 255], by_high[r >> 8]
     # k = randint(1, w), drawn as randrange draws it
-    w = min(DEGREE_MAX, low)
-    bits = w.bit_length()
-    r = getrandbits(bits)
+    r = getrandbits(w_bits)
     while r >= w:
-        r = getrandbits(bits)
+        r = getrandbits(w_bits)
     picked: list[int] = []
     for _ in range(r + 1):
         c = getrandbits(g)
         while not c or c in picked:
             c = getrandbits(g)
         picked.append(c)
+    both = (1 << g) | 1
     out = []
     for c in picked:
-        x = sp & picks[c]  # S c: the XOR of these lanes
-        x ^= x >> 32
-        x ^= x >> 16
-        x ^= x >> 8
-        s = x & low
-        d = (s ^ c) & swap  # J_I trades the halves' bits in I
-        out.append((s ^ d) << g | c ^ d)
+        x = lo[c] ^ hi[c]  # (S c) << g | c
+        # J_I trades the halves' bits in I: d = (S c ^ c) & I, at both halves
+        out.append(x ^ (((x >> g) ^ x) & swap) * both)
     out.sort()
-    labels = _labels(g)
     return tuple([labels[x] for x in out])

@@ -1,12 +1,15 @@
 """Tests for theta characteristics, distinguished label sets, and parity counts."""
 
 import copy
+import gc
 import hashlib
 import itertools
 import math
 import operator
 import re
 import time
+import tracemalloc
+from array import array
 from fractions import Fraction
 from random import Random
 
@@ -606,15 +609,34 @@ def test_chart_tables_match_the_plain_chart_seeded(g):
 
 
 def test_sampler_cap_fits_its_chart_tables():
-    # S sits one row per 8-bit lane, and S c folds lanes 0..7 onto lane 0 by
-    # shifts of 32, 16 and 8, so no genus above 8; and S is two byte-table
-    # lookups, so its triangle, g(g+1)/2 bits, fits in 16 bits
+    # each table row holds the products (S c) << g | c, below 2^(2g), in
+    # array('H') rows, so no genus above 8; and S is two byte-table lookups,
+    # so its triangle, g(g+1)/2 bits, fits in 16 bits
     g = BRUTE_FORCE_GENUS_MAX
     assert g <= 8
-    by_low, by_high, picks = _chart_tables(g)
+    _, by_low, by_high, *_ = _chart_tables(g)
     assert len(by_low) <= 256 and len(by_high) <= 256
     assert len(by_low) * len(by_high) == 1 << (g * (g + 1) // 2)
-    assert len(picks) == 1 << g and max(picks) < 1 << 64
+    for row in by_low + by_high:
+        assert isinstance(row, array) and row.typecode == "H" and len(row) == 1 << g
+        assert max(row) < 1 << (2 * g) <= 1 << 16
+
+
+def test_chart_tables_retain_under_256kb():
+    # the tables of genus 4 and 5, their label tables included, built from
+    # cold: a bound on what the sampler keeps for its speed
+    _chart_tables.cache_clear()
+    _labels.cache_clear()
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        _chart_tables(4), _chart_tables(5)
+        gc.collect()
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert retained < 256 * 1024
 
 
 class _NoDraws(Random):
