@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import itertools
 import re
+from array import array
 from fractions import Fraction
 from functools import lru_cache, partial, reduce
 from math import factorial, isqrt, lcm
@@ -478,6 +479,11 @@ _PRIMES: dict[int, int] = dict(zip(range(1, 1 << 2 * CONCRETE_GENUS_MAX), (
 Coeff = int | Fraction
 # {m: (t, {key: value})}: a concrete dictionary grouped by span
 Grouped = dict[int, tuple[int, dict[int, Coeff]]]
+# {m: (t, keys, values)}: the same, each span's keys and values in two
+# parallel sequences, the form the pair loops read
+Packed = dict[int, tuple[int, Sequence[int], Sequence[Coeff]]]
+# span mask m1 -> [(m, t, keys), ...]: a unit operand's classes compatible with m1
+Lookup = Callable[[int], list[tuple[int, int, list[int]]]]
 
 
 def _units(labels: Iterable[int]) -> tuple[int, ...]:
@@ -563,15 +569,19 @@ def _orth_sets(g: int) -> dict[int, dict[tuple[int, ...], list[tuple[int, ...]]]
 
 
 class Chunk(NamedTuple):
-    """One (composition, relation space) chunk of a type's monomials: the
-    keys of one relation-space group of _orth_sets(g) at one composition."""
-    keys: list[int]  # each set's key, in set order
-    masks: list[int]  # each set's span mask, as _span_classes names it
+    """One relation-space group of _orth_sets(g) as a chunk reads it, shared
+    by all its compositions: each set's span mask, as _span_classes names
+    it, and each span's first set."""
+    masks: list[int]  # each set's span mask, in set order
     first: dict[int, tuple[int, ...]]  # each span's first set
 
 
-# each type's monomials of one degree, chunk by chunk
-Chunks = dict[ConfigType, list[Chunk]]
+class TypeSets(NamedTuple):
+    """A type's monomials of one degree: one (composition, relation space)
+    chunk after another, the keys of chunk i the next len(chunks[i].masks)
+    of keys."""
+    keys: list[int]  # every chunk's keys, in chunk order: the registry's list
+    chunks: list[Chunk]
 
 
 def _compositions(total: int, parts: int) -> Iterable[tuple[int, ...]]:
@@ -586,10 +596,10 @@ _type_of_key = _canonical_type
 
 
 @lru_cache(maxsize=8)
-def _label_sets(g: int) -> dict[int, Chunks]:
+def _label_sets(g: int) -> dict[int, dict[ConfigType, TypeSets]]:
     """The concrete verifier's one table a genus, and the one place keys are
-    encoded: each degree's types, each with its chunks, one per
-    (composition, relation space) in the registry's key order: set size,
+    encoded: each degree's types, each with its keys and chunks, one chunk
+    per (composition, relation space) in the registry's key order: set size,
     composition, relation space, sets in search order.  Each group of
     _orth_sets(g) is read off its labels once: its primes slot by slot, each
     set's span mask (the AND of its labels' _orth_masks, equal masks sharing
@@ -598,8 +608,8 @@ def _label_sets(g: int) -> dict[int, Chunks]:
     the one key 1, of span mask -1 and no label."""
     orth = _orth_masks(g)
     shared: dict[int, int] = {}
-    table: dict[int, Chunks] = {d: {} for d in range(DEGREE_MAX + 1)}
-    table[0][EMPTY] = [Chunk([1], [-1], {-1: ()})]
+    table: dict[int, dict[ConfigType, TypeSets]] = {d: {} for d in range(DEGREE_MAX + 1)}
+    table[0][EMPTY] = TypeSets([1], [Chunk([-1], {-1: ()})])
     for k, groups in _orth_sets(g).items():
         read = []
         for rels, sets in groups.items():
@@ -608,25 +618,29 @@ def _label_sets(g: int) -> dict[int, Chunks]:
             masks = list(map(shared.setdefault, masks, masks))
             # reversed, so each span keeps its first set
             first = dict(zip(reversed(masks), reversed(sets)))
-            read.append((rels, tuple(map(_units, slots)), masks, first))
+            read.append((rels, tuple(map(_units, slots)), Chunk(masks, first)))
         # k runs outermost, so each degree's chunks come by set size first
         for degree in range(k, DEGREE_MAX + 1):
+            types = table[degree]
             for exps in _compositions(degree, k):
                 # the type depends on the labels only through their relation space
-                for rels, primes, masks, first in read:
-                    table[degree].setdefault(_type_of_key(exps, rels), []).append(
-                        Chunk(list(_encode_slots(primes, exps)), masks, first))
+                for rels, primes, chunk in read:
+                    t = _type_of_key(exps, rels)
+                    sets = types.get(t)
+                    if sets is None:
+                        sets = types[t] = TypeSets([], [])
+                    sets.keys.extend(_encode_slots(primes, exps))
+                    sets.chunks.append(chunk)
     return table
 
 
 @lru_cache(maxsize=None)
 def _registry(g: int, degree: int) -> dict[ConfigType, list[int]]:
-    """Index of all concrete monomials of one degree by configuration type,
-    each type's keys chunk by chunk (_label_sets)."""
+    """Index of all concrete monomials of one degree by configuration type:
+    each type's key list in _label_sets itself, not a copy."""
     if degree > DEGREE_MAX:
         raise DegreeOverflowError(f"degree {degree} exceeds {DEGREE_MAX}")
-    return {t: list(itertools.chain.from_iterable(c.keys for c in chunks))
-            for t, chunks in _label_sets(g).get(degree, {}).items()}
+    return {t: sets.keys for t, sets in _label_sets(g).get(degree, {}).items()}
 
 
 def instantiate(p: BoundaryPoly, g: int) -> dict[int, Fraction]:
@@ -658,27 +672,50 @@ def convolve(d1: dict[int, Coeff], d2: dict[int, Coeff], g: int) -> dict[int, Co
     by_value: dict[Coeff, list[int]] = {}
     for k, c in d2.items():
         by_value.setdefault(c, []).append(k)
-    spans1 = _span_classes(d1.items(), masks)
+    spans1 = {m: (t, list(terms), list(terms.values()))
+              for m, (t, terms) in _span_classes(d1.items(), masks).items()}
     for c, keys in by_value.items():
-        _span_pairs(spans1, _span_classes(zip(keys, itertools.repeat(1)), masks), c, out)
+        compatible = _compatible(_span_classes(zip(keys, itertools.repeat(1)), masks))
+        _span_pairs(spans1, compatible, c, out)
     return {k: c for k, c in out.items() if c}
 
 
-def _compatible(spans: Grouped) -> Callable[[int], list[tuple[int, int, list[int]]]]:
+def _pack(groups: Grouped) -> Packed:
+    """Span classes with int values as the memo keeps them: each class's
+    keys in an array('Q') and its values in an array('q'), 16 bytes a key
+    (keys are below 2^42), each array sized from a list.  Equal value
+    arrays are one read-only object: a chain's classes repeat few value
+    patterns (24 among the 4,572 classes of a cold genus-3 ledger pass)."""
+    shared: dict[bytes, array] = {}
+    packed: Packed = {}
+    for m, (t, terms) in groups.items():
+        values = array("q", list(terms.values()))
+        packed[m] = (t, array("Q", list(terms)), shared.setdefault(values.tobytes(), values))
+    return packed
+
+
+def _compatible(spans: Grouped | Packed) -> Lookup:
     """The lookup m1 -> [(m, t, keys), ...] of a unit operand's span classes
-    compatible with a class of span mask m1, in index order.  The classes
+    compatible with a class of span mask m1, in index order; the second
+    field of a class, Grouped or Packed, iterates its keys.  The classes
     are filed once under the least label bit of t.  (m, t) is compatible
     with m1 exactly when m1 & t == t, so only the entries under a bit of m1
     can be; the empty monomial's t == 0 is filed under bit 0, which no label
     uses, and & reach, the OR of the index's bits, ends the empty m1 = -1.
-    A lookup walks the bits of (m1 | 1) & reach, lowest first."""
+    A lookup walks the bits of (m1 | 1) & reach, lowest first, once per m1:
+    the lookup keeps what it found."""
     index: dict[int, list[tuple[int, int, list[int]]]] = {}
-    for m, (t, terms) in spans.items():
-        index.setdefault(t & -t or 1, []).append((m, t, list(terms)))
+    for m, entry in spans.items():
+        t = entry[0]
+        index.setdefault(t & -t or 1, []).append((m, t, list(entry[1])))
     reach = reduce(or_, index, 0)
+    seen: dict[int, list[tuple[int, int, list[int]]]] = {}
 
     def lookup(m1: int) -> list[tuple[int, int, list[int]]]:
-        found = []
+        found = seen.get(m1)
+        if found is not None:
+            return found
+        found = seen[m1] = []
         bits = (m1 | 1) & reach
         while bits:
             low = bits & -bits
@@ -692,21 +729,20 @@ def _compatible(spans: Grouped) -> Callable[[int], list[tuple[int, int, list[int
     return lookup
 
 
-def _span_pairs(spans1: Grouped, spans2: Grouped, scale: Coeff, out: dict[int, Coeff]) -> None:
-    """The flat pair loop: adds scale * each product of keys of orthogonal
-    spans into out.  spans2 is a unit class: its values are read as 1.  Each
-    class of spans1 lists the keys of all its compatible classes
-    (_compatible) once, and runs each of its own keys, scaled once, over
-    that list, its own keys outermost.  Key pairs are enumerated one by
-    one."""
-    compatible = _compatible(spans2)
+def _span_pairs(spans1: Packed, compatible: Lookup, scale: Coeff, out: dict[int, Coeff]) -> None:
+    """The flat pair loop: adds scale * each product of a key of spans1 and
+    a key of a unit class compatible with it (compatible, _compatible's
+    lookup) into out.  Each class of spans1 lists the keys of all its
+    compatible classes once, and runs each of its own keys, scaled once,
+    over that list, its own keys outermost.  Key pairs are enumerated one
+    by one."""
     get = out.get
-    for m1, (_, terms1) in spans1.items():
+    for m1, (_, keys1, values1) in spans1.items():
         keys: list[int] = []
         for _, _, keys2 in compatible(m1):
             keys += keys2
         if keys:
-            for k1, c1 in terms1.items():
+            for k1, c1 in zip(keys1, values1):
                 c1 *= scale
                 for k2 in keys:
                     k = k1 * k2
@@ -892,9 +928,9 @@ def expand_expr(expr: Expr, g: int) -> BoundaryPoly:
 ConcreteValue = tuple[int, dict[int, int]]
 
 # memo for concrete factor chains per genus, keyed by prime-product
-# monomials: a single factor or a product of factors, each grouped by span,
-# so no key is ever decoded
-_CONCRETE_MEMO: dict[tuple[int, tuple[Factor, ...]], Grouped] = {}
+# monomials: a single factor or a product of factors below DEGREE_MAX,
+# each Packed in arrays, so no key is ever decoded
+_CONCRETE_MEMO: dict[tuple[int, tuple[Factor, ...]], Packed] = {}
 
 
 def concrete_expr(expr: Expr, g: int) -> ConcreteValue:
@@ -903,12 +939,15 @@ def concrete_expr(expr: Expr, g: int) -> ConcreteValue:
     Products are evaluated monomial-by-monomial, independently of the
     symbolic product(), so ledger checks genuinely anchor the latter.  The
     terms are combined over the lcm of their coefficients' denominators.
-    A term of two or more factors is its memoized prefix times its last
-    factor, and that last product is summed straight into the result, never
-    stored.  Terms of at most one factor are summed per type, and each type's
-    monomials, which no other type shares, take that sum at once.  So the
-    memo keeps single factors and proper prefixes only.  An expression
-    above DEGREE_MAX is refused before any work, as product() refuses it.
+    A term's factors are ordered by non-increasing degree, ties by the
+    factor, so that its last factor has the least degree.  A term of two or
+    more factors below DEGREE_MAX is a memoized chain, summed into the
+    result from the memo; at DEGREE_MAX it is its memoized prefix times its
+    last factor, summed straight into the result and never stored.  Terms of
+    at most one factor are summed per type, and each type's monomials,
+    which no other type shares, take that sum at once.  So the memo keeps
+    single factors and every chain below DEGREE_MAX.  An expression above
+    DEGREE_MAX is refused before any work, as product() refuses it.
     """
     check_genus(g, GENUS_MIN, CONCRETE_GENUS_MAX, "concrete_expr")
     degree = expr_degree(expr)
@@ -920,7 +959,7 @@ def concrete_expr(expr: Expr, g: int) -> ConcreteValue:
     for coeff, factors in expr:
         if not coeff:
             continue
-        chain, scale = tuple(sorted(factors)), coeff.numerator * (den // coeff.denominator)
+        chain, scale = _chain_order(factors), coeff.numerator * (den // coeff.denominator)
         if len(chain) > 1:
             chains.append((chain, scale))
         else:
@@ -930,9 +969,21 @@ def concrete_expr(expr: Expr, g: int) -> ConcreteValue:
     for t, c in sums.items():
         if c:
             out.update(zip(_registry(g, t.degree).get(t, ()), itertools.repeat(c)))
+    get = out.get
     for chain, scale in chains:
-        _span_pairs(_concrete_chain(chain[:-1], g), _concrete_chain(chain[-1:], g), scale, out)
+        if degree < DEGREE_MAX:
+            for _, keys, counts in _concrete_chain(chain, g).values():
+                for k, c in zip(keys, counts):
+                    out[k] = get(k, 0) + c * scale
+        else:
+            _span_pairs(_concrete_chain(chain[:-1], g), _factor_lookup(chain[-1], g), scale, out)
     return den, {k: c for k, c in out.items() if c} if any(out.values()) else {}
+
+
+def _chain_order(factors: Iterable[Factor]) -> tuple[Factor, ...]:
+    """A term's factors by non-increasing degree, ties by the factor tuple:
+    the order a chain is memoized in, its least-degree factor last."""
+    return tuple(sorted(factors, key=lambda f: (-_factor_degree(f), f)))
 
 
 def _unit_types(f: Factor, g: int) -> Iterable[ConfigType]:
@@ -943,50 +994,65 @@ def _unit_types(f: Factor, g: int) -> Iterable[ConfigType]:
     return coeffs
 
 
-def _concrete_chain(chain: tuple[Factor, ...], g: int) -> Grouped:
-    """The memoized concrete value of a chain of factors, grouped by span: a
-    single factor read off its label sets (_factor_spans), a longer chain
-    built from the span pairs of its prefix and its last factor."""
+@lru_cache(maxsize=None)
+def _factor_lookup(f: Factor, g: int) -> Lookup:
+    """_compatible's lookup over the memoized single factor f, one a factor
+    and genus per process, so each span mask's compatible classes are
+    looked up once however many chains end in f."""
+    return _compatible(_concrete_chain((f,), g))
+
+
+def _concrete_chain(chain: tuple[Factor, ...], g: int) -> Packed:
+    """The memoized concrete value of a chain of factors, Packed: a single
+    factor read off its label sets (_factor_spans), a longer chain built
+    from the span pairs of its prefix and its last factor, grouped in dicts
+    and packed once whole."""
     memo_key = (g, chain)
     cached = _CONCRETE_MEMO.get(memo_key)
     if cached is not None:
         return cached
     if len(chain) == 1:
-        val = _factor_spans(chain[0], g)
+        groups = _factor_spans(chain[0], g)
     else:
         # the pair loop of _span_pairs, its key pairs grouped by the
         # product's span m1 & m2 with labels t1 | t2, the last factor's
         # keys outside and the prefix's inside
-        val = {}
-        compatible = _compatible(_concrete_chain(chain[-1:], g))
-        for m1, (t1, terms1) in _concrete_chain(chain[:-1], g).items():
-            items1 = list(terms1.items())
+        groups = {}
+        prefix = _concrete_chain(chain[:-1], g)
+        compatible = _factor_lookup(chain[-1], g)
+        for m1, (t1, keys1, counts1) in prefix.items():
+            items1 = list(zip(keys1, counts1))
             for m2, t2, keys2 in compatible(m1):
                 m = m1 & m2
-                group = val.get(m)
+                group = groups.get(m)
                 if group is None:
-                    group = val[m] = (t1 | t2, {})
+                    group = groups[m] = (t1 | t2, {})
                 out = group[1]
                 get = out.get
                 for k2 in keys2:
                     for k1, c1 in items1:
                         k = k1 * k2
                         out[k] = get(k, 0) + c1
-    _CONCRETE_MEMO[memo_key] = val
+    val = _CONCRETE_MEMO[memo_key] = _pack(groups)
     return val
 
 
 def _factor_spans(f: Factor, g: int) -> Grouped:
     """A single factor as _span_classes groups its classes with value 1,
-    read off the chunks of its types (_label_sets): each chunk's keys, the
-    registry's own ints, are paired with their sets' span masks, so no key
-    is factored.  t is the OR of 1 << label over the first set of its span
-    in the first chunk that has it: the labels of the span's first key,
-    which _span_classes reads t from."""
+    read off its types' keys and chunks (_label_sets): each chunk's keys,
+    the registry's own ints, are paired with their sets' span masks, so no
+    key is factored.  t is the OR of 1 << label over the first set of its
+    span in the first chunk that has it: the labels of the span's first
+    key, which _span_classes reads t from."""
     groups: Grouped = {}
     for t in _unit_types(f, g):
-        for chunk in _label_sets(g)[t.degree].get(t, ()):
-            for m, key in zip(chunk.masks, chunk.keys):
+        sets = _label_sets(g)[t.degree].get(t)
+        if sets is None:
+            continue
+        keys = iter(sets.keys)
+        for chunk in sets.chunks:
+            # masks first: zip stops at the chunk's end without taking a key
+            for m, key in zip(chunk.masks, keys):
                 group = groups.get(m)
                 if group is None:
                     group = groups[m] = (sum(1 << p for p in chunk.first[m]), {})

@@ -356,23 +356,25 @@ def _orthogonal_sets(g: int, max_size: int) -> Iterator[tuple[int, ...]]:
     """Packed labels of every pairwise-orthogonal set of sizes 1..max_size.
 
     Depth first: each set ascending, emitted once, right before its
-    extensions by larger labels.
+    extensions by larger labels.  One explicit stack of (set, labels left
+    to extend it by), no generator a level: a set's own extensions go on
+    top of what is left of its parent's, so they come first.
     """
     masks = _orth_masks(g)
-
-    def extend(chosen: tuple[int, ...], candidates: int) -> Iterator[tuple[int, ...]]:
-        b = candidates
-        while b:
-            low = b & -b
-            n = low.bit_length() - 1
-            b ^= low
-            picked = chosen + (n,)
-            yield picked
-            if len(picked) < max_size:
-                # restrict to labels above n to emit each set once
-                yield from extend(picked, candidates & masks[n] & ~((low << 1) - 1))
-
-    return extend((), (1 << (1 << (2 * g))) - 2)
+    labels = (1 << (1 << (2 * g))) - 2
+    stack = [((), labels)] if labels else []
+    while stack:
+        chosen, b = stack.pop()
+        low = b & -b
+        n = low.bit_length() - 1
+        b ^= low
+        if b:
+            stack.append((chosen, b))
+        picked = chosen + (n,)
+        yield picked
+        # restrict to labels above n to emit each set once: b holds no other
+        if len(picked) < max_size and (larger := b & masks[n]):
+            stack.append((picked, larger))
 
 
 def orthogonal_tuples(g: int, max_size: int) -> Iterator[tuple[BoundaryLabel, ...]]:

@@ -1,10 +1,13 @@
 """Tests for configuration types, named classes, products, and the identity ledger."""
 
+import gc
 import hashlib
 import itertools
 import re
 import sys
 import time
+import tracemalloc
+from array import array
 from fractions import Fraction
 from functools import lru_cache, reduce
 from math import factorial, lcm, prod
@@ -928,21 +931,47 @@ def test_concrete_expr_matches_whole_products_genus3():
     assert concrete_expr(_difference(zero), g) == (1, {})
 
 
-def test_concrete_memo_keeps_factors_and_proper_prefixes_genus3():
-    # a whole term's product is summed into its line and never stored
+def _memo_chains(identities):
+    """The memo keys a pass over the lines should leave: each product term's
+    factors in non-increasing degree, its prefixes below DEGREE_MAX (its
+    single first factor included) and its last factor alone."""
+    chains = set()
+    for identity in identities:
+        for coeff, factors in identity.lhs + identity.rhs:
+            chain = boundary._chain_order(factors)
+            if coeff and len(chain) > 1:
+                chains.add(chain[-1:])
+                chains |= {chain[:n] for n in range(1, len(chain) + 1)
+                           if sum(map(boundary._factor_degree, chain[:n])) < boundary.DEGREE_MAX}
+    return chains
+
+
+def _assert_packed(val):
+    """A memo value is Packed: each span's keys in an array('Q') below 2^42
+    and its counts, none zero, in an array('q') of the same length."""
+    for m, (t, keys, counts) in val.items():
+        assert (type(keys), keys.typecode, type(counts), counts.typecode) == (array, "Q", array, "q")
+        assert len(keys) == len(counts) and all(counts) and max(keys) < 1 << 42
+
+
+def test_concrete_memo_keeps_factors_and_chains_below_degree5_genus3():
+    # single factors and every chain below degree 5, its factors in
+    # non-increasing degree, all packed; a degree-5 term's product is its
+    # memoized prefix times its last factor, summed into its line and never
+    # stored
     _CONCRETE_MEMO.clear()
     identities = load_identities()
     for identity in identities:
         assert check_identity(identity, 3).concrete_ok, identity.name
-    chains = {tuple(sorted(factors)) for identity in identities
-              for _, factors in identity.lhs + identity.rhs}
-    assert _CONCRETE_MEMO
+    assert set(_CONCRETE_MEMO) == {(3, chain) for chain in _memo_chains(identities)}
+    s1, s2, s3, b3 = (("name", tag) for tag in ("sigma1", "sigma2", "sigma3", "beta3"))
+    # the degree-4 products, each the prefix of a degree-5 line
+    assert {(s1,) * 4, (s2, s2), (s2, s1, s1), (s3, s1), (b3, s1)} <= {
+        chain for _, chain in _CONCRETE_MEMO}
     for g, chain in _CONCRETE_MEMO:
-        assert g == 3
-        if len(chain) > 1:
-            assert any(len(chain) < len(c) and c[:len(chain)] == chain for c in chains), chain
-    # every stored key, products included, stays below 2^42 (307^5 bounds it)
-    assert all(key < 1 << 42 for val in _CONCRETE_MEMO.values() for key in _flat(val))
+        degrees = [boundary._factor_degree(f) for f in chain]
+        assert degrees == sorted(degrees, reverse=True) and sum(degrees) < 5, chain
+        _assert_packed(_CONCRETE_MEMO[g, chain])
 
 
 def test_memoized_products_are_never_decoded(monkeypatch):
@@ -969,8 +998,8 @@ def test_memoized_products_are_never_decoded(monkeypatch):
 
 
 def _flat(val):
-    """A memo value as one {key: value} dictionary."""
-    return {k: c for _, terms in val.values() for k, c in terms.items()}
+    """A memo value as one {key: count} dictionary."""
+    return {k: c for _, keys, counts in val.values() for k, c in zip(keys, counts)}
 
 
 def test_memoized_products_match_convolve_and_their_spans():
@@ -983,13 +1012,14 @@ def test_memoized_products_match_convolve_and_their_spans():
     for g, chain in products:
         masks = characteristics._orth_masks(g)
         groups = _CONCRETE_MEMO[g, chain]
-        flat = _flat(_CONCRETE_MEMO[g, chain])
+        _assert_packed(groups)
+        flat = _flat(groups)
         prefix, last = _CONCRETE_MEMO[g, chain[:-1]], _CONCRETE_MEMO[g, chain[-1:]]
         assert flat == convolve(_flat(prefix), _flat(last), g), chain
-        assert sum(map(len, (terms for _, terms in groups.values()))) == len(flat)
-        for m, (t, terms) in groups.items():
+        assert sum(len(keys) for _, keys, _ in groups.values()) == len(flat)
+        for m, (t, keys, counts) in groups.items():
+            terms = dict(zip(keys, counts))
             assert boundary._span_classes(terms.items(), masks) == {m: (t, terms)}, chain
-            assert all(terms.values()), chain
 
 
 def test_memoized_product_guards_the_exponent_field_genus2():
@@ -1005,7 +1035,38 @@ def test_memoized_product_guards_the_exponent_field_genus2():
     expr = _parse_expr("cfg(1)*cfg(2)*cfg(2)")
     den, nums = concrete_expr(expr, 2)
     assert (den, nums) == reference_concrete_expr(expr, 2) and len(nums) == 240
-    assert isinstance(_CONCRETE_MEMO[2, (("cfg", (1,), ()), ("cfg", (2,), ()))], dict)
+    # ordered by degree, cfg(1) last: the degree-4 prefix is stored packed,
+    # with its factors and the last one, and the degree-5 product nowhere
+    c1, c2 = ("cfg", (1,), ()), ("cfg", (2,), ())
+    assert set(_CONCRETE_MEMO) == {(2, (c2,)), (2, (c2, c2)), (2, (c1,))}
+    for val in _CONCRETE_MEMO.values():
+        _assert_packed(val)
+    # a label squared twice has exponent 4, an exponent the key carries exactly
+    assert {_decode(k) for k in _flat(_CONCRETE_MEMO[2, (c2, c2)])} >= {((1, 4),)}
+
+
+def test_concrete_memo_retained_by_a_cold_genus3_ledger_pass():
+    # what the verifier keeps between lines, the memo and its factor
+    # lookups, as the memory tracemalloc sees freed when both are cleared:
+    # about 2.4 MB packed, 4.8 MB when each product was a dict of int keys
+    identities = load_identities()
+    boundary._label_sets(3)  # the tables are kept either way; not measured
+    _CONCRETE_MEMO.clear()
+    boundary._factor_lookup.cache_clear()
+    gc.collect()
+    tracemalloc.start()
+    try:
+        for identity in identities:
+            concrete_expr(_difference(identity), 3)
+        gc.collect()
+        kept = tracemalloc.get_traced_memory()[0]
+        _CONCRETE_MEMO.clear()
+        boundary._factor_lookup.cache_clear()
+        gc.collect()
+        retained = kept - tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert retained < 3.6e6
 
 
 @pytest.mark.parametrize("g", [-1, 0])

@@ -789,6 +789,33 @@ def test_orthogonal_sets_follow_their_prefixes(g):
     assert sizes == set(range(1, min(5, 2**g - 1) + 1))
 
 
+def _orthogonal_sets_recursive(g, max_size):
+    """The search as nested generators, one a level: each set's extensions
+    by larger labels right after it, the reference for the stack walk."""
+    masks = _orth_masks(g)
+
+    def extend(chosen, candidates):
+        b = candidates
+        while b:
+            low = b & -b
+            n = low.bit_length() - 1
+            b ^= low
+            picked = chosen + (n,)
+            yield picked
+            if len(picked) < max_size:
+                yield from extend(picked, candidates & masks[n] & ~((low << 1) - 1))
+
+    return extend((), (1 << (1 << (2 * g))) - 2)
+
+
+@pytest.mark.parametrize("g", [1, 2, 3])
+@pytest.mark.parametrize("max_size", [1, 2, 3, 4, 5])
+def test_orthogonal_sets_stack_walk_matches_the_recursive_search(g, max_size):
+    # the same sets in the same order, which _orth_sets' carried relation
+    # spaces and every registry's key order rely on
+    assert list(_orthogonal_sets(g, max_size)) == list(_orthogonal_sets_recursive(g, max_size))
+
+
 def brute_force_count_naive(g, labels):
     """Loop-and-test reference for the bitset implementation."""
     packed = [n.packed for n in labels]
