@@ -227,41 +227,38 @@ def count_vanishing(g: int, labels: Sequence[BoundaryLabel]) -> int:
     Each label enters the echelon as a << 1 | 1, so a row's low bit is the
     parity of the number of labels it sums.  A label that reduces to the
     bare 1 closes an odd relation; the ones that reduce to 0 close even
-    relations and together span the relation space.
+    relations and together span the relation space.  The bare 1 then joins
+    the echelon, so a repeated label, orthogonal to all before it, always
+    reduces to 0: distinctness is decided on the zero branch only.
     """
     check_genus(g, GENUS_MIN, None, "count_vanishing")
     # One pass: each label is checked against the labels before it, then
-    # reduced.  The echelon stays inline rather than calling bits.rref_f2:
-    # this is the hot loop of criterion 3, and rref_f2 (full reduction, a
-    # sort, a tuple) made the counts workload's 212,741 calls take 1.6-2.2 s
-    # against 0.86-1.31 s (2-core Xeon VM, Python 3.11).
+    # reduced through an inline pivot table rather than bits.rref_f2: in
+    # this hot loop of criterion 3, rref_f2 (full reduction, a sort, a
+    # tuple) made the counts workload's 212,741 calls take 1.0-1.5 s against
+    # 0.46-0.74 s (CPU time in one process, 2-core Xeon VM, Python 3.11).
     seen: list[int] = []
-    echelon: list[int] = []  # distinct leading bits, descending
-    odd_relation = False
+    pivots: dict[int, int] = {}  # row by its bit_length(): an echelon
     low = (1 << g) - 1
     for n in labels:
         if n.genus != g:
             raise ValueError("label genus mismatch")
-        a = n.packed
-        if a in seen:
-            raise ValueError("labels must be distinct")
-        ja = ((a & low) << g) | (a >> g)  # J(a), the halves swapped: <a, b> = parity(ja & b)
+        p = n.packed
+        jp = ((p & low) << g) | (p >> g)  # J(p), the halves swapped: <p, b> = parity(jp & b)
         for b in seen:
-            if (ja & b).bit_count() & 1:
+            if (jp & b).bit_count() & 1:
                 raise NonOrthogonalError("labels must be pairwise orthogonal")
-        seen.append(a)
-        a = a << 1 | 1
-        for e in echelon:
-            if a ^ e < a:  # a has the leading bit of e
-                a ^= e
-        if a == 1:
-            odd_relation = True
-        elif a:
-            echelon.append(a)
-            echelon.sort(reverse=True)
+        a = p << 1 | 1
+        while (e := pivots.get(a.bit_length())) is not None:
+            a ^= e
+        if a:
+            pivots[a.bit_length()] = a
+        elif p in seen:
+            raise ValueError("labels must be distinct")
+        seen.append(p)
     if not seen:
         return n_odd(g)
-    return 0 if odd_relation else 1 << (2 * g - 1 - len(echelon))
+    return 0 if 1 in pivots else 1 << (2 * g - 1 - len(pivots))
 
 
 def representative(t: ConfigType, g: int) -> tuple[BoundaryLabel, ...]:
@@ -303,8 +300,10 @@ def _vanish_tables(g: int) -> tuple[list[int], int]:
 
     The set of label n is the even set translated by n.  Translating by one
     bit 2^j swaps adjacent blocks of 2^j bits, so each set comes from the set
-    of n without its lowest bit by one block swap.
+    of n without its lowest bit by one block swap.  The oracle's genus guard
+    runs here, once per genus: lru_cache keeps no raised error.
     """
+    check_genus(g, GENUS_MIN, BRUTE_FORCE_GENUS_MAX, "brute force")
     size = 1 << (2 * g)
     full = (1 << size) - 1
     odd_mask = 0
@@ -322,7 +321,6 @@ def _vanish_tables(g: int) -> tuple[list[int], int]:
 
 def brute_force_count(g: int, labels: Sequence[BoundaryLabel]) -> int:
     """Direct enumeration over all 4^g characteristics, g <= BRUTE_FORCE_GENUS_MAX."""
-    check_genus(g, GENUS_MIN, BRUTE_FORCE_GENUS_MAX, "brute force")
     masks, acc = _vanish_tables(g)
     for n in labels:
         if n.genus != g:
@@ -398,7 +396,10 @@ def _chart_tables(g: int) -> tuple[int, tuple[array, ...], tuple[array, ...], in
     the low 8 bits of t, and S_high, the rest; they share no cell, so
     S c = S_low c ^ S_high c, and the unswapped label (S c) << g | c is
     by_low[t & 255][c] ^ by_high[t >> 8][c].  Entries are below 2^(2g), so
-    array('H') rows hold any g <= 8."""
+    array('H') rows hold any g <= 8.  The sampler's genus guard runs here,
+    once per supported genus (lru_cache keeps no raised error): a drawn
+    tuple is only ever checked against brute force, so capped as it is."""
+    check_genus(g, GENUS_MIN, BRUTE_FORCE_GENUS_MAX, "random_orthogonal_tuple")
     # triangle bit i sets S[p][q] and S[q][p], row p from its diagonal on
     cells = [(p, q) for p in range(g) for q in range(p, g)]
 
@@ -445,8 +446,6 @@ def random_orthogonal_tuple(rng: Random, g: int) -> tuple[BoundaryLabel, ...]:
     The unswapped labels (S c; c) are read from _chart_tables in two
     lookups per c; J_I is then one masked XOR.
     """
-    # a drawn tuple is only ever checked against brute force, so capped as it is
-    check_genus(g, GENUS_MIN, BRUTE_FORCE_GENUS_MAX, "random_orthogonal_tuple")
     width, by_low, by_high, w, w_bits, labels = _chart_tables(g)
     getrandbits = rng.getrandbits
     r = getrandbits(width)

@@ -227,12 +227,37 @@ def test_count_empty_genus1():
     assert count_vanishing(1, []) == 1
 
 
+NON_ORTHOGONAL = (NonOrthogonalError, "labels must be pairwise orthogonal")
+REPEAT = (ValueError, "labels must be distinct")
+MISMATCH = (ValueError, "label genus mismatch")
+# (genus, labels, refusal); a label is packed, or (genus, packed)
+BAD_TUPLES = [
+    (2, [0b0001, 0b0100], NON_ORTHOGONAL),
+    (2, [0b0001, 0b0001], REPEAT),
+    # genus-3 beta labels, a Lagrangian: a repeat after an even relation
+    # (1 + 2 + 4 + 7 = 0), after an odd one (1 + 2 + 3 = 0), mid-tuple, and
+    # of the label that closed a relation; a repeat of 3 in 1, 2, 3 reduces
+    # to 0 only because the bare 1 of the odd relation joined the echelon
+    (3, [1, 2, 4, 7, 1], REPEAT),
+    (3, [1, 2, 3, 1], REPEAT),
+    (3, [1, 2, 3, 3], REPEAT),
+    (3, [1, 2, 3, 4, 2], REPEAT),
+    (3, [1, 2, 1, 4], REPEAT),
+    (3, [1, 2, 4, 7, 7], REPEAT),
+    # the first refusal in the tuple wins
+    (3, [1, (2, 1), 1], MISMATCH),
+    (3, [1, 1, (2, 1)], REPEAT),
+    (2, [0b0001, 0b0100, 0b0001], NON_ORTHOGONAL),
+    (2, [0b0001, 0b0001, 0b0100], REPEAT),
+]
+
+
 def test_count_rejects_bad_input():
-    g = 2
-    with pytest.raises(NonOrthogonalError):
-        count_vanishing(g, [label(g, 0b0001), label(g, 0b0100)])
-    with pytest.raises(ValueError):
-        count_vanishing(g, [label(g, 0b0001), label(g, 0b0001)])
+    for g, packs, (kind, message) in BAD_TUPLES:
+        labels = [label(*p) if isinstance(p, tuple) else label(g, p) for p in packs]
+        with pytest.raises(ValueError) as exc:
+            count_vanishing(g, labels)
+        assert (type(exc.value), str(exc.value)) == (kind, message), packs
     for count in (count_vanishing, brute_force_count):
         with pytest.raises(ValueError, match=r"^label genus mismatch$"):
             count(3, [label(3, 0b000001), label(2, 0b0001)])
@@ -639,6 +664,11 @@ def test_chart_tables_retain_under_256kb():
     assert retained < 256 * 1024
 
 
+def _table_sizes():
+    # the guards run inside these cached builders, which keep no refused genus
+    return _chart_tables.cache_info().currsize, _vanish_tables.cache_info().currsize
+
+
 class _NoDraws(Random):
     # a draw would loop forever on a zero-width range; fail instead
     def getrandbits(self, k):
@@ -649,11 +679,13 @@ class _NoDraws(Random):
 def test_sampler_refuses_bad_arguments_without_drawing(g):
     rng = _NoDraws(1)
     state = rng.getstate()
+    sizes = _table_sizes()
     start = time.perf_counter()
     with pytest.raises(ValueError, match=rf"supports genus 1\.\.{BRUTE_FORCE_GENUS_MAX}, "):
         random_orthogonal_tuple(rng, g)
     assert time.perf_counter() - start < 0.5
     assert rng.getstate() == state
+    assert _table_sizes() == sizes
 
 
 def _count_by_kernel(g, tup):
@@ -837,9 +869,11 @@ def test_brute_bitset_matches_naive(packs):
 
 
 def test_brute_force_genus_cap():
+    sizes = _table_sizes()
     for g in (-1, 0, 6):
         with pytest.raises(ValueError, match=rf"^brute force supports genus 1\.\.5, not {g}$"):
             brute_force_count(g, [])
+    assert _table_sizes() == sizes
 
 
 @pytest.mark.parametrize("g", [-1, 0])
