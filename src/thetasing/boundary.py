@@ -19,7 +19,7 @@ from array import array
 from fractions import Fraction
 from functools import lru_cache, partial, reduce
 from math import factorial, isqrt, lcm
-from operator import and_, mul, or_, sub
+from operator import and_, itemgetter, mul, or_, sub
 from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .bits import kernel_f2, rref_f2, span_f2
@@ -484,6 +484,8 @@ Grouped = dict[int, tuple[int, dict[int, Coeff]]]
 Packed = dict[int, tuple[int, Sequence[int], Sequence[Coeff]]]
 # span mask m1 -> [(m, t, keys), ...]: a unit operand's classes compatible with m1
 Lookup = Callable[[int], list[tuple[int, int, list[int]]]]
+# (keys, {m: (t, start, stop)}): a type's keys span by span, and each span's slice
+TypeSets = tuple[list[int], dict[int, tuple[int, int, int]]]
 
 
 def _units(labels: Iterable[int]) -> tuple[int, ...]:
@@ -568,22 +570,6 @@ def _orth_sets(g: int) -> dict[int, dict[tuple[int, ...], list[tuple[int, ...]]]
     return out
 
 
-class Chunk(NamedTuple):
-    """One relation-space group of _orth_sets(g) as a chunk reads it, shared
-    by all its compositions: each set's span mask, as _span_classes names
-    it, and each span's first set."""
-    masks: list[int]  # each set's span mask, in set order
-    first: dict[int, tuple[int, ...]]  # each span's first set
-
-
-class TypeSets(NamedTuple):
-    """A type's monomials of one degree: one (composition, relation space)
-    chunk after another, the keys of chunk i the next len(chunks[i].masks)
-    of keys."""
-    keys: list[int]  # every chunk's keys, in chunk order: the registry's list
-    chunks: list[Chunk]
-
-
 def _compositions(total: int, parts: int) -> Iterable[tuple[int, ...]]:
     """The compositions of total into parts positive parts, lexicographic:
     one per choice of parts - 1 cut points among 1..total - 1."""
@@ -598,49 +584,57 @@ _type_of_key = _canonical_type
 @lru_cache(maxsize=8)
 def _label_sets(g: int) -> dict[int, dict[ConfigType, TypeSets]]:
     """The concrete verifier's one table a genus, and the one place keys are
-    encoded: each degree's types, each with its keys and chunks, one chunk
-    per (composition, relation space) in the registry's key order: set size,
-    composition, relation space, sets in search order.  Each group of
-    _orth_sets(g) is read off its labels once: its primes slot by slot, each
-    set's span mask (the AND of its labels' _orth_masks, equal masks sharing
-    one int) and each span's first set, which gives a factor's span its
-    label bits, so no key is ever factored.  The empty monomial's chunk is
-    the one key 1, of span mask -1 and no label."""
+    encoded: each degree's types as TypeSets, monomials span by span, m the
+    span mask as _span_classes names it (the AND of the labels' _orth_masks)
+    and t the label bits of the span's first set, so no key is ever
+    factored.  Each relation group of _orth_sets(g) is sorted by span mask,
+    so each span's sets are one run; a composition is encoded once a group
+    (_encode_slots) and each run handed to its span, by set size,
+    composition, relation space.  The empty monomial is the key 1, of span
+    mask -1 and no label.  The genus guard runs here, once per genus:
+    lru_cache keeps no raised error."""
+    check_genus(g, GENUS_MIN, CONCRETE_GENUS_MAX, "concrete verifier")
     orth = _orth_masks(g)
-    shared: dict[int, int] = {}
-    table: dict[int, dict[ConfigType, TypeSets]] = {d: {} for d in range(DEGREE_MAX + 1)}
-    table[0][EMPTY] = TypeSets([1], [Chunk([-1], {-1: ()})])
+    # each type's spans as they fill: {m: (t, keys)}, laid out at the end
+    table: dict[int, dict] = {d: {} for d in range(DEGREE_MAX + 1)}
     for k, groups in _orth_sets(g).items():
         read = []
         for rels, sets in groups.items():
-            slots = tuple(zip(*sets))
-            masks = list(reduce(partial(map, and_), (map(orth.__getitem__, s) for s in slots)))
-            masks = list(map(shared.setdefault, masks, masks))
-            # reversed, so each span keeps its first set
-            first = dict(zip(reversed(masks), reversed(sets)))
-            read.append((rels, tuple(map(_units, slots)), Chunk(masks, first)))
-        # k runs outermost, so each degree's chunks come by set size first
+            masks = reduce(partial(map, and_), (map(orth.__getitem__, s) for s in zip(*sets)))
+            # stably by span mask: each span's run starts with its first set
+            masks, sets = zip(*sorted(zip(masks, sets), key=itemgetter(0)))
+            starts = [i for i, m in enumerate(masks) if not i or m != masks[i - 1]]
+            runs = [(masks[a], sum(1 << p for p in sets[a]), a, b)
+                    for a, b in zip(starts, starts[1:] + [len(masks)])]
+            read.append((rels, tuple(map(_units, zip(*sets))), runs))
+        # k runs outermost, so each span's keys come by set size first
         for degree in range(k, DEGREE_MAX + 1):
             types = table[degree]
             for exps in _compositions(degree, k):
                 # the type depends on the labels only through their relation space
-                for rels, primes, chunk in read:
-                    t = _type_of_key(exps, rels)
-                    sets = types.get(t)
-                    if sets is None:
-                        sets = types[t] = TypeSets([], [])
-                    sets.keys.extend(_encode_slots(primes, exps))
-                    sets.chunks.append(chunk)
+                for rels, primes, runs in read:
+                    spans = types.setdefault(_type_of_key(exps, rels), {})
+                    keys = list(_encode_slots(primes, exps))
+                    for m, bits, start, stop in runs:
+                        spans.setdefault(m, (bits, []))[1].extend(keys[start:stop])
+    for types in table.values():
+        for t, spans in types.items():
+            keys = []
+            for m, (bits, run) in spans.items():
+                spans[m] = (bits, len(keys), len(keys) + len(run))
+                keys += run
+            types[t] = keys, spans
+    table[0][EMPTY] = [1], {-1: (0, 0, 1)}
     return table
 
 
 @lru_cache(maxsize=None)
 def _registry(g: int, degree: int) -> dict[ConfigType, list[int]]:
     """Index of all concrete monomials of one degree by configuration type:
-    each type's key list in _label_sets itself, not a copy."""
+    each type's key list in _label_sets itself, span by span, not a copy."""
     if degree > DEGREE_MAX:
         raise DegreeOverflowError(f"degree {degree} exceeds {DEGREE_MAX}")
-    return {t: sets.keys for t, sets in _label_sets(g).get(degree, {}).items()}
+    return {t: keys for t, (keys, _) in _label_sets(g).get(degree, {}).items()}
 
 
 def instantiate(p: BoundaryPoly, g: int) -> dict[int, Fraction]:
@@ -1039,24 +1033,19 @@ def _concrete_chain(chain: tuple[Factor, ...], g: int) -> Packed:
 
 def _factor_spans(f: Factor, g: int) -> Grouped:
     """A single factor as _span_classes groups its classes with value 1,
-    read off its types' keys and chunks (_label_sets): each chunk's keys,
-    the registry's own ints, are paired with their sets' span masks, so no
-    key is factored.  t is the OR of 1 << label over the first set of its
-    span in the first chunk that has it: the labels of the span's first
-    key, which _span_classes reads t from."""
+    read off its types' span layouts (_label_sets): each span's slice of
+    its type's keys, the registry's own ints, joins the class of its span
+    mask, so no key is factored.  t is that of the first type with the
+    span: the labels of the span's first key, which _span_classes reads t
+    from."""
     groups: Grouped = {}
     for t in _unit_types(f, g):
-        sets = _label_sets(g)[t.degree].get(t)
-        if sets is None:
-            continue
-        keys = iter(sets.keys)
-        for chunk in sets.chunks:
-            # masks first: zip stops at the chunk's end without taking a key
-            for m, key in zip(chunk.masks, keys):
-                group = groups.get(m)
-                if group is None:
-                    group = groups[m] = (sum(1 << p for p in chunk.first[m]), {})
-                group[1][key] = 1
+        keys, spans = _label_sets(g)[t.degree].get(t, ([], {}))
+        for m, (bits, start, stop) in spans.items():
+            group = groups.get(m)
+            if group is None:
+                group = groups[m] = (bits, {})
+            group[1].update(zip(keys[start:stop], itertools.repeat(1)))
     return groups
 
 

@@ -662,6 +662,78 @@ def test_factor_spans_share_the_registry_keys():
             assert all(registry[key] is key for key in fkeys), (g, f)
 
 
+def test_label_sets_lay_each_type_out_span_by_span():
+    # every type at genus 1-3 and degree 0-5, the degree-5 types included,
+    # whose spans no chain factor reads: the spans tile keys in order, each
+    # slice is exactly the _span_classes class of mask m, in key order, t is
+    # the label bits of its first key, and the registry hands out keys itself
+    spans_seen = 0
+    for g in (1, 2, 3):
+        masks = characteristics._orth_masks(g)
+        for d, types in boundary._label_sets(g).items():
+            for t, (keys, spans) in types.items():
+                assert _registry(g, d)[t] is keys, (g, t)
+                slices = [(a, b) for _, a, b in spans.values()]
+                assert [a for a, _ in slices] == [0] + [b for _, b in slices[:-1]], (g, t)
+                assert slices[-1][1] == len(keys) and all(a < b for a, b in slices), (g, t)
+                classes = boundary._span_classes(zip(keys, itertools.repeat(1)), masks)
+                assert classes.keys() == spans.keys(), (g, t)
+                for m, (bits, a, b) in spans.items():
+                    assert classes[m][0] == bits and list(classes[m][1]) == keys[a:b], (g, t, m)
+                spans_seen += len(spans)
+    assert spans_seen == 5058
+
+
+def test_label_sets_refuse_a_genus_outside_1_to_3_before_the_search(monkeypatch):
+    # the guard is the table's first statement, so _registry and
+    # _factor_spans refuse genus 4 without its search over 9,082,335 label
+    # sets, and lru_cache keeps no raised error
+    def search(g):
+        raise AssertionError(f"the orthogonal-set search ran at genus {g}")
+    monkeypatch.setattr(boundary, "_orth_sets", search)
+    size = boundary._label_sets.cache_info().currsize
+    for g, call in ((4, lambda: _registry(4, 1)), (0, lambda: _registry(0, 1)),
+                    (4, lambda: boundary._factor_spans(("name", "sigma1"), 4))):
+        with pytest.raises(ValueError, match=rf"^concrete verifier supports genus 1\.\.3, not {g}$"):
+            call()
+    assert boundary._label_sets.cache_info().currsize == size
+
+
+def test_registry_classes_are_the_transvection_orbits_genus3():
+    # Witt's step at genus 3 with no type-algebra code: each class of
+    # _registry(3, d) is closed under, and connected by, the 3g - 1 = 8
+    # transvections x -> x + <x, v> v along e_i, f_i and e_i + e_(i+1),
+    # which generate Sp(6, F_2); keys are decoded and re-encoded by pack
+    g, full = 3, 63
+
+    def form(x, y):  # parity(J(x) & y), J the swap of the halves (alpha << g) | beta
+        return ((x >> g | x << g) & full & y).bit_count() & 1
+
+    vs = [1 << (g + i) for i in range(g)] + [1 << i for i in range(g)]
+    vs += [3 << (g + i) for i in range(g - 1)]
+    moves = [[x ^ v if form(x, v) else x for x in range(full + 1)] for v in vs]
+    sizes = []
+    for d in range(1, boundary.DEGREE_MAX + 1):
+        index = _registry(g, d)
+        type_of = {key: t for t, keys in index.items() for key in keys}
+        root = {key: key for key in type_of}
+
+        def find(key):
+            while root[key] != key:
+                root[key] = key = root[root[key]]
+            return key
+        for key, t in type_of.items():
+            mono = _decode(key)
+            for move in moves:
+                image = pack((move[p], e) for p, e in mono)
+                assert type_of.get(image) == t, (d, mono, move)
+                root[find(image)] = find(key)
+        for t, keys in index.items():
+            assert len({find(key) for key in keys}) == 1, (d, t)
+        sizes.append((len(index), len(type_of)))
+    assert sizes == [(1, 63), (2, 1008), (4, 6048), (7, 19908), (11, 50148)]
+
+
 def test_check_identity_first_difference_genus3():
     g = 3
     report = check_identity(parse_identity("wrong: sigma1^2 = 2*sigma2"), g)
