@@ -19,7 +19,7 @@ from array import array
 from fractions import Fraction
 from functools import lru_cache, partial, reduce
 from math import factorial, isqrt, lcm
-from operator import and_, itemgetter, mul, or_, sub
+from operator import and_, itemgetter, mul, sub
 from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .bits import kernel_f2, rref_f2, span_f2
@@ -480,9 +480,10 @@ Coeff = int | Fraction
 # {m: (t, {key: value})}: a concrete dictionary grouped by span
 Grouped = dict[int, tuple[int, dict[int, Coeff]]]
 # {m: (t, keys, values)}: the same, each span's keys and values in two
-# parallel sequences, the form the pair loops read
+# parallel sequences, the form the pair loop reads
 Packed = dict[int, tuple[int, Sequence[int], Sequence[Coeff]]]
-# span mask m1 -> [(m, t, keys), ...]: a unit operand's classes compatible with m1
+# span mask m1 -> [(m, t, keys), ...]: a unit operand's classes compatible
+# with m1, one entry per product span m
 Lookup = Callable[[int], list[tuple[int, int, list[int]]]]
 # (keys, {m: (t, start, stop)}): a type's keys span by span, and each span's slice
 TypeSets = tuple[list[int], dict[int, tuple[int, int, int]]]
@@ -670,7 +671,7 @@ def convolve(d1: dict[int, Coeff], d2: dict[int, Coeff], g: int) -> dict[int, Co
               for m, (t, terms) in _span_classes(d1.items(), masks).items()}
     for c, keys in by_value.items():
         compatible = _compatible(_span_classes(zip(keys, itertools.repeat(1)), masks))
-        _span_pairs(spans1, compatible, c, out)
+        _span_pairs(spans1, compatible, c, lambda m, t: out)
     return {k: c for k, c in out.items() if c}
 
 
@@ -679,7 +680,7 @@ def _pack(groups: Grouped) -> Packed:
     keys in an array('Q') and its values in an array('q'), 16 bytes a key
     (keys are below 2^42), each array sized from a list.  Equal value
     arrays are one read-only object: a chain's classes repeat few value
-    patterns (24 among the 4,572 classes of a cold genus-3 ledger pass)."""
+    patterns (178 arrays among the 4,572 classes of a cold genus-3 pass)."""
     shared: dict[bytes, array] = {}
     packed: Packed = {}
     for m, (t, terms) in groups.items():
@@ -689,58 +690,48 @@ def _pack(groups: Grouped) -> Packed:
 
 
 def _compatible(spans: Grouped | Packed) -> Lookup:
-    """The lookup m1 -> [(m, t, keys), ...] of a unit operand's span classes
-    compatible with a class of span mask m1, in index order; the second
-    field of a class, Grouped or Packed, iterates its keys.  The classes
-    are filed once under the least label bit of t.  (m, t) is compatible
-    with m1 exactly when m1 & t == t, so only the entries under a bit of m1
-    can be; the empty monomial's t == 0 is filed under bit 0, which no label
-    uses, and & reach, the OR of the index's bits, ends the empty m1 = -1.
-    A lookup walks the bits of (m1 | 1) & reach, lowest first, once per m1:
-    the lookup keeps what it found."""
-    index: dict[int, list[tuple[int, int, list[int]]]] = {}
-    for m, entry in spans.items():
-        t = entry[0]
-        index.setdefault(t & -t or 1, []).append((m, t, list(entry[1])))
-    reach = reduce(or_, index, 0)
+    """The lookup m1 -> [(m, t, keys), ...] over a unit operand's span
+    classes, one entry per product span m = m1 & m2 of the classes
+    compatible with a class of span mask m1: t is the labels of the first
+    such class, keys the keys of all of them in class order (the second
+    field of a class, Grouped or Packed, iterates its keys).  (m2, t) is
+    compatible with m1 exactly when m1 & t == t, which the empty monomial's
+    t == 0 always is.  A lookup filters the classes once per m1 and keeps
+    what it found."""
+    classes = [(m, entry[0], list(entry[1])) for m, entry in spans.items()]
     seen: dict[int, list[tuple[int, int, list[int]]]] = {}
 
     def lookup(m1: int) -> list[tuple[int, int, list[int]]]:
         found = seen.get(m1)
-        if found is not None:
-            return found
-        found = seen[m1] = []
-        bits = (m1 | 1) & reach
-        while bits:
-            low = bits & -bits
-            bits ^= low
-            # a plain loop: a comprehension costs a call a bit on Python 3.11
-            for entry in index[low]:
-                t = entry[1]
+        if found is None:
+            groups: dict[int, tuple[int, list[int]]] = {}
+            for m2, t, keys in classes:
                 if m1 & t == t:
-                    found.append(entry)
+                    groups.setdefault(m1 & m2, (t, []))[1].extend(keys)
+            found = seen[m1] = [(m, t, keys) for m, (t, keys) in groups.items()]
         return found
     return lookup
 
 
-def _span_pairs(spans1: Packed, compatible: Lookup, scale: Coeff, out: dict[int, Coeff]) -> None:
-    """The flat pair loop: adds scale * each product of a key of spans1 and
-    a key of a unit class compatible with it (compatible, _compatible's
-    lookup) into out.  Each class of spans1 lists the keys of all its
-    compatible classes once, and runs each of its own keys, scaled once,
-    over that list, its own keys outermost.  Key pairs are enumerated one
-    by one."""
-    get = out.get
-    for m1, (_, keys1, values1) in spans1.items():
-        keys: list[int] = []
-        for _, _, keys2 in compatible(m1):
-            keys += keys2
-        if keys:
-            for k1, c1 in zip(keys1, values1):
-                c1 *= scale
-                for k2 in keys:
-                    k = k1 * k2
-                    out[k] = get(k, 0) + c1
+def _span_pairs(spans1: Packed, compatible: Lookup, scale: Coeff,
+                sink: Callable[[int, int], dict[int, Coeff]]) -> None:
+    """The verifier's one pair loop: adds scale * each product of a key of
+    spans1 and a key of a unit class compatible with it (compatible,
+    _compatible's lookup) into sink(m, t), the dict for products of span m
+    with labels t.  Each class of spans1 runs each of its own keys, scaled,
+    over the keys of one product span at a time, its own keys outermost.
+    Key pairs are enumerated one by one."""
+    for m1, (t1, keys1, values1) in spans1.items():
+        found = compatible(m1)
+        if found:
+            items1 = [(k1, c1 * scale) for k1, c1 in zip(keys1, values1)]
+            for m, t2, keys2 in found:
+                out = sink(m, t1 | t2)
+                get = out.get
+                for k1, c1 in items1:
+                    for k2 in keys2:
+                        k = k1 * k2
+                        out[k] = get(k, 0) + c1
 
 
 def _span_classes(items: Iterable[tuple[int, Coeff]], masks: list[int]) -> Grouped:
@@ -868,10 +859,16 @@ def parse_identity(line: str) -> Identity:
 
 
 def load_identities(path: str | None = None) -> list[Identity]:
-    """Parse the identity ledger (bundled file by default); refuses an empty one."""
+    """Parse the identity ledger (bundled file by default); refuses an empty
+    one, and a second line of one name, whose verdict could not be told apart."""
     identities = parse_lines("identities.txt", path, parse_identity)
     if not identities:
         raise ValueError("no identity in the file; an empty ledger checks nothing")
+    names: set[str] = set()
+    for identity in identities:
+        if identity.name in names:
+            raise ValueError(f"a second identity named {identity.name!r}")
+        names.add(identity.name)
     return identities
 
 
@@ -970,7 +967,8 @@ def concrete_expr(expr: Expr, g: int) -> ConcreteValue:
                 for k, c in zip(keys, counts):
                     out[k] = get(k, 0) + c * scale
         else:
-            _span_pairs(_concrete_chain(chain[:-1], g), _factor_lookup(chain[-1], g), scale, out)
+            _span_pairs(_concrete_chain(chain[:-1], g), _factor_lookup(chain[-1], g), scale,
+                        lambda m, t: out)
     return den, {k: c for k, c in out.items() if c} if any(out.values()) else {}
 
 
@@ -999,8 +997,8 @@ def _factor_lookup(f: Factor, g: int) -> Lookup:
 def _concrete_chain(chain: tuple[Factor, ...], g: int) -> Packed:
     """The memoized concrete value of a chain of factors, Packed: a single
     factor read off its label sets (_factor_spans), a longer chain built
-    from the span pairs of its prefix and its last factor, grouped in dicts
-    and packed once whole."""
+    by _span_pairs from its prefix and its last factor, grouped by product
+    span in dicts and packed once whole."""
     memo_key = (g, chain)
     cached = _CONCRETE_MEMO.get(memo_key)
     if cached is not None:
@@ -1008,25 +1006,9 @@ def _concrete_chain(chain: tuple[Factor, ...], g: int) -> Packed:
     if len(chain) == 1:
         groups = _factor_spans(chain[0], g)
     else:
-        # the pair loop of _span_pairs, its key pairs grouped by the
-        # product's span m1 & m2 with labels t1 | t2, the last factor's
-        # keys outside and the prefix's inside
         groups = {}
-        prefix = _concrete_chain(chain[:-1], g)
-        compatible = _factor_lookup(chain[-1], g)
-        for m1, (t1, keys1, counts1) in prefix.items():
-            items1 = list(zip(keys1, counts1))
-            for m2, t2, keys2 in compatible(m1):
-                m = m1 & m2
-                group = groups.get(m)
-                if group is None:
-                    group = groups[m] = (t1 | t2, {})
-                out = group[1]
-                get = out.get
-                for k2 in keys2:
-                    for k1, c1 in items1:
-                        k = k1 * k2
-                        out[k] = get(k, 0) + c1
+        _span_pairs(_concrete_chain(chain[:-1], g), _factor_lookup(chain[-1], g), 1,
+                    lambda m, t: groups.setdefault(m, (t, {}))[1])
     val = _CONCRETE_MEMO[memo_key] = _pack(groups)
     return val
 

@@ -2,10 +2,11 @@
 
 Every command prints deterministic, byte-stable output (sorted keys, exact
 fractions) and exits 0 on success, 2 when a verification command finds a
-mismatch, a published coefficient is not reproduced, `--samples` is below 1,
-`--genus` is missing or outside the command's range in `GENERA`, a `--data`
-item or its file is bad, or the normalization table lacks a genus the
-command needs.  Every `--data` file is read before any output, and its loaded
+mismatch, a published coefficient is not reproduced, an argument is
+malformed (one line, with no usage block), `--samples` is below 1, `--genus`
+is missing or outside the command's range in `GENERA`, a `--data` item or
+its file is bad, or the normalization table lacks a genus the command
+needs.  Every `--data` file is read before any output, and its loaded
 table is passed to the computation of that run only.  After a run, each
 genus 1..5 where a `--data normalizations` value differs from the derived
 one gets a `#` line on stderr; stdout still uses the given value.  When the
@@ -219,6 +220,8 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--samples", type=int, default=DEFAULT_SAMPLES)
     parser.add_argument("--open", action="store_true",
                         help="use the open-variant ring for ring-info")
+    # a malformed argument is one line, with no usage block
+    parser.error = lambda message: parser.exit(2, f"thetasing: {message}\n")
     args = parser.parse_args(argv)
     if args.samples < 1:
         print(f"thetasing: --samples must be at least 1, got {args.samples}", file=sys.stderr)

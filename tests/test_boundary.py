@@ -370,8 +370,8 @@ def test_convolve_is_exact_where_an_exponent_field_would_carry():
 
 @pytest.mark.parametrize("g", (2, 3))
 def test_convolve_with_the_empty_monomial(g):
-    # key 1 has no labels: its span mask is -1 and it sits under bit 0 of
-    # the least-label index, compatible with every class
+    # key 1 has no labels: its span mask is -1 and its labels t are 0, so
+    # it is compatible with every class
     d = {key: F(i + 1, 2) for i, key in enumerate(ORTHOGONAL_SETS_KEYS[g])}
     for d1, d2 in (({(): F(3)}, d), (d, {(): F(-2)}), ({(): F(1, 3)}, {(): F(3)}),
                    ({(): F(1), **d}, {(): F(-1), **d})):
@@ -380,10 +380,10 @@ def test_convolve_with_the_empty_monomial(g):
 
 
 @pytest.mark.parametrize("g", (2, 3))
-def test_convolve_visits_each_class_under_a_shared_least_label(g):
-    # d2 holds the spans of {a} and of {a, q}, both under least label a; d1's
-    # one label r is orthogonal to a but not to q, so its mask holds a yet
-    # only the first class is compatible with it
+def test_convolve_visits_each_compatible_class_and_lookup_is_the_plain_filter(g):
+    # d2 holds the spans of {a} and of {a, q}; d1's one label r is
+    # orthogonal to a but not to q, so its mask holds a yet only the first
+    # class is compatible with it
     masks = characteristics._orth_masks(g)
     a = 1
     q, r = next((q, r) for q in range(a + 1, len(masks)) for r in range(a + 1, len(masks))
@@ -394,8 +394,9 @@ def test_convolve_visits_each_class_under_a_shared_least_label(g):
     d2 = dict.fromkeys((((a, 1), (q, 1)), ((a, 1),), ((a, 2),)), F(2))
     got, expected = _convolve_both_ways(d1, d2, g)
     assert got == expected == {((a, 1), (r, 1)): F(10, 3), ((a, 2), (r, 1)): F(10, 3)}
-    # the lookup itself against a plain filter over all classes, at every
-    # span mask of d1 and, at genus 3, of the ledger product sigma2 * sigma2
+    # the lookup itself against a plain filter over all classes, grouped by
+    # the product span m1 & m2 with keys in class order, at every span mask
+    # of d1 and, at genus 3, of the ledger product sigma2 * sigma2
     spans = [(boundary._span_classes(((pack(k), 1) for k in d), masks) for d in (d1, d2))]
     if g == 3:
         chain = next(tuple(sorted(fs)) for i in load_identities() if i.name == "sigma2-squared"
@@ -404,9 +405,41 @@ def test_convolve_visits_each_class_under_a_shared_least_label(g):
     for spans1, spans2 in spans:
         lookup = boundary._compatible(spans2)
         for m1 in spans1:
-            found = lookup(m1)
-            plain = {m: (t, list(terms)) for m, (t, terms) in spans2.items() if m1 & t == t}
-            assert len(found) == len(plain) and {m: (t, keys) for m, t, keys in found} == plain
+            plain = {}
+            for m2, (t, terms) in spans2.items():
+                if m1 & t == t:
+                    plain.setdefault(m1 & m2, (t, []))[1].extend(terms)
+            assert lookup(m1) == [(m, t, keys) for m, (t, keys) in plain.items()]
+
+
+def test_one_pair_loop_serves_every_product(monkeypatch):
+    # a memoized chain, a degree-5 ledger term and convolve all multiply
+    # their keys in _span_pairs, and _concrete_chain multiplies none itself
+    calls = []
+    span_pairs = boundary._span_pairs
+
+    def counted(*args):
+        calls.append(args)
+        return span_pairs(*args)
+
+    monkeypatch.setattr(boundary, "_span_pairs", counted)
+    s1 = ("name", "sigma1")
+    _CONCRETE_MEMO.clear()
+    try:
+        assert boundary._concrete_chain((s1, s1), 3) and len(calls) == 1
+        fifth = next(i for i in load_identities() if i.name == "sigma1-fifth")
+        concrete_expr(_difference(fifth), 3)
+        # with the prefix memoized, what is left is the degree-5 product
+        memo, calls[:] = dict(_CONCRETE_MEMO), []
+        assert concrete_expr(_difference(fifth), 3)[1] == {} and calls
+        assert _CONCRETE_MEMO == memo
+        calls[:] = []
+        assert convolve({2: 1}, {3: 1}, 3) == {6: 1} and len(calls) == 1
+        monkeypatch.setattr(boundary, "_span_pairs", lambda *args: None)
+        _CONCRETE_MEMO.clear()
+        assert boundary._concrete_chain((s1, s1), 3) == {}
+    finally:
+        _CONCRETE_MEMO.clear()
 
 
 @pytest.mark.parametrize("g", (2, 3))
@@ -1120,7 +1153,7 @@ def test_memoized_product_guards_the_exponent_field_genus2():
 def test_concrete_memo_retained_by_a_cold_genus3_ledger_pass():
     # what the verifier keeps between lines, the memo and its factor
     # lookups, as the memory tracemalloc sees freed when both are cleared:
-    # about 2.4 MB packed, 4.8 MB when each product was a dict of int keys
+    # about 3.2 MB packed, 4.8 MB when each product was a dict of int keys
     identities = load_identities()
     boundary._label_sets(3)  # the tables are kept either way; not measured
     _CONCRETE_MEMO.clear()

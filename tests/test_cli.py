@@ -346,13 +346,28 @@ def test_cli_import_skips_dataclasses_and_inspect():
     assert proc.stdout == "[]\n"
 
 
-@pytest.mark.parametrize("samples", ["0", "-5"])
-def test_verify_counts_rejects_nonpositive_samples(capsys, samples):
-    code = cli.main(["--command", "verify-counts", "--genus", "4", "--samples", samples])
+@pytest.mark.parametrize("argv, message", [
+    (["--command", "verify-counts", "--genus", "4", "--samples", "0"],
+     "--samples must be at least 1, got 0"),
+    (["--command", "verify-counts", "--genus", "4", "--samples", "-5"],
+     "--samples must be at least 1, got -5"),
+    # malformed arguments: argparse's own message, with no usage block
+    (["--command", "verify-counts", "--genus", "abc"], "argument --genus: invalid int value: 'abc'"),
+    (["--command", "verify-counts", "--genus", "4", "--samples", "x"],
+     "argument --samples: invalid int value: 'x'"),
+    (["--command", "bogus"], "argument --command: invalid choice: 'bogus'"),
+    (["--genus", "2"], "the following arguments are required: --command"),
+], ids=["samples-0", "samples--5", "genus-abc", "samples-x", "command-bogus", "no-command"])
+def test_bad_arguments_fail_in_one_line(capsys, argv, message):
+    try:
+        code = cli.main(argv)
+    except SystemExit as exc:
+        code = exc.code
     captured = capsys.readouterr()
     assert code == 2
     assert captured.out == ""
-    assert captured.err == f"thetasing: --samples must be at least 1, got {samples}\n"
+    assert captured.err.startswith(f"thetasing: {message}")
+    assert captured.err.count("\n") == 1 and captured.err.endswith("\n")
 
 
 @pytest.mark.parametrize("command, genus, supported", [
@@ -598,6 +613,10 @@ LONG = "9" * (sys.get_int_max_str_digits() + 1)
     ("normalizations", ["--command", "ring-info", "--genus", "2"],
      "genus=2 value=1/2880 source=t\ngenus=2 value=1/5760 source=u\n",
      "a second normalization line for genus 2"),
+    # two ledger lines of one name would print two verdicts under it
+    ("identities", ["--command", "verify-identities", "--genus", "2"],
+     "x: sigma1 = sigma1\ny: sigma2 = sigma2\nx: sigma1 = 2*sigma1\n",
+     "a second identity named 'x'"),
 ])
 def test_bad_data_file_fails_before_output(capsys, tmp_path, kind, argv, text, reason):
     path = str(tmp_path / "missing.txt") if text is None else _write(tmp_path, text)
