@@ -355,7 +355,8 @@ def test_cli_import_skips_dataclasses_and_inspect():
     (["--command", "verify-counts", "--genus", "abc"], "argument --genus: invalid int value: 'abc'"),
     (["--command", "verify-counts", "--genus", "4", "--samples", "x"],
      "argument --samples: invalid int value: 'x'"),
-    (["--command", "bogus"], "argument --command: invalid choice: 'bogus'"),
+    (["--command", "bogus"], "argument --command: invalid choice: 'bogus' (choose from "
+     + ", ".join(map(repr, cli.GENERA)) + ")"),
     (["--genus", "2"], "the following arguments are required: --command"),
 ], ids=["samples-0", "samples--5", "genus-abc", "samples-x", "command-bogus", "no-command"])
 def test_bad_arguments_fail_in_one_line(capsys, argv, message):
@@ -366,8 +367,7 @@ def test_bad_arguments_fail_in_one_line(capsys, argv, message):
     captured = capsys.readouterr()
     assert code == 2
     assert captured.out == ""
-    assert captured.err.startswith(f"thetasing: {message}")
-    assert captured.err.count("\n") == 1 and captured.err.endswith("\n")
+    assert captured.err == f"thetasing: {message}\n"
 
 
 @pytest.mark.parametrize("command, genus, supported", [
